@@ -37,6 +37,7 @@ from .errors import (
 from .estimators import (
     CompositeConfig,
     CurveEstimate,
+    EstimatorPair,
     composite_estimate,
     gpwm_alpha,
     ml_alpha,
@@ -47,7 +48,6 @@ from .estimators import (
 from .harness import (
     Combo,
     ComboResult,
-    EstimatorPair,
     ExperimentConfig,
     mise_decompose,
     run_experiment,

@@ -33,7 +33,7 @@ from .depcore import (
     GevMargin,
     LimitLawQ,
     Logistic,
-    astar_transform,
+    astar_points,
     edge_grid,
     edge_points,
     extremal_coefficient,
@@ -49,7 +49,7 @@ from .errors import (
     RandmaxError,
     RangeLinkError,
 )
-from .estimators import CompositeConfig, composite_estimate
+from .estimators import CompositeConfig, fit_pairs
 from .harness import figure_tables, results_csv_text, run_experiment, run_report_text
 from .samplers import PairedSample, RngStream, sample_experiment1, sample_experiment2
 
@@ -109,31 +109,31 @@ def _model_from_block(block):
     return ExtremalT(block["rho"], block["upsilon"])
 
 
+def _present(block, *keys, **renamed):
+    """Keyword arguments from the entries of `block` that it sets, under
+    `keys` as they are and under `renamed` (argument name=block key);
+    absent entries are left to the callee's defaults."""
+    kwargs = {key: block[key] for key in keys if key in block}
+    kwargs.update({name: block[key] for name, key in renamed.items() if key in block})
+    return kwargs
+
+
 def cmd_sample(config, args):
     block = require_block(config, "sample")
     seed = args.seed if args.seed is not None else block.get("seed", 0)
     stream = RngStream(seed=seed, stream_id=block.get("stream", 0))
     if block["experiment"] == 1:
-        if "psi" not in block:
-            raise ConfigError("experiment 1 sampling requires psi", path="$.sample.psi")
         sample = sample_experiment1(
-            block["psi"], block["alpha"], block["n"], stream, d=block.get("d", 2)
+            block["psi"], block["alpha"], block["n"], stream, **_present(block, "d")
         )
     else:
-        if "rho" not in block or "upsilon" not in block:
-            raise ConfigError(
-                "experiment 2 sampling requires rho and upsilon", path="$.sample.rho"
-            )
-        if block.get("d", 2) != 2:
-            raise ConfigError("experiment 2 sampling is bivariate", path="$.sample.d")
         sample = sample_experiment2(
             block["rho"],
             block["upsilon"],
             block["alpha"],
             block["n"],
             stream,
-            n_prime=block.get("inner_size", 500),
-            block_cap=block.get("block_cap", 10_000_000),
+            **_present(block, "block_cap", n_prime="inner_size"),
         )
     out = Path(args.out) / "sample.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -154,16 +154,15 @@ def cmd_estimate(config, args):
         raise ConfigError("estimate requires --input <sample csv>", path="$.estimate")
     sample = PairedSample.from_csv(args.input)
     outdir = Path(args.out)
-    for pair in pairs_from_block(block):
-        cfg = CompositeConfig(
-            pick=pair.pick,
-            alpha_method=pair.alpha_method,
-            k=block.get("k", 5),
-            grid_size=block.get("grid_size", 201),
-            corrected=block.get("corrected", True),
-        )
-        estimate = composite_estimate(sample, cfg)
-        out = outdir / f"estimate_{cfg.label}.csv"
+    pairs = pairs_from_block(block)
+    # shared fit settings; the pick and tail method of this config are unused
+    settings = CompositeConfig(**_present(block, "k", "grid_size", "corrected"))
+    fits = fit_pairs(sample, pairs, settings)
+    for pair in pairs:
+        estimate = fits[pair.label]
+        if isinstance(estimate, EstimationError):
+            raise estimate
+        out = outdir / f"estimate_{pair.label}.csv"
         out.parent.mkdir(parents=True, exist_ok=True)
         try:
             estimate.to_csv(out)
@@ -174,10 +173,10 @@ def cmd_estimate(config, args):
             {
                 "command": "estimate",
                 "input": Path(args.input).name,
-                "estimator_pair": cfg.label,
-                "k": cfg.k,
-                "grid_size": cfg.grid_size,
-                "corrected": int(cfg.corrected),
+                "estimator_pair": pair.label,
+                "k": settings.k,
+                "grid_size": settings.grid_size,
+                "corrected": int(settings.corrected),
                 "alpha_hat": repr(estimate.alpha_hat),
                 "alpha_raw": repr(estimate.alpha_raw),
                 "alpha_clamped": int(estimate.alpha_clamped),
@@ -246,9 +245,7 @@ def cmd_eval(config, args):
         lines = ["t,A,A_alpha,A_star"]
         if scaled is not None:
             a_alpha = scaled.curve(w)
-            a_star = np.array(
-                [astar_transform(scaled, alpha, t) for t in edge_points(w)]
-            )
+            a_star, _ = astar_points(a_alpha, edge_points(w), alpha)
         else:
             a_alpha = np.full(w.size, np.nan)
             a_star = np.full(w.size, np.nan)

@@ -12,7 +12,8 @@ import json
 import jsonschema
 
 from .errors import ConfigError
-from .harness import EstimatorPair, ExperimentConfig
+from .estimators import EstimatorPair
+from .harness import ExperimentConfig
 
 __all__ = ["load_config", "experiment_config_from_block", "CONFIG_SCHEMA"]
 
@@ -58,6 +59,15 @@ _MODEL_SCHEMA = {
     ],
 }
 
+
+def _when_experiment(number, then):
+    """Schema rule: a block whose `experiment` is `number` must also match `then`."""
+    return {
+        "if": {"properties": {"experiment": {"const": number}}, "required": ["experiment"]},
+        "then": then,
+    }
+
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -79,6 +89,12 @@ CONFIG_SCHEMA = {
             },
             "required": ["experiment", "alpha", "n"],
             "additionalProperties": False,
+            "allOf": [
+                _when_experiment(1, {"required": ["psi"]}),
+                _when_experiment(
+                    2, {"required": ["rho", "upsilon"], "properties": {"d": {"const": 2}}}
+                ),
+            ],
         },
         "estimate": {
             "type": "object",
@@ -162,6 +178,10 @@ CONFIG_SCHEMA = {
             },
             "required": ["experiment", "alpha", "n", "replications", "pairs"],
             "additionalProperties": False,
+            "allOf": [
+                _when_experiment(1, {"required": ["psi"]}),
+                _when_experiment(2, {"required": ["rho", "upsilon"]}),
+            ],
         },
     },
     "additionalProperties": False,
@@ -183,7 +203,11 @@ def load_config(path):
     errors = sorted(validator.iter_errors(data), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
-        raise ConfigError(first.message, path=first.json_path)
+        path = first.json_path
+        if first.validator == "required":
+            # point at the missing field itself, e.g. $.sample.psi
+            path += "." + next(k for k in first.validator_value if k not in first.instance)
+        raise ConfigError(first.message, path=path)
     return data
 
 
@@ -197,29 +221,29 @@ def pairs_from_block(block):
     return tuple(EstimatorPair(p["pick"], p["alpha"]) for p in block["pairs"])
 
 
+#: experiment-block keys whose ExperimentConfig field has another name
+_EXPERIMENT_FIELDS = {
+    "alpha": "alphas",
+    "psi": "psis",
+    "rho": "rhos",
+    "upsilon": "upsilons",
+    "n": "sizes",
+}
+
+
 def experiment_config_from_block(block, seed=None, jobs=None):
-    """Build an ExperimentConfig from the `experiment` config block."""
-    experiment = block["experiment"]
-    if experiment == 1 and "psi" not in block:
-        raise ConfigError("experiment 1 requires a psi grid", path="$.experiment.psi")
-    if experiment == 2 and ("rho" not in block or "upsilon" not in block):
-        raise ConfigError(
-            "experiment 2 requires rho and upsilon grids", path="$.experiment.rho"
-        )
-    return ExperimentConfig(
-        experiment=experiment,
-        alphas=tuple(block["alpha"]),
-        psis=tuple(block.get("psi", ())),
-        rhos=tuple(block.get("rho", ())),
-        upsilons=tuple(block.get("upsilon", ())),
-        sizes=tuple(block["n"]),
-        replications=block["replications"],
-        inner_size=block.get("inner_size", 500),
-        pairs=pairs_from_block(block),
-        k=block.get("k", 5),
-        grid_size=block.get("grid_size", 201),
-        corrected=block.get("corrected", True),
-        seed=seed if seed is not None else block.get("seed", 0),
-        jobs=jobs if jobs is not None else block.get("jobs", 1),
-        block_cap=block.get("block_cap", 10_000_000),
-    )
+    """Build an ExperimentConfig from the `experiment` config block.
+
+    Only the keys present are passed, so absent ones take the dataclass
+    defaults; `seed` and `jobs`, when given, override the block.
+    """
+    fields = {
+        _EXPERIMENT_FIELDS.get(key, key): tuple(value) if isinstance(value, list) else value
+        for key, value in block.items()
+    }
+    fields["pairs"] = pairs_from_block(block)
+    if seed is not None:
+        fields["seed"] = seed
+    if jobs is not None:
+        fields["jobs"] = jobs
+    return ExperimentConfig(**fields)

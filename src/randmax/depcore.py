@@ -53,6 +53,7 @@ __all__ = [
     "lambda_from_theta",
     "lambda_inverse_link",
     "tail_prob_approx",
+    "astar_points",
     "astar_transform",
     "astar_transform_flagged",
     "pickands_from_astar",
@@ -70,10 +71,12 @@ def as_simplex(t):
     a = np.asarray(t, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise DomainError(f"simplex point must be a vector of dimension >= 2, got {t!r}")
-    if not np.all(np.isfinite(a)) or np.any(a < 0.0):
+    # a nan or an infinite entry makes the sum nonfinite
+    total = a.sum()
+    if not np.isfinite(total) or a.min() < 0.0:
         raise DomainError(f"simplex point must have nonnegative finite entries, got {t!r}")
-    if abs(a.sum() - 1.0) > _SIMPLEX_TOL:
-        raise DomainError(f"simplex point entries must sum to 1, got sum {a.sum()!r}")
+    if abs(total - 1.0) > _SIMPLEX_TOL:
+        raise DomainError(f"simplex point entries must sum to 1, got sum {total!r}")
     return a
 
 
@@ -101,7 +104,10 @@ class PickandsModel:
 
     def pickands(self, t):
         """Evaluate A at a single simplex point."""
-        t = as_simplex(t)
+        return self._at(as_simplex(t))
+
+    def _at(self, t):
+        """A at a simplex point that as_simplex has already validated."""
         if t.size != self.dim:
             raise DomainError(f"model has dimension {self.dim}, point has {t.size}")
         return float(self.values(t[np.newaxis, :])[0])
@@ -308,42 +314,53 @@ def tail_prob_approx(model, alpha, z, n):
     return stable_tail(model, a ** (1.0 / alpha) / float(n)) ** alpha
 
 
-def _transform_geometry(t, alpha):
-    t = as_simplex(t)
-    tw = t ** (1.0 / alpha)
-    s = tw.sum()
+def astar_points(a_alpha_values, points, alpha):
+    """Invert the alpha-scaling at k simplex points (k, d) given A_alpha there.
+
+    Returns (astar, clamp_mask). astar = (A_alpha(t) / |t|_a)^(1/alpha) is
+    the base Pickands function at the reparametrized point
+    (t / |t|_a)^(1/alpha), so it must lie between the largest coordinate of
+    that point and 1; with noisy input curves it can exit that envelope, in
+    which case it is clipped, and the mask marks the points moved by more
+    than rounding. Exact inputs are never flagged. alpha is not validated
+    here, so a clamped tail estimate can be passed as it is.
+    """
+    a_alpha_values = np.asarray(a_alpha_values, dtype=float)
+    tw = np.asarray(points, dtype=float) ** (1.0 / alpha)
+    # column by column: a reduction over the short last axis is much slower
+    s = largest = tw[..., 0]
+    for j in range(1, tw.shape[-1]):
+        s = s + tw[..., j]
+        largest = np.maximum(largest, tw[..., j])
     norm = s**alpha
-    inner = tw / s
-    return t, norm, inner
+    with np.errstate(over="ignore"):
+        raw = (a_alpha_values / norm) ** (1.0 / alpha)
+    lower = largest / s
+    clipped = np.clip(raw, lower, 1.0)
+    return clipped, ~(np.abs(clipped - raw) <= CLAMP_TOL)
 
 
-def astar_transform_flagged(a_alpha, alpha, t, clamp=True):
+def astar_transform_flagged(a_alpha, alpha, t):
     """Invert the alpha-scaling at one point: Astar(t) = (A_alpha(t)/|t|_a)^(1/alpha).
 
     `a_alpha` is a PickandsModel (typically a GridCurve holding an estimated
-    curve) or a callable on simplex points. The result is the base Pickands
-    function evaluated at (t/|t|_a)^(1/alpha), so it must lie between the
-    largest coordinate of that reparametrized point and 1; with noisy input
-    curves it can exit that envelope, in which case it is clamped and the
-    second return value is True. Exact inputs are never flagged.
+    curve) or a callable on simplex points. Returns the value and whether it
+    was clamped into its envelope; see astar_points.
     """
     if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"scaling index must be in (0,1), got {alpha!r}")
-    t, norm, inner = _transform_geometry(t, alpha)
+    t = as_simplex(t)
     if isinstance(a_alpha, PickandsModel):
-        val = a_alpha.pickands(t)
+        val = a_alpha._at(t)
     else:
         val = float(a_alpha(t))
-    raw = (val / norm) ** (1.0 / alpha)
-    lower = float(inner.max())
-    clipped = min(max(raw, lower), 1.0)
-    flagged = abs(clipped - raw) > CLAMP_TOL
-    return (clipped if clamp else raw), flagged
+    astar, flagged = astar_points(val, t, alpha)
+    return float(astar), bool(flagged)
 
 
-def astar_transform(a_alpha, alpha, t, clamp=True):
+def astar_transform(a_alpha, alpha, t):
     """Value-only version of :func:`astar_transform_flagged`."""
-    return astar_transform_flagged(a_alpha, alpha, t, clamp=clamp)[0]
+    return astar_transform_flagged(a_alpha, alpha, t)[0]
 
 
 def pickands_from_astar(astar, alpha, t):

@@ -23,15 +23,14 @@ convention for vanishing weights total, and pins the madogram estimator to
 exactly 1 at the vertices, matching the endpoint-corrected family.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .depcore import GridCurve, edge_grid
+from .depcore import astar_points, edge_grid, edge_points
 from .errors import DomainError, EstimationError
 from .specfun import ln_gamma, regularized_lower_gamma
-from .samplers import PairedSample
+from .samplers import PairedSample, write_text
 
 __all__ = [
     "EULER_MASCHERONI",
@@ -42,6 +41,7 @@ __all__ = [
     "pickands_cfg",
     "pickands_md",
     "madogram_nu",
+    "pickands_points",
     "pickands_curve_raw",
     "endpoint_correct",
     "gpwm_alpha",
@@ -49,8 +49,10 @@ __all__ = [
     "ml_alpha",
     "ml_score",
     "invert_curve",
+    "EstimatorPair",
     "CompositeConfig",
     "CurveEstimate",
+    "fit_pairs",
     "composite_estimate",
 ]
 
@@ -98,37 +100,38 @@ def pseudo_uniforms(eta):
     return out / (n + 1.0)
 
 
-def _uniforms_of(sample_or_u):
+def _point_args(sample_or_u, t):
+    """Validated (u, t): the (n, d) pseudo-uniforms and one length-d simplex point."""
     if isinstance(sample_or_u, PairedSample):
-        return pseudo_uniforms(sample_or_u.eta)
-    u = np.asarray(sample_or_u, dtype=float)
-    if u.ndim != 2 or u.shape[0] < 2:
-        raise DomainError("need an (n, d) matrix of pseudo-uniform values with n >= 2")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise DomainError("pseudo-uniform values must lie strictly inside (0, 1)")
-    return u
+        u = pseudo_uniforms(sample_or_u.eta)
+    else:
+        u = np.asarray(sample_or_u, dtype=float)
+        if u.ndim != 2 or u.shape[0] < 2:
+            raise DomainError("need an (n, d) matrix of pseudo-uniform values with n >= 2")
+        if np.any(u <= 0.0) or np.any(u >= 1.0):
+            raise DomainError("pseudo-uniform values must lie strictly inside (0, 1)")
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or t.size != u.shape[1]:
+        raise DomainError("simplex point dimension must match the data")
+    return u, t
 
 
 def pickands_angles(sample_or_u, t):
     """Per-row pseudo-angles theta_i(t); coordinates with t_j = 0 are skipped."""
-    u = _uniforms_of(sample_or_u)
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.size != u.shape[1]:
-        raise DomainError("simplex point dimension must match the data")
-    neg_log = -np.log(u)
-    with np.errstate(divide="ignore"):
-        ratios = np.where(t > 0.0, neg_log / t, np.inf)
-    return ratios.min(axis=1)
+    u, t = _point_args(sample_or_u, t)
+    return _row_terms(-np.log(u), t[:, np.newaxis], "P")[:, 0]
 
 
 def pickands_p(sample_or_u, t):
     """Min-projection estimate 1 / mean(theta) of the dependence at t."""
-    return 1.0 / float(np.mean(pickands_angles(sample_or_u, t)))
+    u, t = _point_args(sample_or_u, t)
+    return float(pickands_points(u, t[np.newaxis, :], "P")[0][0])
 
 
 def pickands_cfg(sample_or_u, t):
     """Log-mean estimate exp(-mean ln theta - EulerGamma) of the dependence at t."""
-    return float(np.exp(-np.mean(np.log(pickands_angles(sample_or_u, t))) - EULER_MASCHERONI))
+    u, t = _point_args(sample_or_u, t)
+    return float(pickands_points(u, t[np.newaxis, :], "CFG")[0][0])
 
 
 def madogram_nu(sample_or_u, t):
@@ -137,19 +140,8 @@ def madogram_nu(sample_or_u, t):
         nu(t) = mean_i [ max_j u_ij^(1/t_j) - (1/d) sum_j u_ij^(1/t_j) ],
 
     with u^(1/0) = 0 for u in (0, 1)."""
-    u = _uniforms_of(sample_or_u)
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.size != u.shape[1]:
-        raise DomainError("simplex point dimension must match the data")
-    with np.errstate(divide="ignore"):
-        powered = u ** np.where(t > 0.0, 1.0 / t, np.inf)
-    return float(np.mean(powered.max(axis=1) - powered.mean(axis=1)))
-
-
-def _md_normalizer(t, dim_factor):
-    t = np.asarray(t, dtype=float)
-    c = np.sum(t / (1.0 + t), axis=-1)
-    return c / t.shape[-1] if dim_factor else c
+    u, t = _point_args(sample_or_u, t)
+    return float(np.mean(_row_terms(u, t[:, np.newaxis], "MD")))
 
 
 def pickands_md(sample_or_u, t, dim_factor=True):
@@ -159,65 +151,98 @@ def pickands_md(sample_or_u, t, dim_factor=True):
     variant without 1/d is kept for comparison but fails the complete
     dependence and independence population identities for d >= 2.
     """
-    nu = madogram_nu(sample_or_u, t)
-    c = float(_md_normalizer(np.asarray(t, dtype=float), dim_factor))
-    denom = 1.0 - nu - c
-    if denom <= 0.0:
-        return 1.0
-    return (nu + c) / denom
+    u, t = _point_args(sample_or_u, t)
+    if dim_factor:
+        return float(pickands_points(u, t[np.newaxis, :], "MD")[0][0])
+    return float(_madogram_ratio(madogram_nu(u, t), np.sum(t / (1.0 + t)))[0])
 
 
 # ---------------------------------------------------------------------------
-# Whole-curve evaluation on the bivariate grid
+# The curve kernel: all three estimators at an array of simplex points
 # ---------------------------------------------------------------------------
 
 _GRID_CHUNK_CELLS = 8_000_000
 
 
-def pickands_curve_raw(u, w, pick, dim_factor=True):
-    """Raw (uncorrected) dependence curve of one rank-based estimator.
+def _row_terms(data, coords, pick):
+    """Per-row terms (n, k) at k simplex points given as coordinate rows (d, k).
 
-    u is the (n, 2) matrix of pseudo-uniforms, w the grid of curve
-    coordinates. Returns (values, flags) where flags marks grid nodes whose
+    For P and CFG, data is -ln u and the terms are the pseudo-angles
+    min_j data_ij / t_j; for MD, data is u and the terms are the madogram
+    summands max_j v_ij - (1/d) sum_j v_ij with v_ij = u_ij^(1/t_j). A
+    coordinate with t_j = 0 drops out (its angle is inf, its power 0). The
+    loop runs over the d coordinates and accumulates into (n, k) arrays; an
+    (n, d, k) broadcast gives the same bits but is several times slower.
+    """
+    acc = total = None
+    with np.errstate(divide="ignore"):
+        for j, tj in enumerate(coords):
+            col = data[:, j : j + 1]
+            if pick == "MD":
+                term = col ** np.where(tj > 0.0, 1.0 / tj, np.inf)
+            else:
+                term = np.where(tj > 0.0, col / tj, np.inf)
+            if acc is None:
+                acc = total = term
+            elif pick == "MD":
+                acc = np.maximum(acc, term)
+                total = total + term
+            else:
+                acc = np.minimum(acc, term)
+    if pick == "MD":
+        # in place, so no further (n, k) array is allocated
+        total /= len(coords)
+        acc -= total
+    return acc
+
+
+def _madogram_ratio(nu, c):
+    """(nu + c) / (1 - nu - c) and the mask of nonpositive denominators,
+    where the value is set to 1."""
+    denom = 1.0 - nu - c
+    bad = denom <= 0.0
+    return np.where(bad, 1.0, (nu + c) / np.where(bad, 1.0, denom)), bad
+
+
+def pickands_points(u, points, pick):
+    """Raw (uncorrected) estimates of one rank-based estimator at k simplex points.
+
+    u is the (n, d) matrix of pseudo-uniforms, points a (k, d) array of
+    simplex points. Returns (values, flags) where flags marks points whose
     madogram denominator was not positive (always False for P and CFG).
+    Points are processed in chunks of about 8e6 (row, point) cells.
     """
     if pick not in PICK_ESTIMATORS:
         raise DomainError(f"unknown dependence estimator {pick!r}")
     u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = u.shape[0]
-    values = np.empty(w.size)
-    flags = np.zeros(w.size, dtype=bool)
+    points = np.asarray(points, dtype=float)
+    n, d = u.shape
+    if points.ndim != 2 or points.shape[1] != d:
+        raise DomainError("simplex points must be a (k, d) array matching the data")
+    k = points.shape[0]
+    values = np.empty(k)
+    flags = np.zeros(k, dtype=bool)
+    data = u if pick == "MD" else -np.log(u)
     step = max(1, _GRID_CHUNK_CELLS // max(n, 1))
-    neg_log = -np.log(u) if pick in ("P", "CFG") else None
-    for lo in range(0, w.size, step):
-        cols = w[lo : lo + step]
-        t1 = 1.0 - cols
-        t2 = cols
-        if pick in ("P", "CFG"):
-            with np.errstate(divide="ignore"):
-                a = np.where(t1 > 0.0, neg_log[:, 0:1] / t1, np.inf)
-                b = np.where(t2 > 0.0, neg_log[:, 1:2] / t2, np.inf)
-            theta = np.minimum(a, b)
-            if pick == "P":
-                values[lo : lo + step] = 1.0 / theta.mean(axis=0)
-            else:
-                values[lo : lo + step] = np.exp(
-                    -np.log(theta).mean(axis=0) - EULER_MASCHERONI
-                )
+    for lo in range(0, k, step):
+        chunk = slice(lo, lo + step)
+        # contiguous coordinate rows keep the (n, k) arithmetic on fast loops
+        coords = np.ascontiguousarray(points[chunk].T)
+        rows = _row_terms(data, coords, pick)
+        if pick == "P":
+            values[chunk] = 1.0 / rows.mean(axis=0)
+        elif pick == "CFG":
+            values[chunk] = np.exp(-np.log(rows).mean(axis=0) - EULER_MASCHERONI)
         else:
-            with np.errstate(divide="ignore"):
-                v1 = u[:, 0:1] ** np.where(t1 > 0.0, 1.0 / t1, np.inf)
-                v2 = u[:, 1:2] ** np.where(t2 > 0.0, 1.0 / t2, np.inf)
-            nu = (np.maximum(v1, v2) - 0.5 * (v1 + v2)).mean(axis=0)
-            c = 0.5 * (t1 / (1.0 + t1) + t2 / (1.0 + t2))
-            if not dim_factor:
-                c = 2.0 * c
-            denom = 1.0 - nu - c
-            bad = denom <= 0.0
-            values[lo : lo + step] = np.where(bad, 1.0, (nu + c) / np.where(bad, 1.0, denom))
-            flags[lo : lo + step] = bad
+            c = sum(tj / (1.0 + tj) for tj in coords) / d
+            values[chunk], flags[chunk] = _madogram_ratio(rows.mean(axis=0), c)
     return values, flags
+
+
+def pickands_curve_raw(u, w, pick):
+    """Raw (uncorrected) dependence curve of one rank-based estimator on the
+    bivariate grid w: pickands_points at the simplex points (1 - w, w)."""
+    return pickands_points(u, edge_points(w), pick)
 
 
 def endpoint_correct(values, w, pick):
@@ -400,29 +425,39 @@ _ALPHA_CLAMP = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
-class CompositeConfig:
-    """Choices for one composite fit: dependence estimator in {P, CFG, MD},
-    tail estimator in {GPWM, ML}, GPWM moment order k, grid size, whether to
-    apply the vertex corrections, and which madogram normalizer to use."""
+class EstimatorPair:
+    """A dependence-curve estimator in {P, CFG, MD} paired with a tail
+    estimator in {GPWM, ML}."""
 
-    pick: str = "CFG"
-    alpha_method: str = "GPWM"
-    k: int = 5
-    grid_size: int = 201
-    corrected: bool = True
-    md_dim_factor: bool = True
+    pick: str
+    alpha_method: str
 
     def __post_init__(self):
         if self.pick not in PICK_ESTIMATORS:
             raise DomainError(f"unknown dependence estimator {self.pick!r}")
         if self.alpha_method not in ALPHA_ESTIMATORS:
             raise DomainError(f"unknown tail estimator {self.alpha_method!r}")
-        if int(self.grid_size) < 3 or int(self.grid_size) % 2 == 0:
-            raise DomainError("grid size must be an odd integer >= 3")
 
     @property
     def label(self):
         return f"{self.pick}-{self.alpha_method}"
+
+
+@dataclass(frozen=True)
+class CompositeConfig(EstimatorPair):
+    """Choices for one composite fit: the estimator pair, the GPWM moment
+    order k, the grid size, and whether to apply the vertex corrections."""
+
+    pick: str = "CFG"
+    alpha_method: str = "GPWM"
+    k: int = 5
+    grid_size: int = 201
+    corrected: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        if int(self.grid_size) < 3 or int(self.grid_size) % 2 == 0:
+            raise DomainError("grid size must be an odd integer >= 3")
 
 
 def estimate_alpha(xi, method, k=5):
@@ -448,26 +483,14 @@ def clamp_alpha(alpha_raw):
 
 
 def invert_curve(a_alpha_values, w, alpha):
-    """Pointwise inverse scaling transform of a dependence curve on the grid.
+    """Inverse scaling transform of a dependence curve on the bivariate grid.
 
-    Returns (astar, clamp_mask): astar(w) = (A_alpha(w) / |t|_a)^(1/alpha)
-    clipped into its envelope [max of the reparametrized point, 1]; the mask
-    marks nodes moved by more than rounding.
+    Returns (astar, clamp_mask) from depcore.astar_points at the simplex
+    points (1 - w, w): astar(w) = (A_alpha(w) / |t|_a)^(1/alpha) clipped into
+    its envelope [max of the reparametrized point, 1]; the mask marks nodes
+    moved by more than rounding.
     """
-    a_alpha_values = np.asarray(a_alpha_values, dtype=float)
-    w = np.asarray(w, dtype=float)
-    t1 = 1.0 - w
-    t2 = w
-    p1 = t1 ** (1.0 / alpha)
-    p2 = t2 ** (1.0 / alpha)
-    s = p1 + p2
-    norm = s**alpha
-    with np.errstate(over="ignore"):
-        raw = (a_alpha_values / norm) ** (1.0 / alpha)
-    lower = np.maximum(p1, p2) / s
-    clipped = np.clip(raw, lower, 1.0)
-    mask = ~(np.abs(clipped - raw) <= 1e-12)
-    return clipped, mask
+    return astar_points(a_alpha_values, edge_points(w), alpha)
 
 
 def _reparametrized_coordinate(w, alpha):
@@ -485,7 +508,6 @@ class CurveEstimate:
     w: np.ndarray
     a_alpha: np.ndarray
     a_star: np.ndarray
-    a_base: np.ndarray
     alpha_hat: float
     alpha_raw: float
     pick: str
@@ -499,12 +521,18 @@ class CurveEstimate:
         return f"{self.pick}-{self.alpha_method}"
 
     @property
+    def a_base(self):
+        """The base curve, read off a_star at the reparametrized coordinates."""
+        return np.interp(_reparametrized_coordinate(self.w, self.alpha_hat), self.w, self.a_star)
+
+    @property
     def n_clamped(self):
         return int(np.count_nonzero(self.clamp_mask))
 
     def to_csv(self, path_or_buf):
         header = "t,A_alpha_hat,A_star_hat,A_hat,alpha_hat,estimator_pair,corrected,clamped"
         lines = [header]
+        a_base = self.a_base
         for i in range(self.w.size):
             lines.append(
                 ",".join(
@@ -512,7 +540,7 @@ class CurveEstimate:
                         repr(float(self.w[i])),
                         repr(float(self.a_alpha[i])),
                         repr(float(self.a_star[i])),
-                        repr(float(self.a_base[i])),
+                        repr(float(a_base[i])),
                         repr(float(self.alpha_hat)),
                         self.label,
                         str(int(self.corrected)),
@@ -520,49 +548,67 @@ class CurveEstimate:
                     ]
                 )
             )
-        text = "\n".join(lines) + "\n"
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            path_or_buf.write(text)
-
-    def as_grid_curve(self):
-        return GridCurve(self.a_star)
+        write_text(path_or_buf, "\n".join(lines) + "\n")
 
 
-def composite_estimate(sample, config=CompositeConfig()):
-    """Fit the composite estimator to a paired sample.
+def fit_pairs(sample, pairs, settings):
+    """Fit several composite estimators to one paired sample.
 
-    The tail index is estimated from the xi column, the dependence curve of
-    the scaled data from the eta ranks, corrections applied per the config,
-    and the two are combined through the inverse scaling transform; the base
-    curve is read off the inverse-transformed curve at the reparametrized
-    coordinates. Estimation failures propagate as EstimationError with the
-    failing stage named.
+    `pairs` holds objects with `pick` and `alpha_method` (EstimatorPair or
+    CompositeConfig); `settings` supplies the GPWM order `k`, the
+    `grid_size` and whether the curves are `corrected` (a CompositeConfig or
+    an ExperimentConfig). The eta columns are ranked once, one curve of the
+    scaled data is built per pick and one clamped tail fit of the xi column
+    runs per method; each pair is then one inverse scaling transform.
+
+    Returns {pair label: CurveEstimate}. A pair whose tail fit failed maps
+    to that fit's EstimationError, which names the failing stage.
     """
     if sample.dim != 2:
         raise DomainError("composite estimation is implemented for dimension 2 only")
-    alpha_raw = estimate_alpha(sample.xi, config.alpha_method, k=config.k)
-    alpha_hat, alpha_clamped = clamp_alpha(alpha_raw)
-    w = edge_grid(config.grid_size)
+    w = edge_grid(settings.grid_size)
     u = pseudo_uniforms(sample.eta)
-    values, md_flags = pickands_curve_raw(u, w, config.pick, config.md_dim_factor)
-    if config.corrected:
-        values = endpoint_correct(values, w, config.pick)
-    a_star, clamp_mask = invert_curve(values, w, alpha_hat)
-    clamp_mask = clamp_mask | md_flags
-    a_base = np.interp(_reparametrized_coordinate(w, alpha_hat), w, a_star)
-    return CurveEstimate(
-        w=w,
-        a_alpha=values,
-        a_star=a_star,
-        a_base=a_base,
-        alpha_hat=alpha_hat,
-        alpha_raw=alpha_raw,
-        pick=config.pick,
-        alpha_method=config.alpha_method,
-        corrected=config.corrected,
-        alpha_clamped=alpha_clamped,
-        clamp_mask=clamp_mask,
-    )
+    curves = {}
+    for pick in dict.fromkeys(pair.pick for pair in pairs):
+        values, md_flags = pickands_curve_raw(u, w, pick)
+        if settings.corrected:
+            values = endpoint_correct(values, w, pick)
+        curves[pick] = values, md_flags
+    tails = {}
+    for method in dict.fromkeys(pair.alpha_method for pair in pairs):
+        try:
+            alpha_raw = estimate_alpha(sample.xi, method, k=settings.k)
+            tails[method] = (alpha_raw, *clamp_alpha(alpha_raw))
+        except EstimationError as exc:
+            tails[method] = exc
+    fits = {}
+    for pair in pairs:
+        tail = tails[pair.alpha_method]
+        if isinstance(tail, EstimationError):
+            fits[pair.label] = tail
+            continue
+        alpha_raw, alpha_hat, alpha_clamped = tail
+        values, md_flags = curves[pair.pick]
+        a_star, clamp_mask = invert_curve(values, w, alpha_hat)
+        fits[pair.label] = CurveEstimate(
+            w=w,
+            a_alpha=values,
+            a_star=a_star,
+            alpha_hat=alpha_hat,
+            alpha_raw=alpha_raw,
+            pick=pair.pick,
+            alpha_method=pair.alpha_method,
+            corrected=settings.corrected,
+            alpha_clamped=alpha_clamped,
+            clamp_mask=clamp_mask | md_flags,
+        )
+    return fits
+
+
+def composite_estimate(sample, config=CompositeConfig()):
+    """Fit one composite estimator (see fit_pairs); an estimation failure
+    raises its EstimationError with the failing stage named."""
+    fit = fit_pairs(sample, (config,), config)[config.label]
+    if isinstance(fit, EstimationError):
+        raise fit
+    return fit

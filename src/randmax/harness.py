@@ -19,23 +19,14 @@ a combination with more than 20% failures is flagged in the run report.
 
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from .depcore import ExtremalT, Logistic, astar_transform, edge_grid
+from .depcore import ExtremalT, Logistic, edge_grid
 from .errors import DomainError, EstimationError
-from .estimators import (
-    ALPHA_ESTIMATORS,
-    PICK_ESTIMATORS,
-    clamp_alpha,
-    endpoint_correct,
-    estimate_alpha,
-    invert_curve,
-    pickands_curve_raw,
-    pseudo_uniforms,
-)
+from .estimators import EstimatorPair, fit_pairs
 from .samplers import RngStream, sample_experiment1, sample_experiment2
 
 __all__ = [
@@ -55,22 +46,6 @@ __all__ = [
 ]
 
 _FAILURE_FLAG_FRACTION = 0.20
-
-
-@dataclass(frozen=True)
-class EstimatorPair:
-    pick: str
-    alpha_method: str
-
-    def __post_init__(self):
-        if self.pick not in PICK_ESTIMATORS:
-            raise DomainError(f"unknown dependence estimator {self.pick!r}")
-        if self.alpha_method not in ALPHA_ESTIMATORS:
-            raise DomainError(f"unknown tail estimator {self.alpha_method!r}")
-
-    @property
-    def label(self):
-        return f"{self.pick}-{self.alpha_method}"
 
 
 @dataclass(frozen=True)
@@ -231,38 +206,15 @@ def _replicate(rep, config, combo, inject_truth=False):
     stream = replication_stream(config.seed, combo, rep)
     sample = _sample_for(config, combo, stream)
     cap_hits = int(sample.meta.get("cap_hits", 0))
-    w = edge_grid(config.grid_size)
     if inject_truth:
-        truth = truth_curve(combo, w)
+        truth = truth_curve(combo, edge_grid(config.grid_size))
         return {pair.label: (truth, 0, False, cap_hits) for pair in config.pairs}
-    u = pseudo_uniforms(sample.eta)
-    curves = {}
-    for pick in {p.pick for p in config.pairs}:
-        values, md_flags = pickands_curve_raw(u, w, pick)
-        if config.corrected:
-            values = endpoint_correct(values, w, pick)
-        curves[pick] = (values, md_flags)
-    alphas = {}
-    for method in {p.alpha_method for p in config.pairs}:
-        try:
-            alphas[method] = clamp_alpha(estimate_alpha(sample.xi, method, k=config.k))
-        except EstimationError:
-            alphas[method] = None
     out = {}
-    for pair in config.pairs:
-        fitted = alphas[pair.alpha_method]
-        if fitted is None:
-            out[pair.label] = (None, 0, False, cap_hits)
-            continue
-        alpha_hat, alpha_clamped = fitted
-        values, md_flags = curves[pair.pick]
-        astar, mask = invert_curve(values, w, alpha_hat)
-        out[pair.label] = (
-            astar,
-            int(np.count_nonzero(mask | md_flags)),
-            alpha_clamped,
-            cap_hits,
-        )
+    for label, fit in fit_pairs(sample, config.pairs, config).items():
+        if isinstance(fit, EstimationError):
+            out[label] = (None, 0, False, cap_hits)
+        else:
+            out[label] = (fit.a_star, fit.n_clamped, fit.alpha_clamped, cap_hits)
     return out
 
 
@@ -404,6 +356,18 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _combo_cells(c):
+    """Leading cells of a row: experiment, alpha, psi_or_rho, upsilon, n."""
+    ups = "" if np.isnan(c.upsilon) else _fmt(c.upsilon)
+    return [str(c.experiment), _fmt(c.alpha), _fmt(c.psi_or_rho), ups, str(c.n)]
+
+
+def _ratio(num, den):
+    """num / den with IEEE semantics: x/0 is inf and 0/0 is nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.float64(num) / den
+
+
 def results_csv_text(results):
     """Deterministic results table.
 
@@ -415,16 +379,10 @@ def results_csv_text(results):
         "failures,clamps,MISE,ISB,IV,wall_ms"
     ]
     for r in results:
-        c = r.combo
-        ups = "" if np.isnan(c.upsilon) else _fmt(c.upsilon)
         lines.append(
             ",".join(
-                [
-                    str(c.experiment),
-                    _fmt(c.alpha),
-                    _fmt(c.psi_or_rho),
-                    ups,
-                    str(c.n),
+                _combo_cells(r.combo)
+                + [
                     r.pair.label,
                     str(int(r.corrected)),
                     str(r.replications),
@@ -445,7 +403,8 @@ def figure_tables(results):
 
     One MISE/ISB/IV table per tail estimator (rows indexed by the dependence
     grid and the dependence-curve estimator), plus a GPWM/ML ratio table when
-    both tail estimators are present.
+    both tail estimators are present; a zero ML denominator gives inf (or
+    nan for 0/0) in that table.
     """
     methods = sorted({r.pair.alpha_method for r in results})
     tables = {}
@@ -455,21 +414,9 @@ def figure_tables(results):
         for r in results:
             if r.pair.alpha_method != method:
                 continue
-            c = r.combo
-            ups = "" if np.isnan(c.upsilon) else _fmt(c.upsilon)
             lines.append(
                 ",".join(
-                    [
-                        str(c.experiment),
-                        _fmt(c.alpha),
-                        _fmt(c.psi_or_rho),
-                        ups,
-                        str(c.n),
-                        r.pair.pick,
-                        _fmt(r.mise),
-                        _fmt(r.isb),
-                        _fmt(r.iv),
-                    ]
+                    _combo_cells(r.combo) + [r.pair.pick, _fmt(r.mise), _fmt(r.isb), _fmt(r.iv)]
                 )
             )
         tables[f"figure_mise_{method.lower()}"] = "\n".join(lines) + "\n"
@@ -486,23 +433,8 @@ def figure_tables(results):
             seen.append(key)
             g = by_key[key + ("GPWM",)]
             m = by_key[key + ("ML",)]
-            c = r.combo
-            ups = "" if np.isnan(c.upsilon) else _fmt(c.upsilon)
-            lines.append(
-                ",".join(
-                    [
-                        str(c.experiment),
-                        _fmt(c.alpha),
-                        _fmt(c.psi_or_rho),
-                        ups,
-                        str(c.n),
-                        r.pair.pick,
-                        _fmt(g.mise / m.mise),
-                        _fmt(g.isb / m.isb),
-                        _fmt(g.iv / m.iv),
-                    ]
-                )
-            )
+            ratios = [_ratio(g.mise, m.mise), _ratio(g.isb, m.isb), _ratio(g.iv, m.iv)]
+            lines.append(",".join(_combo_cells(r.combo) + [r.pair.pick] + [_fmt(x) for x in ratios]))
         tables["figure_ratio_gpwm_ml"] = "\n".join(lines) + "\n"
     return tables
 
@@ -527,45 +459,3 @@ def run_report_text(results):
             )
     lines.extend(warnings if warnings else ["no warnings"])
     return "\n".join(lines) + "\n"
-
-
-def desk_scale_preset(experiment=1, seed=20260811):
-    """Small sweep suitable for interactive runs and CI."""
-    if experiment == 1:
-        return ExperimentConfig(
-            experiment=1,
-            alphas=(0.5,),
-            psis=(0.1, 0.55, 1.0),
-            sizes=(50,),
-            replications=200,
-            pairs=tuple(
-                EstimatorPair(p, a) for a in ("GPWM", "ML") for p in ("P", "CFG", "MD")
-            ),
-            seed=seed,
-        )
-    return ExperimentConfig(
-        experiment=2,
-        alphas=(0.5,),
-        rhos=(-0.5, 0.5, 0.99),
-        upsilons=(1.0,),
-        sizes=(50,),
-        replications=100,
-        pairs=tuple(EstimatorPair(p, "GPWM") for p in ("P", "CFG", "MD")),
-        seed=seed,
-    )
-
-
-def astar_point(combo, t):
-    """Analytic Astar at one simplex point (convenience for tests)."""
-    base = truth_model(combo)
-    return astar_transform(lambda s: base.pickands(s), combo.alpha, t)
-
-
-def with_overrides(config, seed=None, jobs=None):
-    """Copy of the config with CLI-level seed/jobs overrides applied."""
-    kwargs = {}
-    if seed is not None:
-        kwargs["seed"] = int(seed)
-    if jobs is not None:
-        kwargs["jobs"] = int(jobs)
-    return replace(config, **kwargs) if kwargs else config

@@ -14,7 +14,6 @@ Samplers accept either an RngStream (a fresh generator is derived) or an
 already-running numpy Generator (state advances across calls).
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +45,19 @@ class RngStream:
     def generator(self):
         key = np.array([self.seed & _U64, self.stream_id & _U64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _is_path(path_or_buf):
+    return isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+
+
+def write_text(path_or_buf, text):
+    """Write text to a path (str, bytes or path-like) or to a text buffer."""
+    if _is_path(path_or_buf):
+        with open(path_or_buf, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        path_or_buf.write(text)
 
 
 def _gen(rng):
@@ -96,20 +108,13 @@ class PairedSample:
         for i in range(self.n):
             cells = [repr(float(v)) for v in self.eta[i]] + [repr(float(self.xi[i]))]
             lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            path_or_buf.write(text)
+        write_text(path_or_buf, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path_or_buf, meta=None):
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        if _is_path(path_or_buf):
             with open(path_or_buf, "r", encoding="utf-8") as fh:
                 return cls._parse(fh, meta)
-        if isinstance(path_or_buf, str):
-            return cls._parse(io.StringIO(path_or_buf), meta)
         return cls._parse(path_or_buf, meta)
 
     @classmethod

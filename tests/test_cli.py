@@ -245,3 +245,37 @@ class TestExperimentCommands:
         blocker.write_text("not a directory")
         r = run_cli("experiment", "--config", cfg, "--out", str(blocker / "sub"))
         assert r.returncode == 5
+
+
+class TestCrossFieldRules:
+    @pytest.mark.parametrize(
+        "subcommand, payload, field",
+        [
+            (
+                "sample",
+                {"sample": {k: v for k, v in SAMPLE_BLOCK.items() if k != "psi"}},
+                "$.sample.psi",
+            ),
+            (
+                "experiment",
+                {"experiment": {k: v for k, v in EXPERIMENT_BLOCK.items() if k != "psi"}},
+                "$.experiment.psi",
+            ),
+            (
+                "sample",
+                {"sample": {"experiment": 2, "rho": 0.5, "alpha": 0.5, "n": 10}},
+                "$.sample.upsilon",
+            ),
+            (
+                "sample",
+                {"sample": {"experiment": 2, "rho": 0.5, "upsilon": 1.0, "alpha": 0.5, "n": 10,
+                            "d": 3}},
+                "$.sample.d",
+            ),
+        ],
+    )
+    def test_violation_exits_2_naming_the_field(self, workspace, subcommand, payload, field):
+        cfg = write_config(workspace / "c.json", payload)
+        r = run_cli(subcommand, "--config", cfg, "--out", str(workspace / "o"))
+        assert r.returncode == 2
+        assert field in r.stderr

@@ -24,6 +24,7 @@ from randmax.estimators import (
     pickands_curve_raw,
     pickands_md,
     pickands_p,
+    pickands_points,
     pseudo_uniforms,
 )
 from randmax.harness import Combo, truth_curve
@@ -132,6 +133,21 @@ class TestMadogram:
         u = np.column_stack([col, col])
         t = np.array([0.5, 0.5])
         assert abs(pickands_md(u, t, dim_factor=False) - 0.5) > 0.4
+
+
+class TestKernel:
+    def test_trivariate_complete_dependence_at_barycentre(self):
+        # A = max(t) = 1/3 at the barycentre; the madogram terms cancel row by
+        # row, while the angle estimators carry their O(1/n) rank bias
+        n = 20_000
+        col = RngStream(10, 6).generator().random(n)
+        u = pseudo_uniforms(np.column_stack([col, col, col]))
+        bary = np.full((1, 3), 1.0 / 3.0)
+        md, flags = pickands_points(u, bary, "MD")
+        assert md[0] == 1.0 / 3.0
+        assert not flags.any()
+        for pick in ("P", "CFG"):
+            assert pickands_points(u, bary, pick)[0][0] == pytest.approx(1.0 / 3.0, abs=10.0 / n)
 
 
 class TestRankInvariance:

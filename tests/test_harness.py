@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from randmax import harness
+from randmax import estimators, harness
 from randmax.depcore import edge_grid
 from randmax.errors import DomainError, EstimationError
+from randmax.estimators import CompositeConfig, composite_estimate
 from randmax.harness import (
     Combo,
+    ComboResult,
     EstimatorPair,
     ExperimentConfig,
     enumerate_combos,
@@ -20,6 +22,7 @@ from randmax.harness import (
     truth_curve,
     truth_model,
 )
+from randmax.samplers import sample_experiment1
 from randmax.specfun import student_t_cdf
 
 
@@ -176,9 +179,44 @@ class TestRunExperiment:
         res = {r.combo.n: r.mise for r in run_experiment(cfg)}
         assert res[400] < res[100] < res[50]
 
+    def test_replicate_matches_composite_estimate(self):
+        # the sweep and the one-pair API run the same fit: 3 psi x 20 reps x 6 pairs
+        pairs = tuple(EstimatorPair(p, a) for a in ("GPWM", "ML") for p in ("P", "CFG", "MD"))
+        cfg = _small_config(psis=(0.1, 0.55, 1.0), replications=20, pairs=pairs, grid_size=201)
+        checked = mismatches = 0
+        for combo in enumerate_combos(cfg):
+            for rep in range(cfg.replications):
+                fits = harness._replicate(rep, cfg, combo)
+                stream = replication_stream(cfg.seed, combo, rep)
+                sample = sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, stream)
+                for pair in pairs:
+                    curve, clamps, alpha_clamped, _ = fits[pair.label]
+                    config = CompositeConfig(
+                        pick=pair.pick,
+                        alpha_method=pair.alpha_method,
+                        k=cfg.k,
+                        grid_size=cfg.grid_size,
+                        corrected=cfg.corrected,
+                    )
+                    checked += 1
+                    try:
+                        est = composite_estimate(sample, config)
+                    except EstimationError:
+                        mismatches += curve is not None
+                        continue
+                    same = (
+                        curve is not None
+                        and np.array_equal(curve, est.a_star)
+                        and clamps == est.n_clamped
+                        and alpha_clamped == est.alpha_clamped
+                    )
+                    mismatches += not same
+        assert checked == 360
+        assert mismatches == 0
+
     def test_failures_are_counted_and_excluded(self, monkeypatch):
         calls = {"n": 0}
-        real = harness.estimate_alpha
+        real = estimators.estimate_alpha
 
         def flaky(xi, method, k=5):
             calls["n"] += 1
@@ -186,7 +224,7 @@ class TestRunExperiment:
                 raise EstimationError("forced", stage=method)
             return real(xi, method, k=k)
 
-        monkeypatch.setattr(harness, "estimate_alpha", flaky)
+        monkeypatch.setattr(estimators, "estimate_alpha", flaky)
         cfg = _small_config(psis=(0.5,), replications=6, pairs=(EstimatorPair("CFG", "GPWM"),))
         res = run_experiment(cfg)
         assert res[0].failures == 2
@@ -195,7 +233,7 @@ class TestRunExperiment:
 
     def test_report_mentions_flagged_combos(self, monkeypatch):
         monkeypatch.setattr(
-            harness,
+            estimators,
             "estimate_alpha",
             lambda xi, method, k=5: (_ for _ in ()).throw(EstimationError("x", stage=method)),
         )
@@ -227,6 +265,40 @@ class TestSerialization:
         # GPWM-only sweep yields no ratio table
         solo = run_experiment(_small_config(pairs=(EstimatorPair("CFG", "GPWM"),)))
         assert "figure_ratio_gpwm_ml" not in figure_tables(solo)
+
+    def test_ratio_table_with_zero_ml_denominators(self):
+        # x/0 gives inf and 0/0 gives nan instead of ZeroDivisionError
+        combo = Combo(1, 0.5, 0.5, float("nan"), 50)
+
+        def result(pick, method, mise, isb, iv):
+            return ComboResult(
+                combo=combo,
+                pair=EstimatorPair(pick, method),
+                corrected=True,
+                replications=2,
+                failures=0,
+                clamps=0,
+                alpha_clamps=0,
+                cap_hits=0,
+                mise=mise,
+                isb=isb,
+                iv=iv,
+                mise_se=0.0,
+                ise=np.zeros(2),
+                mean_curve=np.ones(3),
+            )
+
+        res = [
+            result("P", "GPWM", 0.02, 0.01, 0.01),
+            result("P", "ML", 0.01, 0.01, 0.0),
+            result("CFG", "GPWM", 0.01, 0.01, 0.0),
+            result("CFG", "ML", 0.0, 0.0, 0.0),
+        ]
+        rows = figure_tables(res)["figure_ratio_gpwm_ml"].strip().split("\n")[1:]
+        assert rows == [
+            "1,0.5,0.5,,50,P,2.0,1.0,inf",
+            "1,0.5,0.5,,50,CFG,inf,inf,nan",
+        ]
 
     def test_report_lists_every_combo_pair(self):
         res = run_experiment(_small_config())
