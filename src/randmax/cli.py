@@ -12,6 +12,7 @@ failure, 5 I/O error.
 """
 
 import argparse
+import functools
 import hashlib
 import subprocess
 import sys
@@ -60,7 +61,9 @@ EXIT_ESTIMATION = 4
 EXIT_IO = 5
 
 
+@functools.cache
 def _build_description():
+    """`git describe` of the source tree, run once per process."""
     here = Path(__file__).resolve().parent
     try:
         out = subprocess.run(
@@ -133,7 +136,7 @@ def cmd_sample(config, args):
             block["alpha"],
             block["n"],
             stream,
-            **_present(block, "block_cap", n_prime="inner_size"),
+            **_present(block, n_prime="inner_size"),
         )
     out = Path(args.out) / "sample.csv"
     out.parent.mkdir(parents=True, exist_ok=True)

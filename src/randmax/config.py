@@ -83,7 +83,6 @@ CONFIG_SCHEMA = {
                 "n": {"type": "integer", "minimum": 2},
                 "d": {"type": "integer", "minimum": 2},
                 "inner_size": {"type": "integer", "minimum": 1},
-                "block_cap": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
                 "stream": {"type": "integer", "minimum": 0},
             },
@@ -174,7 +173,6 @@ CONFIG_SCHEMA = {
                 "corrected": {"type": "boolean"},
                 "seed": {"type": "integer", "minimum": 0},
                 "jobs": {"type": "integer", "minimum": 1},
-                "block_cap": {"type": "integer", "minimum": 1},
             },
             "required": ["experiment", "alpha", "n", "replications", "pairs"],
             "additionalProperties": False,

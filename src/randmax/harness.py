@@ -53,8 +53,7 @@ class ExperimentConfig:
     """Full description of one sweep; see the module docstring for semantics.
 
     For experiment 1 the dependence grid is `psis`; for experiment 2 it is
-    `rhos` x `upsilons` with `inner_size` blocks per observation and block
-    sizes capped at `block_cap`.
+    `rhos` x `upsilons` with `inner_size` blocks per observation.
     """
 
     experiment: int
@@ -71,7 +70,6 @@ class ExperimentConfig:
     corrected: bool = True
     seed: int = 0
     jobs: int = 1
-    block_cap: int = 10_000_000
 
     def __post_init__(self):
         if self.experiment not in (1, 2):
@@ -100,8 +98,6 @@ class ExperimentConfig:
             raise DomainError("GPWM moment order must be >= 2")
         if int(self.jobs) < 1:
             raise DomainError("parallelism width must be >= 1")
-        if int(self.block_cap) < 1:
-            raise DomainError("block cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -191,30 +187,28 @@ def _sample_for(config, combo, rng):
         combo.n,
         rng,
         n_prime=config.inner_size,
-        block_cap=config.block_cap,
     )
 
 
 def _replicate(rep, config, combo, inject_truth=False):
     """Run one replication: sample once, fit every pair on the shared sample.
 
-    Returns {pair label: (astar values | None, clamp count, alpha clamped,
-    cap hits)}; None marks an estimation failure of that pair's tail stage.
+    Returns {pair label: (astar values | None, clamp count, alpha clamped)};
+    None marks an estimation failure of that pair's tail stage.
     With inject_truth the fitted curve is replaced by the analytic truth
     (pipeline-testing hook).
     """
     stream = replication_stream(config.seed, combo, rep)
     sample = _sample_for(config, combo, stream)
-    cap_hits = int(sample.meta.get("cap_hits", 0))
     if inject_truth:
         truth = truth_curve(combo, edge_grid(config.grid_size))
-        return {pair.label: (truth, 0, False, cap_hits) for pair in config.pairs}
+        return {pair.label: (truth, 0, False) for pair in config.pairs}
     out = {}
     for label, fit in fit_pairs(sample, config.pairs, config).items():
         if isinstance(fit, EstimationError):
-            out[label] = (None, 0, False, cap_hits)
+            out[label] = (None, 0, False)
         else:
-            out[label] = (fit.a_star, fit.n_clamped, fit.alpha_clamped, cap_hits)
+            out[label] = (fit.a_star, fit.n_clamped, fit.alpha_clamped)
     return out
 
 
@@ -251,7 +245,6 @@ class ComboResult:
     failures: int
     clamps: int
     alpha_clamps: int
-    cap_hits: int
     mise: float
     isb: float
     iv: float
@@ -291,11 +284,10 @@ def run_experiment(config, inject_truth=False):
                 )
             wall_ms = (perf_counter() - start) * 1000.0
             truth = truth_curve(combo, w)
-            cap_hits = sum(next(iter(r.values()))[3] for r in rep_results)
             for pair in config.pairs:
                 stack, clamps, alpha_clamps = [], 0, 0
                 for r in rep_results:
-                    curve, n_clamped, a_clamped, _ = r[pair.label]
+                    curve, n_clamped, a_clamped = r[pair.label]
                     if curve is None:
                         continue
                     stack.append(curve)
@@ -321,7 +313,6 @@ def run_experiment(config, inject_truth=False):
                         failures=failures,
                         clamps=clamps,
                         alpha_clamps=alpha_clamps,
-                        cap_hits=cap_hits,
                         mise=mise,
                         isb=isb,
                         iv=iv,
@@ -449,7 +440,7 @@ def run_report_text(results):
         lines.append(
             f"experiment={c.experiment} alpha={c.alpha:g} grid={c.psi_or_rho:g}{ups} "
             f"n={c.n} pair={r.pair.label}: R={r.replications} failures={r.failures} "
-            f"clamps={r.clamps} alpha_clamps={r.alpha_clamps} cap_hits={r.cap_hits} "
+            f"clamps={r.clamps} alpha_clamps={r.alpha_clamps} "
             f"wall_ms={r.wall_ms:.1f}"
         )
         if r.flagged:

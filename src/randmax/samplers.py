@@ -214,15 +214,21 @@ def sample_experiment1(psi, alpha, n, rng, d=2):
 
 def sample_pareto_block_size(alpha, rng, size=None):
     """Heavy-tailed block sizes N = ceil(N') with N' standard Pareto(alpha),
-    so P(N' > y) = y^-alpha for y >= 1."""
+    so P(N' > y) = y^-alpha for y >= 1.
+
+    Arrays are integer-valued float64, since sizes can pass 2^63 for small
+    alpha; a scalar draw is an int. Sizes that overflow float64 (possible
+    only for alpha below about 0.052) raise DomainError.
+    """
     if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"tail index must be in (0,1), got {alpha!r}")
     gen = _gen(rng)
     u = 1.0 - gen.random(size)
-    n = np.ceil(u ** (-1.0 / alpha))
-    if size is None:
-        return int(n)
-    return n.astype(np.int64)
+    with np.errstate(over="ignore"):
+        n = np.ceil(np.power(u, -1.0 / alpha))
+    if not np.all(np.isfinite(n)):
+        raise DomainError(f"block sizes overflow float64 at tail index alpha={alpha!r}")
+    return int(n) if size is None else n
 
 
 def sample_bivariate_t(rho, nu, rng, size=None):
@@ -243,58 +249,60 @@ def sample_bivariate_t(rho, nu, rng, size=None):
     return out[0] if size is None else out
 
 
-def _pareto_blocks(gen, alpha, n_prime, cap):
-    """Block sizes for one outer observation; returns (sizes, cap hits)."""
-    u = 1.0 - gen.random(n_prime)
-    raw = np.ceil(u ** (-1.0 / alpha))
-    hits = int(np.count_nonzero(raw > cap))
-    return np.minimum(raw, float(cap)).astype(np.int64), hits
-
-
-#: rows processed fully before the radial filter has a positive running max
-_WARMUP_ROWS = 4096
-_CHUNK_ROWS = 1 << 20
+#: rows drawn per step of the top-down scan in _pooled_t_maxima
+_BATCH_ROWS = 64
 
 
 def _pooled_t_maxima(gen, total, rho, nu):
     """Componentwise maxima of `total` iid bivariate-t rows.
 
     Rows are generated in the exact elliptical form x = A (r cos phi, r sin phi)
-    with AA' the correlation matrix and the squared radius drawn by inverting
-    its closed-form bivariate survival (1 + q/nu)^(-nu/2). Both rows of A have
-    unit norm, so a row cannot move either maximum unless sqrt(q) exceeds the
-    smaller current maximum; only those rows get an angle draw. This prunes
-    almost everything once the running maxima are large, and is distributed
-    identically to the normal/chi-square form used by sample_bivariate_t.
+    with AA' the correlation matrix, the squared radius q having the
+    closed-form survival (1 + q/nu)^(-nu/2). The survival levels are drawn as
+    uniform order statistics from the smallest up (Devroye 1986, V.3): with
+    m = total, V uniform and L_k = log(1 - U_(k)), L_(k+1) = L_k + log(V)/(m - k),
+    so the radii come largest first, in batches of _BATCH_ROWS rows with one
+    angle draw each. Both rows of A have unit norm, so once a radius falls
+    below the smaller running maximum no later row can move either maximum
+    and the scan stops. The cost therefore does not grow with `total`, which
+    may be a float.
     """
+    total = float(total)
     b = np.sqrt(1.0 - rho**2)
     m1 = m2 = -np.inf
+    level = 0.0
     done = 0
-    while done < total:
-        k = min(_CHUNK_ROWS if done else _WARMUP_ROWS, total - done)
-        u = 1.0 - gen.random(k)
-        q = nu * (u ** (-2.0 / nu) - 1.0)
-        mlo = min(m1, m2)
-        qs = q[q > mlo * mlo] if mlo > 0.0 else q
-        if qs.size:
-            r = np.sqrt(qs)
-            phi = (2.0 * np.pi) * gen.random(qs.size)
+    with np.errstate(over="ignore"):
+        while done < total:
+            k = int(min(_BATCH_ROWS, total - done))
+            steps = np.log(1.0 - gen.random(k)) / (total - done - np.arange(k))
+            logs = level + np.cumsum(steps)
+            level = logs[-1]
+            log_u = np.log(-np.expm1(logs))
+            r = np.sqrt(-nu * np.expm1(2.0 * log_u / nu)) * np.exp(-log_u / nu)
+            if not np.isfinite(r[0]):
+                raise DomainError(
+                    f"t-row radii overflow float64 for {total:g} rows at upsilon={nu!r}"
+                )
+            phi = (2.0 * np.pi) * gen.random(k)
             y1 = r * np.cos(phi)
             y2 = r * np.sin(phi)
             m1 = max(m1, y1.max())
             m2 = max(m2, (rho * y1 + b * y2).max())
-        done += k
+            done += k
+            if r[-1] < min(m1, m2):
+                break
     return m1, m2
 
 
-def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500, block_cap=10_000_000):
+def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
     """Pipeline 2: n draws of (eta, xi) from the domain-of-attraction scheme.
 
     Per observation, n_prime independent blocks are formed: block k has a
     heavy-tailed Pareto(alpha) size N_k and holds N_k bivariate Student-t
     rows; xi = max_k N_k and eta is the componentwise maximum over all rows
-    of all blocks. Block sizes are capped at `block_cap` to bound the work of
-    a single draw; cap hits are counted in meta["cap_hits"].
+    of all blocks. Block sizes are not truncated, and sizes, their totals or
+    t-row radii that overflow float64 raise DomainError.
     """
     if not (np.isfinite(rho) and -1.0 < rho < 1.0):
         raise DomainError(f"correlation must be in (-1,1), got {rho!r}")
@@ -306,18 +314,14 @@ def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500, block_cap=10_000_000
         raise DomainError(f"sample size must be >= 2, got {n!r}")
     if int(n_prime) < 1:
         raise DomainError(f"inner replication count must be >= 1, got {n_prime!r}")
-    if int(block_cap) < 1:
-        raise DomainError(f"block cap must be >= 1, got {block_cap!r}")
     n = int(n)
     gen = _gen(rng)
-    eta = np.empty((n, 2))
-    xi = np.empty(n)
-    cap_hits = 0
-    for i in range(n):
-        sizes, hits = _pareto_blocks(gen, alpha, int(n_prime), int(block_cap))
-        cap_hits += hits
-        xi[i] = float(sizes.max())
-        eta[i] = _pooled_t_maxima(gen, int(sizes.sum()), rho, nu)
+    sizes = sample_pareto_block_size(alpha, gen, (n, int(n_prime)))
+    with np.errstate(over="ignore"):
+        totals = sizes.sum(axis=1)
+    if not np.all(np.isfinite(totals)):
+        raise DomainError(f"block-size totals overflow float64 at tail index alpha={alpha!r}")
+    eta = np.array([_pooled_t_maxima(gen, total, rho, nu) for total in totals])
     meta = {
         "experiment": 2,
         "rho": rho,
@@ -325,10 +329,8 @@ def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500, block_cap=10_000_000
         "alpha": alpha,
         "n": n,
         "inner_size": int(n_prime),
-        "block_cap": int(block_cap),
-        "cap_hits": cap_hits,
     }
-    return PairedSample(eta, xi, meta)
+    return PairedSample(eta, sizes.max(axis=1), meta)
 
 
 def sample_spectral_scaled(alpha, rng, size, base_psi=1.0, eps=1e-6, max_terms=1 << 21):

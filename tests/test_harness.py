@@ -159,8 +159,13 @@ class TestRunExperiment:
         for r in res:
             assert abs(r.mise) < 1e-12 and abs(r.isb) < 1e-12 and abs(r.iv) < 1e-12
 
-    def test_results_identical_across_jobs(self):
-        cfg = _small_config()
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(experiment=2, psis=(), rhos=(0.5,), upsilons=(1.0,))],
+        ids=["pipeline1", "pipeline2"],
+    )
+    def test_results_identical_across_jobs(self, overrides):
+        cfg = _small_config(**overrides)
         a = results_csv_text(run_experiment(cfg))
         b = results_csv_text(run_experiment(replace(cfg, jobs=2)))
         assert a == b
@@ -190,7 +195,7 @@ class TestRunExperiment:
                 stream = replication_stream(cfg.seed, combo, rep)
                 sample = sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, stream)
                 for pair in pairs:
-                    curve, clamps, alpha_clamped, _ = fits[pair.label]
+                    curve, clamps, alpha_clamped = fits[pair.label]
                     config = CompositeConfig(
                         pick=pair.pick,
                         alpha_method=pair.alpha_method,
@@ -279,7 +284,6 @@ class TestSerialization:
                 failures=0,
                 clamps=0,
                 alpha_clamps=0,
-                cap_hits=0,
                 mise=mise,
                 isb=isb,
                 iv=iv,

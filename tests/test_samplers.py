@@ -2,7 +2,8 @@ import io
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import kstest, ks_2samp
+from scipy.stats import t as student_t
 
 from randmax import samplers
 from randmax.errors import DomainError, InputParseError
@@ -147,6 +148,23 @@ class TestParetoBlockSize:
         assert n.min() >= 1
         assert isinstance(sample_pareto_block_size(0.5, RngStream(4, 4)), int)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.06])
+    def test_sizes_past_int64_stay_exact(self, alpha):
+        # sizes beyond 2^63 come back as integer-valued floats, not wrapped ints
+        n = sample_pareto_block_size(alpha, RngStream(1), 100_000)
+        assert n.dtype == np.float64
+        assert np.all(np.isfinite(n)) and n.min() >= 1
+        assert np.array_equal(n, np.ceil(n))
+        assert n.max() > 2.0**63
+        if alpha == 0.1:
+            _mc_check((n > 1e30).astype(float), 1e30**-alpha)
+
+    def test_overflow_raises_naming_alpha(self):
+        with pytest.raises(DomainError, match="alpha=0.01"):
+            sample_pareto_block_size(0.01, RngStream(4, 5), 100_000)
+        with pytest.raises(DomainError, match="alpha=0.01"):
+            sample_experiment2(0.5, 1.0, 0.01, 50, RngStream(4, 6), n_prime=500)
+
 
 class TestBivariateT:
     def test_symmetric_margin(self):
@@ -168,23 +186,26 @@ class TestBivariateT:
         assert x.shape == (2,)
 
 
+def _uint64_drawn(gen):
+    """Position of a Philox generator in its output stream, in uint64 words."""
+    state = gen.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) + state["buffer_pos"]
+
+
 class TestExperiment2:
     def test_degenerate_unit_blocks(self, monkeypatch):
-        # with every block size forced to 1 and a single block per observation,
-        # xi = 1 and eta is a single t-row (its own componentwise maximum)
+        # with every block size forced to 1, xi = 1 and eta is the componentwise
+        # maximum of n_prime t-rows, whose margins have law F_t(x)^n_prime
+        # (a single row would be negative half the time, which eta excludes)
         monkeypatch.setattr(
-            samplers,
-            "_pareto_blocks",
-            lambda gen, alpha, n_prime, cap: (np.ones(n_prime, dtype=np.int64), 0),
+            samplers, "sample_pareto_block_size", lambda alpha, rng, size=None: np.ones(size)
         )
-        gen = RngStream(6, 1).generator()
-        rows = np.array(
-            [samplers._pooled_t_maxima(gen, 1, 0.3, 2.0) for _ in range(20_000)]
-        )
-        _mc_check((rows[:, 0] <= 0.0).astype(float), 0.5)
-        _mc_check((rows[:, 1] <= np.sqrt(2.0)).astype(float), student_t_cdf(np.sqrt(2.0), 2.0))
-        sizes, hits = samplers._pareto_blocks(gen, 0.5, 7, 10)
-        assert sizes.max() == 1 and hits == 0
+        s = sample_experiment2(0.3, 2.0, 0.5, 20_000, RngStream(6, 1), n_prime=70)
+        assert np.all(s.xi == 1.0)
+        for x in (10.0, 100.0):
+            target = student_t_cdf(x, 2.0) ** 70
+            for j in range(2):
+                _mc_check((s.eta[:, j] <= x).astype(float), target)
 
     def test_pooled_maxima_match_bruteforce_law(self):
         gen = RngStream(6, 2).generator()
@@ -197,8 +218,21 @@ class TestExperiment2:
         assert ks_2samp(fast[:, 0], brute[:, 0]).pvalue > 0.01
         assert ks_2samp(fast[:, 1], brute[:, 1]).pvalue > 0.01
 
+    @pytest.mark.parametrize("rho", [-0.5, 0.99])
+    @pytest.mark.parametrize("m", [1, 70, 10**9])
+    def test_pooled_maxima_match_exact_law(self, m, rho):
+        # each margin of the maximum of m rows is standard t, so its law is F_t(x)^m
+        gen = RngStream(6, 7).generator()
+        draws = np.array([samplers._pooled_t_maxima(gen, m, rho, 1.0) for _ in range(10_000)])
+
+        def cdf(x):
+            return np.exp(m * np.log1p(-student_t.sf(x, 1.0)))
+
+        for j in range(2):
+            assert kstest(draws[:, j], cdf).pvalue > 0.01
+
     def test_near_complete_dependence(self):
-        s = sample_experiment2(0.99, 1.0, 0.5, 400, RngStream(6, 3), n_prime=50, block_cap=100_000)
+        s = sample_experiment2(0.99, 1.0, 0.5, 400, RngStream(6, 3), n_prime=50)
         from randmax.estimators import pickands_md
 
         theta_hat = 2.0 * pickands_md(s, np.array([0.5, 0.5]))
@@ -207,18 +241,31 @@ class TestExperiment2:
     def test_xi_tail_regime(self):
         # P(xi > y) = 1 - (1 - y^-alpha)^n' ~ n' y^-alpha for a heavy-tail block maximum
         n_prime, y = 20, 10_000.0
-        s = sample_experiment2(0.3, 1.0, 0.5, 2_000, RngStream(6, 4), n_prime=n_prime, block_cap=100_000)
+        s = sample_experiment2(0.3, 1.0, 0.5, 2_000, RngStream(6, 4), n_prime=n_prime)
         target = 1.0 - (1.0 - y**-0.5) ** n_prime
         _mc_check((s.xi > y).astype(float), target, factor=3.5)
 
-    def test_cap_hits_counted_and_enforced(self):
-        s = sample_experiment2(0.0, 1.0, 0.5, 30, RngStream(6, 5), n_prime=200, block_cap=100)
-        assert s.meta["cap_hits"] > 0
-        assert s.xi.max() <= 100.0
+    def test_cost_does_not_grow_with_row_count(self):
+        # the top-down scan stops on the leading radii, so 10^30 rows draw no
+        # more random words than 10^3 rows on the same stream
+        for rho in (-0.5, 0.5, 0.99):
+            drawn = {}
+            for m in (1e3, 1e30):
+                gen = RngStream(6, 5).generator()
+                start = _uint64_drawn(gen)
+                for _ in range(500):
+                    samplers._pooled_t_maxima(gen, m, rho, 1.0)
+                drawn[m] = _uint64_drawn(gen) - start
+            assert drawn[1e30] <= drawn[1e3], (rho, drawn)
+
+    def test_radius_overflow_raises_naming_upsilon(self):
+        # at upsilon = 0.1 the largest radius grows like total^10
+        with pytest.raises(DomainError, match="upsilon=0.1"):
+            sample_experiment2(0.5, 0.1, 0.1, 50, RngStream(6, 8), n_prime=500)
 
     def test_determinism(self):
-        a = sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(6, 6), n_prime=30, block_cap=10_000)
-        b = sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(6, 6), n_prime=30, block_cap=10_000)
+        a = sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(6, 6), n_prime=30)
+        b = sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(6, 6), n_prime=30)
         assert np.array_equal(a.eta, b.eta) and np.array_equal(a.xi, b.xi)
 
 
