@@ -317,13 +317,15 @@ def tail_prob_approx(model, alpha, z, n):
 def astar_points(a_alpha_values, points, alpha):
     """Invert the alpha-scaling at k simplex points (k, d) given A_alpha there.
 
-    Returns (astar, clamp_mask). astar = (A_alpha(t) / |t|_a)^(1/alpha) is
-    the base Pickands function at the reparametrized point
-    (t / |t|_a)^(1/alpha), so it must lie between the largest coordinate of
-    that point and 1; with noisy input curves it can exit that envelope, in
-    which case it is clipped, and the mask marks the points moved by more
-    than rounding. Exact inputs are never flagged. alpha is not validated
-    here, so a clamped tail estimate can be passed as it is.
+    Returns (astar, clamp_mask). a_alpha_values may have shape (..., k), so
+    several curves at the same points are inverted in one call.
+    astar = (A_alpha(t) / |t|_a)^(1/alpha) is the base Pickands function at
+    the reparametrized point (t / |t|_a)^(1/alpha), so it must lie between
+    the largest coordinate of that point and 1; with noisy input curves it
+    can exit that envelope, in which case it is clipped, and the mask marks
+    the points moved by more than rounding. Exact inputs are never flagged.
+    alpha is not validated here, so a clamped tail estimate can be passed as
+    it is.
     """
     a_alpha_values = np.asarray(a_alpha_values, dtype=float)
     tw = np.asarray(points, dtype=float) ** (1.0 / alpha)

@@ -24,6 +24,7 @@ exactly 1 at the vertices, matching the endpoint-corrected family.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,9 +169,10 @@ def _row_terms(data, coords, pick):
     """Per-row terms (n, k) at k simplex points given as coordinate rows (d, k).
 
     For P and CFG, data is -ln u and the terms are the pseudo-angles
-    min_j data_ij / t_j; for MD, data is u and the terms are the madogram
-    summands max_j v_ij - (1/d) sum_j v_ij with v_ij = u_ij^(1/t_j). A
-    coordinate with t_j = 0 drops out (its angle is inf, its power 0). The
+    min_j data_ij / t_j, the one (n, k) angle matrix both reduce; for MD,
+    data is u and the terms are the madogram summands
+    max_j v_ij - (1/d) sum_j v_ij with v_ij = u_ij^(1/t_j). A coordinate with
+    t_j = 0 drops out (its angle is +inf since -ln u > 0, its power 0). The
     loop runs over the d coordinates and accumulates into (n, k) arrays; an
     (n, d, k) broadcast gives the same bits but is several times slower.
     """
@@ -181,7 +183,7 @@ def _row_terms(data, coords, pick):
             if pick == "MD":
                 term = col ** np.where(tj > 0.0, 1.0 / tj, np.inf)
             else:
-                term = np.where(tj > 0.0, col / tj, np.inf)
+                term = col / tj
             if acc is None:
                 acc = total = term
             elif pick == "MD":
@@ -204,39 +206,60 @@ def _madogram_ratio(nu, c):
     return np.where(bad, 1.0, (nu + c) / np.where(bad, 1.0, denom)), bad
 
 
+def _curves_at(u, points, picks):
+    """Raw estimates of several rank-based estimators at k simplex points.
+
+    Returns {pick: (values, flags)} for the picks given. P and CFG reduce one
+    pseudo-angle matrix, built once per chunk and freed before the madogram
+    terms are built. Points are processed in chunks of about
+    _GRID_CHUNK_CELLS (row, point) cells.
+    """
+    for pick in picks:
+        if pick not in PICK_ESTIMATORS:
+            raise DomainError(f"unknown dependence estimator {pick!r}")
+    n, d = u.shape
+    k = points.shape[0]
+    out = {pick: (np.empty(k), np.zeros(k, dtype=bool)) for pick in picks}
+    step = max(1, _GRID_CHUNK_CELLS // max(n, 1))
+    # contiguous coordinate rows keep the (n, k) arithmetic on fast loops
+    chunks = [
+        (slice(lo, lo + step), np.ascontiguousarray(points[lo : lo + step].T))
+        for lo in range(0, k, step)
+    ]
+    angle_picks = [pick for pick in picks if pick != "MD"]
+    if angle_picks:
+        data = -np.log(u)
+        for chunk, coords in chunks:
+            angles = _row_terms(data, coords, "P")
+            for pick in angle_picks:
+                if pick == "P":
+                    out[pick][0][chunk] = 1.0 / angles.mean(axis=0)
+                else:
+                    log_mean = np.log(angles).mean(axis=0)
+                    out[pick][0][chunk] = np.exp(-log_mean - EULER_MASCHERONI)
+            del angles
+    if "MD" in out:
+        values, flags = out["MD"]
+        for chunk, coords in chunks:
+            nu = _row_terms(u, coords, "MD").mean(axis=0)
+            c = sum(tj / (1.0 + tj) for tj in coords) / d
+            values[chunk], flags[chunk] = _madogram_ratio(nu, c)
+    return out
+
+
 def pickands_points(u, points, pick):
     """Raw (uncorrected) estimates of one rank-based estimator at k simplex points.
 
     u is the (n, d) matrix of pseudo-uniforms, points a (k, d) array of
     simplex points. Returns (values, flags) where flags marks points whose
     madogram denominator was not positive (always False for P and CFG).
-    Points are processed in chunks of about 8e6 (row, point) cells.
+    This is the one-pick call of the kernel fit_pairs uses for all picks.
     """
-    if pick not in PICK_ESTIMATORS:
-        raise DomainError(f"unknown dependence estimator {pick!r}")
     u = np.asarray(u, dtype=float)
     points = np.asarray(points, dtype=float)
-    n, d = u.shape
-    if points.ndim != 2 or points.shape[1] != d:
+    if points.ndim != 2 or points.shape[1] != u.shape[1]:
         raise DomainError("simplex points must be a (k, d) array matching the data")
-    k = points.shape[0]
-    values = np.empty(k)
-    flags = np.zeros(k, dtype=bool)
-    data = u if pick == "MD" else -np.log(u)
-    step = max(1, _GRID_CHUNK_CELLS // max(n, 1))
-    for lo in range(0, k, step):
-        chunk = slice(lo, lo + step)
-        # contiguous coordinate rows keep the (n, k) arithmetic on fast loops
-        coords = np.ascontiguousarray(points[chunk].T)
-        rows = _row_terms(data, coords, pick)
-        if pick == "P":
-            values[chunk] = 1.0 / rows.mean(axis=0)
-        elif pick == "CFG":
-            values[chunk] = np.exp(-np.log(rows).mean(axis=0) - EULER_MASCHERONI)
-        else:
-            c = sum(tj / (1.0 + tj) for tj in coords) / d
-            values[chunk], flags[chunk] = _madogram_ratio(rows.mean(axis=0), c)
-    return values, flags
+    return _curves_at(u, points, (pick,))[pick]
 
 
 def pickands_curve_raw(u, w, pick):
@@ -282,15 +305,23 @@ def gpwm_weights(n, b):
             = Gamma(b+1)/2^(b+1) * [P(b+1, -2 ln((i-1)/n)) - P(b+1, -2 ln(i/n))]
 
     (substitution v = e^(-s/2); P is the regularized lower incomplete gamma).
+    The weights are cached per (n, b) and returned read-only.
     """
     if n < 1 or b < 0:
         raise DomainError("need n >= 1 and b >= 0")
+    return _gpwm_weights_cached(int(n), float(b))
+
+
+@lru_cache(maxsize=64)
+def _gpwm_weights_cached(n, b):
     edges = np.arange(n + 1) / n
     with np.errstate(divide="ignore"):
         args = -2.0 * np.log(edges)
     reg = regularized_lower_gamma(b + 1.0, args)
     scale = np.exp(ln_gamma(b + 1.0)) / 2.0 ** (b + 1)
-    return scale * (reg[:-1] - reg[1:])
+    weights = scale * (reg[:-1] - reg[1:])
+    weights.flags.writeable = False
+    return weights
 
 
 def gpwm_alpha(xi, k=5):
@@ -557,52 +588,53 @@ def fit_pairs(sample, pairs, settings):
     `pairs` holds objects with `pick` and `alpha_method` (EstimatorPair or
     CompositeConfig); `settings` supplies the GPWM order `k`, the
     `grid_size` and whether the curves are `corrected` (a CompositeConfig or
-    an ExperimentConfig). The eta columns are ranked once, one curve of the
-    scaled data is built per pick and one clamped tail fit of the xi column
-    runs per method; each pair is then one inverse scaling transform.
+    an ExperimentConfig). The eta columns are ranked once and the curves of
+    the scaled data of all picks come from one kernel call, in which P and
+    CFG share one pseudo-angle matrix. One clamped tail fit of the xi column
+    runs per method, and one inverse scaling transform per method inverts
+    the stacked curves of its pairs.
 
-    Returns {pair label: CurveEstimate}. A pair whose tail fit failed maps
-    to that fit's EstimationError, which names the failing stage.
+    Returns {pair label: CurveEstimate} in the order of `pairs`. A pair whose
+    tail fit failed maps to that fit's EstimationError, which names the
+    failing stage.
     """
     if sample.dim != 2:
         raise DomainError("composite estimation is implemented for dimension 2 only")
     w = edge_grid(settings.grid_size)
+    points = edge_points(w)
     u = pseudo_uniforms(sample.eta)
-    curves = {}
-    for pick in dict.fromkeys(pair.pick for pair in pairs):
-        values, md_flags = pickands_curve_raw(u, w, pick)
-        if settings.corrected:
-            values = endpoint_correct(values, w, pick)
-        curves[pick] = values, md_flags
-    tails = {}
+    curves = _curves_at(u, points, tuple(dict.fromkeys(pair.pick for pair in pairs)))
+    if settings.corrected:
+        curves = {
+            pick: (endpoint_correct(values, w, pick), md_flags)
+            for pick, (values, md_flags) in curves.items()
+        }
+    fits = {}
     for method in dict.fromkeys(pair.alpha_method for pair in pairs):
+        picks = tuple(dict.fromkeys(pair.pick for pair in pairs if pair.alpha_method == method))
         try:
             alpha_raw = estimate_alpha(sample.xi, method, k=settings.k)
-            tails[method] = (alpha_raw, *clamp_alpha(alpha_raw))
+            alpha_hat, alpha_clamped = clamp_alpha(alpha_raw)
         except EstimationError as exc:
-            tails[method] = exc
-    fits = {}
-    for pair in pairs:
-        tail = tails[pair.alpha_method]
-        if isinstance(tail, EstimationError):
-            fits[pair.label] = tail
+            fits.update({(pick, method): exc for pick in picks})
             continue
-        alpha_raw, alpha_hat, alpha_clamped = tail
-        values, md_flags = curves[pair.pick]
-        a_star, clamp_mask = invert_curve(values, w, alpha_hat)
-        fits[pair.label] = CurveEstimate(
-            w=w,
-            a_alpha=values,
-            a_star=a_star,
-            alpha_hat=alpha_hat,
-            alpha_raw=alpha_raw,
-            pick=pair.pick,
-            alpha_method=pair.alpha_method,
-            corrected=settings.corrected,
-            alpha_clamped=alpha_clamped,
-            clamp_mask=clamp_mask | md_flags,
-        )
-    return fits
+        stacked = np.stack([curves[pick][0] for pick in picks])
+        a_star, clamp_mask = astar_points(stacked, points, alpha_hat)
+        for i, pick in enumerate(picks):
+            values, md_flags = curves[pick]
+            fits[pick, method] = CurveEstimate(
+                w=w,
+                a_alpha=values,
+                a_star=a_star[i],
+                alpha_hat=alpha_hat,
+                alpha_raw=alpha_raw,
+                pick=pick,
+                alpha_method=method,
+                corrected=settings.corrected,
+                alpha_clamped=alpha_clamped,
+                clamp_mask=clamp_mask[i] | md_flags,
+            )
+    return {pair.label: fits[pair.pick, pair.alpha_method] for pair in pairs}
 
 
 def composite_estimate(sample, config=CompositeConfig()):

@@ -322,6 +322,12 @@ def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
     if not np.all(np.isfinite(totals)):
         raise DomainError(f"block-size totals overflow float64 at tail index alpha={alpha!r}")
     eta = np.array([_pooled_t_maxima(gen, total, rho, nu) for total in totals])
+    nonpositive = np.count_nonzero(~np.all(eta > 0.0, axis=1))
+    if nonpositive:
+        raise DomainError(
+            f"inner_size={int(n_prime)} is too small: {nonpositive} of {n} observations "
+            "had a non-positive componentwise maximum, and eta must be strictly positive"
+        )
     meta = {
         "experiment": 2,
         "rho": rho,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,12 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import randmax
 from randmax.depcore import AlphaScaled, Logistic, extremal_coefficient
+
+# the CLI runs from the same source tree the tests import
+_CLI_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(randmax.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+)
 
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "randmax", *args], capture_output=True, text=True
+        [sys.executable, "-m", "randmax", *args], capture_output=True, text=True, env=_CLI_ENV
     )
 
 
@@ -73,6 +83,14 @@ class TestSampleCommand:
         assert r.returncode == 0, r.stderr
         lines = (workspace / "o" / "sample.csv").read_text().strip().split("\n")
         assert len(lines) == 11
+
+    def test_small_inner_size_names_the_field(self, workspace):
+        block = {"experiment": 2, "rho": -0.5, "upsilon": 1.0, "alpha": 0.5, "n": 50,
+                 "inner_size": 1, "seed": 7}
+        cfg = write_config(workspace / "c.json", {"sample": block})
+        r = run_cli("sample", "--config", cfg, "--out", str(workspace / "o"))
+        assert r.returncode == 2
+        assert "inner_size" in r.stderr
 
     @pytest.mark.parametrize("subcommand", ["sample", "experiment"])
     def test_removed_cap_key_is_rejected(self, workspace, subcommand):

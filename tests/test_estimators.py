@@ -6,13 +6,18 @@ from scipy.integrate import quad
 
 from randmax.depcore import AlphaScaled, Logistic, edge_grid
 from randmax.errors import DomainError, EstimationError
+from randmax import estimators
 from randmax.estimators import (
     EULER_MASCHERONI,
     CompositeConfig,
     CurveEstimate,
     EmpiricalMargins,
+    EstimatorPair,
+    clamp_alpha,
     composite_estimate,
     endpoint_correct,
+    estimate_alpha,
+    fit_pairs,
     gpwm_alpha,
     gpwm_weights,
     invert_curve,
@@ -29,7 +34,7 @@ from randmax.estimators import (
 )
 from randmax.harness import Combo, truth_curve
 from randmax.samplers import RngStream, sample_experiment1
-from randmax.specfun import FrechetLaw
+from randmax.specfun import FrechetLaw, ln_gamma, regularized_lower_gamma
 
 
 def _mc_check(values, target, factor=3.0):
@@ -209,6 +214,21 @@ class TestGpwm:
             gpwm_alpha(np.ones(50), 5)
         assert err.value.stage == "GPWM"
 
+    def test_weights_cached_read_only(self):
+        edges = np.arange(51) / 50
+        with np.errstate(divide="ignore"):
+            reg = regularized_lower_gamma(6.0, -2.0 * np.log(edges))
+        uncached = np.exp(ln_gamma(6.0)) / 2.0**6 * (reg[:-1] - reg[1:])
+        by_int, by_float = gpwm_weights(50, 5), gpwm_weights(50, 5.0)
+        assert np.array_equal(by_int, uncached) and np.array_equal(by_float, uncached)
+        with pytest.raises(ValueError):
+            by_int[0] = 1.0
+        assert np.array_equal(gpwm_weights(50, 5), uncached)
+        with pytest.raises(DomainError):
+            gpwm_weights(0, 5)
+        with pytest.raises(DomainError):
+            gpwm_weights(50, -1)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gpwm_alpha(np.array([1.0, -2.0]), 5)
@@ -367,3 +387,73 @@ class TestComposite:
             CompositeConfig(grid_size=200)
         with pytest.raises(DomainError):
             CompositeConfig(pick="X")
+
+
+# all six pairs, deliberately not in the canonical order
+_SHUFFLED_PAIRS = tuple(
+    EstimatorPair(pick, method)
+    for pick, method in (
+        ("MD", "ML"),
+        ("CFG", "GPWM"),
+        ("P", "ML"),
+        ("MD", "GPWM"),
+        ("P", "GPWM"),
+        ("CFG", "ML"),
+    )
+)
+
+
+def _public_route(sample, pair, config):
+    """One composite fit through the public per-pick functions."""
+    w = edge_grid(config.grid_size)
+    values, md_flags = pickands_curve_raw(pseudo_uniforms(sample.eta), w, pair.pick)
+    if config.corrected:
+        values = endpoint_correct(values, w, pair.pick)
+    try:
+        alpha_raw = estimate_alpha(sample.xi, pair.alpha_method, k=config.k)
+        alpha_hat, alpha_clamped = clamp_alpha(alpha_raw)
+    except EstimationError as exc:
+        return exc
+    a_star, clamp_mask = invert_curve(values, w, alpha_hat)
+    return values, a_star, clamp_mask | md_flags, alpha_hat, alpha_raw, alpha_clamped
+
+
+@pytest.mark.parametrize(
+    "n, grid_size, corrected, chunk_cells",
+    [(n, g, c, None) for n in (50, 400) for g in (3, 201) for c in (True, False)]
+    # 7 points per chunk at n = 50: 29 chunks, the last one short
+    + [(50, 201, c, 7 * 50) for c in (True, False)],
+)
+def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, monkeypatch):
+    # fit_pairs shares the angle matrix, the simplex points and one inverse
+    # transform per tail method across pairs; none of that may move a bit.
+    # The xi column is also replaced by a light-tailed one (alpha clamped)
+    # and a constant one (both tail fits fail).
+    config = CompositeConfig(grid_size=grid_size, corrected=corrected)
+    sample = sample_experiment1(0.5, 0.5, n, RngStream(17, n))
+    light = FrechetLaw(3.0).quantile((np.arange(n) + 0.5) / n)
+    for xi in (sample.xi.copy(), light, np.ones(n)):
+        sample.xi[:] = xi
+        expected = [_public_route(sample, pair, config) for pair in _SHUFFLED_PAIRS]
+        with monkeypatch.context() as patch:
+            if chunk_cells is not None:
+                patch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
+            fits = fit_pairs(sample, _SHUFFLED_PAIRS, config)
+        assert list(fits) == [pair.label for pair in _SHUFFLED_PAIRS]
+        for pair, want in zip(_SHUFFLED_PAIRS, expected):
+            got = fits[pair.label]
+            if isinstance(want, EstimationError):
+                assert isinstance(got, EstimationError)
+                assert (got.stage, str(got)) == (want.stage, str(want))
+                continue
+            a_alpha, a_star, clamp_mask, alpha_hat, alpha_raw, alpha_clamped = want
+            assert np.array_equal(got.a_alpha, a_alpha)
+            assert np.array_equal(got.a_star, a_star)
+            assert np.array_equal(got.clamp_mask, clamp_mask)
+            assert got.alpha_hat == alpha_hat and got.alpha_raw == alpha_raw
+            assert got.alpha_clamped == alpha_clamped
+            assert (got.pick, got.alpha_method, got.corrected) == (
+                pair.pick,
+                pair.alpha_method,
+                corrected,
+            )

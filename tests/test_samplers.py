@@ -263,6 +263,12 @@ class TestExperiment2:
         with pytest.raises(DomainError, match="upsilon=0.1"):
             sample_experiment2(0.5, 0.1, 0.1, 50, RngStream(6, 8), n_prime=500)
 
+    def test_small_inner_size_raises_naming_it(self):
+        # the maximum of a few t-rows is negative with positive probability,
+        # and eta must be strictly positive
+        with pytest.raises(DomainError, match=r"inner_size=1 .* of 50 observations"):
+            sample_experiment2(-0.5, 1.0, 0.5, 50, RngStream(6, 9), n_prime=1)
+
     def test_determinism(self):
         a = sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(6, 6), n_prime=30)
         b = sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(6, 6), n_prime=30)
