@@ -160,7 +160,7 @@ def cmd_estimate(config, args):
     pairs = pairs_from_block(block)
     # shared fit settings; the pick and tail method of this config are unused
     settings = CompositeConfig(**_present(block, "k", "grid_size", "corrected"))
-    fits = fit_pairs(sample, pairs, settings)
+    fits = fit_pairs((sample,), pairs, settings)[0]
     for pair in pairs:
         estimate = fits[pair.label]
         if isinstance(estimate, EstimationError):

@@ -318,7 +318,9 @@ def astar_points(a_alpha_values, points, alpha):
     """Invert the alpha-scaling at k simplex points (k, d) given A_alpha there.
 
     Returns (astar, clamp_mask). a_alpha_values may have shape (..., k), so
-    several curves at the same points are inverted in one call.
+    several curves at the same points are inverted in one call. alpha is a
+    scalar, or a vector (B,) of tail indices for curves stacked as
+    (..., B, k); every curve then gets the bits of its own scalar call.
     astar = (A_alpha(t) / |t|_a)^(1/alpha) is the base Pickands function at
     the reparametrized point (t / |t|_a)^(1/alpha), so it must lie between
     the largest coordinate of that point and 1; with noisy input curves it
@@ -328,7 +330,14 @@ def astar_points(a_alpha_values, points, alpha):
     it is.
     """
     a_alpha_values = np.asarray(a_alpha_values, dtype=float)
-    tw = np.asarray(points, dtype=float) ** (1.0 / alpha)
+    points = np.asarray(points, dtype=float)
+    per_curve = np.ndim(alpha) > 0
+    if per_curve:
+        # (B, 1) against the points, (B, 1, 1) against their coordinates
+        alpha = np.asarray(alpha, dtype=float)[:, np.newaxis]
+        tw = points ** (1.0 / alpha[..., np.newaxis])
+    else:
+        tw = points ** (1.0 / alpha)
     # column by column: a reduction over the short last axis is much slower
     s = largest = tw[..., 0]
     for j in range(1, tw.shape[-1]):
@@ -339,7 +348,15 @@ def astar_points(a_alpha_values, points, alpha):
         raw = (a_alpha_values / norm) ** (1.0 / alpha)
     lower = largest / s
     clipped = np.clip(raw, lower, 1.0)
-    return clipped, ~(np.abs(clipped - raw) <= CLAMP_TOL)
+    mask = ~(np.abs(clipped - raw) <= CLAMP_TOL)
+    if per_curve:
+        # NumPy squares or takes a square root for a scalar exponent of 2 or
+        # 1/2 where an array exponent goes through pow; redo those curves
+        for b in np.flatnonzero(np.isin(alpha[:, 0], (0.5, 2.0))):
+            clipped[..., b, :], mask[..., b, :] = astar_points(
+                a_alpha_values[..., b, :], points, float(alpha[b, 0])
+            )
+    return clipped, mask
 
 
 def astar_transform_flagged(a_alpha, alpha, t):

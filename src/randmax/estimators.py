@@ -21,6 +21,16 @@ Rank conventions: pseudo-uniforms are rank/(n+1), i.e. the empirical CDF
 shrunk by n/(n+1). This keeps every logarithm finite, makes the u^(1/0) = 0
 convention for vanishing weights total, and pins the madogram estimator to
 exactly 1 at the vertices, matching the endpoint-corrected family.
+
+Rank-level tables: since a pseudo-uniform takes only the n levels r/(n+1),
+every logarithm, division and power in P, CFG and MD depends only on a
+(level, simplex point) pair. The curve kernel tabulates those per
+coordinate once per call and each sample gathers the rows of its ranks, so
+fit_pairs, which fits a sequence of same-shape samples in one call, pays
+for the transcendental functions once per call rather than once per sample.
+A single sample skips the gather: its own pseudo-uniforms are the levels,
+read in row order. Either way the terms are reduced exactly as the direct
+formulas would be, so the tables change no bit of any estimate.
 """
 
 from dataclasses import dataclass
@@ -90,15 +100,20 @@ class EmpiricalMargins:
         return np.searchsorted(self.xi_sorted, x, side="right") / self.n
 
 
-def pseudo_uniforms(eta):
-    """Per-column pseudo-uniforms rank/(n+1) (max rank under ties)."""
-    eta = np.asarray(eta, dtype=float)
+def _ranks(eta):
+    """Per-column ranks 1..n of an (n, d) matrix (max rank under ties)."""
     n, d = eta.shape
-    out = np.empty_like(eta)
+    out = np.empty((n, d), dtype=np.intp)
     for j in range(d):
         col = eta[:, j]
         out[:, j] = np.searchsorted(np.sort(col), col, side="right")
-    return out / (n + 1.0)
+    return out
+
+
+def pseudo_uniforms(eta):
+    """Per-column pseudo-uniforms rank/(n+1) (max rank under ties)."""
+    eta = np.asarray(eta, dtype=float)
+    return _ranks(eta) / (eta.shape[0] + 1.0)
 
 
 def _point_args(sample_or_u, t):
@@ -117,10 +132,15 @@ def _point_args(sample_or_u, t):
     return u, t
 
 
+def _point_terms(u, t, pick):
+    """Per-row kernel terms (n,) at the one simplex point t (see _rank_terms)."""
+    return _rank_terms(_level_tables(u, t[:, np.newaxis], pick), None, pick)[:, 0]
+
+
 def pickands_angles(sample_or_u, t):
     """Per-row pseudo-angles theta_i(t); coordinates with t_j = 0 are skipped."""
     u, t = _point_args(sample_or_u, t)
-    return _row_terms(-np.log(u), t[:, np.newaxis], "P")[:, 0]
+    return _point_terms(u, t, "P")
 
 
 def pickands_p(sample_or_u, t):
@@ -142,7 +162,7 @@ def madogram_nu(sample_or_u, t):
 
     with u^(1/0) = 0 for u in (0, 1)."""
     u, t = _point_args(sample_or_u, t)
-    return float(np.mean(_row_terms(u, t[:, np.newaxis], "MD")))
+    return float(np.mean(_point_terms(u, t, "MD")))
 
 
 def pickands_md(sample_or_u, t, dim_factor=True):
@@ -165,35 +185,46 @@ def pickands_md(sample_or_u, t, dim_factor=True):
 _GRID_CHUNK_CELLS = 8_000_000
 
 
-def _row_terms(data, coords, pick):
-    """Per-row terms (n, k) at k simplex points given as coordinate rows (d, k).
+def _level_tables(levels, coords, pick):
+    """One (L, k) table per coordinate row of coords (d, k), over the L rows of
+    the (L, d) level matrix.
 
-    For P and CFG, data is -ln u and the terms are the pseudo-angles
-    min_j data_ij / t_j, the one (n, k) angle matrix both reduce; for MD,
-    data is u and the terms are the madogram summands
-    max_j v_ij - (1/d) sum_j v_ij with v_ij = u_ij^(1/t_j). A coordinate with
-    t_j = 0 drops out (its angle is +inf since -ln u > 0, its power 0). The
-    loop runs over the d coordinates and accumulates into (n, k) arrays; an
-    (n, d, k) broadcast gives the same bits but is several times slower.
+    For P and CFG, the entries in column j are the angle terms
+    -ln(level) / t_j; for MD, they are the powers level^(1/t_j). A
+    coordinate with t_j = 0 drops out of the terms: its angle is +inf since
+    -ln(level) > 0, and its power is 0.
+    """
+    with np.errstate(divide="ignore"):
+        if pick == "MD":
+            return [
+                levels[:, j : j + 1] ** np.where(tj > 0.0, 1.0 / tj, np.inf)
+                for j, tj in enumerate(coords)
+            ]
+        neg_log = -np.log(levels)
+        return [neg_log[:, j : j + 1] / tj for j, tj in enumerate(coords)]
+
+
+def _rank_terms(tables, index, pick):
+    """Per-row terms (n, k) of one sample: the pseudo-angles, i.e. min over j
+    of the angle terms (P and CFG both reduce this one matrix), or the
+    madogram summands max_j v_ij - (1/d) sum_j v_ij of the powers v (MD).
+
+    Row i of coordinate j reads table row index[i, j]. With index None the
+    tables were built from the sample's own pseudo-uniforms, so row i is
+    table row i; they are then used once and reduced in place.
     """
     acc = total = None
-    with np.errstate(divide="ignore"):
-        for j, tj in enumerate(coords):
-            col = data[:, j : j + 1]
-            if pick == "MD":
-                term = col ** np.where(tj > 0.0, 1.0 / tj, np.inf)
-            else:
-                term = col / tj
-            if acc is None:
-                acc = total = term
-            elif pick == "MD":
-                acc = np.maximum(acc, term)
-                total = total + term
-            else:
-                acc = np.minimum(acc, term)
+    for j, table in enumerate(tables):
+        term = table if index is None else table[index[:, j]]
+        if acc is None:
+            acc = total = term
+        elif pick == "MD":
+            total = total + term
+            np.maximum(acc, term, out=acc)
+        else:
+            np.minimum(acc, term, out=acc)
     if pick == "MD":
-        # in place, so no further (n, k) array is allocated
-        total /= len(coords)
+        total /= len(tables)
         acc -= total
     return acc
 
@@ -206,44 +237,64 @@ def _madogram_ratio(nu, c):
     return np.where(bad, 1.0, (nu + c) / np.where(bad, 1.0, denom)), bad
 
 
-def _curves_at(u, points, picks):
-    """Raw estimates of several rank-based estimators at k simplex points.
+def _point_chunks(n, k):
+    """Slices of the k points with about _GRID_CHUNK_CELLS (row, point) cells
+    each. No chunk of a wider grid has one point: a one-column mean sums
+    pairwise, wider ones row by row, so its bits would depend on the chunking.
+    """
+    step = max(2, _GRID_CHUNK_CELLS // max(n, 1))
+    bounds = list(range(0, k, step)) + [k]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
-    Returns {pick: (values, flags)} for the picks given. P and CFG reduce one
-    pseudo-angle matrix, built once per chunk and freed before the madogram
-    terms are built. Points are processed in chunks of about
-    _GRID_CHUNK_CELLS (row, point) cells.
+
+def _curves_at(levels, index, points, picks):
+    """Raw estimates of several rank-based estimators at k simplex points,
+    for B samples of one shape.
+
+    levels is an (L, d) matrix of the values the pseudo-uniforms take, per
+    coordinate, and index (B, n, d) gives the level row of each entry of
+    each sample. With index None, levels is the one sample's (n, d) matrix
+    of pseudo-uniforms itself, so nothing needs gathering. Returns
+    {pick: (values, flags)} of shape (B, k) for the picks given; flags marks
+    points whose madogram denominator was not positive. Per chunk of points
+    the angle tables are built once and every sample reduces its one
+    pseudo-angle matrix into P and CFG; they are freed before the power
+    tables for MD are built. No table outlives the call.
     """
     for pick in picks:
         if pick not in PICK_ESTIMATORS:
             raise DomainError(f"unknown dependence estimator {pick!r}")
-    n, d = u.shape
+    per_sample = [None] if index is None else index
+    n, d = levels.shape if index is None else index.shape[1:]
+    n_samples = len(per_sample)
     k = points.shape[0]
-    out = {pick: (np.empty(k), np.zeros(k, dtype=bool)) for pick in picks}
-    step = max(1, _GRID_CHUNK_CELLS // max(n, 1))
-    # contiguous coordinate rows keep the (n, k) arithmetic on fast loops
-    chunks = [
-        (slice(lo, lo + step), np.ascontiguousarray(points[lo : lo + step].T))
-        for lo in range(0, k, step)
-    ]
+    shape = (n_samples, k)
+    out = {pick: (np.empty(shape), np.zeros(shape, dtype=bool)) for pick in picks}
     angle_picks = [pick for pick in picks if pick != "MD"]
-    if angle_picks:
-        data = -np.log(u)
-        for chunk, coords in chunks:
-            angles = _row_terms(data, coords, "P")
-            for pick in angle_picks:
-                if pick == "P":
-                    out[pick][0][chunk] = 1.0 / angles.mean(axis=0)
-                else:
-                    log_mean = np.log(angles).mean(axis=0)
-                    out[pick][0][chunk] = np.exp(-log_mean - EULER_MASCHERONI)
-            del angles
-    if "MD" in out:
-        values, flags = out["MD"]
-        for chunk, coords in chunks:
-            nu = _row_terms(u, coords, "MD").mean(axis=0)
+    for chunk in _point_chunks(n, k):
+        # contiguous coordinate rows keep the table arithmetic on fast loops
+        coords = np.ascontiguousarray(points[chunk].T)
+        if angle_picks:
+            tables = _level_tables(levels, coords, "P")
+            for b, sample_index in enumerate(per_sample):
+                angles = _rank_terms(tables, sample_index, "P")
+                for pick in angle_picks:
+                    if pick == "P":
+                        out[pick][0][b, chunk] = 1.0 / angles.mean(axis=0)
+                    else:
+                        log_mean = np.log(angles).mean(axis=0)
+                        out[pick][0][b, chunk] = np.exp(-log_mean - EULER_MASCHERONI)
+            del tables, angles
+        if "MD" in out:
+            values, flags = out["MD"]
             c = sum(tj / (1.0 + tj) for tj in coords) / d
-            values[chunk], flags[chunk] = _madogram_ratio(nu, c)
+            tables = _level_tables(levels, coords, "MD")
+            for b, sample_index in enumerate(per_sample):
+                nu = _rank_terms(tables, sample_index, "MD").mean(axis=0)
+                values[b, chunk], flags[b, chunk] = _madogram_ratio(nu, c)
+            del tables
     return out
 
 
@@ -253,13 +304,14 @@ def pickands_points(u, points, pick):
     u is the (n, d) matrix of pseudo-uniforms, points a (k, d) array of
     simplex points. Returns (values, flags) where flags marks points whose
     madogram denominator was not positive (always False for P and CFG).
-    This is the one-pick call of the kernel fit_pairs uses for all picks.
+    This is the one-sample, one-pick call of the kernel fit_pairs uses.
     """
     u = np.asarray(u, dtype=float)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != u.shape[1]:
         raise DomainError("simplex points must be a (k, d) array matching the data")
-    return _curves_at(u, points, (pick,))[pick]
+    values, flags = _curves_at(u, None, points, (pick,))[pick]
+    return values[0], flags[0]
 
 
 def pickands_curve_raw(u, w, pick):
@@ -271,23 +323,25 @@ def pickands_curve_raw(u, w, pick):
 def endpoint_correct(values, w, pick):
     """Vertex-pinning corrections so the corrected curve equals 1 at w = 0, 1.
 
-    P corrects on the reciprocal scale, CFG on the log scale; the madogram
-    estimator is already exact at the vertices under the rank/(n+1)
-    convention, so its correction is the identity.
+    values holds one curve on w, or a stack (..., k) of them. P corrects on
+    the reciprocal scale, CFG on the log scale; the madogram estimator is
+    already exact at the vertices under the rank/(n+1) convention, so its
+    correction is the identity.
     """
     if pick not in PICK_ESTIMATORS:
         raise DomainError(f"unknown dependence estimator {pick!r}")
     values = np.asarray(values, dtype=float)
     w = np.asarray(w, dtype=float)
-    if values.shape != w.shape:
+    if w.ndim != 1 or values.shape[-1:] != w.shape:
         raise DomainError("curve and grid must have matching shapes")
     if pick == "MD":
         return values.copy()
+    first, last = values[..., :1], values[..., -1:]
     if pick == "P":
-        inv = 1.0 / values - (1.0 - w) * (1.0 / values[0] - 1.0) - w * (1.0 / values[-1] - 1.0)
+        inv = 1.0 / values - (1.0 - w) * (1.0 / first - 1.0) - w * (1.0 / last - 1.0)
         with np.errstate(divide="ignore"):
             return np.where(inv > 0.0, 1.0 / inv, np.inf)
-    return np.exp(np.log(values) - (1.0 - w) * np.log(values[0]) - w * np.log(values[-1]))
+    return np.exp(np.log(values) - (1.0 - w) * np.log(first) - w * np.log(last))
 
 
 # ---------------------------------------------------------------------------
@@ -582,65 +636,88 @@ class CurveEstimate:
         write_text(path_or_buf, "\n".join(lines) + "\n")
 
 
-def fit_pairs(sample, pairs, settings):
-    """Fit several composite estimators to one paired sample.
+def fit_pairs(samples, pairs, settings):
+    """Fit several composite estimators to each of a sequence of paired samples.
 
-    `pairs` holds objects with `pick` and `alpha_method` (EstimatorPair or
+    `samples` holds paired samples of one shape (n, 2); `pairs` holds
+    objects with `pick` and `alpha_method` (EstimatorPair or
     CompositeConfig); `settings` supplies the GPWM order `k`, the
     `grid_size` and whether the curves are `corrected` (a CompositeConfig or
-    an ExperimentConfig). The eta columns are ranked once and the curves of
-    the scaled data of all picks come from one kernel call, in which P and
-    CFG share one pseudo-angle matrix. One clamped tail fit of the xi column
-    runs per method, and one inverse scaling transform per method inverts
-    the stacked curves of its pairs.
+    an ExperimentConfig). Each sample is ranked once, and the curves of the
+    scaled data of all picks and samples come from one kernel call, which
+    builds its level tables once for all samples (see _curves_at); a single
+    sample tabulates its own pseudo-uniforms, which needs no gather. Each
+    sample fits its xi column once per tail method, in sample order, and one
+    inverse scaling transform per method inverts the stacked curves of its
+    pairs and samples, each at its own clamped tail estimate.
 
-    Returns {pair label: CurveEstimate} in the order of `pairs`. A pair whose
-    tail fit failed maps to that fit's EstimationError, which names the
-    failing stage.
+    Returns one {pair label: CurveEstimate} per sample, in the order of
+    `samples`, with labels in the order of `pairs`. A pair whose tail fit
+    failed maps to that fit's EstimationError, which names the failing stage.
     """
-    if sample.dim != 2:
+    samples = tuple(samples)
+    if not samples:
+        raise DomainError("need at least one sample to fit")
+    n, d = samples[0].eta.shape
+    if d != 2:
         raise DomainError("composite estimation is implemented for dimension 2 only")
+    if any(sample.eta.shape != (n, d) for sample in samples):
+        raise DomainError("samples fitted together must share one shape")
     w = edge_grid(settings.grid_size)
     points = edge_points(w)
-    u = pseudo_uniforms(sample.eta)
-    curves = _curves_at(u, points, tuple(dict.fromkeys(pair.pick for pair in pairs)))
+    if len(samples) == 1:
+        # the sample's own pseudo-uniforms serve as the tables' levels
+        levels, index = pseudo_uniforms(samples[0].eta), None
+    else:
+        # ranks 1..n index the n levels r/(n+1), shared by every coordinate
+        levels = np.broadcast_to((np.arange(1, n + 1) / (n + 1.0))[:, np.newaxis], (n, d))
+        index = np.stack([_ranks(sample.eta) - 1 for sample in samples])
+    curves = _curves_at(levels, index, points, tuple(dict.fromkeys(pair.pick for pair in pairs)))
     if settings.corrected:
         curves = {
             pick: (endpoint_correct(values, w, pick), md_flags)
             for pick, (values, md_flags) in curves.items()
         }
-    fits = {}
+    fits = [{} for _ in samples]
     for method in dict.fromkeys(pair.alpha_method for pair in pairs):
         picks = tuple(dict.fromkeys(pair.pick for pair in pairs if pair.alpha_method == method))
-        try:
-            alpha_raw = estimate_alpha(sample.xi, method, k=settings.k)
-            alpha_hat, alpha_clamped = clamp_alpha(alpha_raw)
-        except EstimationError as exc:
-            fits.update({(pick, method): exc for pick in picks})
+        fitted = {}
+        for b, sample in enumerate(samples):
+            try:
+                alpha_raw = estimate_alpha(sample.xi, method, k=settings.k)
+                fitted[b] = (alpha_raw, *clamp_alpha(alpha_raw))
+            except EstimationError as exc:
+                fits[b].update({(pick, method): exc for pick in picks})
+        if not fitted:
             continue
-        stacked = np.stack([curves[pick][0] for pick in picks])
+        rows = list(fitted)
+        stacked = np.stack([curves[pick][0] for pick in picks])[:, rows]
+        alpha_hat = np.array([fitted[b][1] for b in rows])
         a_star, clamp_mask = astar_points(stacked, points, alpha_hat)
         for i, pick in enumerate(picks):
             values, md_flags = curves[pick]
-            fits[pick, method] = CurveEstimate(
-                w=w,
-                a_alpha=values,
-                a_star=a_star[i],
-                alpha_hat=alpha_hat,
-                alpha_raw=alpha_raw,
-                pick=pick,
-                alpha_method=method,
-                corrected=settings.corrected,
-                alpha_clamped=alpha_clamped,
-                clamp_mask=clamp_mask[i] | md_flags,
-            )
-    return {pair.label: fits[pair.pick, pair.alpha_method] for pair in pairs}
+            masks = clamp_mask[i] | md_flags[rows]
+            for row, b in enumerate(rows):
+                alpha_raw, alpha_used, alpha_clamped = fitted[b]
+                fits[b][pick, method] = CurveEstimate(
+                    w=w,
+                    a_alpha=values[b],
+                    a_star=a_star[i, row],
+                    alpha_hat=alpha_used,
+                    alpha_raw=alpha_raw,
+                    pick=pick,
+                    alpha_method=method,
+                    corrected=settings.corrected,
+                    alpha_clamped=alpha_clamped,
+                    clamp_mask=masks[row],
+                )
+    return [{pair.label: fit[pair.pick, pair.alpha_method] for pair in pairs} for fit in fits]
 
 
 def composite_estimate(sample, config=CompositeConfig()):
     """Fit one composite estimator (see fit_pairs); an estimation failure
     raises its EstimationError with the failing stage named."""
-    fit = fit_pairs(sample, (config,), config)[config.label]
+    fit = fit_pairs((sample,), (config,), config)[0][config.label]
     if isinstance(fit, EstimationError):
         raise fit
     return fit

@@ -13,6 +13,11 @@ keyed by the master seed. Streams therefore do not depend on the position of
 a combination within the sweep (extending a grid never perturbs existing
 results) nor on how replications are scheduled, and reductions accumulate in
 replication order, so outputs are byte-identical at any parallelism width.
+Replications run in blocks of consecutive indices (about eight per worker):
+a block draws each of its samples from that replication's stream and fits
+them all in one estimators.fit_pairs call, which shares the curve kernel's
+level tables across the block. Fits do not depend on the block they fall
+in, so the block size moves no output either.
 Per-replication estimation failures are excluded and counted, never imputed;
 a combination with more than 20% failures is flagged in the run report.
 """
@@ -190,26 +195,35 @@ def _sample_for(config, combo, rng):
     )
 
 
-def _replicate(rep, config, combo, inject_truth=False):
-    """Run one replication: sample once, fit every pair on the shared sample.
+def _block_size(config):
+    """Replications per block: about eight blocks per worker."""
+    return max(1, config.replications // (8 * config.jobs))
 
-    Returns {pair label: (astar values | None, clamp count, alpha clamped)};
-    None marks an estimation failure of that pair's tail stage.
-    With inject_truth the fitted curve is replaced by the analytic truth
-    (pipeline-testing hook).
+
+def _replicate_block(reps, config, combo, inject_truth=False):
+    """Run a block of replications: draw each replication's sample from its
+    own stream, then fit every pair on every sample in one fit_pairs call.
+
+    Returns one {pair label: (astar values | None, clamp count, alpha
+    clamped)} per replication, in the order of `reps`; None marks an
+    estimation failure of that pair's tail stage. With inject_truth the
+    fitted curves are replaced by the analytic truth (pipeline-testing hook).
     """
-    stream = replication_stream(config.seed, combo, rep)
-    sample = _sample_for(config, combo, stream)
+    samples = [
+        _sample_for(config, combo, replication_stream(config.seed, combo, rep)) for rep in reps
+    ]
     if inject_truth:
         truth = truth_curve(combo, edge_grid(config.grid_size))
-        return {pair.label: (truth, 0, False) for pair in config.pairs}
-    out = {}
-    for label, fit in fit_pairs(sample, config.pairs, config).items():
-        if isinstance(fit, EstimationError):
-            out[label] = (None, 0, False)
-        else:
-            out[label] = (fit.a_star, fit.n_clamped, fit.alpha_clamped)
-    return out
+        return [{pair.label: (truth, 0, False) for pair in config.pairs} for _ in samples]
+    return [
+        {
+            label: (None, 0, False)
+            if isinstance(fit, EstimationError)
+            else (fit.a_star, fit.n_clamped, fit.alpha_clamped)
+            for label, fit in fits.items()
+        }
+        for fits in fit_pairs(samples, config.pairs, config)
+    ]
 
 
 # -- reduction ---------------------------------------------------------------
@@ -229,11 +243,17 @@ def mise_decompose(curves, truth, w):
         raise DomainError("curve stack, truth, and grid shapes do not match")
     if curves.shape[0] < 2:
         raise DomainError("need at least 2 replications to decompose")
+    mise, isb, iv, _, _ = _reduce(curves, truth, w)
+    return mise, isb, iv
+
+
+def _reduce(curves, truth, w):
+    """(MISE, ISB, IV, per-replication ISE, mean curve) of a stack of curves."""
     ise = np.trapezoid((curves - truth) ** 2, w, axis=1)
     mean_curve = curves.mean(axis=0)
     isb = float(np.trapezoid((mean_curve - truth) ** 2, w))
     iv = float(np.trapezoid(((curves - mean_curve) ** 2).mean(axis=0), w))
-    return float(ise.mean()), isb, iv
+    return float(ise.mean()), isb, iv, ise, mean_curve
 
 
 @dataclass
@@ -261,9 +281,12 @@ class ComboResult:
 def run_experiment(config, inject_truth=False):
     """Run the full sweep and reduce each (combination, pair) to a ComboResult.
 
-    Replications are independent tasks distributed over `config.jobs` worker
-    processes; results are reduced in replication order, so the output is
-    identical at every parallelism width.
+    Replications run in blocks of consecutive indices, about eight blocks
+    per worker (see _block_size); the blocks are distributed over
+    `config.jobs` worker processes, or run in turn when jobs is 1. Each
+    replication still draws from its own stream and results are reduced in
+    replication order, so the output is identical at every parallelism
+    width and block size.
     """
     combos = enumerate_combos(config)
     w = edge_grid(config.grid_size)
@@ -272,16 +295,14 @@ def run_experiment(config, inject_truth=False):
     try:
         for combo in combos:
             start = perf_counter()
-            reps = range(config.replications)
-            if executor is None:
-                rep_results = [_replicate(r, config, combo, inject_truth) for r in reps]
-            else:
-                chunk = max(1, config.replications // (8 * config.jobs))
-                rep_results = list(
-                    executor.map(
-                        _ReplicateTask(config, combo, inject_truth), reps, chunksize=chunk
-                    )
-                )
+            size = _block_size(config)
+            blocks = [
+                range(lo, min(lo + size, config.replications))
+                for lo in range(0, config.replications, size)
+            ]
+            task = _BlockTask(config, combo, inject_truth)
+            block_results = map(task, blocks) if executor is None else executor.map(task, blocks)
+            rep_results = [r for block in block_results for r in block]
             wall_ms = (perf_counter() - start) * 1000.0
             truth = truth_curve(combo, w)
             for pair in config.pairs:
@@ -295,11 +316,8 @@ def run_experiment(config, inject_truth=False):
                     alpha_clamps += int(a_clamped)
                 failures = config.replications - len(stack)
                 if len(stack) >= 2:
-                    curves = np.array(stack)
-                    mise, isb, iv = mise_decompose(curves, truth, w)
-                    ise = np.trapezoid((curves - truth) ** 2, w, axis=1)
+                    mise, isb, iv, ise, mean_curve = _reduce(np.array(stack), truth, w)
                     mise_se = float(ise.std(ddof=1) / np.sqrt(len(stack)))
-                    mean_curve = curves.mean(axis=0)
                 else:
                     mise = isb = iv = mise_se = float("nan")
                     ise = np.array([])
@@ -328,16 +346,16 @@ def run_experiment(config, inject_truth=False):
     return results
 
 
-class _ReplicateTask:
-    """Picklable replication callable for the process pool."""
+class _BlockTask:
+    """Picklable block callable for the process pool."""
 
     def __init__(self, config, combo, inject_truth):
         self.config = config
         self.combo = combo
         self.inject_truth = inject_truth
 
-    def __call__(self, rep):
-        return _replicate(rep, self.config, self.combo, self.inject_truth)
+    def __call__(self, reps):
+        return _replicate_block(reps, self.config, self.combo, self.inject_truth)
 
 
 # -- serialization -----------------------------------------------------------

@@ -35,9 +35,9 @@ from randmax.estimators import (
     EULER_MASCHERONI,
     CompositeConfig,
     clamp_alpha,
-    composite_estimate,
     endpoint_correct,
     estimate_alpha,
+    fit_pairs,
     invert_curve,
     madogram_nu,
     pickands_angles,
@@ -253,7 +253,18 @@ def test_criterion_05_gpwm_exactness():
 
 # -- criterion 6 -------------------------------------------------------------
 
-_PAIRS = tuple((p, a) for a in ("GPWM", "ML") for p in ("P", "CFG", "MD"))
+_PAIRS = tuple(EstimatorPair(p, a) for a in ("GPWM", "ML") for p in ("P", "CFG", "MD"))
+
+
+def _sup_errors(sample, truth):
+    """sup|A* estimate - truth| of every pair, from one fit_pairs call."""
+    (fits,) = fit_pairs((sample,), _PAIRS, CompositeConfig())
+    sups = {}
+    for label, fit in fits.items():
+        if isinstance(fit, EstimationError):
+            raise fit
+        sups[label] = float(np.max(np.abs(fit.a_star - truth)))
+    return sups
 
 
 def test_criterion_06_consistency_bound():
@@ -261,10 +272,7 @@ def test_criterion_06_consistency_bound():
     combo = Combo(1, 0.5, 0.5, float("nan"), 10_000)
     truth = truth_curve(combo, edge_grid(201))
     sample = sample_experiment1(0.5, 0.5, 10_000, RngStream(MASTER_SEED, 0))
-    sups = {}
-    for pick, alpha_method in _PAIRS:
-        est = composite_estimate(sample, CompositeConfig(pick=pick, alpha_method=alpha_method))
-        sups[est.label] = float(np.max(np.abs(est.a_star - truth)))
+    sups = _sup_errors(sample, truth)
     ok = all(v < 0.05 for v in sups.values())
     _report(6, ok, "sup errors " + ", ".join(f"{k}={v:.4f}" for k, v in sups.items()))
     assert all(v < 0.05 for v in sups.values()), sups
@@ -275,15 +283,14 @@ def consistency_wins():
     """100 seeded trials: does the n = 10^4 sup error beat the n = 10^3 one?"""
     combo = Combo(1, 0.5, 0.5, float("nan"), 10_000)
     truth = truth_curve(combo, edge_grid(201))
-    wins = {f"{p}-{a}": 0 for p, a in _PAIRS}
+    wins = {pair.label: 0 for pair in _PAIRS}
     for trial in range(100):
         small = sample_experiment1(0.5, 0.5, 1_000, RngStream(500 + trial, 1))
         large = sample_experiment1(0.5, 0.5, 10_000, RngStream(500 + trial, 2))
-        for pick, alpha_method in _PAIRS:
-            cfg = CompositeConfig(pick=pick, alpha_method=alpha_method)
-            sup_small = np.max(np.abs(composite_estimate(small, cfg).a_star - truth))
-            sup_large = np.max(np.abs(composite_estimate(large, cfg).a_star - truth))
-            wins[cfg.label] += bool(sup_large < sup_small)
+        sups_small = _sup_errors(small, truth)
+        sups_large = _sup_errors(large, truth)
+        for label in wins:
+            wins[label] += bool(sups_large[label] < sups_small[label])
     return wins
 
 

@@ -9,6 +9,7 @@ from randmax.depcore import (
     Independence,
     LimitLawQ,
     Logistic,
+    astar_points,
     astar_transform,
     astar_transform_flagged,
     edge_grid,
@@ -160,6 +161,22 @@ class TestTransforms:
             pts = edge_points(edge_grid(201))
             back = np.array([pickands_from_astar(astar, alpha, t) for t in pts])
             assert np.max(np.abs(back - base.values(pts))) < 1e-12
+
+    def test_per_curve_alphas_match_scalar_calls(self):
+        # a stack (picks, samples, k) inverted at one alpha per sample gives
+        # bit for bit what one call per curve at a scalar alpha gives, also
+        # at 1/2 and 2, where NumPy's scalar power squares or takes a root
+        pts = edge_points(edge_grid(21))
+        alphas = np.array([0.3, 0.5, 1.0 - 1e-6, 1.0, 2.0])
+        rng = np.random.default_rng(5)
+        curves = 0.6 + 0.4 * rng.random((2, alphas.size, pts.shape[0]))
+        astar, mask = astar_points(curves, pts, alphas)
+        assert astar.shape == mask.shape == curves.shape
+        for i in range(curves.shape[0]):
+            for b, alpha in enumerate(alphas):
+                want_astar, want_mask = astar_points(curves[i, b], pts, float(alpha))
+                assert np.array_equal(astar[i, b], want_astar)
+                assert np.array_equal(mask[i, b], want_mask)
 
     def test_iteration_closure(self):
         pts = edge_points(edge_grid(201))

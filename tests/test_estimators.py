@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from randmax.depcore import AlphaScaled, Logistic, edge_grid
+from randmax.depcore import AlphaScaled, Logistic, edge_grid, edge_points
 from randmax.errors import DomainError, EstimationError
 from randmax import estimators
 from randmax.estimators import (
@@ -140,7 +140,109 @@ class TestMadogram:
         assert abs(pickands_md(u, t, dim_factor=False) - 0.5) > 0.4
 
 
+def _oracle_row_terms(data, coords, pick):
+    """Reference per-row terms (n, k) computed directly from the data: data
+    is -ln u for P and CFG (terms min_j data_ij / t_j) and u for MD (terms
+    max_j v_ij - (1/d) sum_j v_ij with v_ij = u_ij^(1/t_j))."""
+    acc = total = None
+    with np.errstate(divide="ignore"):
+        for j, tj in enumerate(coords):
+            col = data[:, j : j + 1]
+            if pick == "MD":
+                term = col ** np.where(tj > 0.0, 1.0 / tj, np.inf)
+            else:
+                term = col / tj
+            if acc is None:
+                acc = total = term
+            elif pick == "MD":
+                acc = np.maximum(acc, term)
+                total = total + term
+            else:
+                acc = np.minimum(acc, term)
+    if pick == "MD":
+        total /= len(coords)
+        acc -= total
+    return acc
+
+
+def _oracle_points(u, points, pick):
+    """Reference raw estimates (values, flags) at k >= 2 simplex points,
+    unchunked and straight from u."""
+    coords = np.ascontiguousarray(points.T)
+    flags = np.zeros(points.shape[0], dtype=bool)
+    if pick == "MD":
+        nu = _oracle_row_terms(u, coords, "MD").mean(axis=0)
+        c = sum(tj / (1.0 + tj) for tj in coords) / u.shape[1]
+        return estimators._madogram_ratio(nu, c)
+    angles = _oracle_row_terms(-np.log(u), coords, "P")
+    if pick == "P":
+        return 1.0 / angles.mean(axis=0), flags
+    return np.exp(-np.log(angles).mean(axis=0) - EULER_MASCHERONI), flags
+
+
+def _kernel_case(d, n, k, ties):
+    """eta of two logistic samples and k simplex points: the grid for d = 2;
+    for d = 3 a vertex, an edge midpoint, the barycentre and interior points."""
+    gen = RngStream(18, 1000 * d + n).generator()
+    etas = [sample_experiment1(0.5, 0.5, n, gen, d=d).eta for _ in range(2)]
+    if ties:
+        etas = [np.round(np.log(eta)) for eta in etas]  # a few dozen values per column
+    if d == 2:
+        points = edge_points(edge_grid(k))
+    else:
+        corners = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]])
+        points = np.vstack([corners, gen.dirichlet(np.ones(3), k - 3)])
+    return etas, points
+
+
+def _kernel_outputs(etas, points):
+    """{pick: [(values, flags) per sample]} from both kernel routes: one call
+    per sample on its pseudo-uniforms, and one call gathering all samples
+    from the shared rank levels r/(n+1)."""
+    n, d = etas[0].shape
+    levels = np.broadcast_to((np.arange(1, n + 1) / (n + 1.0))[:, np.newaxis], (n, d))
+    index = np.stack([estimators._ranks(eta) - 1 for eta in etas])
+    gathered = estimators._curves_at(levels, index, points, ("P", "CFG", "MD"))
+    out = {}
+    for pick, (values, flags) in gathered.items():
+        alone = [pickands_points(pseudo_uniforms(eta), points, pick) for eta in etas]
+        out[pick] = alone + list(zip(values, flags))
+    return out
+
+
 class TestKernel:
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("n", (50, 400))
+    @pytest.mark.parametrize("k", (3, 201))
+    @pytest.mark.parametrize("ties", (False, True), ids=("distinct", "tied"))
+    def test_points_match_oracle(self, d, n, k, ties):
+        # the tables hold exactly the values the direct formulas give, built
+        # from one sample's pseudo-uniforms or from the shared rank levels
+        etas, points = _kernel_case(d, n, k, ties)
+        if ties:
+            assert all(np.unique(eta[:, 0]).size < n // 2 for eta in etas)
+        for pick, results in _kernel_outputs(etas, points).items():
+            wants = [_oracle_points(pseudo_uniforms(eta), points, pick) for eta in etas]
+            for (values, flags), (want_values, want_flags) in zip(results, wants + wants):
+                assert np.array_equal(values, want_values)
+                assert np.array_equal(flags, want_flags)
+
+    @pytest.mark.parametrize("chunk_points", (200, 2, 1))
+    def test_chunking_leaves_no_one_point_chunk(self, chunk_points, monkeypatch):
+        # 201 points in chunks of 200 or 2 would leave the last point alone
+        # (a step of 1 is raised to 2); the results must match the unchunked
+        # call bit for bit
+        etas, points = _kernel_case(2, 400, 201, False)
+        whole = _kernel_outputs(etas, points)
+        monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_points * 400)
+        assert all(
+            chunk.stop - chunk.start > 1 for chunk in estimators._point_chunks(400, 201)
+        )
+        for pick, results in _kernel_outputs(etas, points).items():
+            for (values, flags), (want_values, want_flags) in zip(results, whole[pick]):
+                assert np.array_equal(values, want_values)
+                assert np.array_equal(flags, want_flags)
+
     def test_trivariate_complete_dependence_at_barycentre(self):
         # A = max(t) = 1/3 at the barycentre; the madogram terms cancel row by
         # row, while the angle estimators carry their O(1/n) rank bias
@@ -438,7 +540,7 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
         with monkeypatch.context() as patch:
             if chunk_cells is not None:
                 patch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
-            fits = fit_pairs(sample, _SHUFFLED_PAIRS, config)
+            (fits,) = fit_pairs((sample,), _SHUFFLED_PAIRS, config)
         assert list(fits) == [pair.label for pair in _SHUFFLED_PAIRS]
         for pair, want in zip(_SHUFFLED_PAIRS, expected):
             got = fits[pair.label]
@@ -457,3 +559,56 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
                 pair.alpha_method,
                 corrected,
             )
+
+
+@pytest.mark.parametrize(
+    "grid_size, corrected, chunk_cells",
+    # 7 points per chunk at n = 50: 29 chunks, the last one short
+    [(201, True, None), (3, False, None), (201, True, 7 * 50), (201, False, 7 * 50)],
+)
+def test_batched_fit_pairs_matches_one_sample_calls(
+    grid_size, corrected, chunk_cells, monkeypatch
+):
+    # one kernel call, one endpoint correction and one inverse transform per
+    # tail method serve the whole batch; each sample must come out as it does
+    # alone, also with a light-tailed xi (alpha clamped) and a constant xi
+    # (both tail fits fail) in the batch
+    if chunk_cells is not None:
+        monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
+    config = CompositeConfig(grid_size=grid_size, corrected=corrected)
+    samples = [
+        sample_experiment1(psi, 0.5, 50, RngStream(19, i))
+        for i, psi in enumerate((0.2, 0.5, 0.9, 0.5, 1.0))
+    ]
+    samples[1].xi[:] = FrechetLaw(3.0).quantile((np.arange(50) + 0.5) / 50)
+    samples[3].xi[:] = 1.0
+    batched = fit_pairs(samples, _SHUFFLED_PAIRS, config)
+    assert len(batched) == len(samples)
+    outcomes = set()
+    for sample, fits in zip(samples, batched):
+        (alone,) = fit_pairs((sample,), _SHUFFLED_PAIRS, config)
+        assert list(fits) == list(alone)
+        for label, got in fits.items():
+            want = alone[label]
+            if isinstance(want, EstimationError):
+                assert isinstance(got, EstimationError)
+                assert (got.stage, str(got)) == (want.stage, str(want))
+                outcomes.add("failed")
+                continue
+            for name in ("w", "a_alpha", "a_star", "clamp_mask"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            for name in ("alpha_hat", "alpha_raw", "alpha_clamped", "pick", "alpha_method"):
+                assert getattr(got, name) == getattr(want, name)
+            assert got.corrected == corrected
+            assert type(got.alpha_hat) is type(want.alpha_hat)
+            outcomes.add("clamped" if got.alpha_clamped else "fitted")
+    assert outcomes == {"failed", "clamped", "fitted"}
+
+
+def test_fit_pairs_rejects_mixed_shapes():
+    a = sample_experiment1(0.5, 0.5, 50, RngStream(19, 10))
+    b = sample_experiment1(0.5, 0.5, 60, RngStream(19, 11))
+    with pytest.raises(DomainError):
+        fit_pairs((a, b), _SHUFFLED_PAIRS, CompositeConfig())
+    with pytest.raises(DomainError):
+        fit_pairs((), _SHUFFLED_PAIRS, CompositeConfig())

@@ -147,7 +147,7 @@ class TestRunExperiment:
     def test_forced_identical_replications_have_zero_variance(self):
         cfg = _small_config()
         combo = enumerate_combos(cfg)[0]
-        rep = harness._replicate(0, cfg, combo)
+        (rep,) = harness._replicate_block(range(1), cfg, combo)
         w = edge_grid(cfg.grid_size)
         curves = np.vstack([rep["CFG-GPWM"][0], rep["CFG-GPWM"][0]])
         mise, isb, iv = mise_decompose(curves, truth_curve(combo, w), w)
@@ -160,15 +160,25 @@ class TestRunExperiment:
             assert abs(r.mise) < 1e-12 and abs(r.isb) < 1e-12 and abs(r.iv) < 1e-12
 
     @pytest.mark.parametrize(
-        "overrides",
-        [{}, dict(experiment=2, psis=(), rhos=(0.5,), upsilons=(1.0,))],
-        ids=["pipeline1", "pipeline2"],
+        "overrides, block",
+        [
+            ({}, None),
+            (dict(experiment=2, psis=(), rhos=(0.5,), upsilons=(1.0,)), None),
+            ({}, 4),
+            (dict(experiment=2, psis=(), rhos=(0.5,), upsilons=(1.0,)), 4),
+        ],
+        ids=["pipeline1", "pipeline2", "pipeline1-blocks_of_4", "pipeline2-blocks_of_4"],
     )
-    def test_results_identical_across_jobs(self, overrides):
+    def test_results_identical_across_jobs(self, overrides, block, monkeypatch):
+        # blocks of 4 split the 6 replications unevenly (4 + 2), serially and
+        # in the pool
         cfg = _small_config(**overrides)
         a = results_csv_text(run_experiment(cfg))
+        if block is not None:
+            monkeypatch.setattr(harness, "_block_size", lambda config: block)
         b = results_csv_text(run_experiment(replace(cfg, jobs=2)))
-        assert a == b
+        c = results_csv_text(run_experiment(cfg))
+        assert a == b == c
 
     def test_monotone_consistency_in_sample_size(self):
         cfg = ExperimentConfig(
@@ -190,8 +200,8 @@ class TestRunExperiment:
         cfg = _small_config(psis=(0.1, 0.55, 1.0), replications=20, pairs=pairs, grid_size=201)
         checked = mismatches = 0
         for combo in enumerate_combos(cfg):
-            for rep in range(cfg.replications):
-                fits = harness._replicate(rep, cfg, combo)
+            block = harness._replicate_block(range(cfg.replications), cfg, combo)
+            for rep, fits in enumerate(block):
                 stream = replication_stream(cfg.seed, combo, rep)
                 sample = sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, stream)
                 for pair in pairs:
