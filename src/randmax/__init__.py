@@ -11,17 +11,14 @@ from .depcore import (
     AlphaScaled,
     ExtremalT,
     GevMargin,
-    GridCurve,
     Independence,
     LimitLawQ,
     Logistic,
     PickandsModel,
-    astar_transform,
     edge_grid,
     extremal_coefficient,
     lambda_from_theta,
     lambda_inverse_link,
-    logistic_norm,
     pickands_from_astar,
     stable_tail,
     tail_prob_approx,
@@ -41,9 +38,6 @@ from .estimators import (
     composite_estimate,
     gpwm_alpha,
     ml_alpha,
-    pickands_cfg,
-    pickands_md,
-    pickands_p,
 )
 from .harness import (
     Combo,
@@ -62,10 +56,8 @@ from .samplers import (
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,
-    sample_spectral_scaled,
 )
 from .specfun import (
-    FrechetLaw,
     ln_gamma,
     log_integral,
     lower_incomplete_gamma,

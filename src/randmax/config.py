@@ -68,6 +68,9 @@ def _when_experiment(number, then):
     }
 
 
+#: a field that only means something for a tail index alpha in (0, 1)
+_NEEDS_HEAVY_TAIL = {"not": {}, "description": "needs alpha in (0, 1)"}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -135,6 +138,8 @@ CONFIG_SCHEMA = {
             },
             "required": ["model", "alpha"],
             "additionalProperties": False,
+            "if": {"properties": {"alpha": {"minimum": 1}}, "required": ["alpha"]},
+            "then": {"properties": {"tail_z": _NEEDS_HEAVY_TAIL, "lambda_mn": _NEEDS_HEAVY_TAIL}},
         },
         "experiment": {
             "type": "object",
@@ -201,11 +206,14 @@ def load_config(path):
     errors = sorted(validator.iter_errors(data), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
-        path = first.json_path
+        path, message = first.json_path, first.message
         if first.validator == "required":
             # point at the missing field itself, e.g. $.sample.psi
             path += "." + next(k for k in first.validator_value if k not in first.instance)
-        raise ConfigError(first.message, path=path)
+        elif first.validator == "not":
+            # a field a cross-field rule forbids; its schema says why
+            message = first.schema.get("description", message)
+        raise ConfigError(message, path=path)
     return data
 
 

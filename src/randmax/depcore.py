@@ -46,16 +46,12 @@ __all__ = [
     "Independence",
     "ExtremalT",
     "AlphaScaled",
-    "GridCurve",
-    "logistic_norm",
     "stable_tail",
     "extremal_coefficient",
     "lambda_from_theta",
     "lambda_inverse_link",
     "tail_prob_approx",
     "astar_points",
-    "astar_transform",
-    "astar_transform_flagged",
     "pickands_from_astar",
     "GevMargin",
     "LimitLawQ",
@@ -104,10 +100,7 @@ class PickandsModel:
 
     def pickands(self, t):
         """Evaluate A at a single simplex point."""
-        return self._at(as_simplex(t))
-
-    def _at(self, t):
-        """A at a simplex point that as_simplex has already validated."""
+        t = as_simplex(t)
         if t.size != self.dim:
             raise DomainError(f"model has dimension {self.dim}, point has {t.size}")
         return float(self.values(t[np.newaxis, :])[0])
@@ -209,46 +202,6 @@ class AlphaScaled(PickandsModel):
         norm = denom[..., 0] ** self.alpha
         inner = self.base.values(pw / denom)
         return norm * inner**self.alpha
-
-
-@dataclass(frozen=True)
-class GridCurve(PickandsModel):
-    """Bivariate Pickands curve stored on a uniform grid, linearly interpolated.
-
-    This is the representation of estimated curves; values are not forced
-    into the Pickands envelope here.
-    """
-
-    values_grid: np.ndarray
-    dim: int = 2
-
-    def __post_init__(self):
-        v = np.asarray(self.values_grid, dtype=float)
-        if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
-            raise DomainError("grid curve requires a finite vector of >= 2 values")
-        object.__setattr__(self, "values_grid", v)
-        if self.dim != 2:
-            raise DomainError("grid curves are implemented for dimension 2 only")
-
-    @property
-    def grid(self):
-        return np.linspace(0.0, 1.0, self.values_grid.size)
-
-    def values(self, points):
-        p = np.asarray(points, dtype=float)
-        return np.interp(p[..., 1], self.grid, self.values_grid)
-
-
-def logistic_norm(t, alpha):
-    """(sum_j t_j^(1/alpha))^alpha on the simplex, for alpha in (0, 1].
-
-    This is the symmetric logistic Pickands function; it equals 1 at the
-    vertices and d^(alpha-1) at the barycenter.
-    """
-    if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"norm index must be in (0,1], got {alpha!r}")
-    t = as_simplex(t)
-    return float(np.sum(t ** (1.0 / alpha)) ** alpha)
 
 
 def stable_tail(model, z):
@@ -359,35 +312,11 @@ def astar_points(a_alpha_values, points, alpha):
     return clipped, mask
 
 
-def astar_transform_flagged(a_alpha, alpha, t):
-    """Invert the alpha-scaling at one point: Astar(t) = (A_alpha(t)/|t|_a)^(1/alpha).
-
-    `a_alpha` is a PickandsModel (typically a GridCurve holding an estimated
-    curve) or a callable on simplex points. Returns the value and whether it
-    was clamped into its envelope; see astar_points.
-    """
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"scaling index must be in (0,1), got {alpha!r}")
-    t = as_simplex(t)
-    if isinstance(a_alpha, PickandsModel):
-        val = a_alpha._at(t)
-    else:
-        val = float(a_alpha(t))
-    astar, flagged = astar_points(val, t, alpha)
-    return float(astar), bool(flagged)
-
-
-def astar_transform(a_alpha, alpha, t):
-    """Value-only version of :func:`astar_transform_flagged`."""
-    return astar_transform_flagged(a_alpha, alpha, t)[0]
-
-
 def pickands_from_astar(astar, alpha, t):
     """Recover the base Pickands function: A(t) = Astar(t^alpha / |t^alpha|_1).
 
     `astar` is a PickandsModel, or a callable on simplex points (use a
-    callable built from exact transforms for round-trip identities; use a
-    GridCurve for estimated curves, which introduces interpolation error).
+    callable built from exact transforms for round-trip identities).
     """
     if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"scaling index must be in (0,1), got {alpha!r}")
@@ -485,12 +414,6 @@ class LimitLawQ:
             raise DomainError(
                 f"need {self.base.dim} margins for the base model, got {len(self.margins)}"
             )
-
-    @property
-    def branch(self):
-        if self.size_branch == "gumbel":
-            return "gumbel"
-        return "frechet-heavy" if self.alpha <= 1.0 else "frechet-light"
 
     def neg_log_g(self, x):
         """-ln G(x) of the base max-stable law."""

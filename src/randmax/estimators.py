@@ -41,24 +41,17 @@ import numpy as np
 from .depcore import astar_points, edge_grid, edge_points
 from .errors import DomainError, EstimationError
 from .specfun import ln_gamma, regularized_lower_gamma
-from .samplers import PairedSample, write_text
+from .samplers import write_text
 
 __all__ = [
     "EULER_MASCHERONI",
-    "EmpiricalMargins",
     "pseudo_uniforms",
-    "pickands_angles",
-    "pickands_p",
-    "pickands_cfg",
-    "pickands_md",
-    "madogram_nu",
     "pickands_points",
     "pickands_curve_raw",
     "endpoint_correct",
     "gpwm_alpha",
     "gpwm_weights",
     "ml_alpha",
-    "ml_score",
     "invert_curve",
     "EstimatorPair",
     "CompositeConfig",
@@ -71,33 +64,6 @@ EULER_MASCHERONI = 0.5772156649015329
 
 PICK_ESTIMATORS = ("P", "CFG", "MD")
 ALPHA_ESTIMATORS = ("GPWM", "ML")
-
-
-@dataclass(frozen=True)
-class EmpiricalMargins:
-    """Rank-based marginal step functions of a paired sample.
-
-    eta_sorted holds each eta column sorted ascending; xi_sorted the sorted
-    xi column. The per-column empirical CDF takes values in {0, 1/n, ..., 1}
-    and is right-continuous.
-    """
-
-    eta_sorted: np.ndarray
-    xi_sorted: np.ndarray
-
-    @classmethod
-    def from_sample(cls, sample):
-        return cls(np.sort(sample.eta, axis=0), np.sort(sample.xi))
-
-    @property
-    def n(self):
-        return self.eta_sorted.shape[0]
-
-    def eta_cdf(self, j, x):
-        return np.searchsorted(self.eta_sorted[:, j], x, side="right") / self.n
-
-    def xi_cdf(self, x):
-        return np.searchsorted(self.xi_sorted, x, side="right") / self.n
 
 
 def _ranks(eta):
@@ -114,68 +80,6 @@ def pseudo_uniforms(eta):
     """Per-column pseudo-uniforms rank/(n+1) (max rank under ties)."""
     eta = np.asarray(eta, dtype=float)
     return _ranks(eta) / (eta.shape[0] + 1.0)
-
-
-def _point_args(sample_or_u, t):
-    """Validated (u, t): the (n, d) pseudo-uniforms and one length-d simplex point."""
-    if isinstance(sample_or_u, PairedSample):
-        u = pseudo_uniforms(sample_or_u.eta)
-    else:
-        u = np.asarray(sample_or_u, dtype=float)
-        if u.ndim != 2 or u.shape[0] < 2:
-            raise DomainError("need an (n, d) matrix of pseudo-uniform values with n >= 2")
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
-            raise DomainError("pseudo-uniform values must lie strictly inside (0, 1)")
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.size != u.shape[1]:
-        raise DomainError("simplex point dimension must match the data")
-    return u, t
-
-
-def _point_terms(u, t, pick):
-    """Per-row kernel terms (n,) at the one simplex point t (see _rank_terms)."""
-    return _rank_terms(_level_tables(u, t[:, np.newaxis], pick), None, pick)[:, 0]
-
-
-def pickands_angles(sample_or_u, t):
-    """Per-row pseudo-angles theta_i(t); coordinates with t_j = 0 are skipped."""
-    u, t = _point_args(sample_or_u, t)
-    return _point_terms(u, t, "P")
-
-
-def pickands_p(sample_or_u, t):
-    """Min-projection estimate 1 / mean(theta) of the dependence at t."""
-    u, t = _point_args(sample_or_u, t)
-    return float(pickands_points(u, t[np.newaxis, :], "P")[0][0])
-
-
-def pickands_cfg(sample_or_u, t):
-    """Log-mean estimate exp(-mean ln theta - EulerGamma) of the dependence at t."""
-    u, t = _point_args(sample_or_u, t)
-    return float(pickands_points(u, t[np.newaxis, :], "CFG")[0][0])
-
-
-def madogram_nu(sample_or_u, t):
-    """First-order madogram of powered pseudo-uniforms at t,
-
-        nu(t) = mean_i [ max_j u_ij^(1/t_j) - (1/d) sum_j u_ij^(1/t_j) ],
-
-    with u^(1/0) = 0 for u in (0, 1)."""
-    u, t = _point_args(sample_or_u, t)
-    return float(np.mean(_point_terms(u, t, "MD")))
-
-
-def pickands_md(sample_or_u, t, dim_factor=True):
-    """Madogram estimate (nu + c) / (1 - nu - c) of the dependence at t.
-
-    dim_factor selects the normalizer c(t) = (1/d) sum t_j / (1 + t_j); the
-    variant without 1/d is kept for comparison but fails the complete
-    dependence and independence population identities for d >= 2.
-    """
-    u, t = _point_args(sample_or_u, t)
-    if dim_factor:
-        return float(pickands_points(u, t[np.newaxis, :], "MD")[0][0])
-    return float(_madogram_ratio(madogram_nu(u, t), np.sum(t / (1.0 + t)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +326,13 @@ def _ml_log_excess(xi):
 
 
 def _ml_profile_score(alpha, d, mean_d, with_deriv=False):
-    """Profile score at shape alpha from the log-excess d (and its mean);
+    """Mean profile score of the two-parameter Frechet likelihood at shape a,
+
+        1/a - mean(ln x) + sum(x^-a ln x) / sum(x^-a),
+
+    from the log-excess d (and its mean): the derivative per observation of
+    the log-likelihood once the scale is profiled out through
+    sigma^a = n / sum(x^-a). It is strictly decreasing in the shape;
     with_deriv also returns its derivative -1/a^2 - (weighted variance of d)."""
     wts = np.exp(-alpha * d)
     total = wts.sum()
@@ -434,18 +344,6 @@ def _ml_profile_score(alpha, d, mean_d, with_deriv=False):
     return score, -1.0 / alpha**2 - (m2 - m1 * m1)
 
 
-def ml_score(alpha, xi):
-    """Mean profile score of the two-parameter Frechet likelihood at shape a,
-
-        1/a - mean(ln x) + sum(x^-a ln x) / sum(x^-a),
-
-    the derivative per observation of the log-likelihood once the scale is
-    profiled out through sigma^a = n / sum(x^-a). It is scale-free and
-    strictly decreasing in the shape."""
-    d = _ml_log_excess(xi)
-    return _ml_profile_score(alpha, d, float(d.mean()))
-
-
 _ML_BRACKET = (1e-3, 50.0)
 
 
@@ -454,7 +352,7 @@ def ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
 
     The Frechet law with shape a and scale sigma is fitted jointly; for a
     fixed shape the scale maximizing the likelihood is sigma^a = n/sum(x^-a),
-    so the shape is the root of the profile score (see ml_score) and the
+    so the shape is the root of the profile score (see _ml_profile_score) and the
     estimate is invariant under rescaling xi. The root is found by Newton
     iteration safeguarded with bisection on the bracket [1e-3, 50], started
     from the GPWM estimate; the returned root satisfies |mean score| <= 1e-10.
@@ -499,7 +397,7 @@ def ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
         s, ds = _ml_profile_score(a, d, mean_d, with_deriv=True)
     if abs(s) > 1e-10:
         raise EstimationError(f"score iteration stalled at |score| = {abs(s)!r}", stage="ML")
-    return a
+    return float(a)
 
 
 # ---------------------------------------------------------------------------

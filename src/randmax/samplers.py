@@ -4,8 +4,7 @@ Provides positive alpha-stable variates, max-stable vectors with logistic
 dependence, the random-scaling construction eta = S * Z together with its
 row maximum xi (pipeline 1), and the domain-of-attraction pipeline that
 takes componentwise maxima of bivariate Student-t blocks with heavy-tailed
-Pareto block sizes (pipeline 2). A Poisson-point-process construction of the
-scaled law is included as a distributional cross-check of the S * Z route.
+Pareto block sizes (pipeline 2).
 
 All samplers draw from a counter-based Philox generator keyed by
 (seed, stream_id), so a given RngStream reproduces the same sequence on any
@@ -29,7 +28,6 @@ __all__ = [
     "sample_pareto_block_size",
     "sample_bivariate_t",
     "sample_experiment2",
-    "sample_spectral_scaled",
 ]
 
 _U64 = (1 << 64) - 1
@@ -337,40 +335,3 @@ def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
         "inner_size": int(n_prime),
     }
     return PairedSample(eta, sizes.max(axis=1), meta)
-
-
-def sample_spectral_scaled(alpha, rng, size, base_psi=1.0, eps=1e-6, max_terms=1 << 21):
-    """Alpha-scaled max-stable vectors via the Poisson spectral construction.
-
-    R = Gamma(1-alpha)^(-1/alpha) * max_i P_i Z_i componentwise, where
-    P_1 > P_2 > ... are the points of a Poisson process on (0, inf) with
-    intensity alpha r^-(alpha+1) dr (P_i = T_i^(-1/alpha) for standard
-    arrival times T_i) and Z_i are iid logistic(base_psi) vectors with
-    unit-Frechet margins; the exponent makes the margins exactly unit
-    alpha-Frechet, since -ln P(max_i P_i Z_i <= v) = E max_j (Z_j / v_j)^alpha.
-    The series is truncated once the next point falls below eps times the
-    smaller running maximum, after which additional terms change the result
-    with exponentially small probability. Used as an independent
-    distributional oracle for the direct S * Z construction.
-    """
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"scaling index must be in (0,1), got {alpha!r}")
-    gen = _gen(rng)
-    k = int(size)
-    block = 256
-    offset = np.zeros(k)
-    m = np.zeros((k, 2))
-    drawn = 0
-    while True:
-        e = gen.standard_exponential((k, block))
-        arrivals = offset[:, np.newaxis] + np.cumsum(e, axis=1)
-        offset = arrivals[:, -1]
-        points = arrivals ** (-1.0 / alpha)
-        z = sample_logistic_maxstable(base_psi, 2, gen, k * block).reshape(k, block, 2)
-        m = np.maximum(m, (points[:, :, np.newaxis] * z).max(axis=1))
-        drawn += block
-        if np.all(points[:, -1] < eps * m.min(axis=1)) or drawn >= max_terms:
-            break
-    from .specfun import ln_gamma
-
-    return m * np.exp(-ln_gamma(1.0 - alpha) / alpha)

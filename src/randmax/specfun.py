@@ -1,12 +1,10 @@
 """Special-function kernel used by the dependence core and the estimators.
 
 Everything here is a thin, domain-checked layer over scipy.special: the gamma
-family, the logarithmic integral li(x) = Ei(ln x), the Student-t CDF via the
-regularized incomplete beta, and the Frechet distribution. All functions are
-pure and accept scalars or numpy arrays; scalar input gives scalar output.
+family, the logarithmic integral li(x) = Ei(ln x) and the Student-t CDF via
+the regularized incomplete beta. All functions are pure and accept scalars
+or numpy arrays; scalar input gives scalar output.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -20,8 +18,6 @@ __all__ = [
     "exp_integral_e1",
     "log_integral",
     "student_t_cdf",
-    "normal_cdf",
-    "FrechetLaw",
 ]
 
 
@@ -113,53 +109,3 @@ def student_t_cdf(x, nu):
     half_tail = 0.5 * _sp.betainc(0.5 * nu, 0.5, z)
     out = np.where(a >= 0.0, 1.0 - half_tail, half_tail)
     return _maybe_scalar(out, scalar)
-
-
-def normal_cdf(x):
-    """Standard normal CDF (limit of student_t_cdf as nu -> inf)."""
-    scalar = np.isscalar(x)
-    a = np.asarray(x, dtype=float)
-    out = 0.5 * (1.0 + _sp.erf(a / np.sqrt(2.0)))
-    return _maybe_scalar(out, scalar)
-
-
-@dataclass(frozen=True)
-class FrechetLaw:
-    """Frechet distribution F(x) = exp(-(x/scale)^-alpha) on x > 0."""
-
-    alpha: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise DomainError(f"FrechetLaw requires alpha > 0, got {self.alpha!r}")
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"FrechetLaw requires scale > 0, got {self.scale!r}")
-
-    def cdf(self, x):
-        scalar = np.isscalar(x)
-        a = np.asarray(x, dtype=float)
-        if np.any(~np.isfinite(a) & ~np.isposinf(a)) or np.any(a <= 0.0):
-            raise DomainError(f"Frechet cdf requires x > 0, got {x!r}")
-        return _maybe_scalar(np.exp(-((a / self.scale) ** -self.alpha)), scalar)
-
-    def quantile(self, v):
-        scalar = np.isscalar(v)
-        a = np.asarray(v, dtype=float)
-        if np.any(~np.isfinite(a)) or np.any(a <= 0.0) or np.any(a >= 1.0):
-            raise DomainError(f"Frechet quantile requires v in (0,1), got {v!r}")
-        return _maybe_scalar(self.scale * (-np.log(a)) ** (-1.0 / self.alpha), scalar)
-
-    def logpdf(self, x):
-        scalar = np.isscalar(x)
-        a = np.asarray(x, dtype=float)
-        if np.any(~np.isfinite(a)) or np.any(a <= 0.0):
-            raise DomainError(f"Frechet logpdf requires finite x > 0, got {x!r}")
-        z = a / self.scale
-        out = (
-            np.log(self.alpha)
-            - np.log(self.scale)
-            - (self.alpha + 1.0) * np.log(z)
-            - z**-self.alpha
-        )
-        return _maybe_scalar(out, scalar)

@@ -1,0 +1,128 @@
+"""Reference implementations the tests compare the package against.
+
+None of this is part of randmax: a Frechet law for quantile grids, the
+per-row terms of the rank-based curve estimators computed straight from
+their formulas, and a Poisson spectral sampler of the alpha-scaled law that
+is independent of the S * Z construction the package samples with.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from randmax.errors import DomainError
+from randmax.samplers import sample_logistic_maxstable
+from randmax.specfun import ln_gamma
+
+
+@dataclass(frozen=True)
+class FrechetLaw:
+    """Frechet distribution F(x) = exp(-(x/scale)^-alpha) on x > 0."""
+
+    alpha: float
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            raise DomainError(f"FrechetLaw requires alpha > 0, got {self.alpha!r}")
+        if not (np.isfinite(self.scale) and self.scale > 0.0):
+            raise DomainError(f"FrechetLaw requires scale > 0, got {self.scale!r}")
+
+    def cdf(self, x):
+        scalar = np.isscalar(x)
+        a = np.asarray(x, dtype=float)
+        if np.any(~np.isfinite(a) & ~np.isposinf(a)) or np.any(a <= 0.0):
+            raise DomainError(f"Frechet cdf requires x > 0, got {x!r}")
+        out = np.exp(-((a / self.scale) ** -self.alpha))
+        return float(out) if scalar else out
+
+    def quantile(self, v):
+        scalar = np.isscalar(v)
+        a = np.asarray(v, dtype=float)
+        if np.any(~np.isfinite(a)) or np.any(a <= 0.0) or np.any(a >= 1.0):
+            raise DomainError(f"Frechet quantile requires v in (0,1), got {v!r}")
+        out = self.scale * (-np.log(a)) ** (-1.0 / self.alpha)
+        return float(out) if scalar else out
+
+    def logpdf(self, x):
+        scalar = np.isscalar(x)
+        a = np.asarray(x, dtype=float)
+        if np.any(~np.isfinite(a)) or np.any(a <= 0.0):
+            raise DomainError(f"Frechet logpdf requires finite x > 0, got {x!r}")
+        z = a / self.scale
+        out = (
+            np.log(self.alpha)
+            - np.log(self.scale)
+            - (self.alpha + 1.0) * np.log(z)
+            - z**-self.alpha
+        )
+        return float(out) if scalar else out
+
+
+def oracle_row_terms(data, coords, pick):
+    """Reference per-row terms (n, k) computed directly from the data: data
+    is -ln u for P and CFG (terms min_j data_ij / t_j) and u for MD (terms
+    max_j v_ij - (1/d) sum_j v_ij with v_ij = u_ij^(1/t_j))."""
+    acc = total = None
+    with np.errstate(divide="ignore"):
+        for j, tj in enumerate(coords):
+            col = data[:, j : j + 1]
+            if pick == "MD":
+                term = col ** np.where(tj > 0.0, 1.0 / tj, np.inf)
+            else:
+                term = col / tj
+            if acc is None:
+                acc = total = term
+            elif pick == "MD":
+                acc = np.maximum(acc, term)
+                total = total + term
+            else:
+                acc = np.minimum(acc, term)
+    if pick == "MD":
+        total /= len(coords)
+        acc -= total
+    return acc
+
+
+def pseudo_angles(u, t):
+    """Per-row pseudo-angles theta_i(t) = min_{j: t_j > 0} -(1/t_j) ln u_ij."""
+    return oracle_row_terms(-np.log(u), np.asarray(t, dtype=float)[:, np.newaxis], "P")[:, 0]
+
+
+def madogram_nu(u, t):
+    """First-order madogram mean_i [max_j u_ij^(1/t_j) - (1/d) sum_j u_ij^(1/t_j)],
+    with u^(1/0) = 0 for u in (0, 1)."""
+    return float(np.mean(oracle_row_terms(u, np.asarray(t, dtype=float)[:, np.newaxis], "MD")))
+
+
+def sample_spectral_scaled(alpha, rng, size, base_psi=1.0, eps=1e-6, max_terms=1 << 21):
+    """Alpha-scaled max-stable vectors via the Poisson spectral construction.
+
+    R = Gamma(1-alpha)^(-1/alpha) * max_i P_i Z_i componentwise, where
+    P_1 > P_2 > ... are the points of a Poisson process on (0, inf) with
+    intensity alpha r^-(alpha+1) dr (P_i = T_i^(-1/alpha) for standard
+    arrival times T_i) and Z_i are iid logistic(base_psi) vectors with
+    unit-Frechet margins; the exponent makes the margins exactly unit
+    alpha-Frechet, since -ln P(max_i P_i Z_i <= v) = E max_j (Z_j / v_j)^alpha.
+    rng is an RngStream. Terms are drawn in blocks for the rows still
+    running. A row stops once its next point falls below eps times its
+    smaller running maximum, after which additional terms change it with
+    exponentially small probability, or after max_terms terms.
+    """
+    gen = rng.generator()
+    block = 256
+    offset = np.zeros(size)
+    m = np.zeros((size, 2))
+    active = np.arange(size)
+    drawn = 0
+    while active.size and drawn < max_terms:
+        k = active.size
+        steps = gen.standard_exponential((k, block))
+        arrivals = offset[active, np.newaxis] + np.cumsum(steps, axis=1)
+        offset[active] = arrivals[:, -1]
+        points = arrivals ** (-1.0 / alpha)
+        z = sample_logistic_maxstable(base_psi, 2, gen, k * block).reshape(k, block, 2)
+        m[active] = np.maximum(m[active], (points[:, :, np.newaxis] * z).max(axis=1))
+        drawn += block
+        active = active[points[:, -1] >= eps * m[active].min(axis=1)]
+    return m * np.exp(-ln_gamma(1.0 - alpha) / alpha)

@@ -23,7 +23,7 @@ from randmax.depcore import (
     Independence,
     LimitLawQ,
     Logistic,
-    astar_transform,
+    astar_points,
     edge_grid,
     edge_points,
     extremal_coefficient,
@@ -39,10 +39,8 @@ from randmax.estimators import (
     estimate_alpha,
     fit_pairs,
     invert_curve,
-    madogram_nu,
-    pickands_angles,
     pickands_curve_raw,
-    pickands_md,
+    pickands_points,
     pseudo_uniforms,
 )
 from randmax.harness import (
@@ -62,9 +60,10 @@ from randmax.samplers import (
     sample_experiment1,
     sample_logistic_maxstable,
     sample_positive_stable,
-    sample_spectral_scaled,
 )
 from randmax.specfun import student_t_cdf
+
+from oracles import madogram_nu, pseudo_angles, sample_spectral_scaled
 
 SCALE_INDICES = (0.5, 0.633, 0.767, 0.9)
 MASTER_SEED = 20260811
@@ -86,7 +85,7 @@ def test_criterion_01_transform_identities():
     for alpha in SCALE_INDICES:
         for base in bases:
             scaled = AlphaScaled(base, alpha)
-            astar = lambda s, m=scaled, a=alpha: astar_transform(m, a, s)
+            astar = lambda s, m=scaled, a=alpha: astar_points(m.values(s), s, a)[0]
             back = np.array([pickands_from_astar(astar, alpha, t) for t in pts])
             worst_round = max(worst_round, float(np.max(np.abs(back - base.values(pts)))))
     worst_closure = 0.0
@@ -324,7 +323,7 @@ def test_criterion_07_population_oracles():
     worst = 0.0
     for t in (np.array([0.5, 0.5]), np.array([0.3, 0.7])):
         a = scaled.pickands(t)
-        angles = pickands_angles(uniforms, t)
+        angles = pseudo_angles(uniforms, t)
         se = angles.std(ddof=1) / np.sqrt(angles.size)
         worst = max(worst, abs(angles.mean() - 1.0 / a) / se)
         logs = np.log(angles)
@@ -335,14 +334,14 @@ def test_criterion_07_population_oracles():
     dep = np.column_stack([col, col])
     t = np.array([0.5, 0.5])
     nu_dep = madogram_nu(dep, t)
-    md_dep = pickands_md(dep, t)
+    md_dep = float(pickands_points(dep, t[np.newaxis, :], "MD")[0][0])
     indep = gen.random((100_000, 2))
     powered = np.maximum(indep[:, 0], indep[:, 1]) ** 2.0 - 0.5 * (
         indep[:, 0] ** 2.0 + indep[:, 1] ** 2.0
     )
     se_nu = powered.std(ddof=1) / np.sqrt(powered.size)
     nu_dev = abs(madogram_nu(indep, t) - 1.0 / 6.0) / se_nu
-    md_indep = pickands_md(indep, t)
+    md_indep = float(pickands_points(indep, t[np.newaxis, :], "MD")[0][0])
     ok = (
         worst <= 3.0
         and nu_dep == 0.0

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import randmax
-from randmax.depcore import AlphaScaled, Logistic, extremal_coefficient
+from randmax import cli
+from randmax.depcore import AlphaScaled, GevMargin, LimitLawQ, Logistic, extremal_coefficient
+from randmax.samplers import RngStream, sample_experiment1
 
 # the CLI runs from the same source tree the tests import
 _CLI_ENV = dict(
@@ -23,6 +25,12 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "randmax", *args], capture_output=True, text=True, env=_CLI_ENV
     )
+
+
+def run_in_process(capsys, *args):
+    """Run the CLI in this process; returns (exit code, stderr)."""
+    code = cli.main(list(args))
+    return code, capsys.readouterr().err
 
 
 def write_config(path, payload):
@@ -107,8 +115,6 @@ class TestSampleCommand:
         assert key in r.stderr
 
     def test_build_description_runs_git_once(self, workspace, monkeypatch):
-        from randmax import cli
-
         calls = []
 
         def fake_run(*args, **kwargs):
@@ -152,6 +158,26 @@ class TestEstimateCommand:
             assert len(lines) == 42
             assert lines[0].startswith("t,A_alpha_hat,A_star_hat,A_hat,alpha_hat")
 
+    def test_ml_sidecar_holds_plain_numbers(self, workspace, capsys):
+        # the sidecar must read back as numbers, not as a NumPy repr
+        cfg = write_config(
+            workspace / "c.json", {"estimate": {"pairs": [{"pick": "CFG", "alpha": "ML"}]}}
+        )
+        sample = workspace / "sample.csv"
+        sample_experiment1(0.5, 0.5, 400, RngStream(42)).to_csv(sample)
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
+            "--input", str(sample),
+        )
+        assert code == 0, err
+        meta_text = (workspace / "e" / "estimate_CFG-ML.csv.meta").read_text()
+        meta = dict(line.split("=", 1) for line in meta_text.splitlines())
+        row = (workspace / "e" / "estimate_CFG-ML.csv").read_text().split("\n")[1].split(",")
+        assert meta["alpha_clamped"] == "0"
+        for key in ("alpha_hat", "alpha_raw"):
+            assert meta[key] == repr(float(meta[key]))
+            assert float(meta[key]) == float(row[4])
+
     def test_missing_xi_column(self, workspace):
         cfg, _ = self._sampled(workspace)
         bad = workspace / "bad.csv"
@@ -180,25 +206,51 @@ class TestEstimateCommand:
 
 
 class TestEvalCommand:
-    def test_summary_values(self, workspace):
+    @pytest.mark.parametrize(
+        "alpha, size_branch, branch",
+        [
+            pytest.param(0.5, "frechet", "frechet_heavy", id="frechet_heavy"),
+            pytest.param(1.0, "frechet", "frechet_unit", id="frechet_unit"),
+            pytest.param(1.5, "frechet", "frechet_light", id="frechet_light"),
+            pytest.param(0.5, "gumbel", "gumbel", id="gumbel"),
+        ],
+    )
+    def test_summary_values(self, workspace, capsys, alpha, size_branch, branch):
+        # the implied branch names the theta_Q row
         cfg = write_config(
             workspace / "c.json",
             {
                 "eval": {
                     "model": {"family": "logistic", "psi": 0.5},
-                    "alpha": 1.5,
+                    "alpha": alpha,
+                    "size_branch": size_branch,
                     "grid_size": 21,
                 }
             },
         )
-        r = run_cli("eval", "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 0, r.stderr
+        code, err = run_in_process(capsys, "eval", "--config", cfg, "--out", str(workspace / "o"))
+        assert code == 0, err
         rows = dict(
             line.split(",")
             for line in (workspace / "o" / "eval_summary.csv").read_text().strip().split("\n")[1:]
         )
         assert float(rows["theta_G"]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-        assert float(rows["theta_Q_frechet_light"]) == pytest.approx(2.41421356, abs=1e-8)
+        margins = (GevMargin("frechet"), GevMargin("frechet"))
+        law = LimitLawQ(Logistic(0.5), margins, alpha, size_branch)
+        assert [key for key in rows if key.startswith("theta_Q_")] == [f"theta_Q_{branch}"]
+        assert float(rows[f"theta_Q_{branch}"]) == pytest.approx(law.theta(), rel=1e-12)
+        if branch == "frechet_light":
+            assert float(rows["theta_Q_frechet_light"]) == pytest.approx(2.41421356, abs=1e-8)
+
+    @pytest.mark.parametrize("key, value", [("tail_z", [[1.0, 0.0]]), ("lambda_mn", [0.5])])
+    def test_heavy_tail_keys_need_alpha_below_one(self, workspace, capsys, key, value):
+        # the outputs of these keys exist only for alpha in (0, 1)
+        block = {"model": {"family": "logistic", "psi": 0.5}, "alpha": 1.5, key: value}
+        cfg = write_config(workspace / "c.json", {"eval": block})
+        code, err = run_in_process(capsys, "eval", "--config", cfg, "--out", str(workspace / "o"))
+        assert code == 2
+        assert f"$.eval.{key}" in err
+        assert not (workspace / "o").exists()
 
     def test_heavy_branch_tables(self, workspace):
         cfg = write_config(

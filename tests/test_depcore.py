@@ -5,19 +5,15 @@ from randmax.depcore import (
     AlphaScaled,
     ExtremalT,
     GevMargin,
-    GridCurve,
     Independence,
     LimitLawQ,
     Logistic,
     astar_points,
-    astar_transform,
-    astar_transform_flagged,
     edge_grid,
     edge_points,
     extremal_coefficient,
     lambda_from_theta,
     lambda_inverse_link,
-    logistic_norm,
     pickands_from_astar,
     stable_tail,
     tail_prob_approx,
@@ -41,21 +37,28 @@ def _models_d2():
     ]
 
 
+def _astar(model, alpha, t):
+    """The inverse scaling transform of model's curve at one simplex point t."""
+    t = np.asarray(t, dtype=float)
+    return float(astar_points(model.values(t), t, alpha)[0])
+
+
 class TestLogisticNorm:
+    # |t|_a = (sum_j t_j^(1/a))^a is the symmetric logistic Pickands function
     def test_vertex(self):
-        assert logistic_norm([1.0, 0.0], 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert Logistic(0.5).pickands([1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_barycenter_d2(self):
-        assert logistic_norm([0.5, 0.5], 0.5) == pytest.approx(np.sqrt(0.5), rel=1e-14)
+        assert Logistic(0.5).pickands([0.5, 0.5]) == pytest.approx(np.sqrt(0.5), rel=1e-14)
 
     def test_sum_norm_is_one(self):
-        assert logistic_norm([0.5, 0.5], 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert Logistic(1.0).pickands([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
     def test_barycenter_general_dim(self, d, alpha):
         t = np.full(d, 1.0 / d)
-        assert logistic_norm(t, alpha) == pytest.approx(d ** (alpha - 1.0), rel=1e-13)
+        assert Logistic(alpha, dim=d).pickands(t) == pytest.approx(d ** (alpha - 1.0), rel=1e-13)
 
 
 class TestPickandsEvaluation:
@@ -139,25 +142,25 @@ class TestStableTail:
 class TestTransforms:
     def test_astar_recovers_base_at_barycenter(self):
         scaled = AlphaScaled(Logistic(0.5), 0.5)
-        val = astar_transform(scaled, 0.5, [0.5, 0.5])
+        val = _astar(scaled, 0.5, [0.5, 0.5])
         assert val == pytest.approx(2.0**-0.5, rel=1e-13)
 
     def test_vertex(self):
         scaled = AlphaScaled(Logistic(0.5), 0.5)
-        assert astar_transform(scaled, 0.5, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+        assert _astar(scaled, 0.5, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
         assert pickands_from_astar(lambda s: 1.0, 0.5, [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_independence_cancellation(self):
         scaled = AlphaScaled(Independence(), 0.7)
         for w in (0.1, 0.33, 0.5, 0.9):
-            assert astar_transform(scaled, 0.7, [1.0 - w, w]) == pytest.approx(1.0, abs=1e-13)
+            assert _astar(scaled, 0.7, [1.0 - w, w]) == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("alpha", ALL_ALPHAS)
     def test_round_trip_identity(self, alpha):
         # build the scaled curve, invert it exactly, reparametrize back
         for base in (Logistic(0.2), Logistic(0.8), Independence(), ExtremalT(0.4, 2.0)):
             scaled = AlphaScaled(base, alpha)
-            astar = lambda s: astar_transform(scaled, alpha, s)
+            astar = lambda s: _astar(scaled, alpha, s)
             pts = edge_points(edge_grid(201))
             back = np.array([pickands_from_astar(astar, alpha, t) for t in pts])
             assert np.max(np.abs(back - base.values(pts))) < 1e-12
@@ -187,20 +190,14 @@ class TestTransforms:
 
     def test_clamp_flags_noisy_curve(self):
         # a curve pushed below the admissible envelope must be clamped and flagged
-        w = edge_grid(11)
-        bad = GridCurve(np.full(11, 0.45))
-        val, flagged = astar_transform_flagged(bad, 0.5, [0.4, 0.6])
+        point = np.array([0.4, 0.6])
+        val, flagged = astar_points(0.45, point, 0.5)
         assert flagged
-        t = np.array([0.4, 0.6]) ** 2.0
+        t = point**2.0
         assert val == pytest.approx(float(t.max() / t.sum()), rel=1e-12)
         exact = AlphaScaled(Logistic(0.5), 0.5)
-        _, flag = astar_transform_flagged(exact, 0.5, [0.4, 0.6])
+        _, flag = astar_points(exact.values(point), point, 0.5)
         assert not flag
-
-    def test_grid_curve_interpolation(self):
-        w = edge_grid(5)
-        curve = GridCurve(np.array([1.0, 0.9, 0.8, 0.9, 1.0]))
-        assert curve.pickands([0.875, 0.125]) == pytest.approx(0.95, rel=1e-12)
 
 
 class TestCoefficients:
@@ -284,12 +281,6 @@ def _unit_frechet_law(base, alpha, branch="frechet"):
 
 
 class TestLimitLawQ:
-    def test_branch_labels(self):
-        assert _unit_frechet_law(Logistic(0.5), 0.5).branch == "frechet-heavy"
-        assert _unit_frechet_law(Logistic(0.5), 1.0).branch == "frechet-heavy"
-        assert _unit_frechet_law(Logistic(0.5), 2.0).branch == "frechet-light"
-        assert _unit_frechet_law(Logistic(0.5), 0.5, "gumbel").branch == "gumbel"
-
     def test_gumbel_tail_limit(self):
         law = _unit_frechet_law(Logistic(0.5), 0.7, "gumbel")
         x = np.array([1.0, 2.0])

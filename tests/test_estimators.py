@@ -11,7 +11,6 @@ from randmax.estimators import (
     EULER_MASCHERONI,
     CompositeConfig,
     CurveEstimate,
-    EmpiricalMargins,
     EstimatorPair,
     clamp_alpha,
     composite_estimate,
@@ -21,20 +20,21 @@ from randmax.estimators import (
     gpwm_alpha,
     gpwm_weights,
     invert_curve,
-    madogram_nu,
     ml_alpha,
-    ml_score,
-    pickands_angles,
-    pickands_cfg,
     pickands_curve_raw,
-    pickands_md,
-    pickands_p,
     pickands_points,
     pseudo_uniforms,
 )
 from randmax.harness import Combo, truth_curve
 from randmax.samplers import RngStream, sample_experiment1
-from randmax.specfun import FrechetLaw, ln_gamma, regularized_lower_gamma
+from randmax.specfun import ln_gamma, regularized_lower_gamma
+
+from oracles import FrechetLaw, madogram_nu, oracle_row_terms, pseudo_angles
+
+
+def _at_point(u, t, pick):
+    """Raw estimate of one rank-based estimator at the one simplex point t."""
+    return float(pickands_points(u, t[np.newaxis, :], pick)[0][0])
 
 
 def _mc_check(values, target, factor=3.0):
@@ -42,20 +42,6 @@ def _mc_check(values, target, factor=3.0):
     assert abs(values.mean() - target) <= factor * se, (
         f"mean {values.mean()} vs target {target} (se {se})"
     )
-
-
-class TestEmpiricalMargins:
-    def test_step_function_values(self):
-        s = sample_experiment1(0.5, 0.5, 40, RngStream(10, 1))
-        em = EmpiricalMargins.from_sample(s)
-        grid = np.linspace(0.0, s.eta[:, 0].max() * 1.5, 200)
-        vals = em.eta_cdf(0, grid)
-        assert np.all(np.isin(np.round(vals * em.n), np.arange(em.n + 1)))
-        assert np.all(np.diff(vals) >= 0.0)
-        # right-continuity: value at a sample point includes it
-        x0 = s.eta[0, 0]
-        assert em.eta_cdf(0, x0) == em.eta_cdf(0, x0 + 1e-12)
-        assert em.xi_cdf(s.xi.max()) == 1.0
 
 
 class TestPseudoUniforms:
@@ -74,7 +60,7 @@ class TestAngles:
     def test_vertex_single_term(self):
         s = sample_experiment1(0.5, 0.5, 100, RngStream(10, 2))
         u = pseudo_uniforms(s.eta)
-        th = pickands_angles(u, np.array([1.0, 0.0]))
+        th = pseudo_angles(u, np.array([1.0, 0.0]))
         assert np.allclose(th, -np.log(u[:, 0]))
 
     def test_exponential_angle_identities(self):
@@ -84,7 +70,7 @@ class TestAngles:
         scaled = AlphaScaled(Logistic(0.5), 0.5)
         for t in (np.array([0.5, 0.5]), np.array([0.3, 0.7])):
             a = scaled.pickands(t)
-            th = pickands_angles(u, t)
+            th = pseudo_angles(u, t)
             _mc_check(th, 1.0 / a)
             _mc_check(np.log(th), -np.log(a) - EULER_MASCHERONI)
 
@@ -94,15 +80,15 @@ class TestAngles:
         col = gen.random(n)
         u = pseudo_uniforms(np.column_stack([col, col]))
         t = np.array([0.5, 0.5])
-        assert pickands_p(u, t) == pytest.approx(0.5, abs=5.0 / n * 10)
-        assert pickands_cfg(u, t) == pytest.approx(0.5, abs=5.0 / n * 10)
+        assert _at_point(u, t, "P") == pytest.approx(0.5, abs=5.0 / n * 10)
+        assert _at_point(u, t, "CFG") == pytest.approx(0.5, abs=5.0 / n * 10)
 
     def test_independence_population_value(self):
         gen = RngStream(10, 5).generator()
         u = pseudo_uniforms(gen.random((10_000, 2)))
         t = np.array([0.5, 0.5])
-        assert abs(pickands_p(u, t) - 1.0) < 0.03
-        assert abs(pickands_cfg(u, t) - 1.0) < 0.03
+        assert abs(_at_point(u, t, "P") - 1.0) < 0.03
+        assert abs(_at_point(u, t, "CFG") - 1.0) < 0.03
 
 
 class TestMadogram:
@@ -112,7 +98,7 @@ class TestMadogram:
         u = np.column_stack([col, col])
         t = np.array([0.5, 0.5])
         assert madogram_nu(u, t) == 0.0  # powered columns coincide row by row
-        assert pickands_md(u, t) == pytest.approx(0.5, abs=1e-12)
+        assert _at_point(u, t, "MD") == pytest.approx(0.5, abs=1e-12)
 
     def test_independence_identity(self):
         gen = RngStream(11, 2).generator()
@@ -121,7 +107,7 @@ class TestMadogram:
         nu = madogram_nu(u, t)
         se = 0.12 / np.sqrt(u.shape[0])
         assert abs(nu - 1.0 / 6.0) < 4.0 * se
-        assert abs(pickands_md(u, t) - 1.0) < 0.02
+        assert abs(_at_point(u, t, "MD") - 1.0) < 0.02
 
     def test_vanishing_weight_drops_column(self):
         gen = RngStream(11, 3).generator()
@@ -131,39 +117,6 @@ class TestMadogram:
         nu_manual = np.mean(u[:, 0] - 0.5 * u[:, 0])
         assert madogram_nu(u, t) == pytest.approx(nu_manual, rel=1e-12)
 
-    def test_dim_factor_variant_fails_population_checks(self):
-        # without the 1/d factor the complete-dependence value is not 1/2
-        gen = RngStream(11, 4).generator()
-        col = gen.random(20_000)
-        u = np.column_stack([col, col])
-        t = np.array([0.5, 0.5])
-        assert abs(pickands_md(u, t, dim_factor=False) - 0.5) > 0.4
-
-
-def _oracle_row_terms(data, coords, pick):
-    """Reference per-row terms (n, k) computed directly from the data: data
-    is -ln u for P and CFG (terms min_j data_ij / t_j) and u for MD (terms
-    max_j v_ij - (1/d) sum_j v_ij with v_ij = u_ij^(1/t_j))."""
-    acc = total = None
-    with np.errstate(divide="ignore"):
-        for j, tj in enumerate(coords):
-            col = data[:, j : j + 1]
-            if pick == "MD":
-                term = col ** np.where(tj > 0.0, 1.0 / tj, np.inf)
-            else:
-                term = col / tj
-            if acc is None:
-                acc = total = term
-            elif pick == "MD":
-                acc = np.maximum(acc, term)
-                total = total + term
-            else:
-                acc = np.minimum(acc, term)
-    if pick == "MD":
-        total /= len(coords)
-        acc -= total
-    return acc
-
 
 def _oracle_points(u, points, pick):
     """Reference raw estimates (values, flags) at k >= 2 simplex points,
@@ -171,10 +124,10 @@ def _oracle_points(u, points, pick):
     coords = np.ascontiguousarray(points.T)
     flags = np.zeros(points.shape[0], dtype=bool)
     if pick == "MD":
-        nu = _oracle_row_terms(u, coords, "MD").mean(axis=0)
+        nu = oracle_row_terms(u, coords, "MD").mean(axis=0)
         c = sum(tj / (1.0 + tj) for tj in coords) / u.shape[1]
         return estimators._madogram_ratio(nu, c)
-    angles = _oracle_row_terms(-np.log(u), coords, "P")
+    angles = oracle_row_terms(-np.log(u), coords, "P")
     if pick == "P":
         return 1.0 / angles.mean(axis=0), flags
     return np.exp(-np.log(angles).mean(axis=0) - EULER_MASCHERONI), flags
@@ -347,7 +300,10 @@ class TestMl:
     def test_score_identity_at_root(self):
         xi = sample_experiment1(0.5, 0.5, 2_000, RngStream(14, 1)).xi
         a = ml_alpha(xi)
-        assert abs(ml_score(a, xi)) < 1e-10
+        # mean profile score 1/a - mean(ln x) + sum(x^-a ln x) / sum(x^-a)
+        lx = np.log(xi)
+        score = 1.0 / a - lx.mean() + np.sum(xi**-a * lx) / np.sum(xi**-a)
+        assert abs(score) < 1e-10
 
     def test_scaled_data_matches_profile_bruteforce(self):
         # scaled data: the root must be the argmax over a fine grid of the

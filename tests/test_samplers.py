@@ -7,6 +7,7 @@ from scipy.stats import t as student_t
 
 from randmax import samplers
 from randmax.errors import DomainError, InputParseError
+from randmax.estimators import pickands_points, pseudo_uniforms
 from randmax.samplers import (
     PairedSample,
     RngStream,
@@ -16,9 +17,10 @@ from randmax.samplers import (
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,
-    sample_spectral_scaled,
 )
 from randmax.specfun import student_t_cdf
+
+from oracles import sample_spectral_scaled
 
 
 def _mc_check(values, target, factor=3.0):
@@ -233,9 +235,8 @@ class TestExperiment2:
 
     def test_near_complete_dependence(self):
         s = sample_experiment2(0.99, 1.0, 0.5, 400, RngStream(6, 3), n_prime=50)
-        from randmax.estimators import pickands_md
-
-        theta_hat = 2.0 * pickands_md(s, np.array([0.5, 0.5]))
+        md, _ = pickands_points(pseudo_uniforms(s.eta), np.array([[0.5, 0.5]]), "MD")
+        theta_hat = 2.0 * md[0]
         assert theta_hat < 1.1
 
     def test_xi_tail_regime(self):
