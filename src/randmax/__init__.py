@@ -50,7 +50,6 @@ from .harness import (
 from .samplers import (
     PairedSample,
     RngStream,
-    sample_bivariate_t,
     sample_experiment1,
     sample_experiment2,
     sample_logistic_maxstable,

@@ -47,7 +47,6 @@ from .errors import (
     DomainError,
     EstimationError,
     InputParseError,
-    RandmaxError,
     RangeLinkError,
 )
 from .estimators import CompositeConfig, fit_pairs
@@ -81,26 +80,19 @@ def _build_description():
 
 
 def _write_text(path, text):
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise _IoFailure(f"cannot write {path}: {exc}") from None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
-class _IoFailure(RandmaxError):
-    pass
-
-
-def _write_sidecar(path, entries):
-    meta = dict(entries)
-    meta["build"] = _build_description()
+def _write_sidecar(path, entries, config_path):
+    """Write <path>.meta: `entries` plus the build and the config file's digest."""
+    meta = dict(
+        entries,
+        build=_build_description(),
+        config_sha256=hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
+    )
     lines = [f"{k}={meta[k]}" for k in sorted(meta)]
     _write_text(Path(str(path) + ".meta"), "\n".join(lines) + "\n")
-
-
-def _config_digest(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _model_from_block(block):
@@ -140,21 +132,15 @@ def cmd_sample(config, args):
         )
     out = Path(args.out) / "sample.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        sample.to_csv(out)
-    except OSError as exc:
-        raise _IoFailure(f"cannot write {out}: {exc}") from None
+    sample.to_csv(out)
     meta = {f"param_{k}": v for k, v in sample.meta.items()}
-    meta.update({"seed": seed, "stream": block.get("stream", 0), "command": "sample",
-                 "config_sha256": _config_digest(args.config)})
-    _write_sidecar(out, meta)
+    meta.update({"seed": seed, "stream": block.get("stream", 0), "command": "sample"})
+    _write_sidecar(out, meta, args.config)
     return EXIT_OK
 
 
 def cmd_estimate(config, args):
     block = require_block(config, "estimate")
-    if args.input is None:
-        raise ConfigError("estimate requires --input <sample csv>", path="$.estimate")
     sample = PairedSample.from_csv(args.input)
     outdir = Path(args.out)
     pairs = pairs_from_block(block)
@@ -167,10 +153,7 @@ def cmd_estimate(config, args):
             raise estimate
         out = outdir / f"estimate_{pair.label}.csv"
         out.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            estimate.to_csv(out)
-        except OSError as exc:
-            raise _IoFailure(f"cannot write {out}: {exc}") from None
+        estimate.to_csv(out)
         _write_sidecar(
             out,
             {
@@ -184,13 +167,10 @@ def cmd_estimate(config, args):
                 "alpha_raw": repr(estimate.alpha_raw),
                 "alpha_clamped": int(estimate.alpha_clamped),
                 "clamped_nodes": estimate.n_clamped,
-                "config_sha256": _config_digest(args.config),
             },
+            args.config,
         )
     return EXIT_OK
-
-
-_BRANCH_NAMES = {"frechet_heavy", "frechet_unit", "frechet_light", "gumbel"}
 
 
 def _implied_branch(size_branch, alpha):
@@ -206,15 +186,6 @@ def cmd_eval(config, args):
     model = _model_from_block(block["model"])
     alpha = block["alpha"]
     size_branch = block.get("size_branch", "frechet")
-    implied = _implied_branch(size_branch, alpha)
-    branches = block.get("branches", [implied])
-    for branch in branches:
-        if branch != implied:
-            raise ConfigError(
-                f"branch {branch!r} is inconsistent with alpha={alpha!r}, "
-                f"size_branch={size_branch!r} (implied branch {implied!r})",
-                path="$.eval.branches",
-            )
     margins = tuple(GevMargin("frechet") for _ in range(model.dim))
     law = LimitLawQ(base=model, margins=margins, alpha=alpha, size_branch=size_branch)
     theta_g = extremal_coefficient(model)
@@ -226,21 +197,15 @@ def cmd_eval(config, args):
         rows.append(("theta_G_alpha", theta_scaled))
         if model.dim == 2:
             rows.append(("lambda_of_G_alpha", lambda_from_theta(theta_scaled)))
-    for branch in branches:
-        rows.append((f"theta_Q_{branch}", law.theta()))
+    rows.append((f"theta_Q_{_implied_branch(size_branch, alpha)}", law.theta()))
+    # the schema admits lambda_mn and tail_z only for alpha in (0, 1)
     for lam in block.get("lambda_mn", []):
-        if 0.0 < alpha < 1.0:
-            rows.append((f"lambda_X_from_lambda_MN_{lam:g}", lambda_inverse_link(lam, alpha)))
+        rows.append((f"lambda_X_from_lambda_MN_{lam:g}", lambda_inverse_link(lam, alpha)))
     outdir = Path(args.out)
     summary = "quantity,value\n" + "".join(f"{k},{repr(float(v))}\n" for k, v in rows)
     _write_text(outdir / "eval_summary.csv", summary)
-    meta = {
-        "command": "eval",
-        "alpha": repr(float(alpha)),
-        "size_branch": size_branch,
-        "config_sha256": _config_digest(args.config),
-    }
-    _write_sidecar(outdir / "eval_summary.csv", meta)
+    meta = {"command": "eval", "alpha": repr(float(alpha)), "size_branch": size_branch}
+    _write_sidecar(outdir / "eval_summary.csv", meta, args.config)
     # dependence curves along the bivariate edge
     if model.dim == 2:
         w = edge_grid(block.get("grid_size", 201))
@@ -258,19 +223,15 @@ def cmd_eval(config, args):
                 f"{repr(float(a_alpha[i]))},{repr(float(a_star[i]))}"
             )
         _write_text(outdir / "eval_curves.csv", "\n".join(lines) + "\n")
-        _write_sidecar(outdir / "eval_curves.csv", meta)
-    if "tail_z" in block and 0.0 < alpha < 1.0:
+        _write_sidecar(outdir / "eval_curves.csv", meta, args.config)
+    if "tail_z" in block:
         n = block.get("tail_n", 100)
         lines = [",".join(f"z_{j + 1}" for j in range(model.dim)) + ",n,tail_prob"]
         for z in block["tail_z"]:
-            if len(z) != model.dim:
-                raise ConfigError(
-                    f"tail_z entries must have dimension {model.dim}", path="$.eval.tail_z"
-                )
             p = tail_prob_approx(model, alpha, np.asarray(z, dtype=float), n)
             lines.append(",".join(repr(float(v)) for v in z) + f",{n},{repr(float(p))}")
         _write_text(outdir / "eval_tailprob.csv", "\n".join(lines) + "\n")
-        _write_sidecar(outdir / "eval_tailprob.csv", meta)
+        _write_sidecar(outdir / "eval_tailprob.csv", meta, args.config)
     return EXIT_OK
 
 
@@ -282,12 +243,8 @@ def _run_sweep(config, args):
     _write_text(outdir / "results.csv", results_csv_text(results))
     _write_sidecar(
         outdir / "results.csv",
-        {
-            "command": args.subcommand,
-            "seed": cfg.seed,
-            "jobs": cfg.jobs,
-            "config_sha256": _config_digest(args.config),
-        },
+        {"command": args.subcommand, "seed": cfg.seed, "jobs": cfg.jobs},
+        args.config,
     )
     _write_text(outdir / "run_report.txt", run_report_text(results))
     return results, outdir
@@ -302,10 +259,7 @@ def cmd_figures(config, args):
     results, outdir = _run_sweep(config, args)
     for name, text in figure_tables(results).items():
         _write_text(outdir / f"{name}.csv", text)
-        _write_sidecar(
-            outdir / f"{name}.csv",
-            {"command": "figures", "config_sha256": _config_digest(args.config)},
-        )
+        _write_sidecar(outdir / f"{name}.csv", {"command": "figures"}, args.config)
     return EXIT_OK
 
 
@@ -328,10 +282,12 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=None, help="override parallelism width")
+        if name in ("sample", "experiment", "figures"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("experiment", "figures"):
+            p.add_argument("--jobs", type=int, default=None, help="override parallelism width")
         if name == "estimate":
-            p.add_argument("--input", default=None, help="sample CSV to estimate from")
+            p.add_argument("--input", required=True, help="sample CSV to estimate from")
     return parser
 
 
@@ -340,10 +296,7 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         return _COMMANDS[args.subcommand](config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError, RangeLinkError) as exc:
+    except (ConfigError, DomainError, RangeLinkError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InputParseError as exc:
@@ -352,7 +305,7 @@ def main(argv=None):
     except EstimationError as exc:
         print(f"estimation failure: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except (_IoFailure, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

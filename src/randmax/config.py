@@ -1,10 +1,14 @@
 """Configuration loading and validation for the command-line harness.
 
 A single JSON file holds one block per subcommand; each subcommand reads only
-its block. Validation happens before any computation and reports the JSON
-path of the offending field. CLI flags may override only the seed and the
-parallelism width; every scientific parameter lives in the file so outputs
-are self-describing.
+its block. `CONFIG_SCHEMA` states every rule once: each domain is one shared
+sub-schema, and a field that the chosen settings never read is an error.
+`load_config` checks the file, and that each `eval.tail_z` point has the
+model's dimension (which JSON Schema cannot state), before any output, and
+names the JSON path of the offending field. Every scientific parameter lives
+in the file. Besides `--config` and `--out`, `sample` takes `--seed`,
+`estimate` takes `--input`, and `experiment` and `figures` take `--seed` and
+`--jobs`, which override the block's values; `eval` takes no other flag.
 """
 
 import json
@@ -17,182 +21,168 @@ from .harness import ExperimentConfig
 
 __all__ = ["load_config", "experiment_config_from_block", "CONFIG_SCHEMA"]
 
-_PAIR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "pick": {"enum": ["P", "CFG", "MD"]},
-        "alpha": {"enum": ["GPWM", "ML"]},
-    },
-    "required": ["pick", "alpha"],
-    "additionalProperties": False,
-}
 
-_MODEL_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "family": {"const": "logistic"},
-                "psi": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "dim": {"type": "integer", "minimum": 2},
-            },
-            "required": ["family", "psi"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "family": {"const": "independence"},
-                "dim": {"type": "integer", "minimum": 2},
-            },
-            "required": ["family"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "family": {"const": "extremal_t"},
-                "rho": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1},
-                "upsilon": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["family", "rho", "upsilon"],
-            "additionalProperties": False,
-        },
-    ],
-}
+def _integer(minimum):
+    return {"type": "integer", "minimum": minimum}
 
 
-def _when_experiment(number, then):
-    """Schema rule: a block whose `experiment` is `number` must also match `then`."""
-    return {
-        "if": {"properties": {"experiment": {"const": number}}, "required": ["experiment"]},
-        "then": then,
+def _grid(item):
+    """An experiment grid: a nonempty list of `item` values."""
+    return {"type": "array", "items": item, "minItems": 1}
+
+
+def _forbidden(why):
+    """A field that must be absent; load_config reports `why`."""
+    return {"not": {}, "description": why}
+
+
+def _closed(properties, required, *rules):
+    """An object with no fields beyond `properties` that also matches `rules`."""
+    schema = {
+        "type": "object",
+        "properties": properties,
+        "required": required,
+        "additionalProperties": False,
     }
+    if rules:
+        schema["allOf"] = list(rules)
+    return schema
+
+
+_PSI = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
+_RHO = {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_ALPHA = dict(_POSITIVE, exclusiveMaximum=1)
+_SIZE = _integer(2)
+_COUNT = _integer(1)
+_SEED = _integer(0)
+
+#: pairs and fit settings, shared by the `estimate` and `experiment` blocks
+_FIT = {
+    "pairs": _grid(
+        _closed(
+            {"pick": {"enum": ["P", "CFG", "MD"]}, "alpha": {"enum": ["GPWM", "ML"]}},
+            ["pick", "alpha"],
+        )
+    ),
+    "k": _integer(2),
+    "grid_size": {
+        "type": "integer",
+        "minimum": 3,
+        "not": {"multipleOf": 2},
+        "description": "must be odd, so that w = 1/2 is a grid node",
+    },
+    "corrected": {"type": "boolean"},
+}
+
+
+def _pipeline_rules(**experiment2):
+    """Rules of the `sample` and `experiment` blocks: each sets the dependence
+    fields its pipeline reads and none it never reads; `experiment2` adds
+    rules for pipeline 2."""
+    rules = []
+    for number, required, unread, extra in [
+        (1, ["psi"], ["rho", "upsilon", "inner_size"], {}),
+        (2, ["rho", "upsilon"], ["psi"], experiment2),
+    ]:
+        forbidden = {key: _forbidden(f"not read by experiment {number}") for key in unread}
+        rules.append(
+            {
+                "if": {"properties": {"experiment": {"const": number}}, "required": ["experiment"]},
+                "then": {"required": required, "properties": dict(forbidden, **extra)},
+            }
+        )
+    return rules
 
 
 #: a field that only means something for a tail index alpha in (0, 1)
-_NEEDS_HEAVY_TAIL = {"not": {}, "description": "needs alpha in (0, 1)"}
+_NEEDS_HEAVY_TAIL = _forbidden("needs alpha in (0, 1)")
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "properties": {
-        "sample": {
-            "type": "object",
-            "properties": {
+        "sample": _closed(
+            {
                 "experiment": {"enum": [1, 2]},
-                "psi": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "rho": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1},
-                "upsilon": {"type": "number", "exclusiveMinimum": 0},
-                "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "n": {"type": "integer", "minimum": 2},
-                "d": {"type": "integer", "minimum": 2},
-                "inner_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "stream": {"type": "integer", "minimum": 0},
+                "psi": _PSI,
+                "rho": _RHO,
+                "upsilon": _POSITIVE,
+                "alpha": _ALPHA,
+                "n": _SIZE,
+                "d": _SIZE,
+                "inner_size": _COUNT,
+                "seed": _SEED,
+                "stream": _SEED,
             },
-            "required": ["experiment", "alpha", "n"],
-            "additionalProperties": False,
-            "allOf": [
-                _when_experiment(1, {"required": ["psi"]}),
-                _when_experiment(
-                    2, {"required": ["rho", "upsilon"], "properties": {"d": {"const": 2}}}
-                ),
-            ],
-        },
-        "estimate": {
-            "type": "object",
-            "properties": {
-                "pairs": {"type": "array", "items": _PAIR_SCHEMA, "minItems": 1},
-                "k": {"type": "integer", "minimum": 2},
-                "grid_size": {"type": "integer", "minimum": 3},
-                "corrected": {"type": "boolean"},
-            },
-            "required": ["pairs"],
-            "additionalProperties": False,
-        },
-        "eval": {
-            "type": "object",
-            "properties": {
-                "model": _MODEL_SCHEMA,
-                "alpha": {"type": "number", "exclusiveMinimum": 0},
-                "size_branch": {"enum": ["frechet", "gumbel"]},
-                "branches": {
-                    "type": "array",
-                    "items": {
-                        "enum": ["frechet_heavy", "frechet_unit", "frechet_light", "gumbel"]
-                    },
+            ["experiment", "alpha", "n"],
+            *_pipeline_rules(d={"const": 2}),
+        ),
+        "estimate": _closed(_FIT, ["pairs"]),
+        "eval": _closed(
+            {
+                "model": {
+                    "oneOf": [
+                        _closed(
+                            {"family": {"const": "logistic"}, "psi": _PSI, "dim": _SIZE},
+                            ["family", "psi"],
+                        ),
+                        _closed({"family": {"const": "independence"}, "dim": _SIZE}, ["family"]),
+                        _closed(
+                            {"family": {"const": "extremal_t"}, "rho": _RHO, "upsilon": _POSITIVE},
+                            ["family", "rho", "upsilon"],
+                        ),
+                    ]
                 },
+                "alpha": _POSITIVE,
+                "size_branch": {"enum": ["frechet", "gumbel"]},
                 "tail_z": {
                     "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number", "minimum": 0},
-                        "minItems": 2,
-                    },
+                    "items": {"type": "array", "items": {"type": "number", "minimum": 0}},
                 },
-                "tail_n": {"type": "integer", "minimum": 1},
+                "tail_n": _COUNT,
                 "lambda_mn": {
                     "type": "array",
                     "items": {"type": "number", "minimum": 0, "maximum": 1},
                 },
-                "grid_size": {"type": "integer", "minimum": 3},
+                "grid_size": _integer(3),
             },
-            "required": ["model", "alpha"],
-            "additionalProperties": False,
-            "if": {"properties": {"alpha": {"minimum": 1}}, "required": ["alpha"]},
-            "then": {"properties": {"tail_z": _NEEDS_HEAVY_TAIL, "lambda_mn": _NEEDS_HEAVY_TAIL}},
-        },
-        "experiment": {
-            "type": "object",
-            "properties": {
-                "experiment": {"enum": [1, 2]},
-                "alpha": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                    "minItems": 1,
+            ["model", "alpha"],
+            {
+                "if": {"properties": {"alpha": {"minimum": 1}}, "required": ["alpha"]},
+                "then": {
+                    "properties": {"tail_z": _NEEDS_HEAVY_TAIL, "lambda_mn": _NEEDS_HEAVY_TAIL}
                 },
-                "psi": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                    "minItems": 1,
-                },
-                "rho": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1},
-                    "minItems": 1,
-                },
-                "upsilon": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "n": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 2},
-                    "minItems": 1,
-                },
-                "replications": {"type": "integer", "minimum": 2},
-                "inner_size": {"type": "integer", "minimum": 1},
-                "pairs": {"type": "array", "items": _PAIR_SCHEMA, "minItems": 1},
-                "k": {"type": "integer", "minimum": 2},
-                "grid_size": {"type": "integer", "minimum": 3},
-                "corrected": {"type": "boolean"},
-                "seed": {"type": "integer", "minimum": 0},
-                "jobs": {"type": "integer", "minimum": 1},
             },
-            "required": ["experiment", "alpha", "n", "replications", "pairs"],
-            "additionalProperties": False,
-            "allOf": [
-                _when_experiment(1, {"required": ["psi"]}),
-                _when_experiment(2, {"required": ["rho", "upsilon"]}),
-            ],
-        },
+            {
+                "if": {"not": {"required": ["tail_z"]}},
+                "then": {"properties": {"tail_n": _forbidden("is read only with tail_z")}},
+            },
+        ),
+        "experiment": _closed(
+            dict(
+                _FIT,
+                experiment={"enum": [1, 2]},
+                alpha=_grid(_ALPHA),
+                psi=_grid(_PSI),
+                rho=_grid(_RHO),
+                upsilon=_grid(_POSITIVE),
+                n=_grid(_SIZE),
+                replications=_integer(2),
+                inner_size=_COUNT,
+                seed=_SEED,
+                jobs=_COUNT,
+            ),
+            ["experiment", "alpha", "n", "replications", "pairs"],
+            *_pipeline_rules(),
+        ),
     },
     "additionalProperties": False,
 }
 
 
 def load_config(path):
-    """Read and schema-validate a config file; returns the parsed dict."""
+    """Read and validate a config file; returns the parsed dict."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -211,9 +201,16 @@ def load_config(path):
             # point at the missing field itself, e.g. $.sample.psi
             path += "." + next(k for k in first.validator_value if k not in first.instance)
         elif first.validator == "not":
-            # a field a cross-field rule forbids; its schema says why
+            # a field a rule forbids or restricts; its schema says why
             message = first.schema.get("description", message)
         raise ConfigError(message, path=path)
+    if "eval" in data:
+        dim = data["eval"]["model"].get("dim", 2)
+        for i, point in enumerate(data["eval"].get("tail_z", ())):
+            if len(point) != dim:
+                raise ConfigError(
+                    f"must have the model's dimension {dim}", path=f"$.eval.tail_z[{i}]"
+                )
     return data
 
 

@@ -25,6 +25,7 @@ a combination with more than 20% failures is flagged in the run report.
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -300,7 +301,7 @@ def run_experiment(config, inject_truth=False):
                 range(lo, min(lo + size, config.replications))
                 for lo in range(0, config.replications, size)
             ]
-            task = _BlockTask(config, combo, inject_truth)
+            task = partial(_replicate_block, config=config, combo=combo, inject_truth=inject_truth)
             block_results = map(task, blocks) if executor is None else executor.map(task, blocks)
             rep_results = [r for block in block_results for r in block]
             wall_ms = (perf_counter() - start) * 1000.0
@@ -344,18 +345,6 @@ def run_experiment(config, inject_truth=False):
         if executor is not None:
             executor.shutdown()
     return results
-
-
-class _BlockTask:
-    """Picklable block callable for the process pool."""
-
-    def __init__(self, config, combo, inject_truth):
-        self.config = config
-        self.combo = combo
-        self.inject_truth = inject_truth
-
-    def __call__(self, reps):
-        return _replicate_block(reps, self.config, self.combo, self.inject_truth)
 
 
 # -- serialization -----------------------------------------------------------

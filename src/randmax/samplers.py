@@ -26,7 +26,6 @@ __all__ = [
     "sample_logistic_maxstable",
     "sample_experiment1",
     "sample_pareto_block_size",
-    "sample_bivariate_t",
     "sample_experiment2",
 ]
 
@@ -227,24 +226,6 @@ def sample_pareto_block_size(alpha, rng, size=None):
     if not np.all(np.isfinite(n)):
         raise DomainError(f"block sizes overflow float64 at tail index alpha={alpha!r}")
     return int(n) if size is None else n
-
-
-def sample_bivariate_t(rho, nu, rng, size=None):
-    """Standard bivariate Student-t rows: (X1, X2) = (G1, G2) * sqrt(nu / V)
-    with (G1, G2) standard bivariate normal with correlation rho and V a
-    chi-square with nu degrees of freedom shared within the row."""
-    if not (np.isfinite(rho) and -1.0 < rho < 1.0):
-        raise DomainError(f"correlation must be in (-1,1), got {rho!r}")
-    if not (np.isfinite(nu) and nu > 0.0):
-        raise DomainError(f"degrees of freedom must be > 0, got {nu!r}")
-    gen = _gen(rng)
-    k = 1 if size is None else int(size)
-    z = gen.standard_normal((k, 2))
-    v = gen.chisquare(nu, k)
-    g1 = z[:, 0]
-    g2 = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
-    out = np.column_stack([g1, g2]) * np.sqrt(nu / v)[:, np.newaxis]
-    return out[0] if size is None else out
 
 
 #: rows drawn per step of the top-down scan in _pooled_t_maxima

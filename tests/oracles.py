@@ -2,8 +2,10 @@
 
 None of this is part of randmax: a Frechet law for quantile grids, the
 per-row terms of the rank-based curve estimators computed straight from
-their formulas, and a Poisson spectral sampler of the alpha-scaled law that
-is independent of the S * Z construction the package samples with.
+their formulas, a Poisson spectral sampler of the alpha-scaled law that
+is independent of the S * Z construction the package samples with, and a
+row-by-row bivariate Student-t sampler, the brute-force reference for the
+pooled maxima of pipeline 2.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from randmax.errors import DomainError
-from randmax.samplers import sample_logistic_maxstable
+from randmax.samplers import RngStream, sample_logistic_maxstable
 from randmax.specfun import ln_gamma
 
 
@@ -126,3 +128,18 @@ def sample_spectral_scaled(alpha, rng, size, base_psi=1.0, eps=1e-6, max_terms=1
         drawn += block
         active = active[points[:, -1] >= eps * m[active].min(axis=1)]
     return m * np.exp(-ln_gamma(1.0 - alpha) / alpha)
+
+
+def sample_bivariate_t(rho, nu, rng, size=None):
+    """Standard bivariate Student-t rows: (X1, X2) = (G1, G2) * sqrt(nu / V)
+    with (G1, G2) standard bivariate normal with correlation rho and V a
+    chi-square with nu degrees of freedom shared within the row. rng is an
+    RngStream (a fresh generator is derived) or a running numpy Generator."""
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    k = 1 if size is None else int(size)
+    z = gen.standard_normal((k, 2))
+    v = gen.chisquare(nu, k)
+    g1 = z[:, 0]
+    g2 = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
+    out = np.column_stack([g1, g2]) * np.sqrt(nu / v)[:, np.newaxis]
+    return out[0] if size is None else out

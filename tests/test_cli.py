@@ -22,6 +22,7 @@ _CLI_ENV = dict(
 
 
 def run_cli(*args):
+    """Run `python -m randmax` in a subprocess, as a user does."""
     return subprocess.run(
         [sys.executable, "-m", "randmax", *args], capture_output=True, text=True, env=_CLI_ENV
     )
@@ -29,7 +30,10 @@ def run_cli(*args):
 
 def run_in_process(capsys, *args):
     """Run the CLI in this process; returns (exit code, stderr)."""
-    code = cli.main(list(args))
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     return code, capsys.readouterr().err
 
 
@@ -44,75 +48,86 @@ def workspace(tmp_path):
 
 
 SAMPLE_BLOCK = {"experiment": 1, "psi": 0.5, "alpha": 0.5, "n": 100, "seed": 42}
+SAMPLE2_BLOCK = {"experiment": 2, "rho": 0.5, "upsilon": 1.0, "alpha": 0.5, "n": 10}
+EVAL_BLOCK = {"model": {"family": "logistic", "psi": 0.5}, "alpha": 0.5}
 
 
 class TestSampleCommand:
-    def test_deterministic_reruns(self, workspace):
+    def test_deterministic_reruns(self, workspace, capsys):
         cfg = write_config(workspace / "c.json", {"sample": SAMPLE_BLOCK})
         for out in ("a", "b"):
-            r = run_cli("sample", "--config", cfg, "--out", str(workspace / out))
-            assert r.returncode == 0, r.stderr
+            code, err = run_in_process(
+                capsys, "sample", "--config", cfg, "--out", str(workspace / out)
+            )
+            assert code == 0, err
         a = (workspace / "a" / "sample.csv").read_bytes()
         b = (workspace / "b" / "sample.csv").read_bytes()
         assert a == b
         assert (workspace / "a" / "sample.csv.meta").exists()
 
-    def test_row_count_and_dimension(self, workspace):
+    def test_row_count_and_dimension(self, workspace, capsys):
         block = dict(SAMPLE_BLOCK, d=3, n=37)
         cfg = write_config(workspace / "c.json", {"sample": block})
-        assert run_cli("sample", "--config", cfg, "--out", str(workspace / "o")).returncode == 0
+        code, err = run_in_process(capsys, "sample", "--config", cfg, "--out", str(workspace / "o"))
+        assert code == 0, err
         lines = (workspace / "o" / "sample.csv").read_text().strip().split("\n")
         assert lines[0] == "eta_1,eta_2,eta_3,xi"
         assert len(lines) == 38
 
-    def test_seed_override_changes_output(self, workspace):
+    def test_seed_override_changes_output(self, workspace, capsys):
         cfg = write_config(workspace / "c.json", {"sample": SAMPLE_BLOCK})
-        run_cli("sample", "--config", cfg, "--out", str(workspace / "a"))
-        run_cli("sample", "--config", cfg, "--out", str(workspace / "b"), "--seed", "43")
+        run_in_process(capsys, "sample", "--config", cfg, "--out", str(workspace / "a"))
+        run_in_process(
+            capsys, "sample", "--config", cfg, "--out", str(workspace / "b"), "--seed", "43"
+        )
         assert (workspace / "a" / "sample.csv").read_bytes() != (
             workspace / "b" / "sample.csv"
         ).read_bytes()
 
     def test_schema_violation_reports_path(self, workspace):
+        # the one test through `python -m randmax`: exit code and stderr of a real process
         cfg = write_config(workspace / "c.json", {"sample": dict(SAMPLE_BLOCK, psi=1.5)})
         r = run_cli("sample", "--config", cfg, "--out", str(workspace / "o"))
         assert r.returncode == 2
         assert "$.sample.psi" in r.stderr
 
-    def test_missing_config_file(self, workspace):
-        r = run_cli("sample", "--config", str(workspace / "nope.json"), "--out", str(workspace / "o"))
-        assert r.returncode == 2
+    def test_missing_config_file(self, workspace, capsys):
+        missing, out = str(workspace / "nope.json"), str(workspace / "o")
+        code, _ = run_in_process(capsys, "sample", "--config", missing, "--out", out)
+        assert code == 2
 
-    def test_experiment2_sampling(self, workspace):
+    def test_experiment2_sampling(self, workspace, capsys):
         block = {"experiment": 2, "rho": 0.5, "upsilon": 1.0, "alpha": 0.5, "n": 10,
                  "inner_size": 20, "seed": 7}
         cfg = write_config(workspace / "c.json", {"sample": block})
-        r = run_cli("sample", "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 0, r.stderr
+        code, err = run_in_process(capsys, "sample", "--config", cfg, "--out", str(workspace / "o"))
+        assert code == 0, err
         lines = (workspace / "o" / "sample.csv").read_text().strip().split("\n")
         assert len(lines) == 11
 
-    def test_small_inner_size_names_the_field(self, workspace):
+    def test_small_inner_size_names_the_field(self, workspace, capsys):
         block = {"experiment": 2, "rho": -0.5, "upsilon": 1.0, "alpha": 0.5, "n": 50,
                  "inner_size": 1, "seed": 7}
         cfg = write_config(workspace / "c.json", {"sample": block})
-        r = run_cli("sample", "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 2
-        assert "inner_size" in r.stderr
+        code, err = run_in_process(capsys, "sample", "--config", cfg, "--out", str(workspace / "o"))
+        assert code == 2
+        assert "inner_size" in err
 
     @pytest.mark.parametrize("subcommand", ["sample", "experiment"])
-    def test_removed_cap_key_is_rejected(self, workspace, subcommand):
+    def test_removed_cap_key_is_rejected(self, workspace, capsys, subcommand):
         # block sizes are no longer truncated, so a config that still sets the
         # old cap is an error; the key is assembled so that no source names it
         key = "_".join(["block", "cap"])
-        block = {"experiment": 2, "rho": 0.5, "upsilon": 1.0, "alpha": 0.5, "n": 10}
+        block = SAMPLE2_BLOCK
         if subcommand == "experiment":
             block = {name: [value] for name, value in block.items() if name != "experiment"}
             block.update(experiment=2, replications=2, pairs=[{"pick": "P", "alpha": "GPWM"}])
         cfg = write_config(workspace / "c.json", {subcommand: dict(block, **{key: 10})})
-        r = run_cli(subcommand, "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 2
-        assert key in r.stderr
+        code, err = run_in_process(
+            capsys, subcommand, "--config", cfg, "--out", str(workspace / "o")
+        )
+        assert code == 2
+        assert key in err
 
     def test_build_description_runs_git_once(self, workspace, monkeypatch):
         calls = []
@@ -121,11 +136,12 @@ class TestSampleCommand:
             calls.append(args)
             return subprocess.CompletedProcess(args, 0, stdout="v0-test\n", stderr="")
 
+        cfg = write_config(workspace / "c.json", {"sample": SAMPLE_BLOCK})
         monkeypatch.setattr(subprocess, "run", fake_run)
         cli._build_description.cache_clear()
         try:
-            cli._write_sidecar(workspace / "a.csv", {"command": "sample"})
-            cli._write_sidecar(workspace / "b.csv", {"command": "estimate"})
+            cli._write_sidecar(workspace / "a.csv", {"command": "sample"}, cfg)
+            cli._write_sidecar(workspace / "b.csv", {"command": "estimate"}, cfg)
         finally:
             cli._build_description.cache_clear()
         assert len(calls) == 1
@@ -133,7 +149,7 @@ class TestSampleCommand:
 
 
 class TestEstimateCommand:
-    def _sampled(self, workspace):
+    def _sampled(self, workspace, capsys):
         cfg = write_config(
             workspace / "c.json",
             {
@@ -144,14 +160,16 @@ class TestEstimateCommand:
                 },
             },
         )
-        run_cli("sample", "--config", cfg, "--out", str(workspace / "s"))
+        run_in_process(capsys, "sample", "--config", cfg, "--out", str(workspace / "s"))
         return cfg, workspace / "s" / "sample.csv"
 
-    def test_round_trip(self, workspace):
-        cfg, sample = self._sampled(workspace)
-        r = run_cli("estimate", "--config", cfg, "--out", str(workspace / "e"),
-                    "--input", str(sample))
-        assert r.returncode == 0, r.stderr
+    def test_round_trip(self, workspace, capsys):
+        cfg, sample = self._sampled(workspace, capsys)
+        out = str(workspace / "e")
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", out, "--input", str(sample)
+        )
+        assert code == 0, err
         for label in ("CFG-ML", "P-GPWM"):
             out = workspace / "e" / f"estimate_{label}.csv"
             lines = out.read_text().strip().split("\n")
@@ -178,31 +196,34 @@ class TestEstimateCommand:
             assert meta[key] == repr(float(meta[key]))
             assert float(meta[key]) == float(row[4])
 
-    def test_missing_xi_column(self, workspace):
-        cfg, _ = self._sampled(workspace)
+    def test_missing_xi_column(self, workspace, capsys):
+        cfg, _ = self._sampled(workspace, capsys)
         bad = workspace / "bad.csv"
         bad.write_text("eta_1,eta_2\n1.0,2.0\n2.0,1.0\n")
-        r = run_cli("estimate", "--config", cfg, "--out", str(workspace / "e"),
-                    "--input", str(bad))
-        assert r.returncode == 3
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"), "--input", str(bad)
+        )
+        assert code == 3
 
-    def test_malformed_row_names_line(self, workspace):
-        cfg, _ = self._sampled(workspace)
+    def test_malformed_row_names_line(self, workspace, capsys):
+        cfg, _ = self._sampled(workspace, capsys)
         bad = workspace / "bad.csv"
         bad.write_text("eta_1,eta_2,xi\n1.0,2.0,2.0\n1.0,zap,9.0\n")
-        r = run_cli("estimate", "--config", cfg, "--out", str(workspace / "e"),
-                    "--input", str(bad))
-        assert r.returncode == 3
-        assert "line 3" in r.stderr
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"), "--input", str(bad)
+        )
+        assert code == 3
+        assert "line 3" in err
 
-    def test_estimation_failure_exit_code(self, workspace):
-        cfg, _ = self._sampled(workspace)
+    def test_estimation_failure_exit_code(self, workspace, capsys):
+        cfg, _ = self._sampled(workspace, capsys)
         bad = workspace / "const.csv"
         rows = "".join(f"{1.0 + 0.001 * i},{2.0 - 0.001 * i},1.0\n" for i in range(20))
         bad.write_text("eta_1,eta_2,xi\n" + rows)
-        r = run_cli("estimate", "--config", cfg, "--out", str(workspace / "e"),
-                    "--input", str(bad))
-        assert r.returncode == 4
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"), "--input", str(bad)
+        )
+        assert code == 4
 
 
 class TestEvalCommand:
@@ -245,14 +266,14 @@ class TestEvalCommand:
     @pytest.mark.parametrize("key, value", [("tail_z", [[1.0, 0.0]]), ("lambda_mn", [0.5])])
     def test_heavy_tail_keys_need_alpha_below_one(self, workspace, capsys, key, value):
         # the outputs of these keys exist only for alpha in (0, 1)
-        block = {"model": {"family": "logistic", "psi": 0.5}, "alpha": 1.5, key: value}
+        block = dict(EVAL_BLOCK, alpha=1.5, **{key: value})
         cfg = write_config(workspace / "c.json", {"eval": block})
         code, err = run_in_process(capsys, "eval", "--config", cfg, "--out", str(workspace / "o"))
         assert code == 2
         assert f"$.eval.{key}" in err
         assert not (workspace / "o").exists()
 
-    def test_heavy_branch_tables(self, workspace):
+    def test_heavy_branch_tables(self, workspace, capsys):
         cfg = write_config(
             workspace / "c.json",
             {
@@ -266,8 +287,8 @@ class TestEvalCommand:
                 }
             },
         )
-        r = run_cli("eval", "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 0, r.stderr
+        code, err = run_in_process(capsys, "eval", "--config", cfg, "--out", str(workspace / "o"))
+        assert code == 0, err
         rows = dict(
             line.split(",")
             for line in (workspace / "o" / "eval_summary.csv").read_text().strip().split("\n")[1:]
@@ -279,21 +300,6 @@ class TestEvalCommand:
         tail = (workspace / "o" / "eval_tailprob.csv").read_text().strip().split("\n")
         assert tail[1].split(",")[-1] == "0.1"
         assert (workspace / "o" / "eval_curves.csv").exists()
-
-    def test_branch_mismatch_is_config_error(self, workspace):
-        cfg = write_config(
-            workspace / "c.json",
-            {
-                "eval": {
-                    "model": {"family": "logistic", "psi": 0.5},
-                    "alpha": 0.5,
-                    "branches": ["frechet_unit"],
-                }
-            },
-        )
-        r = run_cli("eval", "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 2
-        assert "frechet_unit" in r.stderr
 
 
 EXPERIMENT_BLOCK = {
@@ -309,18 +315,22 @@ EXPERIMENT_BLOCK = {
 
 
 class TestExperimentCommands:
-    def test_experiment_outputs(self, workspace):
+    def test_experiment_outputs(self, workspace, capsys):
         cfg = write_config(workspace / "c.json", {"experiment": EXPERIMENT_BLOCK})
-        r = run_cli("experiment", "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 0, r.stderr
+        code, err = run_in_process(
+            capsys, "experiment", "--config", cfg, "--out", str(workspace / "o")
+        )
+        assert code == 0, err
         assert (workspace / "o" / "results.csv").exists()
         assert (workspace / "o" / "run_report.txt").exists()
 
-    def test_figures_outputs_and_idempotence(self, workspace):
+    def test_figures_outputs_and_idempotence(self, workspace, capsys):
         cfg = write_config(workspace / "c.json", {"experiment": EXPERIMENT_BLOCK})
         for out in ("a", "b"):
-            r = run_cli("figures", "--config", cfg, "--out", str(workspace / out))
-            assert r.returncode == 0, r.stderr
+            code, err = run_in_process(
+                capsys, "figures", "--config", cfg, "--out", str(workspace / out)
+            )
+            assert code == 0, err
         names = ["results.csv", "figure_mise_gpwm.csv", "figure_mise_ml.csv",
                  "figure_ratio_gpwm_ml.csv"]
         for name in names:
@@ -329,25 +339,37 @@ class TestExperimentCommands:
         assert ratio[0].endswith("ratio_MISE,ratio_ISB,ratio_IV")
         assert len(ratio) == 3  # one row per (psi, pick)
 
-    def test_jobs_override_keeps_bytes(self, workspace):
+    def test_jobs_override_keeps_bytes(self, workspace, capsys):
         cfg = write_config(workspace / "c.json", {"experiment": EXPERIMENT_BLOCK})
-        run_cli("experiment", "--config", cfg, "--out", str(workspace / "a"))
-        run_cli("experiment", "--config", cfg, "--out", str(workspace / "b"), "--jobs", "2")
+        run_in_process(capsys, "experiment", "--config", cfg, "--out", str(workspace / "a"))
+        run_in_process(
+            capsys, "experiment", "--config", cfg, "--out", str(workspace / "b"), "--jobs", "2"
+        )
         assert (workspace / "a" / "results.csv").read_bytes() == (
             workspace / "b" / "results.csv"
         ).read_bytes()
 
-    def test_missing_block_for_subcommand(self, workspace):
+    def test_missing_block_for_subcommand(self, workspace, capsys):
         cfg = write_config(workspace / "c.json", {"sample": SAMPLE_BLOCK})
-        r = run_cli("experiment", "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 2
+        code, _ = run_in_process(
+            capsys, "experiment", "--config", cfg, "--out", str(workspace / "o")
+        )
+        assert code == 2
 
-    def test_unwritable_output_is_io_error(self, workspace):
+    def test_unwritable_output_is_io_error(self, workspace, capsys):
         cfg = write_config(workspace / "c.json", {"experiment": EXPERIMENT_BLOCK})
         blocker = workspace / "blocker"
         blocker.write_text("not a directory")
-        r = run_cli("experiment", "--config", cfg, "--out", str(blocker / "sub"))
-        assert r.returncode == 5
+        code, _ = run_in_process(
+            capsys, "experiment", "--config", cfg, "--out", str(blocker / "sub")
+        )
+        assert code == 5
+
+
+EXPERIMENT2_BLOCK = dict(
+    {k: v for k, v in EXPERIMENT_BLOCK.items() if k != "psi"},
+    experiment=2, rho=[0.5], upsilon=[1.0],
+)
 
 
 class TestCrossFieldRules:
@@ -366,19 +388,52 @@ class TestCrossFieldRules:
             ),
             (
                 "sample",
-                {"sample": {"experiment": 2, "rho": 0.5, "alpha": 0.5, "n": 10}},
+                {"sample": {k: v for k, v in SAMPLE2_BLOCK.items() if k != "upsilon"}},
                 "$.sample.upsilon",
             ),
+            ("sample", {"sample": dict(SAMPLE2_BLOCK, d=3)}, "$.sample.d"),
             (
-                "sample",
-                {"sample": {"experiment": 2, "rho": 0.5, "upsilon": 1.0, "alpha": 0.5, "n": 10,
-                            "d": 3}},
-                "$.sample.d",
+                "estimate",
+                {"estimate": {"pairs": EXPERIMENT_BLOCK["pairs"], "grid_size": 40}},
+                "$.estimate.grid_size",
             ),
+            ("experiment", {"experiment": dict(EXPERIMENT_BLOCK, grid_size=40)},
+             "$.experiment.grid_size"),
+            # fields the chosen pipeline never reads
+            ("sample", {"sample": dict(SAMPLE_BLOCK, inner_size=20)}, "$.sample.inner_size"),
+            ("sample", {"sample": dict(SAMPLE_BLOCK, rho=0.5)}, "$.sample.rho"),
+            ("experiment", {"experiment": dict(EXPERIMENT_BLOCK, rho=[0.5])}, "$.experiment.rho"),
+            ("sample", {"sample": dict(SAMPLE2_BLOCK, psi=0.5)}, "$.sample.psi"),
+            ("experiment", {"experiment": dict(EXPERIMENT2_BLOCK, psi=[0.5])},
+             "$.experiment.psi"),
+            ("eval", {"eval": dict(EVAL_BLOCK, tail_n=100)}, "$.eval.tail_n"),
+            ("eval", {"eval": dict(EVAL_BLOCK, tail_z=[[1.0, 0.0], [1.0, 1.0, 1.0]])},
+             "$.eval.tail_z[1]"),
+            # the theta_Q branch follows from alpha and size_branch, so it is not a key
+            ("eval", {"eval": dict(EVAL_BLOCK, branches=["frechet_heavy"])}, "$.eval"),
         ],
     )
-    def test_violation_exits_2_naming_the_field(self, workspace, subcommand, payload, field):
+    def test_violation_exits_2_naming_the_field(
+        self, workspace, capsys, subcommand, payload, field
+    ):
         cfg = write_config(workspace / "c.json", payload)
-        r = run_cli(subcommand, "--config", cfg, "--out", str(workspace / "o"))
-        assert r.returncode == 2
-        assert field in r.stderr
+        extra = ("--input", str(workspace / "sample.csv")) if subcommand == "estimate" else ()
+        code, err = run_in_process(
+            capsys, subcommand, "--config", cfg, "--out", str(workspace / "o"), *extra
+        )
+        assert code == 2
+        assert f"{field}:" in err
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, flag", [("eval", "--jobs"), ("estimate", "--seed"), ("sample", "--jobs")]
+    )
+    def test_flag_the_subcommand_never_reads_exits_2(self, workspace, capsys, subcommand, flag):
+        cfg = write_config(workspace / "c.json", {"sample": SAMPLE_BLOCK, "eval": EVAL_BLOCK})
+        extra = ("--input", str(workspace / "sample.csv")) if subcommand == "estimate" else ()
+        code, err = run_in_process(
+            capsys, subcommand, "--config", cfg, "--out", str(workspace / "o"), flag, "1", *extra
+        )
+        assert code == 2
+        assert flag in err
+        assert not (workspace / "o").exists()

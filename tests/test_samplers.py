@@ -11,7 +11,6 @@ from randmax.estimators import pickands_points, pseudo_uniforms
 from randmax.samplers import (
     PairedSample,
     RngStream,
-    sample_bivariate_t,
     sample_experiment1,
     sample_experiment2,
     sample_logistic_maxstable,
@@ -20,7 +19,7 @@ from randmax.samplers import (
 )
 from randmax.specfun import student_t_cdf
 
-from oracles import sample_spectral_scaled
+from oracles import sample_bivariate_t, sample_spectral_scaled
 
 
 def _mc_check(values, target, factor=3.0):
