@@ -21,6 +21,7 @@ from .depcore import (
     lambda_inverse_link,
     pickands_from_astar,
     stable_tail,
+    student_t_cdf,
     tail_prob_approx,
 )
 from .errors import (
@@ -55,10 +56,4 @@ from .samplers import (
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,
-)
-from .specfun import (
-    ln_gamma,
-    log_integral,
-    lower_incomplete_gamma,
-    student_t_cdf,
 )

@@ -142,6 +142,8 @@ def cmd_sample(config, args):
 def cmd_estimate(config, args):
     block = require_block(config, "estimate")
     sample = PairedSample.from_csv(args.input)
+    if sample.dim != 2:
+        raise InputParseError(f"composite estimation needs 2 eta columns, got {sample.dim}", line=1)
     outdir = Path(args.out)
     pairs = pairs_from_block(block)
     # shared fit settings; the pick and tail method of this config are unused
@@ -199,8 +201,11 @@ def cmd_eval(config, args):
             rows.append(("lambda_of_G_alpha", lambda_from_theta(theta_scaled)))
     rows.append((f"theta_Q_{_implied_branch(size_branch, alpha)}", law.theta()))
     # the schema admits lambda_mn and tail_z only for alpha in (0, 1)
-    for lam in block.get("lambda_mn", []):
-        rows.append((f"lambda_X_from_lambda_MN_{lam:g}", lambda_inverse_link(lam, alpha)))
+    for i, lam in enumerate(block.get("lambda_mn", [])):
+        try:
+            rows.append((f"lambda_X_from_lambda_MN_{lam:g}", lambda_inverse_link(lam, alpha)))
+        except RangeLinkError as exc:
+            raise ConfigError(str(exc), path=f"$.eval.lambda_mn[{i}]") from None
     outdir = Path(args.out)
     summary = "quantity,value\n" + "".join(f"{k},{repr(float(v))}\n" for k, v in rows)
     _write_text(outdir / "eval_summary.csv", summary)
@@ -296,7 +301,7 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         return _COMMANDS[args.subcommand](config, args)
-    except (ConfigError, DomainError, RangeLinkError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InputParseError as exc:

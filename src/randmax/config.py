@@ -98,6 +98,9 @@ def _pipeline_rules(**experiment2):
 #: a field that only means something for a tail index alpha in (0, 1)
 _NEEDS_HEAVY_TAIL = _forbidden("needs alpha in (0, 1)")
 
+#: a model of dimension 3 or more, which has no bivariate edge to tabulate
+_MULTIVARIATE = {"properties": {"dim": {"minimum": 3}}, "required": ["dim"]}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -157,6 +160,12 @@ CONFIG_SCHEMA = {
             {
                 "if": {"not": {"required": ["tail_z"]}},
                 "then": {"properties": {"tail_n": _forbidden("is read only with tail_z")}},
+            },
+            {
+                "if": {"properties": {"model": _MULTIVARIATE}},
+                "then": {
+                    "properties": {"grid_size": _forbidden("is read only for a bivariate model")}
+                },
             },
         ),
         "experiment": _closed(

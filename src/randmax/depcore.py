@@ -4,8 +4,9 @@ Pickands dependence functions A on the unit simplex S_d, the stable-tail
 dependence function L(z) = (z_1 + ... + z_d) A(z / sum z), the alpha-scaling
 transform that maps the dependence of a max-stable vector Z to that of S * Z
 for a positive alpha-stable factor S, its inverse, extremal and upper-tail
-coefficients, and the (d+1)-dimensional limit law of jointly renormalized
-(componentwise maxima, block size).
+coefficients, the Student-t CDF behind the extremal-t family, and the
+(d+1)-dimensional limit law of jointly renormalized (componentwise maxima,
+block size), whose gamma-family and integral terms come from scipy.special.
 
 Conventions
 -----------
@@ -27,15 +28,9 @@ Conventions
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, RangeLinkError
-from .specfun import (
-    exp_integral_e1,
-    ln_gamma,
-    log_integral,
-    lower_incomplete_gamma,
-    student_t_cdf,
-)
 
 __all__ = [
     "as_simplex",
@@ -44,6 +39,7 @@ __all__ = [
     "PickandsModel",
     "Logistic",
     "Independence",
+    "student_t_cdf",
     "ExtremalT",
     "AlphaScaled",
     "stable_tail",
@@ -139,6 +135,27 @@ class Independence(PickandsModel):
     def values(self, points):
         p = np.asarray(points, dtype=float)
         return np.ones(p.shape[:-1], dtype=float)
+
+
+def student_t_cdf(x, nu):
+    """CDF of the standard Student-t law with nu > 0 degrees of freedom.
+
+    Computed through the regularized incomplete beta function, so the result
+    is exact up to that routine's accuracy; T_nu(-x) = 1 - T_nu(x). Scalar
+    input gives scalar output.
+    """
+    if not np.isscalar(nu) or not np.isfinite(nu) or nu <= 0.0:
+        raise DomainError(f"student_t_cdf requires scalar nu > 0, got {nu!r}")
+    scalar = np.isscalar(x)
+    a = np.asarray(x, dtype=float)
+    if np.any(np.isnan(a)):
+        raise DomainError("student_t_cdf received NaN")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = nu / (nu + a * a)
+    z = np.where(np.isinf(a), 0.0, z)
+    half_tail = 0.5 * special.betainc(0.5 * nu, 0.5, z)
+    out = np.where(a >= 0.0, 1.0 - half_tail, half_tail)
+    return float(out) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -438,15 +455,15 @@ class LimitLawQ:
         a = self.alpha
         if a > 1.0:
             return m + y**-a
-        g1 = 1.0 if a == 1.0 else float(np.exp(ln_gamma(1.0 - a)))
+        g1 = 1.0 if a == 1.0 else float(np.exp(special.gammaln(1.0 - a)))
         sigma = m / g1 ** (1.0 / a)
         head = y**-a * float(np.exp(-y * sigma))
         if m == 0.0:
             return head
         if a == 1.0:
-            tail = sigma * (1.0 - exp_integral_e1(y * sigma))
+            tail = sigma * (1.0 - special.exp1(y * sigma))
         else:
-            tail = sigma**a * lower_incomplete_gamma(1.0 - a, y * sigma)
+            tail = sigma**a * (g1 * special.gammainc(1.0 - a, y * sigma))
         return head + tail
 
     def theta(self):
@@ -461,8 +478,10 @@ class LimitLawQ:
         if self.size_branch == "gumbel" or self.alpha > 1.0:
             return th + 1.0
         if self.alpha == 1.0:
-            return float(np.exp(-th)) + th * (log_integral(float(np.exp(-th))) + 1.0)
+            # li(x) = Ei(ln x)
+            e = float(np.exp(-th))
+            return e + th * (float(special.expi(np.log(e))) + 1.0)
         a = self.alpha
-        g1 = float(np.exp(ln_gamma(1.0 - a)))
+        g1 = float(np.exp(special.gammaln(1.0 - a)))
         s = th / g1 ** (1.0 / a)
-        return float(np.exp(-s)) + th**a / g1 * lower_incomplete_gamma(1.0 - a, s)
+        return float(np.exp(-s)) + th**a / g1 * float(g1 * special.gammainc(1.0 - a, s))

@@ -37,22 +37,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .depcore import astar_points, edge_grid, edge_points
 from .errors import DomainError, EstimationError
-from .specfun import ln_gamma, regularized_lower_gamma
 from .samplers import write_text
 
 __all__ = [
     "EULER_MASCHERONI",
     "pseudo_uniforms",
     "pickands_points",
-    "pickands_curve_raw",
     "endpoint_correct",
     "gpwm_alpha",
     "gpwm_weights",
     "ml_alpha",
-    "invert_curve",
     "EstimatorPair",
     "CompositeConfig",
     "CurveEstimate",
@@ -218,12 +216,6 @@ def pickands_points(u, points, pick):
     return values[0], flags[0]
 
 
-def pickands_curve_raw(u, w, pick):
-    """Raw (uncorrected) dependence curve of one rank-based estimator on the
-    bivariate grid w: pickands_points at the simplex points (1 - w, w)."""
-    return pickands_points(u, edge_points(w), pick)
-
-
 def endpoint_correct(values, w, pick):
     """Vertex-pinning corrections so the corrected curve equals 1 at w = 0, 1.
 
@@ -275,8 +267,8 @@ def _gpwm_weights_cached(n, b):
     edges = np.arange(n + 1) / n
     with np.errstate(divide="ignore"):
         args = -2.0 * np.log(edges)
-    reg = regularized_lower_gamma(b + 1.0, args)
-    scale = np.exp(ln_gamma(b + 1.0)) / 2.0 ** (b + 1)
+    reg = special.gammainc(b + 1.0, args)
+    scale = np.exp(special.gammaln(b + 1.0)) / 2.0 ** (b + 1)
     weights = scale * (reg[:-1] - reg[1:])
     weights.flags.writeable = False
     return weights
@@ -463,17 +455,6 @@ def clamp_alpha(alpha_raw):
     if alpha_raw <= 0.0:
         raise EstimationError(f"tail estimate {alpha_raw!r} is not positive", stage="alpha")
     return alpha_raw, False
-
-
-def invert_curve(a_alpha_values, w, alpha):
-    """Inverse scaling transform of a dependence curve on the bivariate grid.
-
-    Returns (astar, clamp_mask) from depcore.astar_points at the simplex
-    points (1 - w, w): astar(w) = (A_alpha(w) / |t|_a)^(1/alpha) clipped into
-    its envelope [max of the reparametrized point, 1]; the mask marks nodes
-    moved by more than rounding.
-    """
-    return astar_points(a_alpha_values, edge_points(w), alpha)
 
 
 def _reparametrized_coordinate(w, alpha):

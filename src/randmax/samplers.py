@@ -123,7 +123,7 @@ class PairedSample:
         ):
             raise InputParseError(f"bad header {header!r}, expected eta_1,...,eta_d,xi", line=1)
         d = len(cols) - 1
-        eta_rows, xi_rows = [], []
+        eta_rows, xi_rows, linenos = [], [], []
         for lineno, raw in enumerate(fh, start=2):
             raw = raw.strip()
             if not raw:
@@ -137,12 +137,18 @@ class PairedSample:
                 raise InputParseError(str(exc), line=lineno) from None
             eta_rows.append(values[:-1])
             xi_rows.append(values[-1])
+            linenos.append(lineno)
         if len(eta_rows) < 2:
             raise InputParseError("need at least 2 data rows", line=2)
+        eta, xi = np.array(eta_rows), np.array(xi_rows)
         try:
-            return cls(np.array(eta_rows), np.array(xi_rows), meta or {})
+            return cls(eta, xi, meta or {})
         except DomainError as exc:
-            raise InputParseError(str(exc)) from None
+            # name the first row that breaks the rule reported; eta is checked first
+            bad = ~np.all(np.isfinite(eta) & (eta > 0.0), axis=1)
+            if not bad.any():
+                bad = ~(np.isfinite(xi) & (xi > 0.0))
+            raise InputParseError(str(exc), line=linenos[int(np.argmax(bad))]) from None
 
 
 def sample_positive_stable(alpha, rng, size=None):

@@ -11,10 +11,10 @@ pooled maxima of pipeline 2.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from randmax.errors import DomainError
 from randmax.samplers import RngStream, sample_logistic_maxstable
-from randmax.specfun import ln_gamma
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def sample_spectral_scaled(alpha, rng, size, base_psi=1.0, eps=1e-6, max_terms=1
         m[active] = np.maximum(m[active], (points[:, :, np.newaxis] * z).max(axis=1))
         drawn += block
         active = active[points[:, -1] >= eps * m[active].min(axis=1)]
-    return m * np.exp(-ln_gamma(1.0 - alpha) / alpha)
+    return m * np.exp(-special.gammaln(1.0 - alpha) / alpha)
 
 
 def sample_bivariate_t(rho, nu, rng, size=None):

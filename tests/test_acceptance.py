@@ -29,6 +29,7 @@ from randmax.depcore import (
     extremal_coefficient,
     lambda_inverse_link,
     pickands_from_astar,
+    student_t_cdf,
 )
 from randmax.errors import EstimationError
 from randmax.estimators import (
@@ -38,8 +39,6 @@ from randmax.estimators import (
     endpoint_correct,
     estimate_alpha,
     fit_pairs,
-    invert_curve,
-    pickands_curve_raw,
     pickands_points,
     pseudo_uniforms,
 )
@@ -61,7 +60,6 @@ from randmax.samplers import (
     sample_logistic_maxstable,
     sample_positive_stable,
 )
-from randmax.specfun import student_t_cdf
 
 from oracles import madogram_nu, pseudo_angles, sample_spectral_scaled
 
@@ -387,8 +385,8 @@ def figure1_results():
 
 
 def _unclipped_inverse(a_alpha_values, w, alpha):
-    """The inverse scaling transform (A_alpha / |t|_alpha)^(1/alpha) of
-    invert_curve, without its clip into the envelope [lower, 1]."""
+    """The inverse scaling transform (A_alpha / |t|_alpha)^(1/alpha) on the
+    grid w, without the clip of astar_points into the envelope [lower, 1]."""
     norm = ((1.0 - w) ** (1.0 / alpha) + w ** (1.0 / alpha)) ** alpha
     return (a_alpha_values / norm) ** (1.0 / alpha)
 
@@ -402,6 +400,7 @@ def figure1_variants():
     Maps (variant, psi, pick) to the stack of inverse-transform curves."""
     config = _FIGURE1_CONFIG
     w = edge_grid(config.grid_size)
+    points = edge_points(w)
     stacks = {}
     for combo in enumerate_combos(config):
         psi = combo.psi_or_rho
@@ -415,10 +414,10 @@ def figure1_variants():
             except EstimationError:
                 alpha_hat = None
             for pick in _PICKS:
-                values = endpoint_correct(pickands_curve_raw(u, w, pick)[0], w, pick)
-                fits = {"true": invert_curve(values, w, combo.alpha)[0]}
+                values = endpoint_correct(pickands_points(u, points, pick)[0], w, pick)
+                fits = {"true": astar_points(values, points, combo.alpha)[0]}
                 if alpha_hat is not None:
-                    fits["gpwm"], clipped = invert_curve(values, w, alpha_hat)
+                    fits["gpwm"], clipped = astar_points(values, points, alpha_hat)
                     fits["gpwm_unclipped"] = _unclipped_inverse(values, w, alpha_hat)
                     # away from the clipped nodes both are the same transform
                     assert np.allclose(
@@ -526,7 +525,7 @@ def test_criterion_08_mise_ordering(figure1_results, figure1_variants):
 
 def test_criterion_08_cfg_not_worse(figure1_results, figure1_variants):
     # Measured: CFG is best at psi = 0.1 and 0.55 but not at psi = 1, where the
-    # truth A* = 1 lies on the upper clip of invert_curve. The clip turns
+    # truth A* = 1 lies on the upper clip of the inverse transform. The clip turns
     # variance into one-sided bias there, which penalizes the O(1/n) downward
     # bias of CFG (at w = 1/2 on logistic(0.5) data about -0.009, -0.003 and
     # -0.0004 at n = 50, 200 and 1000, Monte Carlo se 0.0002). The clip is

@@ -215,6 +215,37 @@ class TestEstimateCommand:
         assert code == 3
         assert "line 3" in err
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            # the blank line 3 is counted
+            pytest.param("1.0,2.0,2.0\n\n1.0,-1.0,9.0\n2.0,1.0,0.0\n", 4, id="eta"),
+            pytest.param("1.0,2.0,2.0\n1.0,2.0,inf\n", 3, id="xi"),
+        ],
+    )
+    def test_nonpositive_value_names_line(self, workspace, capsys, rows, line):
+        cfg, _ = self._sampled(workspace, capsys)
+        bad = workspace / "bad.csv"
+        bad.write_text("eta_1,eta_2,xi\n" + rows)
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"), "--input", str(bad)
+        )
+        assert code == 3
+        assert f"line {line}: " in err
+        assert not (workspace / "e").exists()
+
+    def test_sample_that_is_not_bivariate_is_input_error(self, workspace, capsys):
+        cfg, _ = self._sampled(workspace, capsys)
+        trivariate = workspace / "d3.csv"
+        sample_experiment1(0.5, 0.5, 50, RngStream(42), d=3).to_csv(trivariate)
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
+            "--input", str(trivariate),
+        )
+        assert code == 3
+        assert "line 1: " in err
+        assert not list(workspace.glob("e/estimate_*.csv"))
+
     def test_estimation_failure_exit_code(self, workspace, capsys):
         cfg, _ = self._sampled(workspace, capsys)
         bad = workspace / "const.csv"
@@ -411,6 +442,14 @@ class TestCrossFieldRules:
              "$.eval.tail_z[1]"),
             # the theta_Q branch follows from alpha and size_branch, so it is not a key
             ("eval", {"eval": dict(EVAL_BLOCK, branches=["frechet_heavy"])}, "$.eval"),
+            # only a bivariate model has eval_curves.csv
+            (
+                "eval",
+                {"eval": dict(EVAL_BLOCK, model=dict(EVAL_BLOCK["model"], dim=3), grid_size=21)},
+                "$.eval.grid_size",
+            ),
+            # the recovered coefficient 2 - 1.8^2 is negative
+            ("eval", {"eval": dict(EVAL_BLOCK, lambda_mn=[0.9, 0.2])}, "$.eval.lambda_mn[1]"),
         ],
     )
     def test_violation_exits_2_naming_the_field(

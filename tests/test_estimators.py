@@ -2,9 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
-from randmax.depcore import AlphaScaled, Logistic, edge_grid, edge_points
+from randmax.depcore import AlphaScaled, Logistic, astar_points, edge_grid, edge_points
 from randmax.errors import DomainError, EstimationError
 from randmax import estimators
 from randmax.estimators import (
@@ -19,15 +20,12 @@ from randmax.estimators import (
     fit_pairs,
     gpwm_alpha,
     gpwm_weights,
-    invert_curve,
     ml_alpha,
-    pickands_curve_raw,
     pickands_points,
     pseudo_uniforms,
 )
 from randmax.harness import Combo, truth_curve
 from randmax.samplers import RngStream, sample_experiment1
-from randmax.specfun import ln_gamma, regularized_lower_gamma
 
 from oracles import FrechetLaw, madogram_nu, oracle_row_terms, pseudo_angles
 
@@ -216,10 +214,10 @@ class TestRankInvariance:
         u1 = pseudo_uniforms(s.eta)
         transformed = np.column_stack([np.arctan(s.eta[:, 0]), np.log(s.eta[:, 1]) * 3.0 + 5.0])
         u2 = pseudo_uniforms(transformed)
-        w = edge_grid(41)
+        points = edge_points(edge_grid(41))
         for pick in ("P", "CFG", "MD"):
-            a, _ = pickands_curve_raw(u1, w, pick)
-            b, _ = pickands_curve_raw(u2, w, pick)
+            a, _ = pickands_points(u1, points, pick)
+            b, _ = pickands_points(u2, points, pick)
             assert np.array_equal(a, b)
 
 
@@ -272,8 +270,8 @@ class TestGpwm:
     def test_weights_cached_read_only(self):
         edges = np.arange(51) / 50
         with np.errstate(divide="ignore"):
-            reg = regularized_lower_gamma(6.0, -2.0 * np.log(edges))
-        uncached = np.exp(ln_gamma(6.0)) / 2.0**6 * (reg[:-1] - reg[1:])
+            reg = special.gammainc(6.0, -2.0 * np.log(edges))
+        uncached = np.exp(special.gammaln(6.0)) / 2.0**6 * (reg[:-1] - reg[1:])
         by_int, by_float = gpwm_weights(50, 5), gpwm_weights(50, 5.0)
         assert np.array_equal(by_int, uncached) and np.array_equal(by_float, uncached)
         with pytest.raises(ValueError):
@@ -361,8 +359,7 @@ class TestEndpointCorrection:
     def test_md_vertices_exact_by_construction(self):
         s = sample_experiment1(0.5, 0.5, 200, RngStream(15, 1))
         u = pseudo_uniforms(s.eta)
-        w = edge_grid(21)
-        vals, flags = pickands_curve_raw(u, w, "MD")
+        vals, flags = pickands_points(u, edge_points(edge_grid(21)), "MD")
         assert vals[0] == pytest.approx(1.0, rel=1e-12)
         assert vals[-1] == pytest.approx(1.0, rel=1e-12)
         assert not flags.any()
@@ -372,7 +369,7 @@ class TestEndpointCorrection:
         u = pseudo_uniforms(gen.random((10_000, 2)))
         w = edge_grid(41)
         for pick in ("P", "CFG"):
-            raw, _ = pickands_curve_raw(u, w, pick)
+            raw, _ = pickands_points(u, edge_points(w), pick)
             corrected = endpoint_correct(raw, w, pick)
             assert abs(corrected[20] - 1.0) < 0.03
 
@@ -381,13 +378,13 @@ class TestInvertCurve:
     def test_independence_cancellation(self):
         w = edge_grid(41)
         a_alpha = AlphaScaled(Logistic(1.0), 0.7).curve(w)
-        astar, mask = invert_curve(a_alpha, w, 0.7)
+        astar, mask = astar_points(a_alpha, edge_points(w), 0.7)
         assert np.max(np.abs(astar - 1.0)) < 1e-12
         assert not mask.any()
 
     def test_clamp_flags(self):
         w = edge_grid(5)
-        astar, mask = invert_curve(np.full(5, 0.4), w, 0.5)
+        astar, mask = astar_points(np.full(5, 0.4), edge_points(w), 0.5)
         t1 = (1.0 - w) ** 2.0
         t2 = w**2.0
         lower = np.maximum(t1, t2) / (t1 + t2)
@@ -464,7 +461,8 @@ _SHUFFLED_PAIRS = tuple(
 def _public_route(sample, pair, config):
     """One composite fit through the public per-pick functions."""
     w = edge_grid(config.grid_size)
-    values, md_flags = pickands_curve_raw(pseudo_uniforms(sample.eta), w, pair.pick)
+    points = edge_points(w)
+    values, md_flags = pickands_points(pseudo_uniforms(sample.eta), points, pair.pick)
     if config.corrected:
         values = endpoint_correct(values, w, pair.pick)
     try:
@@ -472,7 +470,7 @@ def _public_route(sample, pair, config):
         alpha_hat, alpha_clamped = clamp_alpha(alpha_raw)
     except EstimationError as exc:
         return exc
-    a_star, clamp_mask = invert_curve(values, w, alpha_hat)
+    a_star, clamp_mask = astar_points(values, points, alpha_hat)
     return values, a_star, clamp_mask | md_flags, alpha_hat, alpha_raw, alpha_clamped
 
 
@@ -568,3 +566,40 @@ def test_fit_pairs_rejects_mixed_shapes():
         fit_pairs((a, b), _SHUFFLED_PAIRS, CompositeConfig())
     with pytest.raises(DomainError):
         fit_pairs((), _SHUFFLED_PAIRS, CompositeConfig())
+
+
+class TestFrechetLaw:
+    def test_quantile_known_value(self):
+        law = FrechetLaw(alpha=0.7)
+        assert law.quantile(np.exp(-1.0)) == pytest.approx(1.0, rel=1e-14)
+
+    def test_cdf_known_value(self):
+        assert FrechetLaw(alpha=1.0).cdf(2.0) == pytest.approx(np.exp(-0.5), rel=1e-14)
+
+    def test_logpdf_known_value(self):
+        assert FrechetLaw(alpha=0.5).logpdf(1.0) == pytest.approx(np.log(0.5) - 1.0, rel=1e-14)
+
+    def test_quantile_inverts_cdf(self):
+        law = FrechetLaw(alpha=1.3, scale=2.5)
+        v = np.arange(0.01, 1.0, 0.01)
+        assert np.max(np.abs(law.cdf(law.quantile(v)) - v)) < 1e-12
+
+    def test_cdf_limits_and_monotone(self):
+        law = FrechetLaw(alpha=0.8)
+        x = np.linspace(1e-6, 60.0, 500)
+        c = law.cdf(x)
+        assert np.all(np.diff(c) >= 0.0)
+        assert law.cdf(1e-8) < 1e-12 and law.cdf(1e8) > 1.0 - 1e-6
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            FrechetLaw(alpha=-1.0)
+        with pytest.raises(DomainError):
+            FrechetLaw(alpha=1.0, scale=0.0)
+        law = FrechetLaw(alpha=1.0)
+        with pytest.raises(DomainError):
+            law.cdf(-1.0)
+        with pytest.raises(DomainError):
+            law.quantile(1.0)
+        with pytest.raises(DomainError):
+            law.logpdf(0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from randmax import estimators, harness
-from randmax.depcore import edge_grid
+from randmax.depcore import edge_grid, student_t_cdf
 from randmax.errors import DomainError, EstimationError
 from randmax.estimators import CompositeConfig, composite_estimate
 from randmax.harness import (
@@ -23,7 +23,6 @@ from randmax.harness import (
     truth_model,
 )
 from randmax.samplers import sample_experiment1
-from randmax.specfun import student_t_cdf
 
 
 def _small_config(**overrides):

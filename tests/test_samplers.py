@@ -6,6 +6,7 @@ from scipy.stats import kstest, ks_2samp
 from scipy.stats import t as student_t
 
 from randmax import samplers
+from randmax.depcore import student_t_cdf
 from randmax.errors import DomainError, InputParseError
 from randmax.estimators import pickands_points, pseudo_uniforms
 from randmax.samplers import (
@@ -17,7 +18,6 @@ from randmax.samplers import (
     sample_pareto_block_size,
     sample_positive_stable,
 )
-from randmax.specfun import student_t_cdf
 
 from oracles import sample_bivariate_t, sample_spectral_scaled
 
