@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from randmax.depcore import (
     AlphaScaled,
@@ -60,37 +59,6 @@ class TestLogisticNorm:
     def test_barycenter_general_dim(self, d, alpha):
         t = np.full(d, 1.0 / d)
         assert Logistic(alpha, dim=d).pickands(t) == pytest.approx(d ** (alpha - 1.0), rel=1e-13)
-
-
-class TestStudentT:
-    def test_center(self):
-        for nu in (0.5, 1.0, 7.0):
-            assert student_t_cdf(0.0, nu) == pytest.approx(0.5, abs=1e-14)
-
-    def test_two_dof_closed_form(self):
-        x = np.sqrt(2.0)
-        closed = 0.5 + x / (2.0 * np.sqrt(2.0 + x * x))
-        assert student_t_cdf(x, 2.0) == pytest.approx(closed, rel=1e-12)
-        assert student_t_cdf(x, 2.0) == pytest.approx(0.8535533906, abs=1e-10)
-        assert student_t_cdf(-x, 2.0) == pytest.approx(1.0 - closed, rel=1e-12)
-
-    def test_symmetry(self):
-        x = np.linspace(-5.0, 5.0, 101)
-        assert np.max(np.abs(student_t_cdf(-x, 3.3) - (1.0 - student_t_cdf(x, 3.3)))) < 1e-14
-
-    def test_normal_limit(self):
-        x = np.linspace(-4.0, 4.0, 81)
-        assert np.max(np.abs(student_t_cdf(x, 1000.0) - norm.cdf(x))) < 2e-3
-
-    def test_infinite_argument(self):
-        assert student_t_cdf(np.inf, 2.0) == 1.0
-        assert student_t_cdf(-np.inf, 2.0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            student_t_cdf(0.0, 0.0)
-        with pytest.raises(DomainError):
-            student_t_cdf(np.nan, 1.0)
 
 
 class TestPickandsEvaluation:

@@ -566,40 +566,3 @@ def test_fit_pairs_rejects_mixed_shapes():
         fit_pairs((a, b), _SHUFFLED_PAIRS, CompositeConfig())
     with pytest.raises(DomainError):
         fit_pairs((), _SHUFFLED_PAIRS, CompositeConfig())
-
-
-class TestFrechetLaw:
-    def test_quantile_known_value(self):
-        law = FrechetLaw(alpha=0.7)
-        assert law.quantile(np.exp(-1.0)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_cdf_known_value(self):
-        assert FrechetLaw(alpha=1.0).cdf(2.0) == pytest.approx(np.exp(-0.5), rel=1e-14)
-
-    def test_logpdf_known_value(self):
-        assert FrechetLaw(alpha=0.5).logpdf(1.0) == pytest.approx(np.log(0.5) - 1.0, rel=1e-14)
-
-    def test_quantile_inverts_cdf(self):
-        law = FrechetLaw(alpha=1.3, scale=2.5)
-        v = np.arange(0.01, 1.0, 0.01)
-        assert np.max(np.abs(law.cdf(law.quantile(v)) - v)) < 1e-12
-
-    def test_cdf_limits_and_monotone(self):
-        law = FrechetLaw(alpha=0.8)
-        x = np.linspace(1e-6, 60.0, 500)
-        c = law.cdf(x)
-        assert np.all(np.diff(c) >= 0.0)
-        assert law.cdf(1e-8) < 1e-12 and law.cdf(1e8) > 1.0 - 1e-6
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            FrechetLaw(alpha=-1.0)
-        with pytest.raises(DomainError):
-            FrechetLaw(alpha=1.0, scale=0.0)
-        law = FrechetLaw(alpha=1.0)
-        with pytest.raises(DomainError):
-            law.cdf(-1.0)
-        with pytest.raises(DomainError):
-            law.quantile(1.0)
-        with pytest.raises(DomainError):
-            law.logpdf(0.0)
