@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .config import (
     experiment_config_from_block,
+    lambda_mn_quantity,
     load_config,
     pairs_from_block,
     require_block,
@@ -203,7 +204,7 @@ def cmd_eval(config, args):
     # the schema admits lambda_mn and tail_z only for alpha in (0, 1)
     for i, lam in enumerate(block.get("lambda_mn", [])):
         try:
-            rows.append((f"lambda_X_from_lambda_MN_{lam:g}", lambda_inverse_link(lam, alpha)))
+            rows.append((lambda_mn_quantity(lam), lambda_inverse_link(lam, alpha)))
         except RangeLinkError as exc:
             raise ConfigError(str(exc), path=f"$.eval.lambda_mn[{i}]") from None
     outdir = Path(args.out)

@@ -3,12 +3,14 @@
 A single JSON file holds one block per subcommand; each subcommand reads only
 its block. `CONFIG_SCHEMA` states every rule once: each domain is one shared
 sub-schema, and a field that the chosen settings never read is an error.
-`load_config` checks the file, and that each `eval.tail_z` point has the
-model's dimension (which JSON Schema cannot state), before any output, and
-names the JSON path of the offending field. Every scientific parameter lives
-in the file. Besides `--config` and `--out`, `sample` takes `--seed`,
-`estimate` takes `--input`, and `experiment` and `figures` take `--seed` and
-`--jobs`, which override the block's values; `eval` takes no other flag.
+`load_config` checks the file, and the rules JSON Schema cannot state,
+before any output, and names the JSON path of the offending field. Those
+rules are: each `eval.tail_z` point has the model's dimension, no two
+`eval.lambda_mn` entries give one quantity name, and with a GPWM pair every
+`experiment.alpha` exceeds 1/k. Every scientific parameter lives in the
+file. Besides `--config` and `--out`, `sample` takes `--seed`, `estimate`
+takes `--input`, and `experiment` and `figures` take `--seed` and `--jobs`,
+which override the block's values; `eval` takes no other flag.
 """
 
 import json
@@ -19,7 +21,12 @@ from .errors import ConfigError
 from .estimators import EstimatorPair
 from .harness import ExperimentConfig
 
-__all__ = ["load_config", "experiment_config_from_block", "CONFIG_SCHEMA"]
+__all__ = [
+    "load_config",
+    "experiment_config_from_block",
+    "lambda_mn_quantity",
+    "CONFIG_SCHEMA",
+]
 
 
 def _integer(minimum):
@@ -220,7 +227,30 @@ def load_config(path):
                 raise ConfigError(
                     f"must have the model's dimension {dim}", path=f"$.eval.tail_z[{i}]"
                 )
+        first = {}
+        for i, lam in enumerate(data["eval"].get("lambda_mn", ())):
+            name = lambda_mn_quantity(lam)
+            if name in first:
+                raise ConfigError(
+                    f"gives the quantity name {name} of $.eval.lambda_mn[{first[name]}]",
+                    path=f"$.eval.lambda_mn[{i}]",
+                )
+            first[name] = i
+    if "experiment" in data and any(p["alpha"] == "GPWM" for p in data["experiment"]["pairs"]):
+        # gpwm_alpha uses the moment mu_(1,k-1), which exists only for alpha > 1/k
+        k = data["experiment"].get("k", 5)
+        for i, alpha in enumerate(data["experiment"]["alpha"]):
+            if alpha <= 1.0 / k:
+                raise ConfigError(
+                    f"GPWM needs alpha > 1/k = {1.0 / k:g} (k = {k}), got {alpha!r}",
+                    path=f"$.experiment.alpha[{i}]",
+                )
     return data
+
+
+def lambda_mn_quantity(lam):
+    """The eval_summary.csv quantity name of one `eval.lambda_mn` entry."""
+    return f"lambda_X_from_lambda_MN_{lam:g}"
 
 
 def require_block(config, name):

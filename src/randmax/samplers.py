@@ -99,13 +99,16 @@ class PairedSample:
         return self.eta.shape[1]
 
     def to_csv(self, path_or_buf):
-        """Write `eta_1,...,eta_d,xi` rows at full round-trip precision."""
+        """Write the header `eta_1,...,eta_d,xi`, then one row per observation.
+
+        Each cell is repr() of the Python float, the shortest text that reads
+        back to the same bits; cells are joined by "," and every row, the last
+        too, ends in "\\n". The text is built column by column, from tolist().
+        """
         header = ",".join(f"eta_{j + 1}" for j in range(self.dim)) + ",xi"
-        lines = [header]
-        for i in range(self.n):
-            cells = [repr(float(v)) for v in self.eta[i]] + [repr(float(self.xi[i]))]
-            lines.append(",".join(cells))
-        write_text(path_or_buf, "\n".join(lines) + "\n")
+        columns = [map(repr, column) for column in (*self.eta.T.tolist(), self.xi.tolist())]
+        rows = "\n".join(map(",".join, zip(*columns)))
+        write_text(path_or_buf, f"{header}\n{rows}\n")
 
     @classmethod
     def from_csv(cls, path_or_buf, meta=None):
@@ -116,6 +119,17 @@ class PairedSample:
 
     @classmethod
     def _parse(cls, fh, meta):
+        """Read the format to_csv writes, with InputParseError naming the line.
+
+        Lines are stripped of surrounding whitespace (so CRLF endings pass)
+        and blank ones are skipped, though still counted in line numbers.
+        Cells may carry spaces; float() reads each one. Errors, in order:
+        a bad header (line 1); then the first line in file order that has
+        the wrong number of columns or, failing that, a cell float() cannot
+        read; then fewer than 2 rows (line 2); then the first row with a
+        value PairedSample rejects, eta before xi. All cells are converted
+        in one pass, and only a failed pass walks the lines to name one.
+        """
         header = fh.readline().strip()
         cols = header.split(",") if header else []
         if len(cols) < 3 or cols[-1] != "xi" or any(
@@ -123,24 +137,20 @@ class PairedSample:
         ):
             raise InputParseError(f"bad header {header!r}, expected eta_1,...,eta_d,xi", line=1)
         d = len(cols) - 1
-        eta_rows, xi_rows, linenos = [], [], []
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            cells = raw.split(",")
-            if len(cells) != d + 1:
-                raise InputParseError(f"expected {d + 1} columns, got {len(cells)}", line=lineno)
+        lines = list(map(str.strip, fh))  # lines[i] is line i + 2 of the file
+        rows = [line for line in lines if line]
+        values = None
+        if all(row.count(",") == d for row in rows):
             try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise InputParseError(str(exc), line=lineno) from None
-            eta_rows.append(values[:-1])
-            xi_rows.append(values[-1])
-            linenos.append(lineno)
-        if len(eta_rows) < 2:
+                values = list(map(float, ",".join(rows).split(","))) if rows else []
+            except ValueError:
+                pass
+        if values is None:
+            raise _first_bad_line(lines, d)
+        if len(rows) < 2:
             raise InputParseError("need at least 2 data rows", line=2)
-        eta, xi = np.array(eta_rows), np.array(xi_rows)
+        table = np.array(values).reshape(len(rows), d + 1)
+        eta, xi = table[:, :-1].copy(), table[:, -1].copy()
         try:
             return cls(eta, xi, meta or {})
         except DomainError as exc:
@@ -148,7 +158,23 @@ class PairedSample:
             bad = ~np.all(np.isfinite(eta) & (eta > 0.0), axis=1)
             if not bad.any():
                 bad = ~(np.isfinite(xi) & (xi > 0.0))
+            linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
             raise InputParseError(str(exc), line=linenos[int(np.argmax(bad))]) from None
+
+
+def _first_bad_line(lines, d):
+    """The InputParseError of the first nonblank line (lines[i] is line i + 2)
+    that does not hold d + 1 cells, or holds one float() cannot read."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != d + 1:
+            return InputParseError(f"expected {d + 1} columns, got {len(cells)}", line=lineno)
+        try:
+            list(map(float, cells))
+        except ValueError as exc:
+            return InputParseError(str(exc), line=lineno)
 
 
 def sample_positive_stable(alpha, rng, size=None):

@@ -9,6 +9,7 @@ import pytest
 
 import randmax
 from randmax import cli
+from randmax.config import load_config
 from randmax.depcore import AlphaScaled, GevMargin, LimitLawQ, Logistic, extremal_coefficient
 from randmax.samplers import RngStream, sample_experiment1
 
@@ -450,6 +451,14 @@ class TestCrossFieldRules:
             ),
             # the recovered coefficient 2 - 1.8^2 is negative
             ("eval", {"eval": dict(EVAL_BLOCK, lambda_mn=[0.9, 0.2])}, "$.eval.lambda_mn[1]"),
+            # both entries would be named lambda_X_from_lambda_MN_0.8
+            ("eval", {"eval": dict(EVAL_BLOCK, lambda_mn=[0.8, 0.8000001])},
+             "$.eval.lambda_mn[1]"),
+            ("eval", {"eval": dict(EVAL_BLOCK, lambda_mn=[0.8, 0.8])}, "$.eval.lambda_mn[1]"),
+            # GPWM's moment mu_(1,k-1) exists only for alpha > 1/k
+            ("experiment", {"experiment": dict(EXPERIMENT_BLOCK, alpha=[0.5, 0.2])},
+             "$.experiment.alpha[1]"),
+            ("experiment", {"experiment": dict(EXPERIMENT_BLOCK, k=2)}, "$.experiment.alpha[0]"),
         ],
     )
     def test_violation_exits_2_naming_the_field(
@@ -463,6 +472,34 @@ class TestCrossFieldRules:
         assert code == 2
         assert f"{field}:" in err
         assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            dict(EXPERIMENT_BLOCK, alpha=[0.21]),
+            # the bound applies to GPWM pairs only
+            dict(EXPERIMENT_BLOCK, alpha=[0.2], pairs=[{"pick": "CFG", "alpha": "ML"}]),
+        ],
+        ids=["gpwm-above-bound", "ml-only"],
+    )
+    def test_alpha_the_tail_fit_can_estimate_is_accepted(self, workspace, block):
+        cfg = write_config(workspace / "c.json", {"experiment": block})
+        assert load_config(cfg)["experiment"] == block
+
+    def test_distinct_lambda_mn_names_are_accepted(self, workspace, capsys):
+        block = dict(EVAL_BLOCK, lambda_mn=[0.8, 0.800001, 1])
+        cfg = write_config(workspace / "c.json", {"eval": block})
+        code, err = run_in_process(capsys, "eval", "--config", cfg, "--out", str(workspace / "o"))
+        assert code == 0, err
+        names = [
+            line.split(",")[0]
+            for line in (workspace / "o" / "eval_summary.csv").read_text().splitlines()
+        ]
+        assert names[-3:] == [
+            "lambda_X_from_lambda_MN_0.8",
+            "lambda_X_from_lambda_MN_0.800001",
+            "lambda_X_from_lambda_MN_1",
+        ]
 
     @pytest.mark.parametrize(
         "subcommand, flag", [("eval", "--jobs"), ("estimate", "--seed"), ("sample", "--jobs")]

@@ -324,3 +324,70 @@ class TestPairedSampleCsv:
     def test_positivity_validated(self):
         with pytest.raises(DomainError):
             PairedSample(np.array([[1.0, -1.0], [1.0, 2.0]]), np.array([1.0, 2.0]))
+
+    @staticmethod
+    def _parse_error(text):
+        with pytest.raises(InputParseError) as err:
+            PairedSample.from_csv(io.StringIO(text))
+        return err.value
+
+    def test_crlf_line_endings(self, tmp_path):
+        text = "eta_1,eta_2,xi\r\n1.5,2.0,2.0\r\n3.0,0.25,3.0\r\n"
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.encode())
+        for source in (io.StringIO(text), path):
+            s = PairedSample.from_csv(source)
+            assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
+            assert np.array_equal(s.xi, [2.0, 3.0])
+
+    def test_spaces_around_cells(self):
+        s = PairedSample.from_csv(io.StringIO("eta_1,eta_2,xi\n 1.5 ,2.0,\t2.0\n3.0 , 0.25,3.0  \n"))
+        assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
+        assert np.array_equal(s.xi, [2.0, 3.0])
+
+    def test_no_trailing_newline(self):
+        s = PairedSample.from_csv(io.StringIO("eta_1,eta_2,xi\n1.5,2.0,2.0\n3.0,0.25,3.0"))
+        assert np.array_equal(s.xi, [2.0, 3.0])
+
+    def test_blank_lines_are_skipped_and_counted(self):
+        text = "eta_1,eta_2,xi\n1.5,2.0,2.0\n\n   \n3.0,0.25,3.0\n\n"
+        s = PairedSample.from_csv(io.StringIO(text))
+        assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
+        err = self._parse_error("eta_1,eta_2,xi\n1.5,2.0,2.0\n\n   \n1.0,oops,2.0\n")
+        assert err.line == 5
+        assert str(err) == "line 5: could not convert string to float: 'oops'"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            pytest.param(
+                "1.0,2.0\n1.0,oops,2.0\n", "line 3: expected 3 columns, got 2", id="count-first"
+            ),
+            pytest.param(
+                "1.0, oops,2.0\n1.0,2.0\n",
+                "line 3: could not convert string to float: ' oops'",
+                id="value-first",
+            ),
+            # on one line the column count is checked before the values
+            pytest.param("1.0,oops\n", "line 3: expected 3 columns, got 2", id="same-line"),
+        ],
+    )
+    def test_earlier_bad_line_is_named(self, rows, message):
+        err = self._parse_error("eta_1,eta_2,xi\n1.0,2.0,2.0\n" + rows)
+        assert str(err) == message
+
+    @pytest.mark.parametrize(
+        "text", ["eta_1,eta_2,xi\n", "eta_1,eta_2,xi\n\n", "eta_1,eta_2,xi\n1.0,2.0,2.0\n"]
+    )
+    def test_fewer_than_two_rows(self, text):
+        err = self._parse_error(text)
+        assert str(err) == "line 2: need at least 2 data rows"
+
+    def test_round_trip_three_columns(self):
+        s = sample_experiment1(0.5, 0.5, 30, RngStream(8, 3), d=3)
+        buf = io.StringIO()
+        s.to_csv(buf)
+        assert buf.getvalue().startswith("eta_1,eta_2,eta_3,xi\n")
+        back = PairedSample.from_csv(io.StringIO(buf.getvalue()))
+        assert np.array_equal(back.eta, s.eta)
+        assert np.array_equal(back.xi, s.xi)
