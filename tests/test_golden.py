@@ -1,9 +1,13 @@
-"""Golden output digests: the bytes of one CLI cycle and one small sweep.
+"""Golden output digests: the bytes of one CLI cycle, three small sweeps and
+the `eval` tables.
 
 The SHA-256 of every output CSV (sidecars excluded: they carry the build)
 is compared with `tests/golden/digests.json`. The `sample` + `estimate`
 cycle runs at n=5000, where the curve kernel works in more than one chunk
-of simplex points, and the `figures` sweep is a small figure-1 config.
+of simplex points. The `figures` sweeps are a small figure-1 config, the
+same at GPWM order k=3 (whose ML pairs still start from the k=5 GPWM fit),
+and a small figure-3 config with GPWM and ML pairs. `eval` runs once per
+theta(Q) branch, with `tail_z` and `lambda_mn` where alpha < 1 admits them.
 Floating-point results may differ between numpy or scipy releases, so the
 file records the versions it was made with and a mismatch fails naming
 both. After a deliberate change of output, rewrite the file with
@@ -42,6 +46,46 @@ SWEEP_CONFIG = {
     }
 }
 
+K3_CONFIG = {"experiment": dict(SWEEP_CONFIG["experiment"], psi=[0.1, 0.55], k=3, seed=6)}
+
+FIG3_CONFIG = {
+    "experiment": {
+        "experiment": 2,
+        "alpha": [0.5],
+        "rho": [-0.5, 0.5],
+        "upsilon": [1.0, 3.0],
+        "n": [30],
+        "replications": 4,
+        "inner_size": 100,
+        "pairs": PAIRS,
+        "seed": 7,
+    }
+}
+
+#: the eval keys that exist only for alpha in (0, 1)
+_HEAVY_KEYS = {
+    "tail_z": [[1.0, 0.0], [1.0, 1.0], [0.5, 2.0]],
+    "tail_n": 50,
+    "lambda_mn": [0.6, 0.85],
+}
+
+EVAL_CONFIGS = {
+    "eval_frechet_heavy": dict(
+        model={"family": "logistic", "psi": 0.5}, alpha=0.5, grid_size=21, **_HEAVY_KEYS
+    ),
+    "eval_frechet_unit": dict(model={"family": "logistic", "psi": 0.7}, alpha=1.0, grid_size=21),
+    "eval_frechet_light": dict(
+        model={"family": "extremal_t", "rho": 0.5, "upsilon": 2.0}, alpha=1.5, grid_size=21
+    ),
+    "eval_gumbel": dict(
+        model={"family": "extremal_t", "rho": -0.3, "upsilon": 1.0},
+        alpha=0.7,
+        size_branch="gumbel",
+        grid_size=21,
+        **_HEAVY_KEYS,
+    ),
+}
+
 
 def _versions():
     return {"numpy": np.__version__, "scipy": scipy.__version__}
@@ -54,22 +98,32 @@ def _run(argv):
 
 
 def output_digests(workdir):
-    """Run the cycle and the sweep under `workdir`; returns {file: sha256}."""
+    """Run the cycle, the sweeps and the evals under `workdir`; returns
+    {file: sha256}."""
     workdir = Path(workdir)
-    cycle_cfg = workdir / "cycle.json"
-    cycle_cfg.write_text(json.dumps(CYCLE_CONFIG), encoding="utf-8")
-    sweep_cfg = workdir / "sweep.json"
-    sweep_cfg.write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
-    cycle, sweep = workdir / "cycle", workdir / "sweep"
-    _run(["sample", "--config", str(cycle_cfg), "--out", str(cycle)])
+
+    def config(name, data):
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    cycle = workdir / "cycle"
+    cycle_cfg = config("cycle", CYCLE_CONFIG)
+    _run(["sample", "--config", cycle_cfg, "--out", str(cycle)])
     _run([
-        "estimate", "--config", str(cycle_cfg), "--out", str(cycle),
+        "estimate", "--config", cycle_cfg, "--out", str(cycle),
         "--input", str(cycle / "sample.csv"),
     ])
-    _run(["figures", "--config", str(sweep_cfg), "--out", str(sweep)])
+    runs = [
+        ("figures", name, data)
+        for name, data in (("sweep", SWEEP_CONFIG), ("k3", K3_CONFIG), ("fig3", FIG3_CONFIG))
+    ]
+    runs += [("eval", name, {"eval": block}) for name, block in EVAL_CONFIGS.items()]
+    for command, name, data in runs:
+        _run([command, "--config", config(name, data), "--out", str(workdir / name)])
     return {
         f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for out in (cycle, sweep)
+        for out in [cycle] + [workdir / name for _, name, _ in runs]
         for path in sorted(out.glob("*.csv"))
     }
 
