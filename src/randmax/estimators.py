@@ -47,6 +47,21 @@ about 50 ms. With one
 allocated temporaries, 5,300-7,800 faults. 1,000,000 cells (a 40 MB
 scratch array) took 660 faults. The chunking changes no bit of any estimate
 under one condition: no chunk has exactly one point (see _point_chunks).
+
+Tail fits: estimate_alpha fits the xi rows of a whole block of samples in
+one vectorised pass per method, and gpwm_alpha and ml_alpha are its
+one-row calls. GPWM sorts the (B, n) matrix along its rows and takes both
+moments as row dot products. ML runs its safeguarded Newton iteration on
+the vector of rows still iterating, each row taking exactly the steps it
+would take alone. The GPWM fit at k=5 starts every row's ML iteration,
+whatever k the GPWM pairs use, so a block computes it once for both. The
+block fits keep every bit of the one-row fits because each row goes
+through the same floating-point operations in the same order: np.vecdot
+(or a stacked matmul) of a row equals the 1-D dot, and a row-wise sum or
+mean equals the 1-D one, while a matrix-vector product (gemv) or einsum
+sums in another order and moves bits. Python's float a ** 2 calls C pow(),
+which rounds differently from a * a and from numpy's power, so the ML
+derivative squares each row's shape as a Python float.
 """
 
 from dataclasses import dataclass
@@ -316,65 +331,12 @@ def gpwm_alpha(xi, k=5):
     finite only for alpha > 1/(b+1). The moment mu_{1,k-1} thus requires
     alpha > 1/k; below that the top order statistic dominates the ratio and
     the estimate tends to 1/k. A nonpositive denominator raises
-    EstimationError.
+    EstimationError. This is the one-row call of estimate_alpha.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1 or xi.size < 2:
-        raise DomainError("xi must be a vector with at least 2 entries")
-    if int(k) < 2:
-        raise DomainError(f"moment order k must be >= 2, got {k!r}")
-    if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
-        raise DomainError("xi entries must be finite and positive")
-    k = int(k)
-    x = np.sort(xi)
-    n = x.size
-    mu_hi = float(x @ gpwm_weights(n, k))
-    mu_lo = float(x @ gpwm_weights(n, k - 1))
-    denom = k - 2.0 * mu_hi / mu_lo
-    # the denominator is 1/alpha; at or below rounding level the data carry
-    # no tail information (a constant sample lands exactly at zero)
-    if denom <= 1e-9:
-        raise EstimationError(
-            f"moment ratio gave vanishing shape denominator {denom!r}", stage="GPWM"
-        )
-    return 1.0 / denom
+    return _one_row(xi, "GPWM", k)
 
 
-def _ml_log_excess(xi):
-    """Log-data relative to its minimum, d_i = ln x_i - min_j ln x_j >= 0.
-
-    The profile score depends on the data only through these differences.
-    Weighting with x^-a relative to min x gives weights exp(-a d_i) in
-    (0, 1], the largest equal to 1, so the sums can neither overflow nor
-    vanish whatever the scale of xi.
-    """
-    lx = np.log(np.asarray(xi, dtype=float))
-    return lx - lx.min()
-
-
-def _ml_profile_score(alpha, d, mean_d, with_deriv=False):
-    """Mean profile score of the two-parameter Frechet likelihood at shape a,
-
-        1/a - mean(ln x) + sum(x^-a ln x) / sum(x^-a),
-
-    from the log-excess d (and its mean): the derivative per observation of
-    the log-likelihood once the scale is profiled out through
-    sigma^a = n / sum(x^-a). It is strictly decreasing in the shape;
-    with_deriv also returns its derivative -1/a^2 - (weighted variance of d)."""
-    wts = np.exp(-alpha * d)
-    total = wts.sum()
-    m1 = float(wts @ d) / total
-    score = 1.0 / alpha - mean_d + m1
-    if not with_deriv:
-        return score
-    m2 = float(wts @ (d * d)) / total
-    return score, -1.0 / alpha**2 - (m2 - m1 * m1)
-
-
-_ML_BRACKET = (1e-3, 50.0)
-
-
-def ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
+def ml_alpha(xi):
     """Maximum-likelihood Frechet shape with the scale profiled out.
 
     The Frechet law with shape a and scale sigma is fitted jointly; for a
@@ -382,49 +344,160 @@ def ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
     so the shape is the root of the profile score (see _ml_profile_score) and the
     estimate is invariant under rescaling xi. The root is found by Newton
     iteration safeguarded with bisection on the bracket [1e-3, 50], started
-    from the GPWM estimate; the returned root satisfies |mean score| <= 1e-10.
+    from the GPWM estimate at k=5 (or, where that fails, from the moment
+    match pi / sqrt(6 var(ln xi))); the iteration stops at |mean score| <=
+    1e-12 or after 200 steps, and the returned root satisfies |mean score|
+    <= 1e-10. This is the one-row call of estimate_alpha.
     """
+    return _one_row(xi, "ML")
+
+
+def _one_row(xi, method, k=5):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size < 2:
         raise DomainError("xi must be a vector with at least 2 entries")
+    (alpha,) = estimate_alpha(xi[np.newaxis], (method,), k)[method]
+    if isinstance(alpha, EstimationError):
+        raise alpha
+    return alpha
+
+
+def estimate_alpha(xi, methods, k=5):
+    """Tail-index fits of every row of the (B, n) matrix xi by each of the
+    named methods, GPWM at moment order k.
+
+    Returns {method: one float or EstimationError per row}. The GPWM fit at
+    k=5 is computed once and serves both as the GPWM estimate when k is 5
+    and as the start of every row's ML iteration, whatever k is. Each row's
+    result is the same whatever block it is fitted in.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] < 2:
+        raise DomainError("xi must be a (B, n) matrix of rows with at least 2 entries")
+    for method in methods:
+        if method not in ALPHA_ESTIMATORS:
+            raise DomainError(f"unknown tail estimator {method!r}")
+    if "GPWM" in methods and int(k) < 2:
+        raise DomainError(f"moment order k must be >= 2, got {k!r}")
     if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
         raise DomainError("xi entries must be finite and positive")
-    if np.all(xi == xi[0]):
-        raise EstimationError("all xi values are equal; shape is unidentified", stage="ML")
-    d = _ml_log_excess(xi)
-    mean_d = float(d.mean())
+    k = int(k)
+    x = np.sort(xi, axis=1)
+    gpwm = {order: _gpwm_rows(x, order) for order in {5 if m == "ML" else k for m in methods}}
+    return {m: gpwm[k] if m == "GPWM" else _ml_rows(xi, gpwm[5]) for m in methods}
+
+
+def _gpwm_rows(x, k):
+    """GPWM estimates (see gpwm_alpha) of the rows of the row-sorted (B, n)
+    matrix x: one float or EstimationError per row."""
+    n = x.shape[1]
+    mu_hi = np.vecdot(x, gpwm_weights(n, k))
+    mu_lo = np.vecdot(x, gpwm_weights(n, k - 1))
+    # the denominator is 1/alpha; at or below rounding level the data carry
+    # no tail information (a constant sample lands exactly at zero)
+    return [
+        EstimationError(f"moment ratio gave vanishing shape denominator {denom!r}", stage="GPWM")
+        if denom <= 1e-9
+        else 1.0 / denom
+        for denom in (k - 2.0 * mu_hi / mu_lo).tolist()
+    ]
+
+
+def _ml_profile_score(alpha, d, mean_d, with_deriv=False):
+    """Mean profile score of the two-parameter Frechet likelihood at shape a,
+
+        1/a - mean(ln x) + sum(x^-a ln x) / sum(x^-a),
+
+    per row of the log-excess d (and its row means) at that row's shape in
+    the vector alpha: the derivative per observation of the log-likelihood
+    once the scale is profiled out through sigma^a = n / sum(x^-a). It is
+    strictly decreasing in the shape; with_deriv also returns its derivative
+    -1/a^2 - (weighted variance of d).
+
+    The log-excess d_i = ln x_i - min_j ln x_j >= 0 carries all the score
+    needs: weighting with x^-a relative to min x gives weights exp(-a d_i)
+    in (0, 1], the largest equal to 1, so the sums can neither overflow nor
+    vanish whatever the scale of xi.
+    """
+    wts = np.exp(-alpha[:, np.newaxis] * d)
+    total = wts.sum(axis=1)
+    m1 = np.vecdot(wts, d) / total
+    score = 1.0 / alpha - mean_d + m1
+    if not with_deriv:
+        return score
+    m2 = np.vecdot(wts, d * d) / total
+    # a ** 2 on a Python float is C pow(), which rounds differently from
+    # a * a (and from numpy's power) about once in 1,200 draws
+    square = np.array([a**2 for a in alpha.tolist()])
+    return score, -1.0 / square - (m2 - m1 * m1)
+
+
+_ML_BRACKET = (1e-3, 50.0)
+#: the Newton iteration stops at |mean score| <= _ML_TOL or after _ML_MAX_STEPS
+_ML_TOL = 1e-12
+_ML_MAX_STEPS = 200
+
+
+def _ml_rows(xi, start):
+    """ML estimates (see ml_alpha) of the rows of the (B, n) matrix xi,
+    started from the GPWM results `start` of the same rows: one float or
+    EstimationError per row.
+
+    Newton steps run on the rows still iterating, each row taking exactly
+    the steps it would take alone.
+    """
+    out = [None] * xi.shape[0]
+    lx = np.log(xi)
+    d = lx - lx.min(axis=1, keepdims=True)
+    mean_d = d.mean(axis=1)
     lo, hi = _ML_BRACKET
-    s_lo = _ml_profile_score(lo, d, mean_d)
-    s_hi = _ml_profile_score(hi, d, mean_d)
-    if not (s_lo > 0.0 > s_hi):
-        raise EstimationError(
-            f"score has no sign change on [{lo}, {hi}] "
-            f"(score({lo}) = {s_lo!r}, score({hi}) = {s_hi!r})",
+    s_lo = _ml_profile_score(np.full(len(out), lo), d, mean_d)
+    s_hi = _ml_profile_score(np.full(len(out), hi), d, mean_d)
+    equal = np.all(xi == xi[:, :1], axis=1)
+    bracketed = (s_lo > 0.0) & (s_hi < 0.0)
+    for b in np.flatnonzero(equal | ~bracketed).tolist():
+        out[b] = EstimationError(
+            "all xi values are equal; shape is unidentified"
+            if equal[b]
+            else f"score has no sign change on [{lo}, {hi}] "
+            f"(score({lo}) = {s_lo[b]!r}, score({hi}) = {s_hi[b]!r})",
             stage="ML",
         )
-    if init is None:
-        try:
-            init = gpwm_alpha(xi)
-        except EstimationError:
-            # ln x is Gumbel with scale 1/a: moment match its spread
-            init = np.pi / np.sqrt(6.0 * float(d.var()))
-    a = float(np.clip(init, lo, hi))
+    rows = np.flatnonzero(bracketed & ~equal)
+    # ln x is Gumbel with scale 1/a: where GPWM failed, moment match its spread
+    init = [
+        np.pi / np.sqrt(6.0 * float(d[b].var()))
+        if isinstance(start[b], EstimationError)
+        else start[b]
+        for b in rows.tolist()
+    ]
+    a = np.clip(np.array(init, dtype=float), lo, hi)
+    lo, hi = np.full(rows.size, lo), np.full(rows.size, hi)
+    d, mean_d = d[rows], mean_d[rows]
     s, ds = _ml_profile_score(a, d, mean_d, with_deriv=True)
-    for _ in range(max_iter):
-        if abs(s) <= tol:
-            break
-        if s > 0.0:
-            lo = a
-        else:
-            hi = a
+    for _ in range(_ML_MAX_STEPS):
+        going = ~(np.abs(s) <= _ML_TOL)
+        if not going.all():
+            for b, alpha in zip(rows[~going].tolist(), a[~going].tolist()):
+                out[b] = alpha
+            rows, a, lo, hi, s, ds, d, mean_d = (
+                v[going] for v in (rows, a, lo, hi, s, ds, d, mean_d)
+            )
+            if not rows.size:
+                break
+        up = s > 0.0
+        lo = np.where(up, a, lo)
+        hi = np.where(up, hi, a)
         candidate = a - s / ds
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        a = candidate
+        a = np.where((lo < candidate) & (candidate < hi), candidate, 0.5 * (lo + hi))
         s, ds = _ml_profile_score(a, d, mean_d, with_deriv=True)
-    if abs(s) > 1e-10:
-        raise EstimationError(f"score iteration stalled at |score| = {abs(s)!r}", stage="ML")
-    return float(a)
+    for b, alpha, score in zip(rows.tolist(), a.tolist(), np.abs(s)):
+        out[b] = (
+            EstimationError(f"score iteration stalled at |score| = {score!r}", stage="ML")
+            if score > 1e-10
+            else alpha
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +541,6 @@ class CompositeConfig(EstimatorPair):
         super().__post_init__()
         if int(self.grid_size) < 3 or int(self.grid_size) % 2 == 0:
             raise DomainError("grid size must be an odd integer >= 3")
-
-
-def estimate_alpha(xi, method, k=5):
-    """Dispatch to the named tail-index estimator."""
-    if method == "GPWM":
-        return gpwm_alpha(xi, k=k)
-    if method == "ML":
-        return ml_alpha(xi)
-    raise DomainError(f"unknown tail estimator {method!r}")
 
 
 def clamp_alpha(alpha_raw):
@@ -551,10 +615,11 @@ def fit_pairs(samples, pairs, settings):
     an ExperimentConfig). Each sample is ranked once, and the curves of the
     scaled data of all picks and samples come from one kernel call, which
     builds its level tables once for all samples (see _curves_at); a single
-    sample tabulates its own pseudo-uniforms, which needs no gather. Each
-    sample fits its xi column once per tail method, in sample order, and one
-    inverse scaling transform per method inverts the stacked curves of its
-    pairs and samples, each at its own clamped tail estimate.
+    sample tabulates its own pseudo-uniforms, which needs no gather. The xi
+    columns of all samples are fitted in one estimate_alpha call, one
+    vectorised pass per tail method, and one inverse scaling transform per
+    method inverts the stacked curves of its pairs and samples, each at its
+    own clamped tail estimate.
 
     Returns one {pair label: CurveEstimate} per sample, in the order of
     `samples`, with labels in the order of `pairs`. A pair whose tail fit
@@ -584,12 +649,15 @@ def fit_pairs(samples, pairs, settings):
             for pick, (values, md_flags) in curves.items()
         }
     fits = [{} for _ in samples]
-    for method in dict.fromkeys(pair.alpha_method for pair in pairs):
+    methods = tuple(dict.fromkeys(pair.alpha_method for pair in pairs))
+    tails = estimate_alpha(np.stack([sample.xi for sample in samples]), methods, settings.k)
+    for method in methods:
         picks = tuple(dict.fromkeys(pair.pick for pair in pairs if pair.alpha_method == method))
         fitted = {}
-        for b, sample in enumerate(samples):
+        for b, alpha_raw in enumerate(tails[method]):
             try:
-                alpha_raw = estimate_alpha(sample.xi, method, k=settings.k)
+                if isinstance(alpha_raw, EstimationError):
+                    raise alpha_raw
                 fitted[b] = (alpha_raw, *clamp_alpha(alpha_raw))
             except EstimationError as exc:
                 fits[b].update({(pick, method): exc for pick in picks})

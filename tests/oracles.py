@@ -5,7 +5,8 @@ per-row terms of the rank-based curve estimators computed straight from
 their formulas, a Poisson spectral sampler of the alpha-scaled law that
 is independent of the S * Z construction the package samples with, and a
 row-by-row bivariate Student-t sampler, the brute-force reference for the
-pooled maxima of pipeline 2.
+pooled maxima of pipeline 2, and one-sample GPWM and ML tail fits written
+with Python scalars, the bit-level reference for the block-wise fits.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from randmax.errors import DomainError
+from randmax.errors import DomainError, EstimationError
+from randmax.estimators import gpwm_weights
 from randmax.samplers import RngStream, sample_logistic_maxstable
 
 
@@ -143,3 +145,125 @@ def sample_bivariate_t(rho, nu, rng, size=None):
     g2 = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
     out = np.column_stack([g1, g2]) * np.sqrt(nu / v)[:, np.newaxis]
     return out[0] if size is None else out
+
+
+def oracle_gpwm_alpha(xi, k=5):
+    """Generalized probability-weighted-moment estimate of the Frechet shape,
+
+        alpha_hat = (k - 2 mu_{1,k} / mu_{1,k-1})^(-1),
+
+    with the moments evaluated exactly from the order statistics. The ratio
+    is scale-free. For the Frechet quantile H^{-1}(v) = (-ln v)^(-1/alpha)
+    the integrand of mu_{1,b} (see gpwm_weights) is v (-ln v)^(b - 1/alpha),
+    finite only for alpha > 1/(b+1). The moment mu_{1,k-1} thus requires
+    alpha > 1/k; below that the top order statistic dominates the ratio and
+    the estimate tends to 1/k. A nonpositive denominator raises
+    EstimationError.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 1 or xi.size < 2:
+        raise DomainError("xi must be a vector with at least 2 entries")
+    if int(k) < 2:
+        raise DomainError(f"moment order k must be >= 2, got {k!r}")
+    if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
+        raise DomainError("xi entries must be finite and positive")
+    k = int(k)
+    x = np.sort(xi)
+    n = x.size
+    mu_hi = float(x @ gpwm_weights(n, k))
+    mu_lo = float(x @ gpwm_weights(n, k - 1))
+    denom = k - 2.0 * mu_hi / mu_lo
+    # the denominator is 1/alpha; at or below rounding level the data carry
+    # no tail information (a constant sample lands exactly at zero)
+    if denom <= 1e-9:
+        raise EstimationError(
+            f"moment ratio gave vanishing shape denominator {denom!r}", stage="GPWM"
+        )
+    return 1.0 / denom
+
+
+def _oracle_ml_log_excess(xi):
+    """Log-data relative to its minimum, d_i = ln x_i - min_j ln x_j >= 0.
+
+    The profile score depends on the data only through these differences.
+    Weighting with x^-a relative to min x gives weights exp(-a d_i) in
+    (0, 1], the largest equal to 1, so the sums can neither overflow nor
+    vanish whatever the scale of xi.
+    """
+    lx = np.log(np.asarray(xi, dtype=float))
+    return lx - lx.min()
+
+
+def _oracle_ml_profile_score(alpha, d, mean_d, with_deriv=False):
+    """Mean profile score of the two-parameter Frechet likelihood at shape a,
+
+        1/a - mean(ln x) + sum(x^-a ln x) / sum(x^-a),
+
+    from the log-excess d (and its mean): the derivative per observation of
+    the log-likelihood once the scale is profiled out through
+    sigma^a = n / sum(x^-a). It is strictly decreasing in the shape;
+    with_deriv also returns its derivative -1/a^2 - (weighted variance of d)."""
+    wts = np.exp(-alpha * d)
+    total = wts.sum()
+    m1 = float(wts @ d) / total
+    score = 1.0 / alpha - mean_d + m1
+    if not with_deriv:
+        return score
+    m2 = float(wts @ (d * d)) / total
+    return score, -1.0 / alpha**2 - (m2 - m1 * m1)
+
+
+_ORACLE_ML_BRACKET = (1e-3, 50.0)
+
+
+def oracle_ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
+    """Maximum-likelihood Frechet shape with the scale profiled out.
+
+    The Frechet law with shape a and scale sigma is fitted jointly; for a
+    fixed shape the scale maximizing the likelihood is sigma^a = n/sum(x^-a),
+    so the shape is the root of the profile score (see _oracle_ml_profile_score) and the
+    estimate is invariant under rescaling xi. The root is found by Newton
+    iteration safeguarded with bisection on the bracket [1e-3, 50], started
+    from the GPWM estimate; the returned root satisfies |mean score| <= 1e-10.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 1 or xi.size < 2:
+        raise DomainError("xi must be a vector with at least 2 entries")
+    if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
+        raise DomainError("xi entries must be finite and positive")
+    if np.all(xi == xi[0]):
+        raise EstimationError("all xi values are equal; shape is unidentified", stage="ML")
+    d = _oracle_ml_log_excess(xi)
+    mean_d = float(d.mean())
+    lo, hi = _ORACLE_ML_BRACKET
+    s_lo = _oracle_ml_profile_score(lo, d, mean_d)
+    s_hi = _oracle_ml_profile_score(hi, d, mean_d)
+    if not (s_lo > 0.0 > s_hi):
+        raise EstimationError(
+            f"score has no sign change on [{lo}, {hi}] "
+            f"(score({lo}) = {s_lo!r}, score({hi}) = {s_hi!r})",
+            stage="ML",
+        )
+    if init is None:
+        try:
+            init = oracle_gpwm_alpha(xi)
+        except EstimationError:
+            # ln x is Gumbel with scale 1/a: moment match its spread
+            init = np.pi / np.sqrt(6.0 * float(d.var()))
+    a = float(np.clip(init, lo, hi))
+    s, ds = _oracle_ml_profile_score(a, d, mean_d, with_deriv=True)
+    for _ in range(max_iter):
+        if abs(s) <= tol:
+            break
+        if s > 0.0:
+            lo = a
+        else:
+            hi = a
+        candidate = a - s / ds
+        if not (lo < candidate < hi):
+            candidate = 0.5 * (lo + hi)
+        a = candidate
+        s, ds = _oracle_ml_profile_score(a, d, mean_d, with_deriv=True)
+    if abs(s) > 1e-10:
+        raise EstimationError(f"score iteration stalled at |score| = {abs(s)!r}", stage="ML")
+    return float(a)

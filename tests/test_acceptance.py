@@ -37,8 +37,8 @@ from randmax.estimators import (
     CompositeConfig,
     clamp_alpha,
     endpoint_correct,
-    estimate_alpha,
     fit_pairs,
+    gpwm_alpha,
     pickands_points,
     pseudo_uniforms,
 )
@@ -410,7 +410,7 @@ def figure1_variants():
             )
             u = pseudo_uniforms(sample.eta)
             try:
-                alpha_hat, _ = clamp_alpha(estimate_alpha(sample.xi, "GPWM", k=config.k))
+                alpha_hat, _ = clamp_alpha(gpwm_alpha(sample.xi, config.k))
             except EstimationError:
                 alpha_hat = None
             for pick in _PICKS:

@@ -16,7 +16,6 @@ from randmax.estimators import (
     clamp_alpha,
     composite_estimate,
     endpoint_correct,
-    estimate_alpha,
     fit_pairs,
     gpwm_alpha,
     gpwm_weights,
@@ -25,9 +24,16 @@ from randmax.estimators import (
     pseudo_uniforms,
 )
 from randmax.harness import Combo, truth_curve
-from randmax.samplers import RngStream, sample_experiment1
+from randmax.samplers import RngStream, sample_experiment1, sample_experiment2
 
-from oracles import FrechetLaw, madogram_nu, oracle_row_terms, pseudo_angles
+from oracles import (
+    FrechetLaw,
+    madogram_nu,
+    oracle_gpwm_alpha,
+    oracle_ml_alpha,
+    oracle_row_terms,
+    pseudo_angles,
+)
 
 
 def _at_point(u, t, pick):
@@ -336,6 +342,82 @@ class TestMl:
         assert err.value.stage == "ML"
 
 
+def _tail_rows():
+    """xi rows of one length for the block tail fits, one per kind of outcome."""
+    n = 200
+    rows = {
+        f"pipeline1-{alpha}": sample_experiment1(0.5, alpha, n, RngStream(23, i)).xi
+        for i, alpha in enumerate((0.3, 0.5, 0.9))
+    }
+    # of order n'^(1/alpha), n' = 200 blocks
+    for i, alpha in enumerate((0.3, 0.7)):
+        rows[f"pipeline2-{alpha}"] = sample_experiment2(
+            0.5, 1.0, alpha, n, RngStream(29, i), n_prime=200
+        ).xi
+    rows["constant"] = np.full(n, 3.0)
+    # one outlier: the GPWM weights of the top order statistic are about
+    # n^-(k+1), so at k=5 the moment ratio sees a constant sample, while ML
+    # finds a shape near n / ln(e^5) = 40 from the moment-matched start
+    rows["gpwm-fails"] = np.r_[np.ones(n - 1), np.exp(5.0)]
+    rows["no-sign-change"] = np.linspace(1.005, 1.02, n)
+    return rows
+
+
+def _tail_outcome(fit, *args):
+    try:
+        return fit(*args)
+    except EstimationError as exc:
+        return exc
+
+
+def _same_outcome(got, want):
+    if isinstance(want, EstimationError):
+        same_stage = isinstance(got, EstimationError) and got.stage == want.stage
+        return same_stage and str(got) == str(want)
+    return type(got) is float and got == want
+
+
+@pytest.mark.parametrize("k", [5, 3])
+def test_block_tail_fits_match_scalar_oracles(k):
+    # the block fits take each row's exact scalar steps: every alpha equals
+    # the oracle's bit for bit, every failure is the oracle's error, and a
+    # row's result does not depend on the block it is fitted in
+    rows = _tail_rows()
+    xi = np.stack(list(rows.values()))
+    want = {
+        "GPWM": [_tail_outcome(oracle_gpwm_alpha, row, k) for row in xi],
+        "ML": [_tail_outcome(oracle_ml_alpha, row) for row in xi],
+    }
+    outcomes = {
+        name: tuple(type(want[method][b]).__name__ for method in ("GPWM", "ML"))
+        for b, name in enumerate(rows)
+    }
+    assert outcomes["constant"] == ("EstimationError", "EstimationError")
+    # ML starts from the k=5 GPWM fit whatever k is, and here that fit fails
+    assert isinstance(_tail_outcome(oracle_gpwm_alpha, rows["gpwm-fails"]), EstimationError)
+    assert outcomes["gpwm-fails"] == ("EstimationError" if k == 5 else "float", "float")
+    assert outcomes["no-sign-change"] == ("float", "EstimationError")
+    assert all(outcomes[name] == ("float", "float") for name in rows if "pipeline" in name)
+    order = RngStream(31, k).generator().permutation(len(rows))
+    blocks = [
+        (np.arange(len(rows)), ("GPWM", "ML")),
+        (order, ("ML", "GPWM")),
+        (order[:3], ("GPWM", "ML")),
+        (order[3:], ("ML",)),
+        (order[3:], ("GPWM",)),
+    ] + [(np.array([b]), ("ML", "GPWM")) for b in range(len(rows))]
+    for index, methods in blocks:
+        got = estimators.estimate_alpha(xi[index], methods, k)
+        assert list(got) == list(methods)
+        for method in methods:
+            assert len(got[method]) == index.size
+            for b, fit in zip(index, got[method]):
+                assert _same_outcome(fit, want[method][b]), (list(rows)[b], method, fit)
+    for b, row in enumerate(xi):
+        assert _same_outcome(_tail_outcome(gpwm_alpha, row, k), want["GPWM"][b])
+        assert _same_outcome(_tail_outcome(ml_alpha, row), want["ML"][b])
+
+
 class TestEndpointCorrection:
     def test_exact_curve_unchanged(self):
         w = edge_grid(21)
@@ -466,7 +548,10 @@ def _public_route(sample, pair, config):
     if config.corrected:
         values = endpoint_correct(values, w, pair.pick)
     try:
-        alpha_raw = estimate_alpha(sample.xi, pair.alpha_method, k=config.k)
+        if pair.alpha_method == "GPWM":
+            alpha_raw = gpwm_alpha(sample.xi, config.k)
+        else:
+            alpha_raw = ml_alpha(sample.xi)
         alpha_hat, alpha_clamped = clamp_alpha(alpha_raw)
     except EstimationError as exc:
         return exc

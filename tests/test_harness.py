@@ -229,14 +229,18 @@ class TestRunExperiment:
         assert mismatches == 0
 
     def test_failures_are_counted_and_excluded(self, monkeypatch):
+        # every third fitted row fails, across the block calls of the sweep
         calls = {"n": 0}
         real = estimators.estimate_alpha
 
-        def flaky(xi, method, k=5):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise EstimationError("forced", stage=method)
-            return real(xi, method, k=k)
+        def flaky(xi, methods, k=5):
+            fits = real(xi, methods, k)
+            for method, rows in fits.items():
+                for b in range(len(rows)):
+                    calls["n"] += 1
+                    if calls["n"] % 3 == 0:
+                        rows[b] = EstimationError("forced", stage=method)
+            return fits
 
         monkeypatch.setattr(estimators, "estimate_alpha", flaky)
         cfg = _small_config(psis=(0.5,), replications=6, pairs=(EstimatorPair("CFG", "GPWM"),))
@@ -249,7 +253,9 @@ class TestRunExperiment:
         monkeypatch.setattr(
             estimators,
             "estimate_alpha",
-            lambda xi, method, k=5: (_ for _ in ()).throw(EstimationError("x", stage=method)),
+            lambda xi, methods, k=5: {
+                method: [EstimationError("x", stage=method)] * len(xi) for method in methods
+            },
         )
         cfg = _small_config(psis=(0.5,), replications=4, pairs=(EstimatorPair("CFG", "GPWM"),))
         res = run_experiment(cfg)
