@@ -33,10 +33,10 @@ from .errors import (
     RangeLinkError,
 )
 from .estimators import (
-    CompositeConfig,
     CurveEstimate,
     EstimatorPair,
-    composite_estimate,
+    FitSettings,
+    fit_pairs,
     gpwm_alpha,
     ml_alpha,
 )
@@ -44,7 +44,6 @@ from .harness import (
     Combo,
     ComboResult,
     ExperimentConfig,
-    mise_decompose,
     run_experiment,
     truth_curve,
 )

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .config import (
     experiment_config_from_block,
+    fit_settings_from_block,
     lambda_mn_quantity,
     load_config,
     pairs_from_block,
@@ -50,7 +51,7 @@ from .errors import (
     InputParseError,
     RangeLinkError,
 )
-from .estimators import CompositeConfig, fit_pairs
+from .estimators import fit_pairs
 from .harness import figure_tables, results_csv_text, run_experiment, run_report_text
 from .samplers import PairedSample, RngStream, sample_experiment1, sample_experiment2
 
@@ -147,8 +148,7 @@ def cmd_estimate(config, args):
         raise InputParseError(f"composite estimation needs 2 eta columns, got {sample.dim}", line=1)
     outdir = Path(args.out)
     pairs = pairs_from_block(block)
-    # shared fit settings; the pick and tail method of this config are unused
-    settings = CompositeConfig(**_present(block, "k", "grid_size", "corrected"))
+    settings = fit_settings_from_block(block)
     fits = fit_pairs((sample,), pairs, settings)[0]
     for pair in pairs:
         estimate = fits[pair.label]

@@ -13,12 +13,13 @@ takes `--input`, and `experiment` and `figures` take `--seed` and `--jobs`,
 which override the block's values; `eval` takes no other flag.
 """
 
+import dataclasses
 import json
 
 import jsonschema
 
 from .errors import ConfigError
-from .estimators import EstimatorPair
+from .estimators import EstimatorPair, FitSettings
 from .harness import ExperimentConfig
 
 __all__ = [
@@ -66,11 +67,14 @@ _SEED = _integer(0)
 
 #: pairs and fit settings, shared by the `estimate` and `experiment` blocks
 _FIT = {
-    "pairs": _grid(
-        _closed(
-            {"pick": {"enum": ["P", "CFG", "MD"]}, "alpha": {"enum": ["GPWM", "ML"]}},
-            ["pick", "alpha"],
-        )
+    "pairs": dict(
+        _grid(
+            _closed(
+                {"pick": {"enum": ["P", "CFG", "MD"]}, "alpha": {"enum": ["GPWM", "ML"]}},
+                ["pick", "alpha"],
+            )
+        ),
+        uniqueItems=True,
     ),
     "k": _integer(2),
     "grid_size": {
@@ -238,7 +242,7 @@ def load_config(path):
             first[name] = i
     if "experiment" in data and any(p["alpha"] == "GPWM" for p in data["experiment"]["pairs"]):
         # gpwm_alpha uses the moment mu_(1,k-1), which exists only for alpha > 1/k
-        k = data["experiment"].get("k", 5)
+        k = fit_settings_from_block(data["experiment"]).k
         for i, alpha in enumerate(data["experiment"]["alpha"]):
             if alpha <= 1.0 / k:
                 raise ConfigError(
@@ -263,6 +267,16 @@ def pairs_from_block(block):
     return tuple(EstimatorPair(p["pick"], p["alpha"]) for p in block["pairs"])
 
 
+#: block keys that name FitSettings fields
+_FIT_SETTINGS = tuple(f.name for f in dataclasses.fields(FitSettings))
+
+
+def fit_settings_from_block(block):
+    """The FitSettings of an `estimate` or `experiment` block; absent keys
+    take the FitSettings defaults."""
+    return FitSettings(**{key: block[key] for key in _FIT_SETTINGS if key in block})
+
+
 #: experiment-block keys whose ExperimentConfig field has another name
 _EXPERIMENT_FIELDS = {
     "alpha": "alphas",
@@ -282,8 +296,10 @@ def experiment_config_from_block(block, seed=None, jobs=None):
     fields = {
         _EXPERIMENT_FIELDS.get(key, key): tuple(value) if isinstance(value, list) else value
         for key, value in block.items()
+        if key not in _FIT_SETTINGS
     }
     fields["pairs"] = pairs_from_block(block)
+    fields["fit"] = fit_settings_from_block(block)
     if seed is not None:
         fields["seed"] = seed
     if jobs is not None:

@@ -83,10 +83,9 @@ __all__ = [
     "gpwm_weights",
     "ml_alpha",
     "EstimatorPair",
-    "CompositeConfig",
+    "FitSettings",
     "CurveEstimate",
     "fit_pairs",
-    "composite_estimate",
 ]
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -362,7 +361,7 @@ def _one_row(xi, method, k=5):
     return alpha
 
 
-def estimate_alpha(xi, methods, k=5):
+def estimate_alpha(xi, methods, k):
     """Tail-index fits of every row of the (B, n) matrix xi by each of the
     named methods, GPWM at moment order k.
 
@@ -527,20 +526,20 @@ class EstimatorPair:
 
 
 @dataclass(frozen=True)
-class CompositeConfig(EstimatorPair):
-    """Choices for one composite fit: the estimator pair, the GPWM moment
-    order k, the grid size, and whether to apply the vertex corrections."""
+class FitSettings:
+    """Settings shared by every pair of a composite fit: the GPWM moment
+    order k, the number of grid nodes on the edge coordinate, and whether
+    the vertex corrections apply."""
 
-    pick: str = "CFG"
-    alpha_method: str = "GPWM"
     k: int = 5
     grid_size: int = 201
     corrected: bool = True
 
     def __post_init__(self):
-        super().__post_init__()
+        if int(self.k) < 2:
+            raise DomainError(f"GPWM moment order k must be >= 2, got {self.k!r}")
         if int(self.grid_size) < 3 or int(self.grid_size) % 2 == 0:
-            raise DomainError("grid size must be an odd integer >= 3")
+            raise DomainError("grid size must be an odd integer >= 3 so w = 1/2 is a node")
 
 
 def clamp_alpha(alpha_raw):
@@ -608,18 +607,15 @@ class CurveEstimate:
 def fit_pairs(samples, pairs, settings):
     """Fit several composite estimators to each of a sequence of paired samples.
 
-    `samples` holds paired samples of one shape (n, 2); `pairs` holds
-    objects with `pick` and `alpha_method` (EstimatorPair or
-    CompositeConfig); `settings` supplies the GPWM order `k`, the
-    `grid_size` and whether the curves are `corrected` (a CompositeConfig or
-    an ExperimentConfig). Each sample is ranked once, and the curves of the
-    scaled data of all picks and samples come from one kernel call, which
-    builds its level tables once for all samples (see _curves_at); a single
-    sample tabulates its own pseudo-uniforms, which needs no gather. The xi
-    columns of all samples are fitted in one estimate_alpha call, one
-    vectorised pass per tail method, and one inverse scaling transform per
-    method inverts the stacked curves of its pairs and samples, each at its
-    own clamped tail estimate.
+    `samples` holds paired samples of one shape (n, 2), `pairs` the
+    EstimatorPairs to fit and `settings` the FitSettings they share. Each
+    sample is ranked once, and the curves of the scaled data of all picks
+    and samples come from one kernel call, which builds its level tables
+    once for all samples (see _curves_at); a single sample tabulates its own
+    pseudo-uniforms, which needs no gather. The xi columns of all samples
+    are fitted in one estimate_alpha call, one vectorised pass per tail
+    method, and one inverse scaling transform per method inverts the stacked
+    curves of its pairs and samples, each at its own clamped tail estimate.
 
     Returns one {pair label: CurveEstimate} per sample, in the order of
     `samples`, with labels in the order of `pairs`. A pair whose tail fit
@@ -686,11 +682,3 @@ def fit_pairs(samples, pairs, settings):
                 )
     return [{pair.label: fit[pair.pick, pair.alpha_method] for pair in pairs} for fit in fits]
 
-
-def composite_estimate(sample, config=CompositeConfig()):
-    """Fit one composite estimator (see fit_pairs); an estimation failure
-    raises its EstimationError with the failing stage named."""
-    fit = fit_pairs((sample,), (config,), config)[0][config.label]
-    if isinstance(fit, EstimationError):
-        raise fit
-    return fit

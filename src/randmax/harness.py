@@ -32,11 +32,10 @@ import numpy as np
 
 from .depcore import ExtremalT, Logistic, edge_grid
 from .errors import DomainError, EstimationError
-from .estimators import EstimatorPair, fit_pairs
+from .estimators import EstimatorPair, FitSettings, fit_pairs
 from .samplers import RngStream, sample_experiment1, sample_experiment2
 
 __all__ = [
-    "EstimatorPair",
     "ExperimentConfig",
     "Combo",
     "ComboResult",
@@ -44,7 +43,6 @@ __all__ = [
     "replication_stream",
     "truth_model",
     "truth_curve",
-    "mise_decompose",
     "run_experiment",
     "results_csv_text",
     "figure_tables",
@@ -59,7 +57,8 @@ class ExperimentConfig:
     """Full description of one sweep; see the module docstring for semantics.
 
     For experiment 1 the dependence grid is `psis`; for experiment 2 it is
-    `rhos` x `upsilons` with `inner_size` blocks per observation.
+    `rhos` x `upsilons` with `inner_size` blocks per observation. `fit`
+    holds the settings every pair is fitted with.
     """
 
     experiment: int
@@ -71,9 +70,7 @@ class ExperimentConfig:
     rhos: tuple = ()
     upsilons: tuple = ()
     inner_size: int = 500
-    k: int = 5
-    grid_size: int = 201
-    corrected: bool = True
+    fit: FitSettings = FitSettings()
     seed: int = 0
     jobs: int = 1
 
@@ -98,10 +95,6 @@ class ExperimentConfig:
             raise DomainError("need at least 2 replications")
         if not self.pairs:
             raise DomainError("need at least one estimator pair")
-        if int(self.grid_size) < 3 or int(self.grid_size) % 2 == 0:
-            raise DomainError("grid size must be an odd integer >= 3 so w = 1/2 is a node")
-        if int(self.k) < 2:
-            raise DomainError("GPWM moment order must be >= 2")
         if int(self.jobs) < 1:
             raise DomainError("parallelism width must be >= 1")
 
@@ -201,21 +194,18 @@ def _block_size(config):
     return max(1, config.replications // (8 * config.jobs))
 
 
-def _replicate_block(reps, config, combo, inject_truth=False):
+def _replicate_block(reps, config, combo):
     """Run a block of replications: draw each replication's sample from its
-    own stream, then fit every pair on every sample in one fit_pairs call.
+    own stream, then fit every pair on every sample in one fit_pairs call
+    with the sweep's fit settings.
 
     Returns one {pair label: (astar values | None, clamp count, alpha
     clamped)} per replication, in the order of `reps`; None marks an
-    estimation failure of that pair's tail stage. With inject_truth the
-    fitted curves are replaced by the analytic truth (pipeline-testing hook).
+    estimation failure of that pair's tail stage.
     """
     samples = [
         _sample_for(config, combo, replication_stream(config.seed, combo, rep)) for rep in reps
     ]
-    if inject_truth:
-        truth = truth_curve(combo, edge_grid(config.grid_size))
-        return [{pair.label: (truth, 0, False) for pair in config.pairs} for _ in samples]
     return [
         {
             label: (None, 0, False)
@@ -223,33 +213,20 @@ def _replicate_block(reps, config, combo, inject_truth=False):
             else (fit.a_star, fit.n_clamped, fit.alpha_clamped)
             for label, fit in fits.items()
         }
-        for fits in fit_pairs(samples, config.pairs, config)
+        for fits in fit_pairs(samples, config.pairs, config.fit)
     ]
 
 
 # -- reduction ---------------------------------------------------------------
 
 
-def mise_decompose(curves, truth, w):
-    """(MISE, ISB, IV) of a stack of curves against the truth on the grid.
+def _reduce(curves, truth, w):
+    """(MISE, ISB, IV, per-replication ISE, mean curve) of a stack of curves.
 
     MISE is the mean over replications of the integrated squared error; ISB
     integrates the squared pointwise bias of the mean curve, IV the pointwise
     variance, so MISE = ISB + IV up to float rounding.
     """
-    curves = np.asarray(curves, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if curves.ndim != 2 or curves.shape[1] != truth.size or truth.size != w.size:
-        raise DomainError("curve stack, truth, and grid shapes do not match")
-    if curves.shape[0] < 2:
-        raise DomainError("need at least 2 replications to decompose")
-    mise, isb, iv, _, _ = _reduce(curves, truth, w)
-    return mise, isb, iv
-
-
-def _reduce(curves, truth, w):
-    """(MISE, ISB, IV, per-replication ISE, mean curve) of a stack of curves."""
     ise = np.trapezoid((curves - truth) ** 2, w, axis=1)
     mean_curve = curves.mean(axis=0)
     isb = float(np.trapezoid((mean_curve - truth) ** 2, w))
@@ -279,18 +256,19 @@ class ComboResult:
         return self.failures > _FAILURE_FLAG_FRACTION * self.replications
 
 
-def run_experiment(config, inject_truth=False):
+def run_experiment(config):
     """Run the full sweep and reduce each (combination, pair) to a ComboResult.
 
-    Replications run in blocks of consecutive indices, about eight blocks
-    per worker (see _block_size); the blocks are distributed over
-    `config.jobs` worker processes, or run in turn when jobs is 1. Each
-    replication still draws from its own stream and results are reduced in
-    replication order, so the output is identical at every parallelism
-    width and block size.
+    Every replication is fitted with `config.fit`, and its curves are
+    reduced against the truth on that grid. Replications run in blocks of
+    consecutive indices, about eight blocks per worker (see _block_size);
+    the blocks are distributed over `config.jobs` worker processes, or run
+    in turn when jobs is 1. Each replication still draws from its own
+    stream and results are reduced in replication order, so the output is
+    identical at every parallelism width and block size.
     """
     combos = enumerate_combos(config)
-    w = edge_grid(config.grid_size)
+    w = edge_grid(config.fit.grid_size)
     results = []
     executor = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
     try:
@@ -301,7 +279,7 @@ def run_experiment(config, inject_truth=False):
                 range(lo, min(lo + size, config.replications))
                 for lo in range(0, config.replications, size)
             ]
-            task = partial(_replicate_block, config=config, combo=combo, inject_truth=inject_truth)
+            task = partial(_replicate_block, config=config, combo=combo)
             block_results = map(task, blocks) if executor is None else executor.map(task, blocks)
             rep_results = [r for block in block_results for r in block]
             wall_ms = (perf_counter() - start) * 1000.0
@@ -327,7 +305,7 @@ def run_experiment(config, inject_truth=False):
                     ComboResult(
                         combo=combo,
                         pair=pair,
-                        corrected=config.corrected,
+                        corrected=config.fit.corrected,
                         replications=config.replications,
                         failures=failures,
                         clamps=clamps,

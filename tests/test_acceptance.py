@@ -34,7 +34,7 @@ from randmax.depcore import (
 from randmax.errors import EstimationError
 from randmax.estimators import (
     EULER_MASCHERONI,
-    CompositeConfig,
+    FitSettings,
     clamp_alpha,
     endpoint_correct,
     fit_pairs,
@@ -255,7 +255,7 @@ _PAIRS = tuple(EstimatorPair(p, a) for a in ("GPWM", "ML") for p in ("P", "CFG",
 
 def _sup_errors(sample, truth):
     """sup|A* estimate - truth| of every pair, from one fit_pairs call."""
-    (fits,) = fit_pairs((sample,), _PAIRS, CompositeConfig())
+    (fits,) = fit_pairs((sample,), _PAIRS, FitSettings())
     sups = {}
     for label, fit in fits.items():
         if isinstance(fit, EstimationError):
@@ -399,7 +399,7 @@ def figure1_variants():
     the inverse transform ("gpwm_unclipped"), and the true alpha ("true").
     Maps (variant, psi, pick) to the stack of inverse-transform curves."""
     config = _FIGURE1_CONFIG
-    w = edge_grid(config.grid_size)
+    w = edge_grid(config.fit.grid_size)
     points = edge_points(w)
     stacks = {}
     for combo in enumerate_combos(config):
@@ -410,7 +410,7 @@ def figure1_variants():
             )
             u = pseudo_uniforms(sample.eta)
             try:
-                alpha_hat, _ = clamp_alpha(gpwm_alpha(sample.xi, config.k))
+                alpha_hat, _ = clamp_alpha(gpwm_alpha(sample.xi, config.fit.k))
             except EstimationError:
                 alpha_hat = None
             for pick in _PICKS:
@@ -432,7 +432,7 @@ def _figure1_ise(curves, psi):
     """Per-replication integrated squared errors, as the harness reduces them."""
     config = _FIGURE1_CONFIG
     combo = Combo(1, config.alphas[0], psi, float("nan"), config.sizes[0])
-    w = edge_grid(config.grid_size)
+    w = edge_grid(config.fit.grid_size)
     return np.trapezoid((curves - truth_curve(combo, w)) ** 2, w, axis=1)
 
 

@@ -197,6 +197,31 @@ class TestEstimateCommand:
             assert meta[key] == repr(float(meta[key]))
             assert float(meta[key]) == float(row[4])
 
+    @pytest.mark.parametrize(
+        "settings, expected",
+        [
+            ({}, ("5", "201", "1")),
+            ({"k": 3, "grid_size": 41, "corrected": False}, ("3", "41", "0")),
+        ],
+        ids=["defaults", "k3-grid41-uncorrected"],
+    )
+    def test_sidecar_records_fit_settings(self, workspace, capsys, settings, expected):
+        block = dict(settings, pairs=[{"pick": "CFG", "alpha": "GPWM"}])
+        cfg = write_config(workspace / "c.json", {"estimate": block})
+        sample = workspace / "sample.csv"
+        sample_experiment1(0.5, 0.5, 400, RngStream(42)).to_csv(sample)
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
+            "--input", str(sample),
+        )
+        assert code == 0, err
+        out = workspace / "e" / "estimate_CFG-GPWM.csv"
+        meta = dict(line.split("=", 1) for line in Path(f"{out}.meta").read_text().splitlines())
+        assert (meta["k"], meta["grid_size"], meta["corrected"]) == expected
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == int(expected[1])
+        assert {row.split(",")[6] for row in rows} == {expected[2]}
+
     def test_missing_xi_column(self, workspace, capsys):
         cfg, _ = self._sampled(workspace, capsys)
         bad = workspace / "bad.csv"
@@ -459,6 +484,17 @@ class TestCrossFieldRules:
             ("experiment", {"experiment": dict(EXPERIMENT_BLOCK, alpha=[0.5, 0.2])},
              "$.experiment.alpha[1]"),
             ("experiment", {"experiment": dict(EXPERIMENT_BLOCK, k=2)}, "$.experiment.alpha[0]"),
+            # a pair listed twice would write its rows and its file twice
+            (
+                "estimate",
+                {"estimate": {"pairs": [{"pick": "CFG", "alpha": "GPWM"}] * 2}},
+                "$.estimate.pairs",
+            ),
+            (
+                "experiment",
+                {"experiment": dict(EXPERIMENT_BLOCK, pairs=EXPERIMENT_BLOCK["pairs"] * 2)},
+                "$.experiment.pairs",
+            ),
         ],
     )
     def test_violation_exits_2_naming_the_field(

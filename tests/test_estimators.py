@@ -10,11 +10,10 @@ from randmax.errors import DomainError, EstimationError
 from randmax import estimators
 from randmax.estimators import (
     EULER_MASCHERONI,
-    CompositeConfig,
     CurveEstimate,
     EstimatorPair,
+    FitSettings,
     clamp_alpha,
-    composite_estimate,
     endpoint_correct,
     fit_pairs,
     gpwm_alpha,
@@ -474,20 +473,26 @@ class TestInvertCurve:
         assert mask[1] and mask[2] and mask[3]
 
 
+def _fit_one(sample, pick, alpha_method, **settings):
+    """One pair's composite fit of one sample (see fit_pairs)."""
+    pair = EstimatorPair(pick, alpha_method)
+    return fit_pairs((sample,), (pair,), FitSettings(**settings))[0][pair.label]
+
+
 class TestComposite:
     def test_failure_carries_stage(self):
         s = sample_experiment1(0.5, 0.5, 50, RngStream(16, 1))
         s.xi[:] = 1.0
-        with pytest.raises(EstimationError) as err:
-            composite_estimate(s, CompositeConfig(pick="CFG", alpha_method="GPWM"))
-        assert err.value.stage == "GPWM"
+        err = _fit_one(s, "CFG", "GPWM")
+        assert isinstance(err, EstimationError)
+        assert err.stage == "GPWM"
 
     def test_alpha_clamp_path(self):
         # light-tailed xi sends the tail estimate past 1; composite must still run
         s = sample_experiment1(0.5, 0.5, 500, RngStream(16, 2))
         light = FrechetLaw(3.0).quantile((np.arange(500) + 0.5) / 500)
         s.xi[:] = light
-        est = composite_estimate(s, CompositeConfig(pick="CFG", alpha_method="ML"))
+        est = _fit_one(s, "CFG", "ML")
         assert est.alpha_clamped
         assert est.alpha_raw > 1.0
         assert est.alpha_hat == pytest.approx(1.0 - 1e-6)
@@ -498,19 +503,19 @@ class TestComposite:
         truth = truth_curve(combo, edge_grid(201))
         s = sample_experiment1(0.5, 0.5, 4_000, RngStream(16, 3))
         for pick in ("P", "CFG", "MD"):
-            est = composite_estimate(s, CompositeConfig(pick=pick, alpha_method="GPWM"))
+            est = _fit_one(s, pick, "GPWM")
             assert np.max(np.abs(est.a_star - truth)) < 0.05
 
     def test_base_curve_recovery(self):
         s = sample_experiment1(0.5, 0.5, 4_000, RngStream(16, 4))
-        est = composite_estimate(s, CompositeConfig(pick="CFG", alpha_method="GPWM"))
+        est = _fit_one(s, "CFG", "GPWM")
         base = Logistic(0.5).curve(est.w)
         assert np.max(np.abs(est.a_base - base)) < 0.05
         assert est.a_base[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_csv_round_trip_schema(self):
         s = sample_experiment1(0.5, 0.5, 100, RngStream(16, 5))
-        est = composite_estimate(s, CompositeConfig(pick="MD", alpha_method="GPWM", grid_size=5))
+        est = _fit_one(s, "MD", "GPWM", grid_size=5)
         buf = io.StringIO()
         est.to_csv(buf)
         lines = buf.getvalue().strip().split("\n")
@@ -521,9 +526,9 @@ class TestComposite:
 
     def test_grid_size_validation(self):
         with pytest.raises(DomainError):
-            CompositeConfig(grid_size=200)
+            FitSettings(grid_size=200)
         with pytest.raises(DomainError):
-            CompositeConfig(pick="X")
+            EstimatorPair("X", "GPWM")
 
 
 # all six pairs, deliberately not in the canonical order
@@ -570,7 +575,7 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
     # transform per tail method across pairs; none of that may move a bit.
     # The xi column is also replaced by a light-tailed one (alpha clamped)
     # and a constant one (both tail fits fail).
-    config = CompositeConfig(grid_size=grid_size, corrected=corrected)
+    config = FitSettings(grid_size=grid_size, corrected=corrected)
     sample = sample_experiment1(0.5, 0.5, n, RngStream(17, n))
     light = FrechetLaw(3.0).quantile((np.arange(n) + 0.5) / n)
     for xi in (sample.xi.copy(), light, np.ones(n)):
@@ -614,7 +619,7 @@ def test_batched_fit_pairs_matches_one_sample_calls(
     # (both tail fits fail) in the batch
     if chunk_cells is not None:
         monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
-    config = CompositeConfig(grid_size=grid_size, corrected=corrected)
+    config = FitSettings(grid_size=grid_size, corrected=corrected)
     samples = [
         sample_experiment1(psi, 0.5, 50, RngStream(19, i))
         for i, psi in enumerate((0.2, 0.5, 0.9, 0.5, 1.0))
@@ -648,6 +653,6 @@ def test_fit_pairs_rejects_mixed_shapes():
     a = sample_experiment1(0.5, 0.5, 50, RngStream(19, 10))
     b = sample_experiment1(0.5, 0.5, 60, RngStream(19, 11))
     with pytest.raises(DomainError):
-        fit_pairs((a, b), _SHUFFLED_PAIRS, CompositeConfig())
+        fit_pairs((a, b), _SHUFFLED_PAIRS, FitSettings())
     with pytest.raises(DomainError):
-        fit_pairs((), _SHUFFLED_PAIRS, CompositeConfig())
+        fit_pairs((), _SHUFFLED_PAIRS, FitSettings())

@@ -1,12 +1,14 @@
-"""Golden output digests: the bytes of one CLI cycle, three small sweeps and
+"""Golden output digests: the bytes of one CLI cycle, four small sweeps and
 the `eval` tables.
 
 The SHA-256 of every output CSV (sidecars excluded: they carry the build)
 is compared with `tests/golden/digests.json`. The `sample` + `estimate`
 cycle runs at n=5000, where the curve kernel works in more than one chunk
-of simplex points. The `figures` sweeps are a small figure-1 config, the
-same at GPWM order k=3 (whose ML pairs still start from the k=5 GPWM fit),
-and a small figure-3 config with GPWM and ML pairs. `eval` runs once per
+of simplex points, and its sample is estimated a second time at k=3 on a
+41-node grid without vertex corrections. The `figures` sweeps are a small
+figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
+from the k=5 GPWM fit), the same without vertex corrections on a 41-node
+grid, and a small figure-3 config with GPWM and ML pairs. `eval` runs once per
 theta(Q) branch, with `tail_z` and `lambda_mn` where alpha < 1 admits them.
 Floating-point results may differ between numpy or scipy releases, so the
 file records the versions it was made with and a mismatch fails naming
@@ -46,7 +48,14 @@ SWEEP_CONFIG = {
     }
 }
 
+#: the fit settings away from their defaults, for a second estimate of the cycle's sample
+SETTINGS_CONFIG = {"estimate": {"pairs": PAIRS, "k": 3, "grid_size": 41, "corrected": False}}
+
 K3_CONFIG = {"experiment": dict(SWEEP_CONFIG["experiment"], psi=[0.1, 0.55], k=3, seed=6)}
+
+UNCORRECTED_CONFIG = {
+    "experiment": dict(SWEEP_CONFIG["experiment"], corrected=False, grid_size=41, seed=8)
+}
 
 FIG3_CONFIG = {
     "experiment": {
@@ -110,20 +119,27 @@ def output_digests(workdir):
     cycle = workdir / "cycle"
     cycle_cfg = config("cycle", CYCLE_CONFIG)
     _run(["sample", "--config", cycle_cfg, "--out", str(cycle)])
-    _run([
-        "estimate", "--config", cycle_cfg, "--out", str(cycle),
-        "--input", str(cycle / "sample.csv"),
-    ])
+    settings = workdir / "cycle_settings"
+    for out, cfg in ((cycle, cycle_cfg), (settings, config("settings", SETTINGS_CONFIG))):
+        _run([
+            "estimate", "--config", cfg, "--out", str(out),
+            "--input", str(cycle / "sample.csv"),
+        ])
     runs = [
         ("figures", name, data)
-        for name, data in (("sweep", SWEEP_CONFIG), ("k3", K3_CONFIG), ("fig3", FIG3_CONFIG))
+        for name, data in (
+            ("sweep", SWEEP_CONFIG),
+            ("k3", K3_CONFIG),
+            ("uncorrected", UNCORRECTED_CONFIG),
+            ("fig3", FIG3_CONFIG),
+        )
     ]
     runs += [("eval", name, {"eval": block}) for name, block in EVAL_CONFIGS.items()]
     for command, name, data in runs:
         _run([command, "--config", config(name, data), "--out", str(workdir / name)])
     return {
         f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for out in [cycle] + [workdir / name for _, name, _ in runs]
+        for out in [cycle, settings] + [workdir / name for _, name, _ in runs]
         for path in sorted(out.glob("*.csv"))
     }
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,15 +7,13 @@ import pytest
 from randmax import estimators, harness
 from randmax.depcore import edge_grid, student_t_cdf
 from randmax.errors import DomainError, EstimationError
-from randmax.estimators import CompositeConfig, composite_estimate
+from randmax.estimators import EstimatorPair, FitSettings, fit_pairs
 from randmax.harness import (
     Combo,
     ComboResult,
-    EstimatorPair,
     ExperimentConfig,
     enumerate_combos,
     figure_tables,
-    mise_decompose,
     replication_stream,
     results_csv_text,
     run_experiment,
@@ -35,7 +34,7 @@ def _small_config(**overrides):
         pairs=(EstimatorPair("CFG", "GPWM"), EstimatorPair("P", "ML")),
         seed=77,
         jobs=1,
-        grid_size=21,
+        fit=FitSettings(grid_size=21),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -47,7 +46,7 @@ class TestConfigValidation:
 
     def test_even_grid_rejected(self):
         with pytest.raises(DomainError):
-            _small_config(grid_size=20)
+            FitSettings(grid_size=20)
 
     def test_empty_psi_rejected(self):
         with pytest.raises(DomainError):
@@ -108,14 +107,14 @@ class TestMiseDecompose:
         w = edge_grid(11)
         truth = np.linspace(1.0, 0.8, 11)
         curves = np.tile(truth, (5, 1))
-        mise, isb, iv = mise_decompose(curves, truth, w)
+        mise, isb, iv, _, _ = harness._reduce(curves, truth, w)
         assert abs(mise) < 1e-30 and abs(isb) < 1e-30 and abs(iv) < 1e-30
 
     def test_constant_offset_is_pure_bias(self):
         w = edge_grid(11)
         truth = np.full(11, 0.9)
         curves = np.tile(truth + 0.1, (4, 1))
-        mise, isb, iv = mise_decompose(curves, truth, w)
+        mise, isb, iv, _, _ = harness._reduce(curves, truth, w)
         assert isb == pytest.approx(0.01, rel=1e-12)
         assert iv == pytest.approx(0.0, abs=1e-15)
         assert mise == pytest.approx(0.01, rel=1e-12)
@@ -124,17 +123,9 @@ class TestMiseDecompose:
         w = edge_grid(11)
         truth = np.full(11, 0.9)
         curves = np.vstack([truth + 0.1, truth - 0.1, truth + 0.1, truth - 0.1])
-        mise, isb, iv = mise_decompose(curves, truth, w)
+        mise, isb, iv, _, _ = harness._reduce(curves, truth, w)
         assert isb == pytest.approx(0.0, abs=1e-15)
         assert iv == pytest.approx(0.01, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            mise_decompose(np.ones((3, 5)), np.ones(4), edge_grid(4))
-
-    def test_single_curve_rejected(self):
-        with pytest.raises(DomainError):
-            mise_decompose(np.ones((1, 5)), np.ones(5), edge_grid(5))
 
 
 class TestRunExperiment:
@@ -147,14 +138,29 @@ class TestRunExperiment:
         cfg = _small_config()
         combo = enumerate_combos(cfg)[0]
         (rep,) = harness._replicate_block(range(1), cfg, combo)
-        w = edge_grid(cfg.grid_size)
+        w = edge_grid(cfg.fit.grid_size)
         curves = np.vstack([rep["CFG-GPWM"][0], rep["CFG-GPWM"][0]])
-        mise, isb, iv = mise_decompose(curves, truth_curve(combo, w), w)
+        mise, isb, iv, _, _ = harness._reduce(curves, truth_curve(combo, w), w)
         assert iv == 0.0
         assert mise == pytest.approx(isb, rel=1e-12)
 
-    def test_truth_injection_gives_zero_mise(self):
-        res = run_experiment(_small_config(), inject_truth=True)
+    def test_truth_injection_gives_zero_mise(self, monkeypatch):
+        # a fit that returns the analytic truth of the parameters each sample
+        # was drawn with must reduce to zero error against each combo's truth
+        def truth_fits(samples, pairs, settings):
+            w = edge_grid(settings.grid_size)
+            fits = []
+            for sample in samples:
+                meta = sample.meta
+                combo = Combo(1, meta["alpha"], meta["psi"], float("nan"), meta["n"])
+                truth = SimpleNamespace(
+                    a_star=truth_curve(combo, w), n_clamped=0, alpha_clamped=False
+                )
+                fits.append({pair.label: truth for pair in pairs})
+            return fits
+
+        monkeypatch.setattr(harness, "fit_pairs", truth_fits)
+        res = run_experiment(_small_config())
         for r in res:
             assert abs(r.mise) < 1e-12 and abs(r.isb) < 1e-12 and abs(r.iv) < 1e-12
 
@@ -193,10 +199,10 @@ class TestRunExperiment:
         res = {r.combo.n: r.mise for r in run_experiment(cfg)}
         assert res[400] < res[100] < res[50]
 
-    def test_replicate_matches_composite_estimate(self):
-        # the sweep and the one-pair API run the same fit: 3 psi x 20 reps x 6 pairs
+    def test_replicate_matches_one_sample_fit(self):
+        # a block fit equals one fit_pairs call per sample and pair: 3 psi x 20 reps x 6 pairs
         pairs = tuple(EstimatorPair(p, a) for a in ("GPWM", "ML") for p in ("P", "CFG", "MD"))
-        cfg = _small_config(psis=(0.1, 0.55, 1.0), replications=20, pairs=pairs, grid_size=201)
+        cfg = _small_config(psis=(0.1, 0.55, 1.0), replications=20, pairs=pairs, fit=FitSettings())
         checked = mismatches = 0
         for combo in enumerate_combos(cfg):
             block = harness._replicate_block(range(cfg.replications), cfg, combo)
@@ -205,17 +211,9 @@ class TestRunExperiment:
                 sample = sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, stream)
                 for pair in pairs:
                     curve, clamps, alpha_clamped = fits[pair.label]
-                    config = CompositeConfig(
-                        pick=pair.pick,
-                        alpha_method=pair.alpha_method,
-                        k=cfg.k,
-                        grid_size=cfg.grid_size,
-                        corrected=cfg.corrected,
-                    )
+                    est = fit_pairs((sample,), (pair,), cfg.fit)[0][pair.label]
                     checked += 1
-                    try:
-                        est = composite_estimate(sample, config)
-                    except EstimationError:
+                    if isinstance(est, EstimationError):
                         mismatches += curve is not None
                         continue
                     same = (
