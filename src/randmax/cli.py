@@ -150,10 +150,12 @@ def cmd_estimate(config, args):
     pairs = pairs_from_block(block)
     settings = fit_settings_from_block(block)
     fits = fit_pairs((sample,), pairs, settings)[0]
-    for pair in pairs:
-        estimate = fits[pair.label]
+    # a failed pair leaves no file behind, not even the pairs before it
+    for estimate in fits.values():
         if isinstance(estimate, EstimationError):
             raise estimate
+    for pair in pairs:
+        estimate = fits[pair.label]
         out = outdir / f"estimate_{pair.label}.csv"
         out.parent.mkdir(parents=True, exist_ok=True)
         estimate.to_csv(out)

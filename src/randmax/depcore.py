@@ -34,6 +34,7 @@ from .errors import DomainError, RangeLinkError
 
 __all__ = [
     "as_simplex",
+    "as_simplex_rows",
     "edge_grid",
     "edge_points",
     "PickandsModel",
@@ -63,12 +64,29 @@ def as_simplex(t):
     a = np.asarray(t, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise DomainError(f"simplex point must be a vector of dimension >= 2, got {t!r}")
+    return as_simplex_rows(a[np.newaxis, :])[0]
+
+
+def as_simplex_rows(points):
+    """Validate and return a (k, d) array of k >= 1 simplex points as a float
+    array, checking every row at once; an error names the first bad row."""
+    a = np.asarray(points, dtype=float)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 2:
+        raise DomainError(f"need a (k, d) array of k >= 1 simplex points, d >= 2, not {a.shape}")
     # a nan or an infinite entry makes the sum nonfinite
-    total = a.sum()
-    if not np.isfinite(total) or a.min() < 0.0:
-        raise DomainError(f"simplex point must have nonnegative finite entries, got {t!r}")
-    if abs(total - 1.0) > _SIMPLEX_TOL:
-        raise DomainError(f"simplex point entries must sum to 1, got sum {total!r}")
+    total = a.sum(axis=1)
+    bad_entries = ~np.isfinite(total) | (a.min(axis=1) < 0.0)
+    bad_sum = np.abs(total - 1.0) > _SIMPLEX_TOL
+    bad = np.flatnonzero(bad_entries | bad_sum)
+    if bad.size and bad_entries[bad[0]]:
+        raise DomainError(
+            f"simplex point in row {bad[0]} must have nonnegative finite entries, "
+            f"got {a[bad[0]].tolist()!r}"
+        )
+    if bad.size:
+        raise DomainError(
+            f"simplex point in row {bad[0]} must sum to 1, got sum {float(total[bad[0]])!r}"
+        )
     return a
 
 

@@ -32,21 +32,28 @@ A single sample skips the gather: its own pseudo-uniforms are the levels,
 read in row order. Either way the terms are reduced exactly as the direct
 formulas would be, so the tables change no bit of any estimate.
 
-Chunks: the kernel takes the simplex points in chunks of about
-_GRID_CHUNK_CELLS (row, point) cells, and every table and term matrix of a
-call lives in one scratch array of d + 3 chunk-sized matrices, allocated
-once per call and reused by every chunk. At 700,000 cells and d = 2 that
-array is 28 MB, under the 32 MiB above which glibc's malloc maps fresh
-pages for every allocation, so a freed scratch array returns to the heap
-and the next call reuses its pages. Measured on a 2-core Xeon under Linux
-(glibc 2.36) in a loop of `randmax sample` + `estimate` cycles at n = 10^4
-(six pairs, 201 points), one fit_pairs call takes 0 minor page faults and
-about 50 ms. With one
-8,000,000-cell chunk of separately allocated 16 MB temporaries it took
-1,300-2,400 faults and 55-80 ms; with 700,000-cell chunks of separately
-allocated temporaries, 5,300-7,800 faults. 1,000,000 cells (a 40 MB
-scratch array) took 660 faults. The chunking changes no bit of any estimate
-under one condition: no chunk has exactly one point (see _point_chunks).
+Tiles: one sample is read in tiles of about _GRID_CHUNK_CELLS // k rows
+at all k simplex points (318 rows at k = 201, so 16 tiles at n = 5000), and
+gathered samples in chunks of about _GRID_CHUNK_CELLS // n points at all n
+rows. Every table and term matrix of a call lives in one scratch array,
+allocated once per call and reused by every tile or chunk. A tile's terms
+are reduced into running column sums, carried from tile to tile in row
+order: the sums so far are added into the tile's first row, and the tile
+is then reduced over axis 0. An axis-0 reduction of a C-contiguous matrix
+with at least two columns adds row by row, so the carried sum is the very
+sum one reduction over all n rows gives, and ndarray.mean is that sum
+divided by n; no bit of any estimate moves. A one-column reduction adds
+pairwise instead, so a one-point call is never split into tiles, and no
+chunk of points has one point (see _point_chunks). The one-sample scratch
+is then 1.5 MB for d = 2 at any n: tracemalloc puts one pickands_points
+call at 201 points and n = 5,000 to 80,000 at a 1.7 MB peak, against
+28-30 MB with the earlier point chunks of 700,000 cells at all n rows.
+Measured on a 2-core Xeon under Linux (glibc 2.36) in a loop of
+`randmax sample` + `estimate` cycles at n = 10^4 (six pairs, 201 points),
+the process peaks at 67 MB resident against 84 MB with those chunks; the
+first fit_pairs call takes about 420 minor page faults (740-800 in each of
+the first two calls with the chunks), every later one 0, and a call takes
+35-45 ms against 42-50 ms.
 
 Tail fits: estimate_alpha fits the xi rows of a whole block of samples in
 one vectorised pass per method, and gpwm_alpha and ml_alpha are its
@@ -70,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .depcore import astar_points, edge_grid, edge_points
+from .depcore import as_simplex_rows, astar_points, edge_grid, edge_points
 from .errors import DomainError, EstimationError
 from .samplers import write_text
 
@@ -114,11 +121,13 @@ def pseudo_uniforms(eta):
 # The curve kernel: all three estimators at an array of simplex points
 # ---------------------------------------------------------------------------
 
-#: (row, point) cells per chunk of simplex points: small enough that a call's
-#: scratch array (d + 3 chunk matrices, 28 MB for d = 2) is reused from the
-#: heap rather than faulted in afresh; see "Chunks" in the module docstring.
-#: Any size keeps every bit, as long as no chunk has one point.
-_GRID_CHUNK_CELLS = 700_000
+#: (row, point) cells per block of the curve kernel: one sample's terms come
+#: in tiles of this many cells' worth of rows at all k points (about 0.5 MB a
+#: matrix, 1.5 MB of scratch for d = 2, whatever n is), gathered samples in
+#: chunks of points at all n rows; see "Tiles" in the module docstring. Any
+#: size keeps every bit, as no tile splits a one-point call and no chunk has
+#: one point.
+_GRID_CHUNK_CELLS = 64_000
 
 
 def _level_tables(levels, coords, pick, out):
@@ -146,7 +155,7 @@ def _rank_terms(tables, index, pick, work):
     madogram summands max_j v_ij - (1/d) sum_j v_ij of the powers v (MD).
 
     Row i of coordinate j reads table row index[i, j]; the gathered terms
-    go to work[0] and work[1], and the MD row sums to work[2]. With index
+    go to work[0] and work[1], and the MD row sums to work[-1]. With index
     None the tables were built from the sample's own pseudo-uniforms, so
     row i is table row i; they are then used once and reduced in place.
     """
@@ -161,7 +170,7 @@ def _rank_terms(tables, index, pick, work):
         if acc is None:
             acc = total = term
         elif pick == "MD":
-            total = np.add(total, term, out=work[2])
+            total = np.add(total, term, out=work[-1])
             np.maximum(acc, term, out=acc)
         else:
             np.minimum(acc, term, out=acc)
@@ -179,6 +188,16 @@ def _madogram_ratio(nu, c):
     return np.where(bad, 1.0, (nu + c) / np.where(bad, 1.0, denom)), bad
 
 
+def _madogram_offset(coords):
+    """The constant c of the madogram ratio at the points of coords (d, k)."""
+    return sum(tj / (1.0 + tj) for tj in coords) / len(coords)
+
+
+def _angle_curve(pick, mean):
+    """P or CFG from the column means of the pseudo-angles or of their logs."""
+    return 1.0 / mean if pick == "P" else np.exp(-mean - EULER_MASCHERONI)
+
+
 def _point_chunks(n, k):
     """Slices of the k points with about _GRID_CHUNK_CELLS (row, point) cells
     each. No chunk of a wider grid has one point: a one-column mean sums
@@ -191,6 +210,55 @@ def _point_chunks(n, k):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _row_tiles(n, k):
+    """Slices of the n rows of one sample with about _GRID_CHUNK_CELLS
+    (row, point) cells each at k points. A one-point call stays one tile: a
+    one-column sum adds pairwise, so it cannot be carried across tiles."""
+    step = max(1, n if k == 1 else _GRID_CHUNK_CELLS // k)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
+
+
+def _add_rows(sums, pick, terms):
+    """Carry the running column sums of pick over the rows of terms.
+
+    Adding the sums so far into the first row and reducing over axis 0
+    adds every row in order, exactly as one reduction over all rows would
+    (see "Tiles" in the module docstring).
+    """
+    if pick in sums:
+        np.add(sums[pick], terms[0], out=terms[0])
+    sums[pick] = np.add.reduce(terms, axis=0)
+
+
+def _tiled_sums(u, coords, picks):
+    """{pick: column sums (k,)} of the per-row terms of one sample at the
+    points of coords (d, k): the pseudo-angles (P), their logs (CFG) and
+    the madogram summands (MD). u is the sample's (n, d) matrix of
+    pseudo-uniforms, read in tiles of rows (see _row_tiles) that reuse one
+    scratch array of d tables and one work matrix.
+    """
+    d, k = coords.shape
+    tiles = _row_tiles(u.shape[0], k)
+    scratch = np.empty((d + 1, (tiles[0].stop - tiles[0].start) * k))
+    sums = {}
+    for tile in tiles:
+        rows = tile.stop - tile.start
+        buffers = scratch[:, : rows * k].reshape(d + 1, rows, k)
+        tables, work = buffers[:d], buffers[d:]
+        if "P" in picks or "CFG" in picks:
+            _level_tables(u[tile], coords, "P", tables)
+            angles = _rank_terms(tables, None, "P", work)
+            # the logs first: the P carry then changes the first row of angles
+            if "CFG" in picks:
+                _add_rows(sums, "CFG", np.log(angles, out=work[-1]))
+            if "P" in picks:
+                _add_rows(sums, "P", angles)
+        if "MD" in picks:
+            _level_tables(u[tile], coords, "MD", tables)
+            _add_rows(sums, "MD", _rank_terms(tables, None, "MD", work))
+    return sums
+
+
 def _curves_at(levels, index, points, picks):
     """Raw estimates of several rank-based estimators at k simplex points,
     for B samples of one shape.
@@ -200,46 +268,53 @@ def _curves_at(levels, index, points, picks):
     each sample. With index None, levels is the one sample's (n, d) matrix
     of pseudo-uniforms itself, so nothing needs gathering. Returns
     {pick: (values, flags)} of shape (B, k) for the picks given; flags marks
-    points whose madogram denominator was not positive. Per chunk of points
-    the angle tables are built once and every sample reduces its one
-    pseudo-angle matrix into P and CFG; the power tables for MD then take
-    their place. Every table and term matrix lives in one scratch array,
-    allocated once per call and reused by every chunk, and none outlives
-    the call.
+    points whose madogram denominator was not positive.
+
+    One sample is read in tiles of rows at all k points (see _tiled_sums).
+    Gathered samples are read per chunk of points: the angle tables over all
+    L levels are built once and every sample reduces its one pseudo-angle
+    matrix into P and CFG; the power tables for MD then take their place.
+    Either way every table and term matrix lives in one scratch array,
+    allocated once per call and reused by every tile or chunk, and none
+    outlives the call.
     """
     for pick in picks:
         if pick not in PICK_ESTIMATORS:
             raise DomainError(f"unknown dependence estimator {pick!r}")
-    per_sample = [None] if index is None else index
     n, d = levels.shape if index is None else index.shape[1:]
-    n_samples = len(per_sample)
     k = points.shape[0]
-    shape = (n_samples, k)
+    shape = (1 if index is None else len(index), k)
     out = {pick: (np.empty(shape), np.zeros(shape, dtype=bool)) for pick in picks}
+    if index is None:
+        # contiguous coordinate rows keep the table arithmetic on fast loops
+        coords = np.ascontiguousarray(points.T)
+        for pick, total in _tiled_sums(levels, coords, picks).items():
+            values, flags = out[pick]
+            if pick == "MD":
+                values[0], flags[0] = _madogram_ratio(total / n, _madogram_offset(coords))
+            else:
+                values[0] = _angle_curve(pick, total / n)
+        return out
     angle_picks = [pick for pick in picks if pick != "MD"]
     chunks = _point_chunks(n, k)
     # d tables and 3 work matrices of (n, chunk width) each
     scratch = np.empty((d + 3, n * max(chunk.stop - chunk.start for chunk in chunks)))
     for chunk in chunks:
-        # contiguous coordinate rows keep the table arithmetic on fast loops
         coords = np.ascontiguousarray(points[chunk].T)
         buffers = scratch[:, : n * coords.shape[1]].reshape(d + 3, n, coords.shape[1])
         tables, work = buffers[:d], buffers[d:]
         if angle_picks:
             _level_tables(levels, coords, "P", tables)
-            for b, sample_index in enumerate(per_sample):
+            for b, sample_index in enumerate(index):
                 angles = _rank_terms(tables, sample_index, "P", work)
                 for pick in angle_picks:
-                    if pick == "P":
-                        out[pick][0][b, chunk] = 1.0 / angles.mean(axis=0)
-                    else:
-                        log_mean = np.log(angles, out=work[2]).mean(axis=0)
-                        out[pick][0][b, chunk] = np.exp(-log_mean - EULER_MASCHERONI)
+                    terms = angles if pick == "P" else np.log(angles, out=work[-1])
+                    out[pick][0][b, chunk] = _angle_curve(pick, terms.mean(axis=0))
         if "MD" in out:
             values, flags = out["MD"]
-            c = sum(tj / (1.0 + tj) for tj in coords) / d
+            c = _madogram_offset(coords)
             _level_tables(levels, coords, "MD", tables)
-            for b, sample_index in enumerate(per_sample):
+            for b, sample_index in enumerate(index):
                 nu = _rank_terms(tables, sample_index, "MD", work).mean(axis=0)
                 values[b, chunk], flags[b, chunk] = _madogram_ratio(nu, c)
     return out
@@ -249,15 +324,18 @@ def pickands_points(u, points, pick):
     """Raw (uncorrected) estimates of one rank-based estimator at k simplex points.
 
     u is the (n, d) matrix of pseudo-uniforms, points a (k, d) array of
-    simplex points. Returns (values, flags) where flags marks points whose
-    madogram denominator was not positive (always False for P and CFG).
-    This is the one-sample, one-pick call of the kernel fit_pairs uses.
+    k >= 1 simplex points; a row that is not on the simplex is rejected.
+    Returns (values, flags) where flags marks points whose madogram
+    denominator was not positive (always False for P and CFG). This is the
+    one-sample, one-pick call of the kernel fit_pairs uses.
     """
     u = np.asarray(u, dtype=float)
     points = np.asarray(points, dtype=float)
+    if u.ndim != 2 or u.shape[0] < 1:
+        raise DomainError(f"need an (n, d) matrix of n >= 1 pseudo-uniforms, not {u.shape}")
     if points.ndim != 2 or points.shape[1] != u.shape[1]:
         raise DomainError("simplex points must be a (k, d) array matching the data")
-    values, flags = _curves_at(u, None, points, (pick,))[pick]
+    values, flags = _curves_at(u, None, as_simplex_rows(points), (pick,))[pick]
     return values[0], flags[0]
 
 

@@ -282,6 +282,25 @@ class TestEstimateCommand:
         )
         assert code == 4
 
+    def test_failing_pair_leaves_no_output(self, workspace, capsys):
+        # GPWM fits this xi (and is clamped), ML finds no sign change; the
+        # P-GPWM pair comes first, yet nothing may be written
+        cfg = write_config(
+            workspace / "c.json",
+            {"estimate": {"pairs": [{"pick": "P", "alpha": "GPWM"}, {"pick": "P", "alpha": "ML"}]}},
+        )
+        bad = workspace / "flat.csv"
+        rows = "".join(
+            f"{1.0 + 0.001 * i},{2.0 - 0.001 * i},{1.0 + 0.001 * i}\n" for i in range(20)
+        )
+        bad.write_text("eta_1,eta_2,xi\n" + rows)
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"), "--input", str(bad)
+        )
+        assert code == 4
+        assert "ML" in err
+        assert not list(workspace.glob("e/estimate_*"))
+
 
 class TestEvalCommand:
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,81 @@ class TestKernel:
             for (values, flags), (want_values, want_flags) in zip(results, whole[pick]):
                 assert np.array_equal(values, want_values)
                 assert np.array_equal(flags, want_flags)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("n", (50, 401, 5000))
+    @pytest.mark.parametrize("tile_rows", (1, 2, 7))
+    def test_row_tiles_carry_every_bit(self, d, n, tile_rows, monkeypatch):
+        # one sample's rows in tiles of 1, 2 or 7 rows at all 201 points, the
+        # last tile short where n leaves a remainder; the carried column sums
+        # must give the untiled means bit for bit
+        etas, points = _kernel_case(d, n, 201, False)
+        u = pseudo_uniforms(etas[0])
+        monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", tile_rows * 201)
+        tiles = estimators._row_tiles(n, 201)
+        assert [tile.stop - tile.start for tile in tiles[:-1]] == [tile_rows] * (len(tiles) - 1)
+        assert tiles[-1].stop - tiles[-1].start == (n % tile_rows or tile_rows)
+        curves = estimators._curves_at(u, None, points, estimators.PICK_ESTIMATORS)
+        for pick, (values, flags) in curves.items():
+            want_values, want_flags = _oracle_points(u, points, pick)
+            assert np.array_equal(values[0], want_values)
+            assert np.array_equal(flags[0], want_flags)
+
+    def test_one_point_call_stays_one_tile(self, monkeypatch):
+        # a one-column sum adds pairwise, so a one-point call is never split,
+        # however many rows a tile of a wider call would hold
+        n = 5000
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, RngStream(18, 7)).eta)
+        t = np.array([0.3, 0.7])
+        monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", 100)
+        assert estimators._row_tiles(n, 1) == [slice(0, n)]
+        angles = pseudo_angles(u, t)
+        nu = np.mean(oracle_row_terms(u, t[:, np.newaxis], "MD")[:, 0])
+        c = np.sum(t / (1.0 + t)) / 2.0
+        assert _at_point(u, t, "P") == 1.0 / angles.mean()
+        assert _at_point(u, t, "CFG") == np.exp(-np.log(angles).mean() - EULER_MASCHERONI)
+        assert _at_point(u, t, "MD") == (nu + c) / (1.0 - nu - c)
+
+    def test_one_sample_scratch_does_not_grow_with_n(self):
+        # the tiles bound the scratch of a call whatever n is; one array
+        # of 20,000 rows at 201 points alone would take 32 MB
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 20_000, RngStream(18, 8)).eta)
+        points = edge_points(edge_grid(201))
+        tracemalloc.start()
+        try:
+            pickands_points(u, points, "CFG")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((-0.5, 1.5), "must have nonnegative finite"),
+            ((np.nan, 0.5), "must have nonnegative finite"),
+            ((0.5, np.inf), "must have nonnegative finite"),
+            ((0.5, 0.6), "must sum to 1"),
+        ],
+        ids=["negative", "nan", "infinite", "sum"],
+    )
+    def test_points_off_the_simplex_are_rejected(self, row, message):
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 50, RngStream(18, 9)).eta)
+        points = edge_points(edge_grid(5))
+        points[1] = points[3] = row
+        for pick in estimators.PICK_ESTIMATORS:
+            with pytest.raises(DomainError, match=f"row 1 {message}"):
+                pickands_points(u, points, pick)
+
+    def test_empty_points_or_data_are_rejected(self):
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 50, RngStream(18, 9)).eta)
+        points = edge_points(edge_grid(5))
+        for pick in estimators.PICK_ESTIMATORS:
+            with pytest.raises(DomainError, match="k >= 1"):
+                pickands_points(u, np.empty((0, 2)), pick)
+            for data in (np.empty((0, 2)), u[:, 0]):
+                with pytest.raises(DomainError, match="n >= 1"):
+                    pickands_points(data, points, pick)
 
     def test_trivariate_complete_dependence_at_barycentre(self):
         # A = max(t) = 1/3 at the barycentre; the madogram terms cancel row by
@@ -567,7 +643,7 @@ def _public_route(sample, pair, config):
 @pytest.mark.parametrize(
     "n, grid_size, corrected, chunk_cells",
     [(n, g, c, None) for n in (50, 400) for g in (3, 201) for c in (True, False)]
-    # 7 points per chunk at n = 50: 29 chunks, the last one short
+    # 350 cells: the one sample goes through 50 one-row tiles at 201 points
     + [(50, 201, c, 7 * 50) for c in (True, False)],
 )
 def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, monkeypatch):
@@ -607,7 +683,8 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
 
 @pytest.mark.parametrize(
     "grid_size, corrected, chunk_cells",
-    # 7 points per chunk at n = 50: 29 chunks, the last one short
+    # 350 cells: the batch takes 7 points per chunk at n = 50 (29 chunks, the
+    # last one short), each sample alone 50 one-row tiles
     [(201, True, None), (3, False, None), (201, True, 7 * 50), (201, False, 7 * 50)],
 )
 def test_batched_fit_pairs_matches_one_sample_calls(

@@ -3,8 +3,8 @@ the `eval` tables.
 
 The SHA-256 of every output CSV (sidecars excluded: they carry the build)
 is compared with `tests/golden/digests.json`. The `sample` + `estimate`
-cycle runs at n=5000, where the curve kernel works in more than one chunk
-of simplex points, and its sample is estimated a second time at k=3 on a
+cycle runs at n=5000, where the curve kernel reads the sample in 16 tiles
+of rows at 201 points, and its sample is estimated a second time at k=3 on a
 41-node grid without vertex corrections. The `figures` sweeps are a small
 figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
 from the k=5 GPWM fit), the same without vertex corrections on a 41-node
@@ -15,6 +15,8 @@ file records the versions it was made with and a mismatch fails naming
 both. After a deliberate change of output, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each entry that was added, changed or removed before it writes.
 """
 
 import hashlib
@@ -155,8 +157,38 @@ def test_outputs_match_golden_digests(tmp_path):
     assert not changed, f"outputs differ from the golden digests: {changed}"
 
 
+def moved_entries(old, new):
+    """Lines naming each versions or files entry of `new` that was added,
+    changed or removed against `old`, two golden records."""
+    lines = []
+    for section in ("versions", "files"):
+        before, after = old.get(section, {}), new[section]
+        for name in sorted(before.keys() | after.keys()):
+            if name not in before:
+                lines.append(f"added   {section}: {name} {after[name]}")
+            elif name not in after:
+                lines.append(f"removed {section}: {name} {before[name]}")
+            elif before[name] != after[name]:
+                lines.append(f"changed {section}: {name} {before[name]} -> {after[name]}")
+    return lines
+
+
+def test_rewrite_names_what_moved():
+    old = {"versions": {"numpy": "1"}, "files": {"a/x.csv": "0a", "a/y.csv": "0b", "b/z.csv": "0c"}}
+    new = {"versions": {"numpy": "2"}, "files": {"a/x.csv": "0a", "a/y.csv": "1b", "c/w.csv": "0d"}}
+    assert moved_entries(old, new) == [
+        "changed versions: numpy 1 -> 2",
+        "changed files: a/y.csv 0b -> 1b",
+        "removed files: b/z.csv 0c",
+        "added   files: c/w.csv 0d",
+    ]
+    assert moved_entries(new, new) == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {"versions": _versions(), "files": output_digests(tmp)}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    print("\n".join(moved_entries(old, record)) or f"no entry of {GOLDEN.name} moved")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
