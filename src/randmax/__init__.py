@@ -19,7 +19,6 @@ from .depcore import (
     extremal_coefficient,
     lambda_from_theta,
     lambda_inverse_link,
-    pickands_from_astar,
     stable_tail,
     student_t_cdf,
     tail_prob_approx,
@@ -37,8 +36,6 @@ from .estimators import (
     EstimatorPair,
     FitSettings,
     fit_pairs,
-    gpwm_alpha,
-    ml_alpha,
 )
 from .harness import (
     Combo,

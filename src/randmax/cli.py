@@ -194,7 +194,10 @@ def cmd_eval(config, args):
     margins = tuple(GevMargin("frechet") for _ in range(model.dim))
     law = LimitLawQ(base=model, margins=margins, alpha=alpha, size_branch=size_branch)
     theta_g = extremal_coefficient(model)
-    rows = [("theta_G", theta_g), ("lambda_MN_of_G", lambda_from_theta(theta_g))]
+    # lambda = 2 - theta is the bivariate upper tail-dependence coefficient
+    rows = [("theta_G", theta_g)]
+    if model.dim == 2:
+        rows.append(("lambda_MN_of_G", lambda_from_theta(theta_g)))
     scaled = None
     if 0.0 < alpha < 1.0:
         scaled = AlphaScaled(model, alpha)

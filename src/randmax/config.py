@@ -241,7 +241,7 @@ def load_config(path):
                 )
             first[name] = i
     if "experiment" in data and any(p["alpha"] == "GPWM" for p in data["experiment"]["pairs"]):
-        # gpwm_alpha uses the moment mu_(1,k-1), which exists only for alpha > 1/k
+        # the GPWM fit uses the moment mu_(1,k-1), which exists only for alpha > 1/k
         k = fit_settings_from_block(data["experiment"]).k
         for i, alpha in enumerate(data["experiment"]["alpha"]):
             if alpha <= 1.0 / k:

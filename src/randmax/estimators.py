@@ -56,19 +56,19 @@ the first two calls with the chunks), every later one 0, and a call takes
 35-45 ms against 42-50 ms.
 
 Tail fits: estimate_alpha fits the xi rows of a whole block of samples in
-one vectorised pass per method, and gpwm_alpha and ml_alpha are its
-one-row calls. GPWM sorts the (B, n) matrix along its rows and takes both
-moments as row dot products. ML runs its safeguarded Newton iteration on
-the vector of rows still iterating, each row taking exactly the steps it
-would take alone. The GPWM fit at k=5 starts every row's ML iteration,
-whatever k the GPWM pairs use, so a block computes it once for both. The
-block fits keep every bit of the one-row fits because each row goes
-through the same floating-point operations in the same order: np.vecdot
-(or a stacked matmul) of a row equals the 1-D dot, and a row-wise sum or
-mean equals the 1-D one, while a matrix-vector product (gemv) or einsum
-sums in another order and moves bits. Python's float a ** 2 calls C pow(),
-which rounds differently from a * a and from numpy's power, so the ML
-derivative squares each row's shape as a Python float.
+one vectorised pass per method, and one sample is a block of one row. GPWM
+sorts the (B, n) matrix along its rows and takes both moments as row dot
+products. ML runs its safeguarded Newton iteration on the vector of rows
+still iterating, each row taking exactly the steps it would take alone. The
+GPWM fit at k=5 starts every row's ML iteration, whatever k the GPWM pairs
+use, so a block computes it once for both. A row's fit has the same bits in
+any block because each row goes through the same floating-point operations
+in the same order: np.vecdot (or a stacked matmul) of a row equals the 1-D
+dot, and a row-wise sum or mean equals the 1-D one, while a matrix-vector
+product (gemv) or einsum sums in another order and moves bits. Python's
+float a ** 2 calls C pow(), which rounds differently from a * a and from
+numpy's power, so the ML derivative squares each row's shape as a Python
+float.
 """
 
 from dataclasses import dataclass
@@ -77,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .depcore import as_simplex_rows, astar_points, edge_grid, edge_points
+from .depcore import as_simplex_rows, astar_points, edge_grid, edge_points, power_points
 from .errors import DomainError, EstimationError
 from .samplers import write_text
 
@@ -86,9 +86,8 @@ __all__ = [
     "pseudo_uniforms",
     "pickands_points",
     "endpoint_correct",
-    "gpwm_alpha",
+    "estimate_alpha",
     "gpwm_weights",
-    "ml_alpha",
     "EstimatorPair",
     "FitSettings",
     "CurveEstimate",
@@ -324,15 +323,19 @@ def pickands_points(u, points, pick):
     """Raw (uncorrected) estimates of one rank-based estimator at k simplex points.
 
     u is the (n, d) matrix of pseudo-uniforms, points a (k, d) array of
-    k >= 1 simplex points; a row that is not on the simplex is rejected.
-    Returns (values, flags) where flags marks points whose madogram
-    denominator was not positive (always False for P and CFG). This is the
-    one-sample, one-pick call of the kernel fit_pairs uses.
+    k >= 1 simplex points; a row of u with an entry outside (0, 1), or a
+    row of points off the simplex, is rejected. Returns (values, flags)
+    where flags marks points whose madogram denominator was not positive
+    (always False for P and CFG). This is the one-sample, one-pick call of
+    the kernel fit_pairs uses.
     """
     u = np.asarray(u, dtype=float)
     points = np.asarray(points, dtype=float)
     if u.ndim != 2 or u.shape[0] < 1:
         raise DomainError(f"need an (n, d) matrix of n >= 1 pseudo-uniforms, not {u.shape}")
+    bad = np.flatnonzero(~np.all((u > 0.0) & (u < 1.0), axis=1))  # nan fails both
+    if bad.size:
+        raise DomainError(f"pseudo-uniform row {bad[0]} is not in (0, 1): {u[bad[0]].tolist()!r}")
     if points.ndim != 2 or points.shape[1] != u.shape[1]:
         raise DomainError("simplex points must be a (k, d) array matching the data")
     values, flags = _curves_at(u, None, as_simplex_rows(points), (pick,))[pick]
@@ -397,51 +400,9 @@ def _gpwm_weights_cached(n, b):
     return weights
 
 
-def gpwm_alpha(xi, k=5):
-    """Generalized probability-weighted-moment estimate of the Frechet shape,
-
-        alpha_hat = (k - 2 mu_{1,k} / mu_{1,k-1})^(-1),
-
-    with the moments evaluated exactly from the order statistics. The ratio
-    is scale-free. For the Frechet quantile H^{-1}(v) = (-ln v)^(-1/alpha)
-    the integrand of mu_{1,b} (see gpwm_weights) is v (-ln v)^(b - 1/alpha),
-    finite only for alpha > 1/(b+1). The moment mu_{1,k-1} thus requires
-    alpha > 1/k; below that the top order statistic dominates the ratio and
-    the estimate tends to 1/k. A nonpositive denominator raises
-    EstimationError. This is the one-row call of estimate_alpha.
-    """
-    return _one_row(xi, "GPWM", k)
-
-
-def ml_alpha(xi):
-    """Maximum-likelihood Frechet shape with the scale profiled out.
-
-    The Frechet law with shape a and scale sigma is fitted jointly; for a
-    fixed shape the scale maximizing the likelihood is sigma^a = n/sum(x^-a),
-    so the shape is the root of the profile score (see _ml_profile_score) and the
-    estimate is invariant under rescaling xi. The root is found by Newton
-    iteration safeguarded with bisection on the bracket [1e-3, 50], started
-    from the GPWM estimate at k=5 (or, where that fails, from the moment
-    match pi / sqrt(6 var(ln xi))); the iteration stops at |mean score| <=
-    1e-12 or after 200 steps, and the returned root satisfies |mean score|
-    <= 1e-10. This is the one-row call of estimate_alpha.
-    """
-    return _one_row(xi, "ML")
-
-
-def _one_row(xi, method, k=5):
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1 or xi.size < 2:
-        raise DomainError("xi must be a vector with at least 2 entries")
-    (alpha,) = estimate_alpha(xi[np.newaxis], (method,), k)[method]
-    if isinstance(alpha, EstimationError):
-        raise alpha
-    return alpha
-
-
 def estimate_alpha(xi, methods, k):
     """Tail-index fits of every row of the (B, n) matrix xi by each of the
-    named methods, GPWM at moment order k.
+    named methods, GPWM at moment order k >= 2 (FitSettings holds that rule).
 
     Returns {method: one float or EstimationError per row}. The GPWM fit at
     k=5 is computed once and serves both as the GPWM estimate when k is 5
@@ -454,8 +415,6 @@ def estimate_alpha(xi, methods, k):
     for method in methods:
         if method not in ALPHA_ESTIMATORS:
             raise DomainError(f"unknown tail estimator {method!r}")
-    if "GPWM" in methods and int(k) < 2:
-        raise DomainError(f"moment order k must be >= 2, got {k!r}")
     if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
         raise DomainError("xi entries must be finite and positive")
     k = int(k)
@@ -465,8 +424,18 @@ def estimate_alpha(xi, methods, k):
 
 
 def _gpwm_rows(x, k):
-    """GPWM estimates (see gpwm_alpha) of the rows of the row-sorted (B, n)
-    matrix x: one float or EstimationError per row."""
+    """GPWM estimates of the Frechet shape, one float or EstimationError per
+    row of the row-sorted (B, n) matrix x:
+
+        alpha_hat = (k - 2 mu_{1,k} / mu_{1,k-1})^(-1),
+
+    with the moments evaluated exactly from the order statistics (see
+    gpwm_weights). The ratio is scale-free. For the Frechet quantile
+    H^{-1}(v) = (-ln v)^(-1/alpha) the integrand of mu_{1,b} is
+    v (-ln v)^(b - 1/alpha), finite only for alpha > 1/(b+1). The moment
+    mu_{1,k-1} thus requires alpha > 1/k; below that the top order statistic
+    dominates the ratio and the estimate tends to 1/k.
+    """
     n = x.shape[1]
     mu_hi = np.vecdot(x, gpwm_weights(n, k))
     mu_lo = np.vecdot(x, gpwm_weights(n, k - 1))
@@ -516,12 +485,15 @@ _ML_MAX_STEPS = 200
 
 
 def _ml_rows(xi, start):
-    """ML estimates (see ml_alpha) of the rows of the (B, n) matrix xi,
-    started from the GPWM results `start` of the same rows: one float or
-    EstimationError per row.
-
-    Newton steps run on the rows still iterating, each row taking exactly
-    the steps it would take alone.
+    """Maximum-likelihood Frechet shapes with the scale profiled out, one
+    float or EstimationError per row of the (B, n) matrix xi: the roots of
+    the profile score (see _ml_profile_score), so the estimate is invariant
+    under rescaling xi. Newton iteration safeguarded with bisection on the
+    bracket [1e-3, 50] starts from the GPWM results `start` of the same rows
+    (or, where GPWM failed, from the moment match pi / sqrt(6 var(ln xi)))
+    and stops at |mean score| <= 1e-12 or after 200 steps; the returned root
+    satisfies |mean score| <= 1e-10. Newton steps run on the rows still
+    iterating, each row taking exactly the steps it would take alone.
     """
     out = [None] * xi.shape[0]
     lx = np.log(xi)
@@ -581,9 +553,6 @@ def _ml_rows(xi, start):
 # Composite estimator
 # ---------------------------------------------------------------------------
 
-_ALPHA_CLAMP = 1.0 - 1e-6
-
-
 @dataclass(frozen=True)
 class EstimatorPair:
     """A dependence-curve estimator in {P, CFG, MD} paired with a tail
@@ -620,25 +589,6 @@ class FitSettings:
             raise DomainError("grid size must be an odd integer >= 3 so w = 1/2 is a node")
 
 
-def clamp_alpha(alpha_raw):
-    """Force the tail estimate into (0, 1) as the inverse transform requires.
-
-    Returns (alpha_used, clamped). Estimates >= 1 are pulled to 1 - 1e-6 so
-    Monte Carlo sweeps complete; the flag keeps the event visible.
-    """
-    if alpha_raw >= 1.0:
-        return _ALPHA_CLAMP, True
-    if alpha_raw <= 0.0:
-        raise EstimationError(f"tail estimate {alpha_raw!r} is not positive", stage="alpha")
-    return alpha_raw, False
-
-
-def _reparametrized_coordinate(w, alpha):
-    t1 = (1.0 - w) ** alpha
-    t2 = w**alpha
-    return t2 / (t1 + t2)
-
-
 @dataclass
 class CurveEstimate:
     """One composite fit: the estimated dependence curve of the scaled data
@@ -663,7 +613,8 @@ class CurveEstimate:
     @property
     def a_base(self):
         """The base curve, read off a_star at the reparametrized coordinates."""
-        return np.interp(_reparametrized_coordinate(self.w, self.alpha_hat), self.w, self.a_star)
+        inner, _ = power_points(edge_points(self.w), self.alpha_hat)
+        return np.interp(inner[:, 1], self.w, self.a_star)
 
     @property
     def n_clamped(self):
@@ -729,12 +680,13 @@ def fit_pairs(samples, pairs, settings):
         picks = tuple(dict.fromkeys(pair.pick for pair in pairs if pair.alpha_method == method))
         fitted = {}
         for b, alpha_raw in enumerate(tails[method]):
-            try:
-                if isinstance(alpha_raw, EstimationError):
-                    raise alpha_raw
-                fitted[b] = (alpha_raw, *clamp_alpha(alpha_raw))
-            except EstimationError as exc:
-                fits[b].update({(pick, method): exc for pick in picks})
+            if isinstance(alpha_raw, EstimationError):
+                fits[b].update({(pick, method): alpha_raw for pick in picks})
+            elif alpha_raw >= 1.0:
+                # the inverse transform needs alpha < 1; the flag keeps the clamp visible
+                fitted[b] = (alpha_raw, 1.0 - 1e-6, True)
+            else:
+                fitted[b] = (alpha_raw, alpha_raw, False)
         if not fitted:
             continue
         rows = list(fitted)

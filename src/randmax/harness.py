@@ -30,7 +30,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .depcore import ExtremalT, Logistic, edge_grid
+from .depcore import ExtremalT, Logistic, edge_grid, edge_points, power_points
 from .errors import DomainError, EstimationError
 from .estimators import EstimatorPair, FitSettings, fit_pairs
 from .samplers import RngStream, sample_experiment1, sample_experiment2
@@ -166,11 +166,8 @@ def truth_model(combo):
 
 def truth_curve(combo, w):
     """Analytic inverse-transform curve Astar on the grid for a combination."""
-    base = truth_model(combo)
-    alpha = combo.alpha
-    pw = np.column_stack([(1.0 - w) ** (1.0 / alpha), w ** (1.0 / alpha)])
-    inner = pw / pw.sum(axis=1, keepdims=True)
-    return base.values(inner)
+    inner, _ = power_points(edge_points(w), 1.0 / combo.alpha)
+    return truth_model(combo).values(inner)
 
 
 # -- per-replication work ----------------------------------------------------

@@ -7,6 +7,7 @@ is independent of the S * Z construction the package samples with, and a
 row-by-row bivariate Student-t sampler, the brute-force reference for the
 pooled maxima of pipeline 2, and one-sample GPWM and ML tail fits written
 with Python scalars, the bit-level reference for the block-wise fits.
+Only fit_row calls the package: its tail fit of one row, as tests use it.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from randmax.errors import DomainError, EstimationError
-from randmax.estimators import gpwm_weights
+from randmax.estimators import estimate_alpha, gpwm_weights
 from randmax.samplers import RngStream, sample_logistic_maxstable
 
 
@@ -145,6 +146,15 @@ def sample_bivariate_t(rho, nu, rng, size=None):
     g2 = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
     out = np.column_stack([g1, g2]) * np.sqrt(nu / v)[:, np.newaxis]
     return out[0] if size is None else out
+
+
+def fit_row(xi, method, k=5):
+    """The package's tail fit of the one row xi: estimate_alpha on a block of
+    one row, returning its float or raising its EstimationError."""
+    (alpha,) = estimate_alpha(np.asarray(xi, dtype=float)[np.newaxis], (method,), k)[method]
+    if isinstance(alpha, EstimationError):
+        raise alpha
+    return alpha
 
 
 def oracle_gpwm_alpha(xi, k=5):

@@ -377,6 +377,24 @@ class TestEvalCommand:
         assert tail[1].split(",")[-1] == "0.1"
         assert (workspace / "o" / "eval_curves.csv").exists()
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            pytest.param({"family": "independence", "dim": 3}, id="independence"),
+            pytest.param({"family": "logistic", "psi": 0.9, "dim": 3}, id="logistic"),
+        ],
+    )
+    def test_trivariate_model_has_no_bivariate_lambda(self, workspace, capsys, model):
+        # theta_G is 3 and 2.69 here, beyond the bivariate range [1, 2] of lambda = 2 - theta
+        cfg = write_config(workspace / "c.json", {"eval": {"model": model, "alpha": 0.5}})
+        code, err = run_in_process(capsys, "eval", "--config", cfg, "--out", str(workspace / "o"))
+        assert code == 0, err
+        summary = (workspace / "o" / "eval_summary.csv").read_text()
+        rows = dict(line.split(",") for line in summary.strip().split("\n")[1:])
+        assert not [key for key in rows if key.startswith("lambda")]
+        theta = 3.0 ** model.get("psi", 1.0)
+        assert float(rows["theta_G"]) == pytest.approx(theta, rel=1e-12)
+
 
 EXPERIMENT_BLOCK = {
     "experiment": 1,

@@ -14,7 +14,7 @@ from randmax.depcore import (
     extremal_coefficient,
     lambda_from_theta,
     lambda_inverse_link,
-    pickands_from_astar,
+    power_points,
     stable_tail,
     student_t_cdf,
     tail_prob_approx,
@@ -139,6 +139,28 @@ class TestStableTail:
             stable_tail(Logistic(0.5), [0.0, 0.0])
 
 
+class TestPowerPoints:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.77, 1.0 - 1e-6])
+    def test_bits_of_the_formulas_it_replaced(self, alpha):
+        w = edge_grid(201)
+        pts = edge_points(w)
+        # the reparametrized coordinate of the base curve, back at p = alpha
+        t1, t2 = (1.0 - w) ** alpha, w**alpha
+        assert np.array_equal(power_points(pts, alpha)[0][:, 1], t2 / (t1 + t2))
+        # the point of the analytic truth curve, forward at p = 1/alpha
+        pw = np.column_stack([(1.0 - w) ** (1.0 / alpha), w ** (1.0 / alpha)])
+        assert np.array_equal(power_points(pts, 1.0 / alpha)[0], pw / pw.sum(axis=1, keepdims=True))
+        # the scaled model's point and norm, also at d = 9, where np.sum adds pairwise
+        simplex9 = np.random.default_rng(9).dirichlet(np.ones(9), 500)
+        for base, points in ((Logistic(0.4), pts), (Logistic(0.3, dim=9), simplex9)):
+            tp = points ** (1.0 / alpha)
+            denom = np.sum(tp, axis=-1, keepdims=True)
+            inner, total = power_points(points, 1.0 / alpha)
+            assert np.array_equal(inner, tp / denom) and np.array_equal(total, denom[..., 0])
+            values = denom[..., 0] ** alpha * base.values(tp / denom) ** alpha
+            assert np.array_equal(AlphaScaled(base, alpha).values(points), values)
+
+
 class TestTransforms:
     def test_astar_recovers_base_at_barycenter(self):
         scaled = AlphaScaled(Logistic(0.5), 0.5)
@@ -148,7 +170,8 @@ class TestTransforms:
     def test_vertex(self):
         scaled = AlphaScaled(Logistic(0.5), 0.5)
         assert _astar(scaled, 0.5, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-        assert pickands_from_astar(lambda s: 1.0, 0.5, [1.0, 0.0]) == pytest.approx(1.0)
+        inner, total = power_points([1.0, 0.0], 0.5)
+        assert inner.tolist() == [1.0, 0.0] and total == 1.0
 
     def test_independence_cancellation(self):
         scaled = AlphaScaled(Independence(), 0.7)
@@ -158,11 +181,11 @@ class TestTransforms:
     @pytest.mark.parametrize("alpha", ALL_ALPHAS)
     def test_round_trip_identity(self, alpha):
         # build the scaled curve, invert it exactly, reparametrize back
+        pts = edge_points(edge_grid(201))
+        inner, _ = power_points(pts, alpha)
         for base in (Logistic(0.2), Logistic(0.8), Independence(), ExtremalT(0.4, 2.0)):
             scaled = AlphaScaled(base, alpha)
-            astar = lambda s: _astar(scaled, alpha, s)
-            pts = edge_points(edge_grid(201))
-            back = np.array([pickands_from_astar(astar, alpha, t) for t in pts])
+            back = astar_points(scaled.values(inner), inner, alpha)[0]
             assert np.max(np.abs(back - base.values(pts))) < 1e-12
 
     def test_per_curve_alphas_match_scalar_calls(self):

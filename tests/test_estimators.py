@@ -14,12 +14,10 @@ from randmax.estimators import (
     CurveEstimate,
     EstimatorPair,
     FitSettings,
-    clamp_alpha,
     endpoint_correct,
+    estimate_alpha,
     fit_pairs,
-    gpwm_alpha,
     gpwm_weights,
-    ml_alpha,
     pickands_points,
     pseudo_uniforms,
 )
@@ -28,6 +26,7 @@ from randmax.samplers import RngStream, sample_experiment1, sample_experiment2
 
 from oracles import (
     FrechetLaw,
+    fit_row,
     madogram_nu,
     oracle_gpwm_alpha,
     oracle_ml_alpha,
@@ -265,6 +264,20 @@ class TestKernel:
             with pytest.raises(DomainError, match=f"row 1 {message}"):
                 pickands_points(u, points, pick)
 
+    @pytest.mark.parametrize(
+        "second",
+        [(0.5, 1.5), (np.nan, 0.5), (0.0, 0.5), (0.5, 1.0)],
+        ids=["above-one", "nan", "zero", "one"],
+    )
+    def test_data_that_are_not_pseudo_uniforms_are_rejected(self, second):
+        # with (0.5, 1.5) in row 1 these rows gave P = 3.82 at (1/2, 1/2),
+        # where a Pickands function lies in [1/2, 1]
+        u = np.array([(0.2, 0.5), second, (0.9, 0.1)])
+        points = edge_points(edge_grid(5))
+        for pick in estimators.PICK_ESTIMATORS:
+            with pytest.raises(DomainError, match=r"row 1 is not in \(0, 1\)"):
+                pickands_points(u, points, pick)
+
     def test_empty_points_or_data_are_rejected(self):
         u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 50, RngStream(18, 9)).eta)
         points = edge_points(edge_grid(5))
@@ -325,27 +338,27 @@ class TestGpwm:
     def test_plugin_quantile_grid(self):
         law = FrechetLaw(0.5)
         xi = law.quantile((np.arange(10_000) + 0.5) / 10_000)
-        assert gpwm_alpha(xi, 5) == pytest.approx(0.5, abs=0.002)
+        assert fit_row(xi, "GPWM", 5) == pytest.approx(0.5, abs=0.002)
 
     def test_scale_invariance(self):
         xi = sample_experiment1(0.5, 0.7, 2_000, RngStream(13, 1)).xi
-        assert gpwm_alpha(3.7 * xi, 5) == pytest.approx(gpwm_alpha(xi, 5), abs=1e-12)
+        assert fit_row(3.7 * xi, "GPWM", 5) == pytest.approx(fit_row(xi, "GPWM", 5), abs=1e-12)
 
     def test_permutation_invariance(self):
         xi = sample_experiment1(0.5, 0.7, 500, RngStream(13, 2)).xi
         gen = RngStream(13, 3).generator()
-        assert gpwm_alpha(gen.permutation(xi), 5) == gpwm_alpha(xi, 5)
+        assert fit_row(gen.permutation(xi), "GPWM", 5) == fit_row(xi, "GPWM", 5)
 
     def test_calibration_monte_carlo(self):
         hits = 0
         for trial in range(40):
             xi = sample_experiment1(1.0, 0.7, 10_000, RngStream(13, 100 + trial)).xi
-            hits += abs(gpwm_alpha(xi, 5) - 0.7) < 0.05
+            hits += abs(fit_row(xi, "GPWM", 5) - 0.7) < 0.05
         assert hits >= 38
 
     def test_constant_sample_fails(self):
         with pytest.raises(EstimationError) as err:
-            gpwm_alpha(np.ones(50), 5)
+            fit_row(np.ones(50), "GPWM", 5)
         assert err.value.stage == "GPWM"
 
     def test_weights_cached_read_only(self):
@@ -365,20 +378,21 @@ class TestGpwm:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            gpwm_alpha(np.array([1.0, -2.0]), 5)
-        with pytest.raises(DomainError):
-            gpwm_alpha(np.ones(10), 1)
+            estimate_alpha(np.array([[1.0, -2.0]]), ("GPWM",), 5)
+        # the moment order k >= 2 is a rule of the fit settings, checked once there
+        with pytest.raises(DomainError, match="k must be >= 2"):
+            FitSettings(k=1)
 
 
 class TestMl:
     def test_plugin_quantile_grid(self):
         law = FrechetLaw(0.5)
         xi = law.quantile((np.arange(10_000) + 0.5) / 10_000)
-        assert ml_alpha(xi) == pytest.approx(0.5, abs=0.01)
+        assert fit_row(xi, "ML") == pytest.approx(0.5, abs=0.01)
 
     def test_score_identity_at_root(self):
         xi = sample_experiment1(0.5, 0.5, 2_000, RngStream(14, 1)).xi
-        a = ml_alpha(xi)
+        a = fit_row(xi, "ML")
         # mean profile score 1/a - mean(ln x) + sum(x^-a ln x) / sum(x^-a)
         lx = np.log(xi)
         score = 1.0 / a - lx.mean() + np.sum(xi**-a * lx) / np.sum(xi**-a)
@@ -396,24 +410,24 @@ class TestMl:
             n * np.log(a) + n * np.log(n / np.sum(xi**-a)) - (a + 1.0) * np.sum(np.log(xi))
             for a in grid
         ]
-        assert ml_alpha(xi) == pytest.approx(grid[int(np.argmax(loglik))], abs=2e-4)
+        assert fit_row(xi, "ML") == pytest.approx(grid[int(np.argmax(loglik))], abs=2e-4)
         # the fit is scale-free; 2.5e5 = n'^(1/alpha) is the pipeline-2 scale
         # at n' = 500 blocks and alpha = 0.5
         for c in (2.0, 2.5e5):
-            assert ml_alpha(c * xi) == pytest.approx(ml_alpha(xi), abs=1e-10)
+            assert fit_row(c * xi, "ML") == pytest.approx(fit_row(xi, "ML"), abs=1e-10)
 
     def test_permutation_invariance(self):
         xi = sample_experiment1(0.5, 0.7, 500, RngStream(14, 2)).xi
         gen = RngStream(14, 3).generator()
-        assert ml_alpha(gen.permutation(xi)) == pytest.approx(ml_alpha(xi), abs=1e-12)
+        assert fit_row(gen.permutation(xi), "ML") == pytest.approx(fit_row(xi, "ML"), abs=1e-12)
 
     def test_constant_sample_fails(self):
         with pytest.raises(EstimationError):
-            ml_alpha(np.full(20, 3.0))
+            fit_row(np.full(20, 3.0), "ML")
 
     def test_no_root_in_bracket_fails(self):
         with pytest.raises(EstimationError) as err:
-            ml_alpha(np.linspace(1.005, 1.02, 50))
+            fit_row(np.linspace(1.005, 1.02, 50), "ML")
         assert err.value.stage == "ML"
 
 
@@ -482,15 +496,15 @@ def test_block_tail_fits_match_scalar_oracles(k):
         (order[3:], ("GPWM",)),
     ] + [(np.array([b]), ("ML", "GPWM")) for b in range(len(rows))]
     for index, methods in blocks:
-        got = estimators.estimate_alpha(xi[index], methods, k)
+        got = estimate_alpha(xi[index], methods, k)
         assert list(got) == list(methods)
         for method in methods:
             assert len(got[method]) == index.size
             for b, fit in zip(index, got[method]):
                 assert _same_outcome(fit, want[method][b]), (list(rows)[b], method, fit)
     for b, row in enumerate(xi):
-        assert _same_outcome(_tail_outcome(gpwm_alpha, row, k), want["GPWM"][b])
-        assert _same_outcome(_tail_outcome(ml_alpha, row), want["ML"][b])
+        assert _same_outcome(_tail_outcome(fit_row, row, "GPWM", k), want["GPWM"][b])
+        assert _same_outcome(_tail_outcome(fit_row, row, "ML"), want["ML"][b])
 
 
 class TestEndpointCorrection:
@@ -629,13 +643,12 @@ def _public_route(sample, pair, config):
     if config.corrected:
         values = endpoint_correct(values, w, pair.pick)
     try:
-        if pair.alpha_method == "GPWM":
-            alpha_raw = gpwm_alpha(sample.xi, config.k)
-        else:
-            alpha_raw = ml_alpha(sample.xi)
-        alpha_hat, alpha_clamped = clamp_alpha(alpha_raw)
+        alpha_raw = fit_row(sample.xi, pair.alpha_method, config.k)
     except EstimationError as exc:
         return exc
+    # an estimate >= 1 is clamped to 1 - 1e-6 and flagged
+    alpha_clamped = alpha_raw >= 1.0
+    alpha_hat = 1.0 - 1e-6 if alpha_clamped else alpha_raw
     a_star, clamp_mask = astar_points(values, points, alpha_hat)
     return values, a_star, clamp_mask | md_flags, alpha_hat, alpha_raw, alpha_clamped
 

@@ -9,7 +9,8 @@ of rows at 201 points, and its sample is estimated a second time at k=3 on a
 figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
 from the k=5 GPWM fit), the same without vertex corrections on a 41-node
 grid, and a small figure-3 config with GPWM and ML pairs. `eval` runs once per
-theta(Q) branch, with `tail_z` and `lambda_mn` where alpha < 1 admits them.
+theta(Q) branch, with `tail_z` and `lambda_mn` where alpha < 1 admits them,
+and on trivariate and 9-variate logistic models.
 Floating-point results may differ between numpy or scipy releases, so the
 file records the versions it was made with and a mismatch fails naming
 both. After a deliberate change of output, rewrite the file with
@@ -94,6 +95,18 @@ EVAL_CONFIGS = {
         size_branch="gumbel",
         grid_size=21,
         **_HEAVY_KEYS,
+    ),
+    # d >= 3 writes no curve table; at d = 9 the scaled model's norm sums 9 >= 8
+    # coordinates, where NumPy adds pairwise
+    "eval_logistic_d3": dict(
+        model={"family": "logistic", "psi": 0.5, "dim": 3},
+        alpha=0.5,
+        tail_z=[[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 2.0, 1.5]],
+    ),
+    "eval_logistic_d9": dict(
+        model={"family": "logistic", "psi": 0.3, "dim": 9},
+        alpha=0.5,
+        tail_z=[[1.0] + [0.0] * 8, [1.0] * 9, [0.25 * (j + 1) for j in range(9)]],
     ),
 }
 
