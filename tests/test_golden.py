@@ -1,5 +1,5 @@
-"""Golden output digests: the bytes of one CLI cycle, four small sweeps and
-the `eval` tables.
+"""Golden output digests: the bytes of one CLI cycle, a trivariate sample,
+five small sweeps and the `eval` tables.
 
 The SHA-256 of every output CSV (sidecars excluded: they carry the build)
 is compared with `tests/golden/digests.json`. The `sample` + `estimate`
@@ -8,8 +8,10 @@ of rows at 201 points, and its sample is estimated a second time at k=3 on a
 41-node grid without vertex corrections. The `figures` sweeps are a small
 figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
 from the k=5 GPWM fit), the same without vertex corrections on a 41-node
-grid, and a small figure-3 config with GPWM and ML pairs. `eval` runs once per
-theta(Q) branch, with `tail_z` and `lambda_mn` where alpha < 1 admits them,
+grid, the same at psi 0.1 and 1 with n=51 over 29 replications, which
+run in blocks of 3 with a short last block of 2, and a small figure-3
+config with GPWM and ML pairs. A `sample` at d=3 and n=7 pins the
+trivariate draws. `eval` runs once per theta(Q) branch, with `tail_z` and `lambda_mn` where alpha < 1 admits them,
 and on trivariate and 9-variate logistic models.
 Floating-point results may differ between numpy or scipy releases, so the
 file records the versions it was made with and a mismatch fails naming
@@ -58,6 +60,19 @@ K3_CONFIG = {"experiment": dict(SWEEP_CONFIG["experiment"], psi=[0.1, 0.55], k=3
 
 UNCORRECTED_CONFIG = {
     "experiment": dict(SWEEP_CONFIG["experiment"], corrected=False, grid_size=41, seed=8)
+}
+
+#: blocks of 3 replications with a short last block of 2 (29 = 9 * 3 + 2); at
+#: psi = 1 pipeline 1 skips the positive-stable draw of the logistic factor
+BLOCKS_CONFIG = {
+    "experiment": dict(
+        SWEEP_CONFIG["experiment"], psi=[0.1, 1.0], n=[51], replications=29, seed=9
+    )
+}
+
+#: a trivariate sample at an odd n
+SAMPLE_D3_CONFIG = {
+    "sample": {"experiment": 1, "psi": 0.3, "alpha": 0.6, "n": 7, "d": 3, "seed": 13}
 }
 
 FIG3_CONFIG = {
@@ -146,9 +161,11 @@ def output_digests(workdir):
             ("sweep", SWEEP_CONFIG),
             ("k3", K3_CONFIG),
             ("uncorrected", UNCORRECTED_CONFIG),
+            ("blocks", BLOCKS_CONFIG),
             ("fig3", FIG3_CONFIG),
         )
     ]
+    runs.append(("sample", "sample_d3", SAMPLE_D3_CONFIG))
     runs += [("eval", name, {"eval": block}) for name, block in EVAL_CONFIGS.items()]
     for command, name, data in runs:
         _run([command, "--config", config(name, data), "--out", str(workdir / name)])
