@@ -32,6 +32,7 @@ from .errors import (
     RangeLinkError,
 )
 from .estimators import (
+    BlockFit,
     CurveEstimate,
     EstimatorPair,
     FitSettings,
@@ -45,9 +46,11 @@ from .harness import (
     truth_curve,
 )
 from .samplers import (
+    PairedBlock,
     PairedSample,
     RngStream,
     sample_experiment1,
+    sample_experiment1_block,
     sample_experiment2,
     sample_logistic_maxstable,
     sample_pareto_block_size,

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .estimators import fit_pairs
 from .harness import figure_tables, results_csv_text, run_experiment, run_report_text
-from .samplers import PairedSample, RngStream, sample_experiment1, sample_experiment2
+from .samplers import PairedBlock, PairedSample, RngStream, sample_experiment1, sample_experiment2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,7 +149,9 @@ def cmd_estimate(config, args):
     outdir = Path(args.out)
     pairs = pairs_from_block(block)
     settings = fit_settings_from_block(block)
-    fits = fit_pairs((sample,), pairs, settings)[0]
+    # a block of the one sample, as views of its arrays
+    one = PairedBlock(sample.eta[np.newaxis], sample.xi[np.newaxis], sample.meta)
+    fits = {label: fit.estimate(0) for label, fit in fit_pairs(one, pairs, settings).items()}
     # a failed pair leaves no file behind, not even the pairs before it
     for estimate in fits.values():
         if isinstance(estimate, EstimationError):

@@ -36,7 +36,6 @@ from scipy import special
 from .errors import DomainError, RangeLinkError
 
 __all__ = [
-    "as_simplex",
     "as_simplex_rows",
     "edge_grid",
     "edge_points",
@@ -60,14 +59,6 @@ __all__ = [
 _SIMPLEX_TOL = 1e-12
 #: clamp deviations larger than this are reported; smaller ones are rounding
 CLAMP_TOL = 1e-12
-
-
-def as_simplex(t):
-    """Validate and return a simplex point as a float array."""
-    a = np.asarray(t, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise DomainError(f"simplex point must be a vector of dimension >= 2, got {t!r}")
-    return as_simplex_rows(a[np.newaxis, :])[0]
 
 
 def as_simplex_rows(points):
@@ -128,13 +119,6 @@ class PickandsModel:
     def values(self, points):
         """Evaluate A at an array of simplex points, shape (k, d) -> (k,)."""
         raise NotImplementedError
-
-    def pickands(self, t):
-        """Evaluate A at a single simplex point."""
-        t = as_simplex(t)
-        if t.size != self.dim:
-            raise DomainError(f"model has dimension {self.dim}, point has {t.size}")
-        return float(self.values(t[np.newaxis, :])[0])
 
     def curve(self, w):
         """Evaluate A along the bivariate edge parametrization t(w) = (1-w, w)."""

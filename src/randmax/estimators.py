@@ -24,13 +24,18 @@ exactly 1 at the vertices, matching the endpoint-corrected family.
 
 Rank-level tables: since a pseudo-uniform takes only the n levels r/(n+1),
 every logarithm, division and power in P, CFG and MD depends only on a
-(level, simplex point) pair. The curve kernel tabulates those per
-coordinate once per call and each sample gathers the rows of its ranks, so
-fit_pairs, which fits a sequence of same-shape samples in one call, pays
-for the transcendental functions once per call rather than once per sample.
-A single sample skips the gather: its own pseudo-uniforms are the levels,
-read in row order. Either way the terms are reduced exactly as the direct
-formulas would be, so the tables change no bit of any estimate.
+(level, simplex point) pair. fit_pairs fits a PairedBlock, a (B, n, d)
+stack of same-shape samples, in one call: _ranks ranks the whole stack
+along its sample axis in one pass, the curve kernel tabulates the levels
+per coordinate once per call, and each sample gathers the rows of its
+ranks and reduces its terms to column sums. The transcendental functions
+are thus paid once per block rather than once per sample, and the (B, k)
+column sums become curves in one step. A block of one sample skips the
+gather: its own pseudo-uniforms are the levels, read in row order in tiles.
+Either way the terms are reduced exactly as the direct formulas would be,
+so the tables change no bit of any estimate. The fits come back per pair
+as BlockFit arrays over the block's rows; BlockFit.estimate(b) gives row b
+as a CurveEstimate, which is how the CLI reads its one sample.
 
 Tiles: one sample is read in tiles of about _GRID_CHUNK_CELLS // k rows
 at all k simplex points (318 rows at k = 201, so 16 tiles at n = 5000), and
@@ -91,6 +96,7 @@ __all__ = [
     "EstimatorPair",
     "FitSettings",
     "CurveEstimate",
+    "BlockFit",
     "fit_pairs",
 ]
 
@@ -101,13 +107,27 @@ ALPHA_ESTIMATORS = ("GPWM", "ML")
 
 
 def _ranks(eta):
-    """Per-column ranks 1..n of an (n, d) matrix (max rank under ties)."""
-    n, d = eta.shape
-    out = np.empty((n, d), dtype=np.intp)
-    for j in range(d):
-        col = eta[:, j]
-        out[:, j] = np.searchsorted(np.sort(col), col, side="right")
-    return out
+    """Ranks 1..n along the sample axis of an (..., n, d) stack, every column
+    of every sample at once (max rank under ties).
+
+    Each column becomes one row of a lane matrix, which is sorted once and
+    scattered back by fancy indexing; the result is a view of that matrix
+    with the stack's shape.
+    """
+    n, d = eta.shape[-2:]
+    lanes = np.swapaxes(eta, -1, -2).reshape(-1, n)
+    rows = np.arange(len(lanes))[:, np.newaxis]
+    order = lanes.argsort(axis=1)
+    ordered = lanes[rows, order]
+    # a sorted position's max rank is one past the last position holding its
+    # value: mark positions followed by a tie past n, then take the running
+    # minimum from the end
+    ends = np.arange(1, n + 1)[np.newaxis].repeat(len(lanes), axis=0)
+    ends[:, :-1][ordered[:, 1:] == ordered[:, :-1]] = n + 1
+    ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty(lanes.shape, dtype=np.intp)
+    ranks[rows, order] = ends
+    return np.swapaxes(ranks.reshape(*eta.shape[:-2], d, n), -1, -2)
 
 
 def pseudo_uniforms(eta):
@@ -165,7 +185,7 @@ def _rank_terms(tables, index, pick, work):
         else:
             # ranks - 1 always index a row; "clip" spares the bounds check,
             # which would copy through a temporary buffer
-            term = np.take(table, index[:, j], axis=0, out=work[min(j, 1)], mode="clip")
+            term = table.take(index[:, j], axis=0, out=work[min(j, 1)], mode="clip")
         if acc is None:
             acc = total = term
         elif pick == "MD":
@@ -272,28 +292,41 @@ def _curves_at(levels, index, points, picks):
     One sample is read in tiles of rows at all k points (see _tiled_sums).
     Gathered samples are read per chunk of points: the angle tables over all
     L levels are built once and every sample reduces its one pseudo-angle
-    matrix into P and CFG; the power tables for MD then take their place.
-    Either way every table and term matrix lives in one scratch array,
-    allocated once per call and reused by every tile or chunk, and none
-    outlives the call.
+    matrix into the column sums of P and CFG; the power tables for MD then
+    take their place. Either way every table and term matrix lives in one
+    scratch array, allocated once per call and reused by every tile or
+    chunk, and none outlives the call. The (B, k) sums are turned into
+    curves once, at the end.
     """
     for pick in picks:
         if pick not in PICK_ESTIMATORS:
             raise DomainError(f"unknown dependence estimator {pick!r}")
     n, d = levels.shape if index is None else index.shape[1:]
-    k = points.shape[0]
-    shape = (1 if index is None else len(index), k)
-    out = {pick: (np.empty(shape), np.zeros(shape, dtype=bool)) for pick in picks}
+    coords = np.ascontiguousarray(points.T)
     if index is None:
         # contiguous coordinate rows keep the table arithmetic on fast loops
-        coords = np.ascontiguousarray(points.T)
-        for pick, total in _tiled_sums(levels, coords, picks).items():
-            values, flags = out[pick]
-            if pick == "MD":
-                values[0], flags[0] = _madogram_ratio(total / n, _madogram_offset(coords))
-            else:
-                values[0] = _angle_curve(pick, total / n)
-        return out
+        sums = _tiled_sums(levels, coords, picks)
+        sums = {pick: total[np.newaxis] for pick, total in sums.items()}
+    else:
+        sums = _gathered_sums(levels, index, points, picks)
+    out = {}
+    for pick in picks:
+        if pick == "MD":
+            out[pick] = _madogram_ratio(sums[pick] / n, _madogram_offset(coords))
+        else:
+            values = _angle_curve(pick, sums[pick] / n)
+            out[pick] = values, np.zeros(values.shape, dtype=bool)
+    return out
+
+
+def _gathered_sums(levels, index, points, picks):
+    """{pick: column sums (B, k)} of the per-row terms of each of B samples,
+    whose entries index (B, n, d) gathers from the level tables of levels
+    (L, d) at the k points (see _curves_at), one chunk of points at a time.
+    """
+    n, d = index.shape[1:]
+    k = points.shape[0]
+    sums = {pick: np.empty((len(index), k)) for pick in picks}
     angle_picks = [pick for pick in picks if pick != "MD"]
     chunks = _point_chunks(n, k)
     # d tables and 3 work matrices of (n, chunk width) each
@@ -308,15 +341,13 @@ def _curves_at(levels, index, points, picks):
                 angles = _rank_terms(tables, sample_index, "P", work)
                 for pick in angle_picks:
                     terms = angles if pick == "P" else np.log(angles, out=work[-1])
-                    out[pick][0][b, chunk] = _angle_curve(pick, terms.mean(axis=0))
-        if "MD" in out:
-            values, flags = out["MD"]
-            c = _madogram_offset(coords)
+                    sums[pick][b, chunk] = np.add.reduce(terms, axis=0)
+        if "MD" in picks:
             _level_tables(levels, coords, "MD", tables)
             for b, sample_index in enumerate(index):
-                nu = _rank_terms(tables, sample_index, "MD", work).mean(axis=0)
-                values[b, chunk], flags[b, chunk] = _madogram_ratio(nu, c)
-    return out
+                terms = _rank_terms(tables, sample_index, "MD", work)
+                sums["MD"][b, chunk] = np.add.reduce(terms, axis=0)
+    return sums
 
 
 def pickands_points(u, points, pick):
@@ -633,82 +664,118 @@ class CurveEstimate:
         write_text(path_or_buf, f"{header}\n{rows}\n")
 
 
-def fit_pairs(samples, pairs, settings):
-    """Fit several composite estimators to each of a sequence of paired samples.
+@dataclass
+class BlockFit:
+    """One pair's composite fits of a block of B samples, as arrays whose row
+    b belongs to sample b: the curves a_alpha and a_star (B, k), the tail
+    estimates alpha_hat and alpha_raw (B,), the alpha_clamped flags (B,), the
+    node clamp masks (B, k), and per row None or the EstimationError of its
+    failed tail fit. A failed row has nan tail estimates and a nan a_star."""
 
-    `samples` holds paired samples of one shape (n, 2), `pairs` the
-    EstimatorPairs to fit and `settings` the FitSettings they share. Each
-    sample is ranked once, and the curves of the scaled data of all picks
-    and samples come from one kernel call, which builds its level tables
-    once for all samples (see _curves_at); a single sample tabulates its own
-    pseudo-uniforms, which needs no gather. The xi columns of all samples
+    w: np.ndarray
+    pick: str
+    alpha_method: str
+    corrected: bool
+    a_alpha: np.ndarray
+    a_star: np.ndarray
+    alpha_hat: np.ndarray
+    alpha_raw: np.ndarray
+    alpha_clamped: np.ndarray
+    clamp_mask: np.ndarray
+    errors: tuple
+
+    @property
+    def ok(self):
+        """The mask (B,) of the rows whose fit succeeded."""
+        return np.array([error is None for error in self.errors], dtype=bool)
+
+    def estimate(self, b):
+        """Row b as a CurveEstimate, or the EstimationError of its failed fit."""
+        if self.errors[b] is not None:
+            return self.errors[b]
+        return CurveEstimate(
+            w=self.w,
+            a_alpha=self.a_alpha[b],
+            a_star=self.a_star[b],
+            alpha_hat=self.alpha_hat[b].item(),
+            alpha_raw=self.alpha_raw[b].item(),
+            pick=self.pick,
+            alpha_method=self.alpha_method,
+            corrected=self.corrected,
+            alpha_clamped=bool(self.alpha_clamped[b]),
+            clamp_mask=self.clamp_mask[b],
+        )
+
+
+def fit_pairs(block, pairs, settings):
+    """Fit several composite estimators to every sample of a PairedBlock.
+
+    `block` stacks B samples of one shape (n, 2), `pairs` names the
+    EstimatorPairs to fit and `settings` the FitSettings they share. The
+    block is ranked in one pass, and the curves of the scaled data of all
+    picks and samples come from one kernel call, which builds its level
+    tables once for all samples (see _curves_at); a block of one sample
+    tabulates its own pseudo-uniforms, which needs no gather. The xi rows
     are fitted in one estimate_alpha call, one vectorised pass per tail
     method, and one inverse scaling transform per method inverts the stacked
     curves of its pairs and samples, each at its own clamped tail estimate.
 
-    Returns one {pair label: CurveEstimate} per sample, in the order of
-    `samples`, with labels in the order of `pairs`. A pair whose tail fit
-    failed maps to that fit's EstimationError, which names the failing stage.
+    Returns {pair label: BlockFit}, with labels in the order of `pairs`. A
+    row whose tail fit failed carries that fit's EstimationError, which
+    names the failing stage.
     """
-    samples = tuple(samples)
-    if not samples:
-        raise DomainError("need at least one sample to fit")
-    n, d = samples[0].eta.shape
+    n, d = block.eta.shape[1:]
     if d != 2:
         raise DomainError("composite estimation is implemented for dimension 2 only")
-    if any(sample.eta.shape != (n, d) for sample in samples):
-        raise DomainError("samples fitted together must share one shape")
     w = edge_grid(settings.grid_size)
     points = edge_points(w)
-    if len(samples) == 1:
+    if len(block) == 1:
         # the sample's own pseudo-uniforms serve as the tables' levels
-        levels, index = pseudo_uniforms(samples[0].eta), None
+        levels, index = pseudo_uniforms(block.eta[0]), None
     else:
         # ranks 1..n index the n levels r/(n+1), shared by every coordinate
         levels = np.broadcast_to((np.arange(1, n + 1) / (n + 1.0))[:, np.newaxis], (n, d))
-        index = np.stack([_ranks(sample.eta) - 1 for sample in samples])
+        index = _ranks(block.eta) - 1
     curves = _curves_at(levels, index, points, tuple(dict.fromkeys(pair.pick for pair in pairs)))
     if settings.corrected:
         curves = {
             pick: (endpoint_correct(values, w, pick), md_flags)
             for pick, (values, md_flags) in curves.items()
         }
-    fits = [{} for _ in samples]
+    fits = {}
     methods = tuple(dict.fromkeys(pair.alpha_method for pair in pairs))
-    tails = estimate_alpha(np.stack([sample.xi for sample in samples]), methods, settings.k)
+    tails = estimate_alpha(block.xi, methods, settings.k)
     for method in methods:
         picks = tuple(dict.fromkeys(pair.pick for pair in pairs if pair.alpha_method == method))
-        fitted = {}
-        for b, alpha_raw in enumerate(tails[method]):
-            if isinstance(alpha_raw, EstimationError):
-                fits[b].update({(pick, method): alpha_raw for pick in picks})
-            elif alpha_raw >= 1.0:
-                # the inverse transform needs alpha < 1; the flag keeps the clamp visible
-                fitted[b] = (alpha_raw, 1.0 - 1e-6, True)
-            else:
-                fitted[b] = (alpha_raw, alpha_raw, False)
-        if not fitted:
-            continue
-        rows = list(fitted)
-        stacked = np.stack([curves[pick][0] for pick in picks])[:, rows]
-        alpha_hat = np.array([fitted[b][1] for b in rows])
-        a_star, clamp_mask = astar_points(stacked, points, alpha_hat)
+        errors = tuple(a if isinstance(a, EstimationError) else None for a in tails[method])
+        ok = np.array([error is None for error in errors], dtype=bool)
+        alpha_raw = np.array([np.nan if error else a for a, error in zip(tails[method], errors)])
+        # the inverse transform needs alpha < 1; the flag keeps the clamp visible
+        alpha_clamped = alpha_raw >= 1.0
+        alpha_hat = np.where(alpha_clamped, 1.0 - 1e-6, alpha_raw)
+        stacked = np.stack([curves[pick][0] for pick in picks])
+        if ok.all():
+            a_star, clamp_mask = astar_points(stacked, points, alpha_hat)
+        else:
+            a_star = np.full(stacked.shape, np.nan)
+            clamp_mask = np.zeros(stacked.shape, dtype=bool)
+            if ok.any():
+                a_star[:, ok], clamp_mask[:, ok] = astar_points(
+                    stacked[:, ok], points, alpha_hat[ok]
+                )
         for i, pick in enumerate(picks):
             values, md_flags = curves[pick]
-            masks = clamp_mask[i] | md_flags[rows]
-            for row, b in enumerate(rows):
-                alpha_raw, alpha_used, alpha_clamped = fitted[b]
-                fits[b][pick, method] = CurveEstimate(
-                    w=w,
-                    a_alpha=values[b],
-                    a_star=a_star[i, row],
-                    alpha_hat=alpha_used,
-                    alpha_raw=alpha_raw,
-                    pick=pick,
-                    alpha_method=method,
-                    corrected=settings.corrected,
-                    alpha_clamped=alpha_clamped,
-                    clamp_mask=masks[row],
-                )
-    return [{pair.label: fit[pair.pick, pair.alpha_method] for pair in pairs} for fit in fits]
-
+            fits[pick, method] = BlockFit(
+                w=w,
+                pick=pick,
+                alpha_method=method,
+                corrected=settings.corrected,
+                a_alpha=values,
+                a_star=a_star[i],
+                alpha_hat=alpha_hat,
+                alpha_raw=alpha_raw,
+                alpha_clamped=alpha_clamped,
+                clamp_mask=clamp_mask[i] | md_flags,
+                errors=errors,
+            )
+    return {pair.label: fits[pair.pick, pair.alpha_method] for pair in pairs}

@@ -13,11 +13,15 @@ keyed by the master seed. Streams therefore do not depend on the position of
 a combination within the sweep (extending a grid never perturbs existing
 results) nor on how replications are scheduled, and reductions accumulate in
 replication order, so outputs are byte-identical at any parallelism width.
-Replications run in blocks of consecutive indices (about eight per worker):
-a block draws each of its samples from that replication's stream and fits
-them all in one estimators.fit_pairs call, which shares the curve kernel's
-level tables across the block. Fits do not depend on the block they fall
-in, so the block size moves no output either.
+Replications run in blocks of consecutive indices (about eight per worker),
+and a block goes through every layer as stacked arrays: it draws one sample
+per replication stream into one PairedBlock, fits every pair on the whole
+block in one estimators.fit_pairs call, which ranks the block in one pass
+and shares the curve kernel's level tables across it, and returns each
+pair's fits as (B, k) and (B,) arrays. The blocks of a combination are
+concatenated in replication order, and failures and clamps are counted as
+array sums. Samples and fits do not depend on the block they fall in, so
+the block size moves no output either.
 Per-replication estimation failures are excluded and counted, never imputed;
 a combination with more than 20% failures is flagged in the run report.
 """
@@ -31,9 +35,9 @@ from time import perf_counter
 import numpy as np
 
 from .depcore import ExtremalT, Logistic, edge_grid, edge_points, power_points
-from .errors import DomainError, EstimationError
+from .errors import DomainError
 from .estimators import EstimatorPair, FitSettings, fit_pairs
-from .samplers import RngStream, sample_experiment1, sample_experiment2
+from .samplers import PairedBlock, RngStream, sample_experiment1_block, sample_experiment2
 
 __all__ = [
     "ExperimentConfig",
@@ -173,16 +177,17 @@ def truth_curve(combo, w):
 # -- per-replication work ----------------------------------------------------
 
 
-def _sample_for(config, combo, rng):
+def _sample_block(reps, config, combo):
+    """The PairedBlock of one sample per replication in `reps`, each drawn
+    from that replication's own stream."""
+    streams = [replication_stream(config.seed, combo, rep) for rep in reps]
     if combo.experiment == 1:
-        return sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, rng)
-    return sample_experiment2(
-        combo.psi_or_rho,
-        combo.upsilon,
-        combo.alpha,
-        combo.n,
-        rng,
-        n_prime=config.inner_size,
+        return sample_experiment1_block(combo.psi_or_rho, combo.alpha, combo.n, streams)
+    return PairedBlock.stack(
+        sample_experiment2(
+            combo.psi_or_rho, combo.upsilon, combo.alpha, combo.n, rng, n_prime=config.inner_size
+        )
+        for rng in streams
     )
 
 
@@ -192,26 +197,18 @@ def _block_size(config):
 
 
 def _replicate_block(reps, config, combo):
-    """Run a block of replications: draw each replication's sample from its
-    own stream, then fit every pair on every sample in one fit_pairs call
-    with the sweep's fit settings.
+    """Run a block of replications: draw the block's samples, then fit every
+    pair on all of them in one fit_pairs call with the sweep's fit settings.
 
-    Returns one {pair label: (astar values | None, clamp count, alpha
-    clamped)} per replication, in the order of `reps`; None marks an
-    estimation failure of that pair's tail stage.
+    Returns {pair label: (a_star (B, k), ok (B,), node clamps (B,), alpha
+    clamped (B,))}, with rows in the order of `reps`; ok marks the rows
+    whose fit succeeded, and the other arrays count only in those rows.
     """
-    samples = [
-        _sample_for(config, combo, replication_stream(config.seed, combo, rep)) for rep in reps
-    ]
-    return [
-        {
-            label: (None, 0, False)
-            if isinstance(fit, EstimationError)
-            else (fit.a_star, fit.n_clamped, fit.alpha_clamped)
-            for label, fit in fits.items()
-        }
-        for fits in fit_pairs(samples, config.pairs, config.fit)
-    ]
+    fits = fit_pairs(_sample_block(reps, config, combo), config.pairs, config.fit)
+    return {
+        label: (fit.a_star, fit.ok, np.count_nonzero(fit.clamp_mask, axis=1), fit.alpha_clamped)
+        for label, fit in fits.items()
+    }
 
 
 # -- reduction ---------------------------------------------------------------
@@ -277,22 +274,21 @@ def run_experiment(config):
                 for lo in range(0, config.replications, size)
             ]
             task = partial(_replicate_block, config=config, combo=combo)
-            block_results = map(task, blocks) if executor is None else executor.map(task, blocks)
-            rep_results = [r for block in block_results for r in block]
+            block_rows = list(
+                map(task, blocks) if executor is None else executor.map(task, blocks)
+            )
             wall_ms = (perf_counter() - start) * 1000.0
             truth = truth_curve(combo, w)
             for pair in config.pairs:
-                stack, clamps, alpha_clamps = [], 0, 0
-                for r in rep_results:
-                    curve, n_clamped, a_clamped = r[pair.label]
-                    if curve is None:
-                        continue
-                    stack.append(curve)
-                    clamps += n_clamped
-                    alpha_clamps += int(a_clamped)
+                # every replication's row, in replication order
+                a_star, ok, clamps, alpha_clamped = (
+                    np.concatenate(column)
+                    for column in zip(*(block[pair.label] for block in block_rows))
+                )
+                stack = a_star if ok.all() else a_star[ok]
                 failures = config.replications - len(stack)
                 if len(stack) >= 2:
-                    mise, isb, iv, ise, mean_curve = _reduce(np.array(stack), truth, w)
+                    mise, isb, iv, ise, mean_curve = _reduce(stack, truth, w)
                     mise_se = float(ise.std(ddof=1) / np.sqrt(len(stack)))
                 else:
                     mise = isb = iv = mise_se = float("nan")
@@ -305,8 +301,8 @@ def run_experiment(config):
                         corrected=config.fit.corrected,
                         replications=config.replications,
                         failures=failures,
-                        clamps=clamps,
-                        alpha_clamps=alpha_clamps,
+                        clamps=int(clamps[ok].sum()),
+                        alpha_clamps=int(np.count_nonzero(alpha_clamped[ok])),
                         mise=mise,
                         isb=isb,
                         iv=iv,

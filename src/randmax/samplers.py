@@ -11,6 +11,15 @@ All samplers draw from a counter-based Philox generator keyed by
 platform and parallel callers with distinct stream ids are independent.
 Samplers accept either an RngStream (a fresh generator is derived) or an
 already-running numpy Generator (state advances across calls).
+
+Blocks: pipeline 1 is drawn a block of streams at a time, one sample per
+stream, stacked into a PairedBlock of eta (B, n, d) and xi (B, n). Each
+stream makes its draws in the order a one-stream call makes them (the
+exponentials of Z, then the uniforms and exponentials of S_psi when psi < 1,
+then those of S_alpha), and the arithmetic then runs once on the stacked
+draws. Every step of that arithmetic is elementwise, or a max over the d
+coordinates, so a sample has the same bits in any block;
+sample_experiment1 is the block of one stream.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +31,11 @@ from .errors import DomainError, InputParseError
 __all__ = [
     "RngStream",
     "PairedSample",
+    "PairedBlock",
     "sample_positive_stable",
     "sample_logistic_maxstable",
     "sample_experiment1",
+    "sample_experiment1_block",
     "sample_pareto_block_size",
     "sample_experiment2",
 ]
@@ -81,14 +92,7 @@ class PairedSample:
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
-        if self.eta.ndim != 2 or self.eta.shape[0] < 2 or self.eta.shape[1] < 2:
-            raise DomainError("eta must be an (n, d) matrix with n >= 2, d >= 2")
-        if self.xi.shape != (self.eta.shape[0],):
-            raise DomainError("xi must have one entry per eta row")
-        if not (np.all(np.isfinite(self.eta)) and np.all(self.eta > 0.0)):
-            raise DomainError("eta entries must be finite and strictly positive")
-        if not (np.all(np.isfinite(self.xi)) and np.all(self.xi > 0.0)):
-            raise DomainError("xi entries must be finite and strictly positive")
+        _check_pairs(self.eta, self.xi, 2)
 
     @property
     def n(self):
@@ -162,6 +166,50 @@ class PairedSample:
             raise InputParseError(str(exc), line=linenos[int(np.argmax(bad))]) from None
 
 
+def _check_pairs(eta, xi, ndim):
+    """The rules of a paired sample on eta (n, d) and xi (n,) at ndim 2, or
+    on stacks (B, n, d) and (B, n) of them at ndim 3."""
+    form = "an (n, d) matrix" if ndim == 2 else "a (B, n, d) stack of B >= 1 samples"
+    if eta.ndim != ndim or eta.size == 0 or eta.shape[-2] < 2 or eta.shape[-1] < 2:
+        raise DomainError(f"eta must be {form} with n >= 2, d >= 2")
+    if xi.shape != eta.shape[:-1]:
+        raise DomainError("xi must have one entry per eta row")
+    if not (np.all(np.isfinite(eta)) and np.all(eta > 0.0)):
+        raise DomainError("eta entries must be finite and strictly positive")
+    if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
+        raise DomainError("xi entries must be finite and strictly positive")
+
+
+@dataclass
+class PairedBlock:
+    """B paired samples of one shape, stacked: eta (B, n, d) and xi (B, n),
+    each row under the rules of PairedSample. meta keeps the generating
+    parameters the samples share."""
+
+    eta: np.ndarray
+    xi: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.eta = np.asarray(self.eta, dtype=float)
+        self.xi = np.asarray(self.xi, dtype=float)
+        _check_pairs(self.eta, self.xi, 3)
+
+    def __len__(self):
+        return self.xi.shape[0]
+
+    @classmethod
+    def stack(cls, samples):
+        """Stack PairedSamples of one shape; the block keeps the first one's meta."""
+        samples = tuple(samples)
+        if not samples:
+            raise DomainError("need at least one sample to stack")
+        if any(sample.eta.shape != samples[0].eta.shape for sample in samples):
+            raise DomainError("samples stacked in a block must share one shape")
+        eta = np.array([sample.eta for sample in samples])
+        return cls(eta, np.array([sample.xi for sample in samples]), dict(samples[0].meta))
+
+
 def _first_bad_line(lines, d):
     """The InputParseError of the first nonblank line (lines[i] is line i + 2)
     that does not hold d + 1 cells, or holds one float() cannot read."""
@@ -177,6 +225,32 @@ def _first_bad_line(lines, d):
             return InputParseError(str(exc), line=lineno)
 
 
+def _check_stable_index(alpha):
+    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
+        raise DomainError(f"stable index must be in (0,1), got {alpha!r}")
+
+
+def _check_logistic(psi, d):
+    if not (np.isfinite(psi) and 0.0 < psi <= 1.0):
+        raise DomainError(f"logistic dependence parameter must be in (0,1], got {psi!r}")
+    if int(d) < 2:
+        raise DomainError(f"dimension must be >= 2, got {d!r}")
+
+
+def _kanter(alpha, v, w):
+    """Positive alpha-stable variates from uniforms v on [0, 1) and unit
+    exponentials w of one shape (see sample_positive_stable)."""
+    u = np.pi * (1.0 - v)
+    s = (np.sin((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    return s * np.sin(alpha * u) / np.sin(u) ** (1.0 / alpha)
+
+
+def _logistic(psi, y, s):
+    """(S * Y)^psi, componentwise: logistic(psi) vectors with unit-Frechet
+    margins from iid unit-Frechet Y (..., d) and positive psi-stable S (...)."""
+    return (np.expand_dims(s, -1) * y) ** psi
+
+
 def sample_positive_stable(alpha, rng, size=None):
     """Positive alpha-stable variates with Laplace transform E e^(-sS) = e^(-s^alpha).
 
@@ -185,17 +259,9 @@ def sample_positive_stable(alpha, rng, size=None):
 
         S = (sin((1-alpha) U) / W)^((1-alpha)/alpha) * sin(alpha U) / sin(U)^(1/alpha).
     """
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"stable index must be in (0,1), got {alpha!r}")
+    _check_stable_index(alpha)
     gen = _gen(rng)
-    u = np.pi * (1.0 - gen.random(size))
-    w = gen.standard_exponential(size)
-    s = (np.sin((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    return s * np.sin(alpha * u) / np.sin(u) ** (1.0 / alpha)
-
-
-def _unit_frechet(gen, size):
-    return 1.0 / gen.standard_exponential(size)
+    return _kanter(alpha, gen.random(size), gen.standard_exponential(size))
 
 
 def sample_logistic_maxstable(psi, d, rng, size=None):
@@ -207,18 +273,45 @@ def sample_logistic_maxstable(psi, d, rng, size=None):
     to the power psi restores unit-Frechet margins without touching the
     copula.
     """
-    if not (np.isfinite(psi) and 0.0 < psi <= 1.0):
-        raise DomainError(f"logistic dependence parameter must be in (0,1], got {psi!r}")
-    if int(d) < 2:
-        raise DomainError(f"dimension must be >= 2, got {d!r}")
-    d = int(d)
+    _check_logistic(psi, d)
     gen = _gen(rng)
-    shape = (d,) if size is None else (size, d)
-    y = _unit_frechet(gen, shape)
+    y = 1.0 / gen.standard_exponential((int(d),) if size is None else (size, int(d)))
     if psi == 1.0:
         return y
-    s = sample_positive_stable(psi, gen, size)
-    return (np.expand_dims(s, -1) * y) ** psi
+    return _logistic(psi, y, sample_positive_stable(psi, gen, size))
+
+
+def sample_experiment1_block(psi, alpha, n, rngs, d=2):
+    """Pipeline 1 for a block of streams: one sample of n draws of (eta, xi)
+    per entry of `rngs` (RngStreams or running Generators), stacked in a
+    PairedBlock in the order of `rngs`.
+
+    Each sample is the one sample_experiment1 draws from that stream, bit for
+    bit, and a running Generator advances exactly as it would there (see
+    "Blocks" in the module docstring).
+    """
+    _check_logistic(psi, d)
+    _check_stable_index(alpha)
+    if int(n) < 2:
+        raise DomainError(f"sample size must be >= 2, got {n!r}")
+    n, d = int(n), int(d)
+    # the exponentials of Z, then (uniform, exponential) of S_psi and of S_alpha
+    e = np.empty((len(rngs), n, d))
+    draws = np.empty((4, len(rngs), n))
+    for b, rng in enumerate(rngs):
+        gen = _gen(rng)
+        gen.standard_exponential(out=e[b])
+        if psi < 1.0:
+            gen.random(out=draws[0, b])
+            gen.standard_exponential(out=draws[1, b])
+        gen.random(out=draws[2, b])
+        gen.standard_exponential(out=draws[3, b])
+    z = 1.0 / e
+    if psi < 1.0:
+        z = _logistic(psi, z, _kanter(psi, draws[0], draws[1]))
+    eta = _kanter(alpha, draws[2], draws[3])[..., np.newaxis] * z
+    meta = {"experiment": 1, "psi": psi, "alpha": alpha, "n": n, "d": d}
+    return PairedBlock(eta, eta.max(axis=-1), meta)
 
 
 def sample_experiment1(psi, alpha, n, rng, d=2):
@@ -228,17 +321,10 @@ def sample_experiment1(psi, alpha, n, rng, d=2):
     alpha-stable independent of Z, eta = S * Z (componentwise) and
     xi = max_j eta_j. eta then has alpha-Frechet margins and the
     alpha-scaled logistic dependence; xi is alpha-Frechet up to scale.
+    This is the block of one stream of sample_experiment1_block.
     """
-    if int(n) < 2:
-        raise DomainError(f"sample size must be >= 2, got {n!r}")
-    n = int(n)
-    gen = _gen(rng)
-    z = sample_logistic_maxstable(psi, d, gen, n)
-    s = sample_positive_stable(alpha, gen, n)
-    eta = s[:, np.newaxis] * z
-    xi = eta.max(axis=1)
-    meta = {"experiment": 1, "psi": psi, "alpha": alpha, "n": n, "d": int(d)}
-    return PairedSample(eta, xi, meta)
+    block = sample_experiment1_block(psi, alpha, n, (rng,), d)
+    return PairedSample(block.eta[0], block.xi[0], block.meta)
 
 
 def sample_pareto_block_size(alpha, rng, size=None):

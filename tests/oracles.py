@@ -1,10 +1,12 @@
 """Reference implementations the tests compare the package against.
 
 None of this is part of randmax: a Frechet law for quantile grids, the
-per-row terms of the rank-based curve estimators computed straight from
-their formulas, a Poisson spectral sampler of the alpha-scaled law that
-is independent of the S * Z construction the package samples with, and a
-row-by-row bivariate Student-t sampler, the brute-force reference for the
+per-stream pipeline-1 sampler and the column-by-column ranks, the bit-level
+references for the block sampler and the stacked ranks, the per-row terms
+of the rank-based curve estimators computed straight from their formulas,
+a Poisson spectral sampler of the alpha-scaled law that is independent of
+the S * Z construction the package samples with, and a row-by-row
+bivariate Student-t sampler, the brute-force reference for the
 pooled maxima of pipeline 2, and one-sample GPWM and ML tail fits written
 with Python scalars, the bit-level reference for the block-wise fits.
 Only fit_row calls the package: its tail fit of one row, as tests use it.
@@ -62,6 +64,37 @@ class FrechetLaw:
             - z**-self.alpha
         )
         return float(out) if scalar else out
+
+
+def _oracle_positive_stable(alpha, gen, size):
+    """Kanter's positive alpha-stable variates: a uniform, then an exponential
+    draw of `size` each from the running Generator gen."""
+    u = np.pi * (1.0 - gen.random(size))
+    w = gen.standard_exponential(size)
+    s = (np.sin((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    return s * np.sin(alpha * u) / np.sin(u) ** (1.0 / alpha)
+
+
+def oracle_sample_experiment1(psi, alpha, n, gen, d=2):
+    """One pipeline-1 sample (eta (n, d), xi (n,)) drawn from the running
+    Generator gen, one stream at a time: unit-Frechet Y, then for psi < 1
+    the logistic vectors (S_psi Y)^psi, then eta = S_alpha * Z and its row
+    maxima xi."""
+    z = 1.0 / gen.standard_exponential((n, d))
+    if psi < 1.0:
+        z = (_oracle_positive_stable(psi, gen, n)[:, np.newaxis] * z) ** psi
+    eta = _oracle_positive_stable(alpha, gen, n)[:, np.newaxis] * z
+    return eta, eta.max(axis=1)
+
+
+def oracle_ranks(eta):
+    """Per-column ranks 1..n of an (n, d) matrix, the max rank under ties,
+    one column at a time."""
+    out = np.empty(eta.shape, dtype=np.intp)
+    for j in range(eta.shape[1]):
+        col = eta[:, j]
+        out[:, j] = np.searchsorted(np.sort(col), col, side="right")
+    return out
 
 
 def oracle_row_terms(data, coords, pick):

@@ -53,6 +53,7 @@ from randmax.harness import (
     truth_model,
 )
 from randmax.samplers import (
+    PairedBlock,
     RngStream,
     sample_experiment1,
     sample_logistic_maxstable,
@@ -253,9 +254,10 @@ _PAIRS = tuple(EstimatorPair(p, a) for a in ("GPWM", "ML") for p in ("P", "CFG",
 
 def _sup_errors(sample, truth):
     """sup|A* estimate - truth| of every pair, from one fit_pairs call."""
-    (fits,) = fit_pairs((sample,), _PAIRS, FitSettings())
+    fits = fit_pairs(PairedBlock.stack((sample,)), _PAIRS, FitSettings())
     sups = {}
-    for label, fit in fits.items():
+    for label, block_fit in fits.items():
+        fit = block_fit.estimate(0)
         if isinstance(fit, EstimationError):
             raise fit
         sups[label] = float(np.max(np.abs(fit.a_star - truth)))
@@ -318,7 +320,7 @@ def test_criterion_07_population_oracles():
     scaled = AlphaScaled(Logistic(0.5), 0.5)
     worst = 0.0
     for t in (np.array([0.5, 0.5]), np.array([0.3, 0.7])):
-        a = scaled.pickands(t)
+        a = scaled.values(t[np.newaxis])[0]
         angles = pseudo_angles(uniforms, t)
         se = angles.std(ddof=1) / np.sqrt(angles.size)
         worst = max(worst, abs(angles.mean() - 1.0 / a) / se)
@@ -588,7 +590,7 @@ def test_criterion_09_pipeline_and_truth(figure3_results):
     worst_bary = 0.0
     for rho in (-0.5, 0.5, 0.99):
         combo = Combo(2, 0.5, rho, 1.0, 50)
-        theta = 2.0 * truth_model(combo).pickands([0.5, 0.5])
+        theta = 2.0 * truth_model(combo).values(np.array([[0.5, 0.5]]))[0]
         target = 2.0 * student_t_cdf(np.sqrt(2.0 * (1.0 - rho) / (1.0 + rho)), 2.0)
         worst_bary = max(worst_bary, abs(theta - target))
     failures = sum(r.failures for r in results)

@@ -22,7 +22,13 @@ from randmax.estimators import (
     pseudo_uniforms,
 )
 from randmax.harness import Combo, truth_curve
-from randmax.samplers import RngStream, sample_experiment1, sample_experiment2
+from randmax.samplers import (
+    PairedBlock,
+    RngStream,
+    sample_experiment1,
+    sample_experiment1_block,
+    sample_experiment2,
+)
 
 from oracles import (
     FrechetLaw,
@@ -30,6 +36,7 @@ from oracles import (
     madogram_nu,
     oracle_gpwm_alpha,
     oracle_ml_alpha,
+    oracle_ranks,
     oracle_row_terms,
     pseudo_angles,
 )
@@ -58,6 +65,19 @@ class TestPseudoUniforms:
         u = pseudo_uniforms(np.array([[1.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         assert np.allclose(u[:, 0], [0.5, 0.5, 0.75])
 
+    def test_stacked_ranks_match_per_column_oracle(self):
+        # integer-valued samples tie often, runs of ties included, and
+        # continuous ones never; each sample of the stack is ranked as the
+        # oracle ranks it alone
+        gen = RngStream(10, 6).generator()
+        for n, levels in ((2, 2), (7, 3), (50, 6), (51, 40)):
+            for eta in (gen.integers(0, levels, (4, n, 3)).astype(float), gen.random((4, n, 3))):
+                ranks = estimators._ranks(eta)
+                assert ranks.shape == eta.shape
+                for b in range(4):
+                    assert np.array_equal(ranks[b], oracle_ranks(eta[b]))
+                assert np.array_equal(estimators._ranks(eta[0]), oracle_ranks(eta[0]))
+
 
 class TestAngles:
     def test_vertex_single_term(self):
@@ -72,7 +92,7 @@ class TestAngles:
         u = np.exp(-s.eta ** -0.5)
         scaled = AlphaScaled(Logistic(0.5), 0.5)
         for t in (np.array([0.5, 0.5]), np.array([0.3, 0.7])):
-            a = scaled.pickands(t)
+            a = scaled.values(t[np.newaxis])[0]
             th = pseudo_angles(u, t)
             _mc_check(th, 1.0 / a)
             _mc_check(np.log(th), -np.log(a) - EULER_MASCHERONI)
@@ -563,10 +583,17 @@ class TestInvertCurve:
         assert mask[1] and mask[2] and mask[3]
 
 
+def _estimates(samples, pairs, settings):
+    """fit_pairs on the block of `samples`, as one {pair label:
+    CurveEstimate or EstimationError} per sample."""
+    fits = fit_pairs(PairedBlock.stack(samples), pairs, settings)
+    return [{label: fit.estimate(b) for label, fit in fits.items()} for b in range(len(samples))]
+
+
 def _fit_one(sample, pick, alpha_method, **settings):
     """One pair's composite fit of one sample (see fit_pairs)."""
     pair = EstimatorPair(pick, alpha_method)
-    return fit_pairs((sample,), (pair,), FitSettings(**settings))[0][pair.label]
+    return _estimates((sample,), (pair,), FitSettings(**settings))[0][pair.label]
 
 
 class TestComposite:
@@ -673,7 +700,7 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
         with monkeypatch.context() as patch:
             if chunk_cells is not None:
                 patch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
-            (fits,) = fit_pairs((sample,), _SHUFFLED_PAIRS, config)
+            (fits,) = _estimates((sample,), _SHUFFLED_PAIRS, config)
         assert list(fits) == [pair.label for pair in _SHUFFLED_PAIRS]
         for pair, want in zip(_SHUFFLED_PAIRS, expected):
             got = fits[pair.label]
@@ -716,11 +743,11 @@ def test_batched_fit_pairs_matches_one_sample_calls(
     ]
     samples[1].xi[:] = FrechetLaw(3.0).quantile((np.arange(50) + 0.5) / 50)
     samples[3].xi[:] = 1.0
-    batched = fit_pairs(samples, _SHUFFLED_PAIRS, config)
+    batched = _estimates(samples, _SHUFFLED_PAIRS, config)
     assert len(batched) == len(samples)
     outcomes = set()
     for sample, fits in zip(samples, batched):
-        (alone,) = fit_pairs((sample,), _SHUFFLED_PAIRS, config)
+        (alone,) = _estimates((sample,), _SHUFFLED_PAIRS, config)
         assert list(fits) == list(alone)
         for label, got in fits.items():
             want = alone[label]
@@ -743,6 +770,29 @@ def test_fit_pairs_rejects_mixed_shapes():
     a = sample_experiment1(0.5, 0.5, 50, RngStream(19, 10))
     b = sample_experiment1(0.5, 0.5, 60, RngStream(19, 11))
     with pytest.raises(DomainError):
-        fit_pairs((a, b), _SHUFFLED_PAIRS, FitSettings())
+        fit_pairs(PairedBlock.stack((a, b)), _SHUFFLED_PAIRS, FitSettings())
     with pytest.raises(DomainError):
-        fit_pairs((), _SHUFFLED_PAIRS, FitSettings())
+        fit_pairs(PairedBlock.stack(()), _SHUFFLED_PAIRS, FitSettings())
+
+
+def test_failing_row_inside_a_block():
+    # one row of a drawn block has a constant xi: both tail fits of that row
+    # fail, naming their stage, and every other row keeps the bits of its
+    # own one-sample fit, tail estimates, curves and masks alike
+    streams = [RngStream(20, i) for i in range(5)]
+    block = sample_experiment1_block(0.5, 0.5, 50, streams)
+    block.xi[2] = 1.0
+    fits = fit_pairs(block, _SHUFFLED_PAIRS, FitSettings())
+    for pair in _SHUFFLED_PAIRS:
+        fit = fits[pair.label]
+        assert fit.ok.tolist() == [True, True, False, True, True]
+        error = fit.estimate(2)
+        assert isinstance(error, EstimationError) and error.stage == pair.alpha_method
+    for b in (0, 1, 3, 4):
+        one = PairedBlock(block.eta[b : b + 1], block.xi[b : b + 1])
+        alone = fit_pairs(one, _SHUFFLED_PAIRS, FitSettings())
+        for label, fit in fits.items():
+            want = alone[label]
+            for name in ("a_alpha", "a_star", "clamp_mask", "alpha_hat", "alpha_raw"):
+                assert getattr(fit, name)[b].tobytes() == getattr(want, name)[0].tobytes()
+            assert fit.alpha_clamped[b] == want.alpha_clamped[0]

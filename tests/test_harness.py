@@ -21,7 +21,7 @@ from randmax.harness import (
     truth_curve,
     truth_model,
 )
-from randmax.samplers import sample_experiment1
+from randmax.samplers import PairedBlock, sample_experiment1
 
 
 def _small_config(**overrides):
@@ -92,7 +92,7 @@ class TestTruth:
 
     def test_extremal_t_truth_barycenter(self):
         combo = Combo(2, 0.5, 0.99, 1.0, 50)
-        theta = 2.0 * truth_model(combo).pickands([0.5, 0.5])
+        theta = 2.0 * truth_model(combo).values(np.array([[0.5, 0.5]]))[0]
         target = 2.0 * student_t_cdf(np.sqrt(2.0 * 0.01 / 1.99), 2.0)
         assert theta == pytest.approx(target, abs=1e-10)
         assert theta < 1.08
@@ -137,9 +137,9 @@ class TestRunExperiment:
     def test_forced_identical_replications_have_zero_variance(self):
         cfg = _small_config()
         combo = enumerate_combos(cfg)[0]
-        (rep,) = harness._replicate_block(range(1), cfg, combo)
+        a_star, *_ = harness._replicate_block(range(1), cfg, combo)["CFG-GPWM"]
         w = edge_grid(cfg.fit.grid_size)
-        curves = np.vstack([rep["CFG-GPWM"][0], rep["CFG-GPWM"][0]])
+        curves = np.vstack([a_star[0], a_star[0]])
         mise, isb, iv, _, _ = harness._reduce(curves, truth_curve(combo, w), w)
         assert iv == 0.0
         assert mise == pytest.approx(isb, rel=1e-12)
@@ -147,17 +147,17 @@ class TestRunExperiment:
     def test_truth_injection_gives_zero_mise(self, monkeypatch):
         # a fit that returns the analytic truth of the parameters each sample
         # was drawn with must reduce to zero error against each combo's truth
-        def truth_fits(samples, pairs, settings):
+        def truth_fits(block, pairs, settings):
             w = edge_grid(settings.grid_size)
-            fits = []
-            for sample in samples:
-                meta = sample.meta
-                combo = Combo(1, meta["alpha"], meta["psi"], float("nan"), meta["n"])
-                truth = SimpleNamespace(
-                    a_star=truth_curve(combo, w), n_clamped=0, alpha_clamped=False
-                )
-                fits.append({pair.label: truth for pair in pairs})
-            return fits
+            meta, rows = block.meta, len(block)
+            combo = Combo(1, meta["alpha"], meta["psi"], float("nan"), meta["n"])
+            truth = SimpleNamespace(
+                ok=np.ones(rows, dtype=bool),
+                a_star=np.tile(truth_curve(combo, w), (rows, 1)),
+                clamp_mask=np.zeros((rows, w.size), dtype=bool),
+                alpha_clamped=np.zeros(rows, dtype=bool),
+            )
+            return {pair.label: truth for pair in pairs}
 
         monkeypatch.setattr(harness, "fit_pairs", truth_fits)
         res = run_experiment(_small_config())
@@ -206,12 +206,15 @@ class TestRunExperiment:
         checked = mismatches = 0
         for combo in enumerate_combos(cfg):
             block = harness._replicate_block(range(cfg.replications), cfg, combo)
-            for rep, fits in enumerate(block):
+            for rep in range(cfg.replications):
                 stream = replication_stream(cfg.seed, combo, rep)
                 sample = sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, stream)
                 for pair in pairs:
-                    curve, clamps, alpha_clamped = fits[pair.label]
-                    est = fit_pairs((sample,), (pair,), cfg.fit)[0][pair.label]
+                    a_star, ok, node_clamps, alpha_clamps = block[pair.label]
+                    curve = a_star[rep] if ok[rep] else None
+                    clamps, alpha_clamped = node_clamps[rep], alpha_clamps[rep]
+                    alone = fit_pairs(PairedBlock.stack((sample,)), (pair,), cfg.fit)
+                    est = alone[pair.label].estimate(0)
                     checked += 1
                     if isinstance(est, EstimationError):
                         mismatches += curve is not None
@@ -246,6 +249,25 @@ class TestRunExperiment:
         assert res[0].failures == 2
         assert res[0].ise.size == 4
         assert res[0].flagged  # 2/6 > 20%
+
+    def test_failing_row_inside_a_block_is_counted(self, monkeypatch):
+        # blocks of 4 over 6 replications; replication 5, the second row of
+        # the short last block, gets a constant xi, so every pair fails there
+        real = harness.sample_experiment1_block
+
+        def constant_row(psi, alpha, n, rngs, d=2):
+            block = real(psi, alpha, n, rngs, d)
+            if len(rngs) == 2:
+                block.xi[1] = 1.0
+            return block
+
+        cfg = _small_config(psis=(0.5,))
+        monkeypatch.setattr(harness, "_block_size", lambda config: 4)
+        monkeypatch.setattr(harness, "sample_experiment1_block", constant_row)
+        res = run_experiment(cfg)
+        assert [r.failures for r in res] == [1, 1]
+        assert [r.ise.size for r in res] == [5, 5]
+        assert all(np.isfinite(r.mise) for r in res)
 
     def test_report_mentions_flagged_combos(self, monkeypatch):
         monkeypatch.setattr(

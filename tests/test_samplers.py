@@ -10,16 +10,18 @@ from randmax.depcore import student_t_cdf
 from randmax.errors import DomainError, InputParseError
 from randmax.estimators import pickands_points, pseudo_uniforms
 from randmax.samplers import (
+    PairedBlock,
     PairedSample,
     RngStream,
     sample_experiment1,
+    sample_experiment1_block,
     sample_experiment2,
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,
 )
 
-from oracles import sample_bivariate_t, sample_spectral_scaled
+from oracles import oracle_sample_experiment1, sample_bivariate_t, sample_spectral_scaled
 
 
 def _mc_check(values, target, factor=3.0):
@@ -132,6 +134,52 @@ class TestExperiment1:
         a = sample_experiment1(0.5, 0.5, 500, RngStream(3, 5))
         b = sample_experiment1(0.5, 0.5, 500, RngStream(3, 5))
         assert np.array_equal(a.eta, b.eta) and np.array_equal(a.xi, b.xi)
+
+    @pytest.mark.parametrize("psi", [0.1, 0.3, 0.55, 0.9, 1.0])
+    def test_block_matches_per_stream_oracle(self, psi):
+        # every sample of a block has the bits the per-stream sampler draws
+        # from its stream; psi = 1 skips the draws of S_psi
+        checked = 0
+        for alpha in (0.15, 0.5, 0.77):
+            for n in (2, 7, 50):
+                for d in (2, 3, 5):
+                    streams = [RngStream(30, 1000 * n + 10 * d + i) for i in range(3)]
+                    block = sample_experiment1_block(psi, alpha, n, streams, d)
+                    assert block.eta.shape == (3, n, d) and block.xi.shape == (3, n)
+                    for b, stream in enumerate(streams):
+                        eta, xi = oracle_sample_experiment1(psi, alpha, n, stream.generator(), d)
+                        assert block.eta[b].tobytes() == eta.tobytes()
+                        assert block.xi[b].tobytes() == xi.tobytes()
+                        checked += 1
+        assert checked == 81
+
+    @pytest.mark.parametrize("psi", [0.4, 1.0])
+    def test_running_generator_advances_as_per_stream(self, psi):
+        # a running Generator gives the oracle's draws call after call, and
+        # is left in the state the oracle leaves its twin in
+        gen, twin = RngStream(31, 1).generator(), RngStream(31, 1).generator()
+        for n in (2, 9, 2):
+            s = sample_experiment1(psi, 0.6, n, gen, d=3)
+            eta, xi = oracle_sample_experiment1(psi, 0.6, n, twin, 3)
+            assert s.eta.tobytes() == eta.tobytes() and s.xi.tobytes() == xi.tobytes()
+        block = sample_experiment1_block(psi, 0.6, 5, (gen, gen))
+        for b in range(2):
+            eta, xi = oracle_sample_experiment1(psi, 0.6, 5, twin)
+            assert block.eta[b].tobytes() == eta.tobytes()
+        assert gen.random() == twin.random()
+
+    def test_block_is_validated_like_a_sample(self):
+        block = sample_experiment1_block(0.5, 0.5, 10, [RngStream(32, i) for i in range(2)])
+        assert len(block) == 2
+        assert block.meta == {"experiment": 1, "psi": 0.5, "alpha": 0.5, "n": 10, "d": 2}
+        bad = block.eta.copy()
+        bad[1, 3, 0] = -1.0
+        with pytest.raises(DomainError):
+            PairedBlock(bad, block.xi)
+        with pytest.raises(DomainError):
+            PairedBlock(block.eta[0], block.xi[0])  # one sample, not a stack
+        with pytest.raises(DomainError):
+            sample_experiment1_block(0.5, 1.0, 10, [RngStream(32, 0)])
 
 
 class TestParetoBlockSize:
