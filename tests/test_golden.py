@@ -1,8 +1,9 @@
 """Golden output digests: the bytes of one CLI cycle, a trivariate sample,
 five small sweeps and the `eval` tables.
 
-The SHA-256 of every output CSV (sidecars excluded: they carry the build)
-is compared with `tests/golden/digests.json`. The `sample` + `estimate`
+The SHA-256 of every output CSV and of its `.meta` sidecar (less the
+sidecar's `build=` line) is compared with `tests/golden/digests.json`; the
+`estimate` sidecars pin the tail estimate, its clamp and the clamped nodes. The `sample` + `estimate`
 cycle runs at n=5000, where the curve kernel reads the sample in 16 tiles
 of rows at 201 points, and its sample is estimated a second time at k=3 on a
 41-node grid without vertex corrections. The `figures` sweeps are a small
@@ -171,10 +172,19 @@ def output_digests(workdir):
     for command, name, data in runs:
         _run([command, "--config", config(name, data), "--out", str(workdir / name)])
     return {
-        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        f"{path.parent.name}/{path.name}": hashlib.sha256(_pinned_bytes(path)).hexdigest()
         for out in [cycle, settings] + [workdir / name for _, name, _ in runs]
-        for path in sorted(out.glob("*.csv"))
+        for path in sorted(out.glob("*.csv")) + sorted(out.glob("*.csv.meta"))
     }
+
+
+def _pinned_bytes(path):
+    """The bytes of an output file, less a sidecar's `build=` line, which
+    names the source tree rather than anything the run computed."""
+    data = path.read_bytes()
+    if path.suffix != ".meta":
+        return data
+    return b"".join(line for line in data.splitlines(True) if not line.startswith(b"build="))
 
 
 def test_outputs_match_golden_digests(tmp_path):
