@@ -201,6 +201,20 @@ CONFIG_SCHEMA = {
 }
 
 
+def _is_json_integer(checker, instance):
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+#: JSON Schema counts a whole float such as 3.0 as an integer; here every
+#: count, size, order and seed must be written as a JSON integer
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", _is_json_integer
+    ),
+)
+
+
 def load_config(path):
     """Read and validate a config file; returns the parsed dict."""
     try:
@@ -212,7 +226,7 @@ def load_config(path):
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", path=str(path)) from None
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    validator = _VALIDATOR(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(data), key=lambda e: e.json_path)
     if errors:
         first = errors[0]

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class RandmaxError(Exception):
     """Base class for all package errors."""
@@ -7,6 +9,16 @@ class RandmaxError(Exception):
 
 class DomainError(RandmaxError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def as_integer(name, value):
+    """`value` as an int, for a count or seed named `name`; a float (even a
+    whole one) or any other non-integer raises a DomainError naming it.
+    numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class RangeLinkError(RandmaxError):

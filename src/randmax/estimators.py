@@ -26,39 +26,38 @@ Rank-level tables: since a pseudo-uniform takes only the n levels r/(n+1),
 every logarithm, division and power in P, CFG and MD depends only on a
 (level, simplex point) pair. fit_pairs fits a PairedBlock, a (B, n, d)
 stack of same-shape samples, in one call: _ranks ranks the whole stack
-along its sample axis in one pass, the curve kernel tabulates the levels
-per coordinate once per call, and each sample gathers the rows of its
-ranks and reduces its terms to column sums. The transcendental functions
-are thus paid once per block rather than once per sample, and the (B, k)
-column sums become curves in one step. A block of one sample skips the
-gather: its own pseudo-uniforms are the levels, read in row order in tiles.
-Either way the terms are reduced exactly as the direct formulas would be,
-so the tables change no bit of any estimate. The fits come back per pair
-as BlockFit arrays over the block's rows; BlockFit.estimate(b) gives row b
-as a CurveEstimate, which is how the CLI reads its one sample.
+along its sample axis in one pass, the one curve kernel _curves_at
+tabulates the levels per coordinate once for all B samples, and each
+sample gathers the rows of its ranks and reduces its terms to column sums.
+The transcendental functions are thus paid once per block rather than once
+per sample, and the (B, k) column sums become curves in one step. A block
+of one sample skips the gather: its own pseudo-uniforms are the levels, so
+its terms are the table rows themselves. Either way the terms are reduced
+exactly as the direct formulas would be, so the tables change no bit of
+any estimate. The fits come back per pair as BlockFit arrays over the
+block's rows; BlockFit.estimate(b) gives row b as a CurveEstimate, which
+is how the CLI reads its one sample.
 
-Tiles: one sample is read in tiles of about _GRID_CHUNK_CELLS // k rows
-at all k simplex points (318 rows at k = 201, so 16 tiles at n = 5000), and
-gathered samples in chunks of about _GRID_CHUNK_CELLS // n points at all n
-rows. Every table and term matrix of a call lives in one scratch array,
-allocated once per call and reused by every tile or chunk. A tile's terms
-are reduced into running column sums, carried from tile to tile in row
-order: the sums so far are added into the tile's first row, and the tile
-is then reduced over axis 0. An axis-0 reduction of a C-contiguous matrix
-with at least two columns adds row by row, so the carried sum is the very
-sum one reduction over all n rows gives, and ndarray.mean is that sum
-divided by n; no bit of any estimate moves. A one-column reduction adds
-pairwise instead, so a one-point call is never split into tiles, and no
-chunk of points has one point (see _point_chunks). The one-sample scratch
-is then 1.5 MB for d = 2 at any n: tracemalloc puts one pickands_points
-call at 201 points and n = 5,000 to 80,000 at a 1.7 MB peak, against
-28-30 MB with the earlier point chunks of 700,000 cells at all n rows.
-Measured on a 2-core Xeon under Linux (glibc 2.36) in a loop of
-`randmax sample` + `estimate` cycles at n = 10^4 (six pairs, 201 points),
-the process peaks at 67 MB resident against 84 MB with those chunks; the
-first fit_pairs call takes about 420 minor page faults (740-800 in each of
-the first two calls with the chunks), every later one 0, and a call takes
-35-45 ms against 42-50 ms.
+Tiles: the kernel is one loop over pieces, each a (row slice, point slice)
+pair of about _GRID_CHUNK_CELLS cells, and every table and term matrix of
+a call lives in one scratch array sized from the largest piece. A gathered
+block is cut into chunks of points at all n levels, as its B samples all
+read the same tables. One sample is cut into tiles of rows at all k points
+(318 rows at k = 201, so 16 tiles at n = 5000): at n = 10^4 a chunk of
+points would be only 6 points wide, and a six-pair fit of one such sample
+took a median of 82 ms in those chunks against 43 ms in tiles of rows
+(15 calls on a 2-core Xeon, numpy 2.4). A tile's terms are reduced into
+running column sums, carried from tile to tile in row order: the sums so
+far are added into the tile's first row, and the tile is then reduced over
+axis 0. An axis-0 reduction of a C-contiguous matrix with at least two
+columns adds row by row, so the carried sum is the very sum one reduction
+over all n rows gives, and the mean is that sum divided by n; no bit of
+any estimate moves. A one-column reduction adds pairwise instead, so a
+one-point call is never split into tiles, and no chunk of points has one
+point (see _point_chunks). The scratch is d + 1 matrices for one sample
+(1.5 MB for d = 2) and d + 3 for a gathered block, whatever n is:
+tracemalloc puts one pickands_points call at 201 points and n = 20,000 at
+a 1.7 MB peak, and a gathered call on two such samples at 2.9 MB.
 
 Tail fits: estimate_alpha fits the xi rows of a whole block of samples in
 one vectorised pass per method, and one sample is a block of one row. GPWM
@@ -83,7 +82,7 @@ import numpy as np
 from scipy import special
 
 from .depcore import as_simplex_rows, astar_points, edge_grid, edge_points, power_points
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, as_integer
 from .samplers import write_text
 
 __all__ = [
@@ -140,12 +139,11 @@ def pseudo_uniforms(eta):
 # The curve kernel: all three estimators at an array of simplex points
 # ---------------------------------------------------------------------------
 
-#: (row, point) cells per block of the curve kernel: one sample's terms come
-#: in tiles of this many cells' worth of rows at all k points (about 0.5 MB a
-#: matrix, 1.5 MB of scratch for d = 2, whatever n is), gathered samples in
-#: chunks of points at all n rows; see "Tiles" in the module docstring. Any
-#: size keeps every bit, as no tile splits a one-point call and no chunk has
-#: one point.
+#: (row, point) cells per piece of the curve kernel (about 0.5 MB a matrix,
+#: whatever n is): one sample is read in tiles of rows at all k points, a
+#: gathered block in chunks of points at all n levels; see "Tiles" in the
+#: module docstring. Any size keeps every bit, as no tile splits a one-point
+#: call and no chunk has one point.
 _GRID_CHUNK_CELLS = 64_000
 
 
@@ -237,78 +235,62 @@ def _row_tiles(n, k):
     return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
 
 
-def _add_rows(sums, pick, terms):
-    """Carry the running column sums of pick over the rows of terms.
-
-    Adding the sums so far into the first row and reducing over axis 0
-    adds every row in order, exactly as one reduction over all rows would
-    (see "Tiles" in the module docstring).
-    """
-    if pick in sums:
-        np.add(sums[pick], terms[0], out=terms[0])
-    sums[pick] = np.add.reduce(terms, axis=0)
-
-
-def _tiled_sums(u, coords, picks):
-    """{pick: column sums (k,)} of the per-row terms of one sample at the
-    points of coords (d, k): the pseudo-angles (P), their logs (CFG) and
-    the madogram summands (MD). u is the sample's (n, d) matrix of
-    pseudo-uniforms, read in tiles of rows (see _row_tiles) that reuse one
-    scratch array of d tables and one work matrix.
-    """
-    d, k = coords.shape
-    tiles = _row_tiles(u.shape[0], k)
-    scratch = np.empty((d + 1, (tiles[0].stop - tiles[0].start) * k))
-    sums = {}
-    for tile in tiles:
-        rows = tile.stop - tile.start
-        buffers = scratch[:, : rows * k].reshape(d + 1, rows, k)
-        tables, work = buffers[:d], buffers[d:]
-        if "P" in picks or "CFG" in picks:
-            _level_tables(u[tile], coords, "P", tables)
-            angles = _rank_terms(tables, None, "P", work)
-            # the logs first: the P carry then changes the first row of angles
-            if "CFG" in picks:
-                _add_rows(sums, "CFG", np.log(angles, out=work[-1]))
-            if "P" in picks:
-                _add_rows(sums, "P", angles)
-        if "MD" in picks:
-            _level_tables(u[tile], coords, "MD", tables)
-            _add_rows(sums, "MD", _rank_terms(tables, None, "MD", work))
-    return sums
-
-
 def _curves_at(levels, index, points, picks):
     """Raw estimates of several rank-based estimators at k simplex points,
     for B samples of one shape.
 
-    levels is an (L, d) matrix of the values the pseudo-uniforms take, per
+    levels is an (n, d) matrix of the values the pseudo-uniforms take, per
     coordinate, and index (B, n, d) gives the level row of each entry of
     each sample. With index None, levels is the one sample's (n, d) matrix
     of pseudo-uniforms itself, so nothing needs gathering. Returns
     {pick: (values, flags)} of shape (B, k) for the picks given; flags marks
     points whose madogram denominator was not positive.
 
-    One sample is read in tiles of rows at all k points (see _tiled_sums).
-    Gathered samples are read per chunk of points: the angle tables over all
-    L levels are built once and every sample reduces its one pseudo-angle
-    matrix into the column sums of P and CFG; the power tables for MD then
-    take their place. Either way every table and term matrix lives in one
-    scratch array, allocated once per call and reused by every tile or
-    chunk, and none outlives the call. The (B, k) sums are turned into
-    curves once, at the end.
+    The call runs over pieces, each a (row slice, point slice) pair: one
+    sample's tiles of rows at all k points (see _row_tiles), or a gathered
+    block's chunks of points at all n levels (see _point_chunks). In each
+    piece the angle tables, then the power tables, are built once, and
+    every sample reduces its terms into its running column sums of those
+    points; a piece that does not start at row 0 first adds the sums so far
+    into its first term row (see "Tiles" in the module docstring). Every
+    table and term matrix lives in one scratch array, allocated once per
+    call from the largest piece and reused by every piece. The (B, k) sums
+    are turned into curves once, at the end.
     """
     for pick in picks:
         if pick not in PICK_ESTIMATORS:
             raise DomainError(f"unknown dependence estimator {pick!r}")
     n, d = levels.shape if index is None else index.shape[1:]
+    k = points.shape[0]
+    # contiguous coordinate rows keep the table arithmetic on fast loops
     coords = np.ascontiguousarray(points.T)
     if index is None:
-        # contiguous coordinate rows keep the table arithmetic on fast loops
-        sums = _tiled_sums(levels, coords, picks)
-        sums = {pick: total[np.newaxis] for pick, total in sums.items()}
+        samples, spare = [None], 1  # one work matrix: the MD row sums and the CFG logs
+        pieces = [(rows, slice(0, k)) for rows in _row_tiles(n, k)]
     else:
-        sums = _gathered_sums(levels, index, points, picks)
+        samples, spare = index, 3  # two more take the gathered terms
+        pieces = [(slice(0, n), cols) for cols in _point_chunks(n, k)]
+    sums = {pick: np.empty((len(samples), k)) for pick in picks}
+    # the logs of CFG come first: the P carry then changes the first row of angles
+    groups = [("P", [pick for pick in ("CFG", "P") if pick in picks])]
+    groups.append(("MD", ["MD"] if "MD" in picks else []))
+    size = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in pieces)
+    scratch = np.empty((d + spare, size))
+    for rows, cols in pieces:
+        shape = (d + spare, rows.stop - rows.start, cols.stop - cols.start)
+        buffers = scratch[:, : shape[1] * shape[2]].reshape(shape)
+        tables, work = buffers[:d], buffers[d:]
+        for kind, group in groups:
+            if not group:
+                continue
+            _level_tables(levels[rows], coords[:, cols], kind, tables)
+            for b, sample_index in enumerate(samples):
+                terms = _rank_terms(tables, sample_index, kind, work)
+                for pick in group:
+                    summands = np.log(terms, out=work[-1]) if pick == "CFG" else terms
+                    if rows.start:
+                        np.add(sums[pick][b, cols], summands[0], out=summands[0])
+                    sums[pick][b, cols] = np.add.reduce(summands, axis=0)
     out = {}
     for pick in picks:
         if pick == "MD":
@@ -317,37 +299,6 @@ def _curves_at(levels, index, points, picks):
             values = _angle_curve(pick, sums[pick] / n)
             out[pick] = values, np.zeros(values.shape, dtype=bool)
     return out
-
-
-def _gathered_sums(levels, index, points, picks):
-    """{pick: column sums (B, k)} of the per-row terms of each of B samples,
-    whose entries index (B, n, d) gathers from the level tables of levels
-    (L, d) at the k points (see _curves_at), one chunk of points at a time.
-    """
-    n, d = index.shape[1:]
-    k = points.shape[0]
-    sums = {pick: np.empty((len(index), k)) for pick in picks}
-    angle_picks = [pick for pick in picks if pick != "MD"]
-    chunks = _point_chunks(n, k)
-    # d tables and 3 work matrices of (n, chunk width) each
-    scratch = np.empty((d + 3, n * max(chunk.stop - chunk.start for chunk in chunks)))
-    for chunk in chunks:
-        coords = np.ascontiguousarray(points[chunk].T)
-        buffers = scratch[:, : n * coords.shape[1]].reshape(d + 3, n, coords.shape[1])
-        tables, work = buffers[:d], buffers[d:]
-        if angle_picks:
-            _level_tables(levels, coords, "P", tables)
-            for b, sample_index in enumerate(index):
-                angles = _rank_terms(tables, sample_index, "P", work)
-                for pick in angle_picks:
-                    terms = angles if pick == "P" else np.log(angles, out=work[-1])
-                    sums[pick][b, chunk] = np.add.reduce(terms, axis=0)
-        if "MD" in picks:
-            _level_tables(levels, coords, "MD", tables)
-            for b, sample_index in enumerate(index):
-                terms = _rank_terms(tables, sample_index, "MD", work)
-                sums["MD"][b, chunk] = np.add.reduce(terms, axis=0)
-    return sums
 
 
 def pickands_points(u, points, pick):
@@ -614,9 +565,10 @@ class FitSettings:
     corrected: bool = True
 
     def __post_init__(self):
-        if int(self.k) < 2:
+        if as_integer("k", self.k) < 2:
             raise DomainError(f"GPWM moment order k must be >= 2, got {self.k!r}")
-        if int(self.grid_size) < 3 or int(self.grid_size) % 2 == 0:
+        grid_size = as_integer("grid_size", self.grid_size)
+        if grid_size < 3 or grid_size % 2 == 0:
             raise DomainError("grid size must be an odd integer >= 3 so w = 1/2 is a node")
 
 
@@ -713,9 +665,10 @@ def fit_pairs(block, pairs, settings):
     `block` stacks B samples of one shape (n, 2), `pairs` names the
     EstimatorPairs to fit and `settings` the FitSettings they share. The
     block is ranked in one pass, and the curves of the scaled data of all
-    picks and samples come from one kernel call, which builds its level
-    tables once for all samples (see _curves_at); a block of one sample
-    tabulates its own pseudo-uniforms, which needs no gather. The xi rows
+    picks and samples come from one _curves_at call, which builds its level
+    tables once for all samples and reads them in chunks of points; a block
+    of one sample tabulates its own pseudo-uniforms instead, which needs no
+    gather, and reads them in tiles of rows. The xi rows
     are fitted in one estimate_alpha call, one vectorised pass per tail
     method, and one inverse scaling transform per method inverts the stacked
     curves of its pairs and samples, each at its own clamped tail estimate.

@@ -35,7 +35,7 @@ from time import perf_counter
 import numpy as np
 
 from .depcore import ExtremalT, Logistic, edge_grid, edge_points, power_points
-from .errors import DomainError
+from .errors import DomainError, as_integer
 from .estimators import EstimatorPair, FitSettings, fit_pairs
 from .samplers import PairedBlock, RngStream, sample_experiment1_block, sample_experiment2
 
@@ -91,16 +91,19 @@ class ExperimentConfig:
                 raise DomainError("rho grid must be nonempty with values in (-1,1)")
             if not self.upsilons or any(u <= 0.0 for u in self.upsilons):
                 raise DomainError("upsilon set must be nonempty with positive values")
-            if int(self.inner_size) < 1:
+            if as_integer("inner_size", self.inner_size) < 1:
                 raise DomainError("inner replication count must be >= 1")
-        if not self.sizes or any(int(n) < 2 for n in self.sizes):
+        if not self.sizes or any(
+            as_integer(f"sizes[{i}]", n) < 2 for i, n in enumerate(self.sizes)
+        ):
             raise DomainError("sample-size list must be nonempty with n >= 2")
-        if int(self.replications) < 2:
+        if as_integer("replications", self.replications) < 2:
             raise DomainError("need at least 2 replications")
         if not self.pairs:
             raise DomainError("need at least one estimator pair")
-        if int(self.jobs) < 1:
+        if as_integer("jobs", self.jobs) < 1:
             raise DomainError("parallelism width must be >= 1")
+        as_integer("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def _replicate_block(reps, config, combo):
 
 
 def _reduce(curves, truth, w):
-    """(MISE, ISB, IV, per-replication ISE, mean curve) of a stack of curves.
+    """(MISE, ISB, IV, per-replication ISE) of a stack of curves.
 
     MISE is the mean over replications of the integrated squared error; ISB
     integrates the squared pointwise bias of the mean curve, IV the pointwise
@@ -225,7 +228,7 @@ def _reduce(curves, truth, w):
     mean_curve = curves.mean(axis=0)
     isb = float(np.trapezoid((mean_curve - truth) ** 2, w))
     iv = float(np.trapezoid(((curves - mean_curve) ** 2).mean(axis=0), w))
-    return float(ise.mean()), isb, iv, ise, mean_curve
+    return float(ise.mean()), isb, iv, ise
 
 
 @dataclass
@@ -242,7 +245,6 @@ class ComboResult:
     iv: float
     mise_se: float
     ise: np.ndarray = field(repr=False)
-    mean_curve: np.ndarray = field(repr=False)
     wall_ms: float = 0.0
 
     @property
@@ -288,12 +290,11 @@ def run_experiment(config):
                 stack = a_star if ok.all() else a_star[ok]
                 failures = config.replications - len(stack)
                 if len(stack) >= 2:
-                    mise, isb, iv, ise, mean_curve = _reduce(stack, truth, w)
+                    mise, isb, iv, ise = _reduce(stack, truth, w)
                     mise_se = float(ise.std(ddof=1) / np.sqrt(len(stack)))
                 else:
                     mise = isb = iv = mise_se = float("nan")
                     ise = np.array([])
-                    mean_curve = np.full(w.size, np.nan)
                 results.append(
                     ComboResult(
                         combo=combo,
@@ -308,7 +309,6 @@ def run_experiment(config):
                         iv=iv,
                         mise_se=mise_se,
                         ise=ise,
-                        mean_curve=mean_curve,
                         wall_ms=wall_ms,
                     )
                 )

@@ -586,3 +586,36 @@ class TestCrossFieldRules:
         assert code == 2
         assert flag in err
         assert not (workspace / "o").exists()
+
+
+class TestConfigIntegers:
+    # JSON Schema alone counts a whole float such as 3.0 as an integer; the
+    # seed and replication count below then crashed with a TypeError
+    @pytest.mark.parametrize(
+        "subcommand, payload, field",
+        [
+            ("sample", {"sample": dict(SAMPLE_BLOCK, seed=1.0)}, "$.sample.seed"),
+            ("sample", {"sample": dict(SAMPLE_BLOCK, n=20.0)}, "$.sample.n"),
+            ("experiment", {"experiment": dict(EXPERIMENT_BLOCK, replications=3.0)},
+             "$.experiment.replications"),
+            ("experiment", {"experiment": dict(EXPERIMENT_BLOCK, n=[50.0])}, "$.experiment.n[0]"),
+            ("experiment", {"experiment": dict(EXPERIMENT2_BLOCK, inner_size=20.0)},
+             "$.experiment.inner_size"),
+            ("estimate", {"estimate": {"pairs": EXPERIMENT_BLOCK["pairs"], "k": 3.0}},
+             "$.estimate.k"),
+            ("eval", {"eval": dict(EVAL_BLOCK, grid_size=21.0)}, "$.eval.grid_size"),
+            # a bool is not an integer either
+            ("sample", {"sample": dict(SAMPLE_BLOCK, seed=True)}, "$.sample.seed"),
+        ],
+    )
+    def test_whole_float_exits_2_naming_the_field(
+        self, workspace, capsys, subcommand, payload, field
+    ):
+        cfg = write_config(workspace / "c.json", payload)
+        extra = ("--input", str(workspace / "sample.csv")) if subcommand == "estimate" else ()
+        code, err = run_in_process(
+            capsys, subcommand, "--config", cfg, "--out", str(workspace / "o"), *extra
+        )
+        assert code == 2
+        assert f"{field}: " in err and "is not of type 'integer'" in err
+        assert not (workspace / "o").exists()

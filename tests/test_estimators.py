@@ -266,6 +266,21 @@ class TestKernel:
             tracemalloc.stop()
         assert peak < 8_000_000
 
+    def test_gathered_scratch_does_not_grow_with_n(self):
+        # a gathered block is read in chunks of a few points at all n levels;
+        # d + 3 matrices of 20,000 rows at all 201 points would take 160 MB
+        n = 20_000
+        etas, points = _kernel_case(2, n, 201, False)
+        levels = np.broadcast_to((np.arange(1, n + 1) / (n + 1.0))[:, np.newaxis], (n, 2))
+        index = np.stack([estimators._ranks(eta) - 1 for eta in etas])
+        tracemalloc.start()
+        try:
+            estimators._curves_at(levels, index, points, estimators.PICK_ESTIMATORS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -646,6 +661,18 @@ class TestComposite:
             FitSettings(grid_size=200)
         with pytest.raises(DomainError):
             EstimatorPair("X", "GPWM")
+
+    @pytest.mark.parametrize(
+        "settings, field",
+        [(dict(k=2.5), "k"), (dict(k=5.0), "k"), (dict(grid_size=5.5), "grid_size")],
+    )
+    def test_non_integer_settings_rejected(self, settings, field):
+        # k=2.5 fitted at k=2 and grid_size=5.5 on a 5-node grid
+        with pytest.raises(DomainError, match=rf"^{field} must be an integer"):
+            FitSettings(**settings)
+
+    def test_numpy_integer_settings_accepted(self):
+        assert FitSettings(k=np.int64(3), grid_size=np.int32(21)).k == 3
 
 
 # all six pairs, deliberately not in the canonical order

@@ -3,11 +3,11 @@ five small sweeps and the `eval` tables.
 
 The SHA-256 of every output CSV and of its `.meta` sidecar (less the
 sidecar's `build=` line) is compared with `tests/golden/digests.json`; the
-`estimate` sidecars pin the tail estimate, its clamp and the clamped nodes. The `sample` + `estimate`
-cycle runs at n=5000, where the curve kernel reads the sample in 16 tiles
-of rows at 201 points, and its sample is estimated a second time at k=3 on a
-41-node grid without vertex corrections. The `figures` sweeps are a small
-figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
+`estimate` sidecars pin the tail estimate, its clamp and the clamped
+nodes. The `sample` + `estimate` cycle runs at n=5000, where the curve
+kernel reads the sample in 16 tiles of rows at 201 points, and its sample
+is estimated a second time at k=3 on a 41-node grid without vertex
+corrections. The `figures` sweeps are a small figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
 from the k=5 GPWM fit), the same without vertex corrections on a 41-node
 grid, the same at psi 0.1 and 1 with n=51 over 29 replications, which
 run in blocks of 3 with a short last block of 2, and a small figure-3

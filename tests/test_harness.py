@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -64,6 +65,26 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             _small_config(alphas=(1.2,))
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(sizes=(50.5,)), "sizes[0]"),
+            (dict(sizes=(50, 60.0)), "sizes[1]"),
+            (dict(replications=2.5), "replications"),
+            (dict(jobs=1.5), "jobs"),
+            (dict(seed=1.5), "seed"),
+            (dict(experiment=2, rhos=(0.5,), upsilons=(1.0,), inner_size=20.0), "inner_size"),
+        ],
+    )
+    def test_non_integer_count_rejected(self, overrides, field):
+        # a float count was truncated (sizes) or raised a TypeError in run_experiment
+        with pytest.raises(DomainError, match=rf"^{re.escape(field)} must be an integer"):
+            _small_config(**overrides)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = _small_config(sizes=(np.int64(50),), replications=np.int32(6), jobs=np.int64(1))
+        assert [combo.n for combo in enumerate_combos(cfg)] == [50, 50]
+
 
 class TestStreams:
     def test_streams_depend_on_content_not_position(self):
@@ -107,14 +128,14 @@ class TestMiseDecompose:
         w = edge_grid(11)
         truth = np.linspace(1.0, 0.8, 11)
         curves = np.tile(truth, (5, 1))
-        mise, isb, iv, _, _ = harness._reduce(curves, truth, w)
+        mise, isb, iv, _ = harness._reduce(curves, truth, w)
         assert abs(mise) < 1e-30 and abs(isb) < 1e-30 and abs(iv) < 1e-30
 
     def test_constant_offset_is_pure_bias(self):
         w = edge_grid(11)
         truth = np.full(11, 0.9)
         curves = np.tile(truth + 0.1, (4, 1))
-        mise, isb, iv, _, _ = harness._reduce(curves, truth, w)
+        mise, isb, iv, _ = harness._reduce(curves, truth, w)
         assert isb == pytest.approx(0.01, rel=1e-12)
         assert iv == pytest.approx(0.0, abs=1e-15)
         assert mise == pytest.approx(0.01, rel=1e-12)
@@ -123,7 +144,7 @@ class TestMiseDecompose:
         w = edge_grid(11)
         truth = np.full(11, 0.9)
         curves = np.vstack([truth + 0.1, truth - 0.1, truth + 0.1, truth - 0.1])
-        mise, isb, iv, _, _ = harness._reduce(curves, truth, w)
+        mise, isb, iv, _ = harness._reduce(curves, truth, w)
         assert isb == pytest.approx(0.0, abs=1e-15)
         assert iv == pytest.approx(0.01, rel=1e-12)
 
@@ -140,7 +161,7 @@ class TestRunExperiment:
         a_star, *_ = harness._replicate_block(range(1), cfg, combo)["CFG-GPWM"]
         w = edge_grid(cfg.fit.grid_size)
         curves = np.vstack([a_star[0], a_star[0]])
-        mise, isb, iv, _, _ = harness._reduce(curves, truth_curve(combo, w), w)
+        mise, isb, iv, _ = harness._reduce(curves, truth_curve(combo, w), w)
         assert iv == 0.0
         assert mise == pytest.approx(isb, rel=1e-12)
 
@@ -324,7 +345,6 @@ class TestSerialization:
                 iv=iv,
                 mise_se=0.0,
                 ise=np.zeros(2),
-                mean_curve=np.ones(3),
             )
 
         res = [
