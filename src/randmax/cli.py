@@ -7,6 +7,10 @@ Carlo sweep, and `figures` additionally emits plot-ready tables. Every
 output CSV gets a key=value metadata sidecar (<name>.meta); no timestamps
 are written, so reruns with the same config and seed are byte-identical.
 
+This is the one module that reads or writes a data file (config.py reads
+the config): the other modules format CSV text and parse it, and every
+output goes through _write_output with its sidecar.
+
 Exit codes: 0 success, 2 config error, 3 input parse error, 4 estimation
 failure, 5 I/O error.
 """
@@ -81,20 +85,18 @@ def _build_description():
     return f"randmax-{__version__}"
 
 
-def _write_text(path, text):
+def _write_output(path, text, entries, config_path):
+    """Write `text` to `path`, making its directory, and then the sidecar
+    <path>.meta: `entries` plus the build and the config file's digest."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-
-
-def _write_sidecar(path, entries, config_path):
-    """Write <path>.meta: `entries` plus the build and the config file's digest."""
     meta = dict(
         entries,
         build=_build_description(),
         config_sha256=hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
     )
-    lines = [f"{k}={meta[k]}" for k in sorted(meta)]
-    _write_text(Path(str(path) + ".meta"), "\n".join(lines) + "\n")
+    lines = "".join(f"{k}={meta[k]}\n" for k in sorted(meta))
+    Path(f"{path}.meta").write_text(lines, encoding="utf-8")
 
 
 def _model_from_block(block):
@@ -132,18 +134,20 @@ def cmd_sample(config, args):
             stream,
             **_present(block, n_prime="inner_size"),
         )
-    out = Path(args.out) / "sample.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    sample.to_csv(out)
     meta = {f"param_{k}": v for k, v in sample.meta.items()}
     meta.update({"seed": seed, "stream": block.get("stream", 0), "command": "sample"})
-    _write_sidecar(out, meta, args.config)
+    _write_output(Path(args.out) / "sample.csv", sample.to_csv(), meta, args.config)
     return EXIT_OK
 
 
 def cmd_estimate(config, args):
     block = require_block(config, "estimate")
-    sample = PairedSample.from_csv(args.input)
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputParseError(f"not UTF-8 text: {exc}", line=line) from None
+    sample = PairedSample.from_csv(text)
     if sample.dim != 2:
         raise InputParseError(f"composite estimation needs 2 eta columns, got {sample.dim}", line=1)
     outdir = Path(args.out)
@@ -158,11 +162,9 @@ def cmd_estimate(config, args):
             raise estimate
     for pair in pairs:
         estimate = fits[pair.label]
-        out = outdir / f"estimate_{pair.label}.csv"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        estimate.to_csv(out)
-        _write_sidecar(
-            out,
+        _write_output(
+            outdir / f"estimate_{pair.label}.csv",
+            estimate.to_csv(),
             {
                 "command": "estimate",
                 "input": Path(args.input).name,
@@ -216,9 +218,8 @@ def cmd_eval(config, args):
             raise ConfigError(str(exc), path=f"$.eval.lambda_mn[{i}]") from None
     outdir = Path(args.out)
     summary = "quantity,value\n" + "".join(f"{k},{repr(float(v))}\n" for k, v in rows)
-    _write_text(outdir / "eval_summary.csv", summary)
     meta = {"command": "eval", "alpha": repr(float(alpha)), "size_branch": size_branch}
-    _write_sidecar(outdir / "eval_summary.csv", meta, args.config)
+    _write_output(outdir / "eval_summary.csv", summary, meta, args.config)
     # dependence curves along the bivariate edge
     if model.dim == 2:
         w = edge_grid(block.get("grid_size", 201))
@@ -235,16 +236,14 @@ def cmd_eval(config, args):
                 f"{repr(float(w[i]))},{repr(float(base_curve[i]))},"
                 f"{repr(float(a_alpha[i]))},{repr(float(a_star[i]))}"
             )
-        _write_text(outdir / "eval_curves.csv", "\n".join(lines) + "\n")
-        _write_sidecar(outdir / "eval_curves.csv", meta, args.config)
+        _write_output(outdir / "eval_curves.csv", "\n".join(lines) + "\n", meta, args.config)
     if "tail_z" in block:
         n = block.get("tail_n", 100)
         lines = [",".join(f"z_{j + 1}" for j in range(model.dim)) + ",n,tail_prob"]
         for z in block["tail_z"]:
             p = tail_prob_approx(model, alpha, np.asarray(z, dtype=float), n)
             lines.append(",".join(repr(float(v)) for v in z) + f",{n},{repr(float(p))}")
-        _write_text(outdir / "eval_tailprob.csv", "\n".join(lines) + "\n")
-        _write_sidecar(outdir / "eval_tailprob.csv", meta, args.config)
+        _write_output(outdir / "eval_tailprob.csv", "\n".join(lines) + "\n", meta, args.config)
     return EXIT_OK
 
 
@@ -253,13 +252,13 @@ def _run_sweep(config, args):
     cfg = experiment_config_from_block(block, seed=args.seed, jobs=args.jobs)
     results = run_experiment(cfg)
     outdir = Path(args.out)
-    _write_text(outdir / "results.csv", results_csv_text(results))
-    _write_sidecar(
+    _write_output(
         outdir / "results.csv",
+        results_csv_text(results),
         {"command": args.subcommand, "seed": cfg.seed, "jobs": cfg.jobs},
         args.config,
     )
-    _write_text(outdir / "run_report.txt", run_report_text(results))
+    (outdir / "run_report.txt").write_text(run_report_text(results), encoding="utf-8")
     return results, outdir
 
 
@@ -271,8 +270,7 @@ def cmd_experiment(config, args):
 def cmd_figures(config, args):
     results, outdir = _run_sweep(config, args)
     for name, text in figure_tables(results).items():
-        _write_text(outdir / f"{name}.csv", text)
-        _write_sidecar(outdir / f"{name}.csv", {"command": "figures"}, args.config)
+        _write_output(outdir / f"{name}.csv", text, {"command": "figures"}, args.config)
     return EXIT_OK
 
 

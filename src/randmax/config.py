@@ -220,7 +220,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}", path=str(path)) from None
     try:
         data = json.loads(raw)

@@ -36,7 +36,8 @@ its terms are the table rows themselves. Either way the terms are reduced
 exactly as the direct formulas would be, so the tables change no bit of
 any estimate. The fits come back per pair as BlockFit arrays over the
 block's rows; BlockFit.estimate(b) gives row b as a CurveEstimate, which
-is how the CLI reads its one sample.
+is how the CLI reads its one sample. No function here touches a file:
+CurveEstimate.to_csv returns its text, and the CLI writes it.
 
 Tiles: the kernel is one loop over pieces, each a (row slice, point slice)
 pair of about _GRID_CHUNK_CELLS cells, and every table and term matrix of
@@ -83,7 +84,6 @@ from scipy import special
 
 from .depcore import as_simplex_rows, astar_points, edge_grid, edge_points, power_points
 from .errors import DomainError, EstimationError, as_integer
-from .samplers import write_text
 
 __all__ = [
     "EULER_MASCHERONI",
@@ -565,6 +565,8 @@ class FitSettings:
     corrected: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.corrected, (bool, np.bool_)):
+            raise DomainError(f"corrected must be a bool, got {self.corrected!r}")
         if as_integer("k", self.k) < 2:
             raise DomainError(f"GPWM moment order k must be >= 2, got {self.k!r}")
         grid_size = as_integer("grid_size", self.grid_size)
@@ -603,17 +605,18 @@ class CurveEstimate:
     def n_clamped(self):
         return int(np.count_nonzero(self.clamp_mask))
 
-    def to_csv(self, path_or_buf):
-        """Write one row per grid node: the curves as repr() of each Python
-        float, then the columns that are the same on every row, then the
-        node's clamp flag as 0 or 1; every row ends in "\\n"."""
+    def to_csv(self):
+        """The CSV text, for the caller to write: one row per grid node, the
+        curves as repr() of each Python float, then the columns that are the
+        same on every row, then the node's clamp flag as 0 or 1; every row
+        ends in "\\n"."""
         header = "t,A_alpha_hat,A_star_hat,A_hat,alpha_hat,estimator_pair,corrected,clamped"
         curves = (self.w, self.a_alpha, self.a_star, self.a_base)
         columns = [map(repr, curve.tolist()) for curve in curves]
         fixed = f"{float(self.alpha_hat)!r},{self.label},{int(self.corrected)}"
         flags = ["1" if clamped else "0" for clamped in self.clamp_mask.tolist()]
         rows = "\n".join(map(",".join, zip(*columns, [fixed] * len(flags), flags)))
-        write_text(path_or_buf, f"{header}\n{rows}\n")
+        return f"{header}\n{rows}\n"
 
 
 @dataclass
@@ -622,7 +625,8 @@ class BlockFit:
     b belongs to sample b: the curves a_alpha and a_star (B, k), the tail
     estimates alpha_hat and alpha_raw (B,), the alpha_clamped flags (B,), the
     node clamp masks (B, k), and per row None or the EstimationError of its
-    failed tail fit. A failed row has nan tail estimates and a nan a_star."""
+    failed tail fit. A failed row has nan tail estimates, a nan a_star and
+    no node flag."""
 
     w: np.ndarray
     pick: str
@@ -701,21 +705,14 @@ def fit_pairs(block, pairs, settings):
     for method in methods:
         picks = tuple(dict.fromkeys(pair.pick for pair in pairs if pair.alpha_method == method))
         errors = tuple(a if isinstance(a, EstimationError) else None for a in tails[method])
-        ok = np.array([error is None for error in errors], dtype=bool)
         alpha_raw = np.array([np.nan if error else a for a, error in zip(tails[method], errors)])
         # the inverse transform needs alpha < 1; the flag keeps the clamp visible
         alpha_clamped = alpha_raw >= 1.0
         alpha_hat = np.where(alpha_clamped, 1.0 - 1e-6, alpha_raw)
         stacked = np.stack([curves[pick][0] for pick in picks])
-        if ok.all():
-            a_star, clamp_mask = astar_points(stacked, points, alpha_hat)
-        else:
-            a_star = np.full(stacked.shape, np.nan)
-            clamp_mask = np.zeros(stacked.shape, dtype=bool)
-            if ok.any():
-                a_star[:, ok], clamp_mask[:, ok] = astar_points(
-                    stacked[:, ok], points, alpha_hat[ok]
-                )
+        # a failed row's nan alpha gives a nan a_star, and the row carries no flag
+        a_star, clamp_mask = astar_points(stacked, points, alpha_hat)
+        kept = ~np.isnan(alpha_raw)[:, np.newaxis]
         for i, pick in enumerate(picks):
             values, md_flags = curves[pick]
             fits[pick, method] = BlockFit(
@@ -728,7 +725,7 @@ def fit_pairs(block, pairs, settings):
                 alpha_hat=alpha_hat,
                 alpha_raw=alpha_raw,
                 alpha_clamped=alpha_clamped,
-                clamp_mask=clamp_mask[i] | md_flags,
+                clamp_mask=(clamp_mask[i] | md_flags) & kept,
                 errors=errors,
             )
     return {pair.label: fits[pair.pick, pair.alpha_method] for pair in pairs}

@@ -205,7 +205,7 @@ def _replicate_block(reps, config, combo):
 
     Returns {pair label: (a_star (B, k), ok (B,), node clamps (B,), alpha
     clamped (B,))}, with rows in the order of `reps`; ok marks the rows
-    whose fit succeeded, and the other arrays count only in those rows.
+    whose fit succeeded, and a failed row has no clamp of either kind.
     """
     fits = fit_pairs(_sample_block(reps, config, combo), config.pairs, config.fit)
     return {
@@ -302,8 +302,8 @@ def run_experiment(config):
                         corrected=config.fit.corrected,
                         replications=config.replications,
                         failures=failures,
-                        clamps=int(clamps[ok].sum()),
-                        alpha_clamps=int(np.count_nonzero(alpha_clamped[ok])),
+                        clamps=int(clamps.sum()),
+                        alpha_clamps=int(np.count_nonzero(alpha_clamped)),
                         mise=mise,
                         isb=isb,
                         iv=iv,

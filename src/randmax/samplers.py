@@ -20,6 +20,9 @@ then those of S_alpha), and the arithmetic then runs once on the stacked
 draws. Every step of that arithmetic is elementwise, or a max over the d
 coordinates, so a sample has the same bits in any block;
 sample_experiment1 is the block of one stream.
+
+No function here reads or writes a file: PairedSample.to_csv returns its
+text and PairedSample.from_csv parses text, and the CLI does the I/O.
 """
 
 from dataclasses import dataclass, field
@@ -53,19 +56,6 @@ class RngStream:
     def generator(self):
         key = np.array([self.seed & _U64, self.stream_id & _U64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def _is_path(path_or_buf):
-    return isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-
-
-def write_text(path_or_buf, text):
-    """Write text to a path (str, bytes or path-like) or to a text buffer."""
-    if _is_path(path_or_buf):
-        with open(path_or_buf, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        path_or_buf.write(text)
 
 
 def _gen(rng):
@@ -102,8 +92,9 @@ class PairedSample:
     def dim(self):
         return self.eta.shape[1]
 
-    def to_csv(self, path_or_buf):
-        """Write the header `eta_1,...,eta_d,xi`, then one row per observation.
+    def to_csv(self):
+        """The CSV text: the header `eta_1,...,eta_d,xi`, then one row per
+        observation. The caller writes it; this module touches no file.
 
         Each cell is repr() of the Python float, the shortest text that reads
         back to the same bits; cells are joined by "," and every row, the last
@@ -112,18 +103,12 @@ class PairedSample:
         header = ",".join(f"eta_{j + 1}" for j in range(self.dim)) + ",xi"
         columns = [map(repr, column) for column in (*self.eta.T.tolist(), self.xi.tolist())]
         rows = "\n".join(map(",".join, zip(*columns)))
-        write_text(path_or_buf, f"{header}\n{rows}\n")
+        return f"{header}\n{rows}\n"
 
     @classmethod
-    def from_csv(cls, path_or_buf, meta=None):
-        if _is_path(path_or_buf):
-            with open(path_or_buf, "r", encoding="utf-8") as fh:
-                return cls._parse(fh, meta)
-        return cls._parse(path_or_buf, meta)
-
-    @classmethod
-    def _parse(cls, fh, meta):
-        """Read the format to_csv writes, with InputParseError naming the line.
+    def from_csv(cls, text):
+        """Parse the text to_csv writes, with InputParseError naming the line.
+        The caller reads the file; lines are split on "\\n" only.
 
         Lines are stripped of surrounding whitespace (so CRLF endings pass)
         and blank ones are skipped, though still counted in line numbers.
@@ -134,14 +119,14 @@ class PairedSample:
         value PairedSample rejects, eta before xi. All cells are converted
         in one pass, and only a failed pass walks the lines to name one.
         """
-        header = fh.readline().strip()
+        # lines[i] is line i + 2 of the text
+        header, *lines = map(str.strip, text.split("\n"))
         cols = header.split(",") if header else []
         if len(cols) < 3 or cols[-1] != "xi" or any(
             c != f"eta_{j + 1}" for j, c in enumerate(cols[:-1])
         ):
             raise InputParseError(f"bad header {header!r}, expected eta_1,...,eta_d,xi", line=1)
         d = len(cols) - 1
-        lines = list(map(str.strip, fh))  # lines[i] is line i + 2 of the file
         rows = [line for line in lines if line]
         values = None
         if all(row.count(",") == d for row in rows):
@@ -156,7 +141,7 @@ class PairedSample:
         table = np.array(values).reshape(len(rows), d + 1)
         eta, xi = table[:, :-1].copy(), table[:, -1].copy()
         try:
-            return cls(eta, xi, meta or {})
+            return cls(eta, xi)
         except DomainError as exc:
             # name the first row that breaks the rule reported; eta is checked first
             bad = ~np.all(np.isfinite(eta) & (eta > 0.0), axis=1)

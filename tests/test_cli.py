@@ -43,6 +43,11 @@ def write_config(path, payload):
     return str(path)
 
 
+def write_sample(path, sample):
+    path.write_text(sample.to_csv(), encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture()
 def workspace(tmp_path):
     return tmp_path
@@ -97,6 +102,18 @@ class TestSampleCommand:
         code, _ = run_in_process(capsys, "sample", "--config", missing, "--out", out)
         assert code == 2
 
+    @pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+    def test_non_utf8_config_names_the_file(self, workspace, capsys, subcommand):
+        cfg = workspace / "latin1.json"
+        cfg.write_bytes(b'{"sample": {"note": "caf\xe9"}}')
+        extra = ["--input", str(workspace / "s.csv")] if subcommand == "estimate" else []
+        code, err = run_in_process(
+            capsys, subcommand, "--config", str(cfg), "--out", str(workspace / "o"), *extra
+        )
+        assert code == 2
+        assert err.startswith(f"config error: {cfg}: cannot read config file")
+        assert not (workspace / "o").exists()
+
     def test_experiment2_sampling(self, workspace, capsys):
         block = {"experiment": 2, "rho": 0.5, "upsilon": 1.0, "alpha": 0.5, "n": 10,
                  "inner_size": 20, "seed": 7}
@@ -141,8 +158,8 @@ class TestSampleCommand:
         monkeypatch.setattr(subprocess, "run", fake_run)
         cli._build_description.cache_clear()
         try:
-            cli._write_sidecar(workspace / "a.csv", {"command": "sample"}, cfg)
-            cli._write_sidecar(workspace / "b.csv", {"command": "estimate"}, cfg)
+            cli._write_output(workspace / "a.csv", "", {"command": "sample"}, cfg)
+            cli._write_output(workspace / "b.csv", "", {"command": "estimate"}, cfg)
         finally:
             cli._build_description.cache_clear()
         assert len(calls) == 1
@@ -183,7 +200,7 @@ class TestEstimateCommand:
             workspace / "c.json", {"estimate": {"pairs": [{"pick": "CFG", "alpha": "ML"}]}}
         )
         sample = workspace / "sample.csv"
-        sample_experiment1(0.5, 0.5, 400, RngStream(42)).to_csv(sample)
+        write_sample(sample, sample_experiment1(0.5, 0.5, 400, RngStream(42)))
         code, err = run_in_process(
             capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
             "--input", str(sample),
@@ -209,7 +226,7 @@ class TestEstimateCommand:
         block = dict(settings, pairs=[{"pick": "CFG", "alpha": "GPWM"}])
         cfg = write_config(workspace / "c.json", {"estimate": block})
         sample = workspace / "sample.csv"
-        sample_experiment1(0.5, 0.5, 400, RngStream(42)).to_csv(sample)
+        write_sample(sample, sample_experiment1(0.5, 0.5, 400, RngStream(42)))
         code, err = run_in_process(
             capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
             "--input", str(sample),
@@ -221,6 +238,40 @@ class TestEstimateCommand:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == int(expected[1])
         assert {row.split(",")[6] for row in rows} == {expected[2]}
+
+    def test_crlf_sample_estimates_to_the_same_bytes(self, workspace, capsys):
+        cfg, sample = self._sampled(workspace, capsys)
+        crlf = workspace / "crlf.csv"
+        crlf.write_bytes(sample.read_bytes().replace(b"\n", b"\r\n"))
+        for source, out in ((sample, "lf"), (crlf, "crlf")):
+            code, err = run_in_process(
+                capsys, "estimate", "--config", cfg, "--out", str(workspace / out),
+                "--input", str(source),
+            )
+            assert code == 0, err
+        for name in ("estimate_CFG-ML.csv", "estimate_P-GPWM.csv"):
+            from_lf, from_crlf = ((workspace / out / name).read_bytes() for out in ("lf", "crlf"))
+            assert from_lf == from_crlf
+
+    def test_missing_input_is_io_error(self, workspace, capsys):
+        cfg, _ = self._sampled(workspace, capsys)
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
+            "--input", str(workspace / "absent.csv"),
+        )
+        assert code == 5
+        assert "absent.csv" in err
+
+    def test_non_utf8_input_names_the_line(self, workspace, capsys):
+        cfg, _ = self._sampled(workspace, capsys)
+        bad = workspace / "latin1.csv"
+        bad.write_bytes(b"eta_1,eta_2,xi\n1.0,2.0,2.0\n1.0,2.0,caf\xe9\n2.0,1.0,3.0\n")
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"), "--input", str(bad)
+        )
+        assert code == 3
+        assert err.startswith("input parse error: line 3: not UTF-8 text")
+        assert not (workspace / "e").exists()
 
     def test_missing_xi_column(self, workspace, capsys):
         cfg, _ = self._sampled(workspace, capsys)
@@ -263,7 +314,7 @@ class TestEstimateCommand:
     def test_sample_that_is_not_bivariate_is_input_error(self, workspace, capsys):
         cfg, _ = self._sampled(workspace, capsys)
         trivariate = workspace / "d3.csv"
-        sample_experiment1(0.5, 0.5, 50, RngStream(42), d=3).to_csv(trivariate)
+        write_sample(trivariate, sample_experiment1(0.5, 0.5, 50, RngStream(42), d=3))
         code, err = run_in_process(
             capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
             "--input", str(trivariate),
@@ -450,12 +501,28 @@ class TestExperimentCommands:
         )
         assert code == 2
 
-    def test_unwritable_output_is_io_error(self, workspace, capsys):
-        cfg = write_config(workspace / "c.json", {"experiment": EXPERIMENT_BLOCK})
+    @pytest.mark.parametrize(
+        "subcommand, block",
+        [
+            pytest.param("experiment", {"experiment": EXPERIMENT_BLOCK}, id="experiment"),
+            pytest.param("figures", {"experiment": EXPERIMENT_BLOCK}, id="figures"),
+            pytest.param("sample", {"sample": SAMPLE_BLOCK}, id="sample"),
+            pytest.param(
+                "estimate",
+                {"estimate": {"pairs": [{"pick": "CFG", "alpha": "GPWM"}]}},
+                id="estimate",
+            ),
+            pytest.param("eval", {"eval": EVAL_BLOCK}, id="eval"),
+        ],
+    )
+    def test_unwritable_output_is_io_error(self, workspace, capsys, subcommand, block):
+        cfg = write_config(workspace / "c.json", block)
+        sample = write_sample(workspace / "s.csv", sample_experiment1(0.5, 0.5, 100, RngStream(4)))
+        extra = ["--input", sample] if subcommand == "estimate" else []
         blocker = workspace / "blocker"
         blocker.write_text("not a directory")
         code, _ = run_in_process(
-            capsys, "experiment", "--config", cfg, "--out", str(blocker / "sub")
+            capsys, subcommand, "--config", cfg, "--out", str(blocker / "sub"), *extra
         )
         assert code == 5
 

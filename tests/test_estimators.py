@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -648,9 +647,7 @@ class TestComposite:
     def test_csv_round_trip_schema(self):
         s = sample_experiment1(0.5, 0.5, 100, RngStream(16, 5))
         est = _fit_one(s, "MD", "GPWM", grid_size=5)
-        buf = io.StringIO()
-        est.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = est.to_csv().strip().split("\n")
         assert lines[0] == "t,A_alpha_hat,A_star_hat,A_hat,alpha_hat,estimator_pair,corrected,clamped"
         assert len(lines) == 6
         cells = lines[1].split(",")
@@ -673,6 +670,15 @@ class TestComposite:
 
     def test_numpy_integer_settings_accepted(self):
         assert FitSettings(k=np.int64(3), grid_size=np.int32(21)).k == 3
+
+    @pytest.mark.parametrize("corrected", ["no", 0, 1, None])
+    def test_non_bool_corrected_rejected(self, corrected):
+        # "no" is truthy: it fitted with the vertex corrections, and to_csv failed
+        with pytest.raises(DomainError, match=r"^corrected must be a bool"):
+            FitSettings(corrected=corrected)
+
+    def test_numpy_bool_corrected_accepted(self):
+        assert not FitSettings(corrected=np.bool_(False)).corrected
 
 
 # all six pairs, deliberately not in the canonical order

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +17,21 @@ def test_star_import_provides_every_exported_name(name):
     exec(f"from randmax.{name} import *", namespace)
     module = importlib.import_module(f"randmax.{name}")
     assert set(getattr(module, "__all__", ())) <= set(namespace)
+
+
+_FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_cli_and_config_touch_files():
+    # the other modules format and parse text; reads and writes stay at the boundary
+    offenders = []
+    for path in sorted(Path(randmax.__file__).parent.glob("*.py")):
+        if path.name in ("cli.py", "config.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in _FILE_CALLS:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
@@ -337,36 +335,29 @@ class TestSpectralOracle:
 class TestPairedSampleCsv:
     def test_round_trip_exact(self):
         s = sample_experiment1(0.5, 0.5, 50, RngStream(8, 1))
-        buf = io.StringIO()
-        s.to_csv(buf)
-        back = PairedSample.from_csv(io.StringIO(buf.getvalue()))
+        back = PairedSample.from_csv(s.to_csv())
         assert np.array_equal(back.eta, s.eta)
         assert np.array_equal(back.xi, s.xi)
 
     def test_byte_identical_reruns(self):
-        bufs = []
-        for _ in range(2):
-            s = sample_experiment1(0.5, 0.5, 50, RngStream(8, 2))
-            buf = io.StringIO()
-            s.to_csv(buf)
-            bufs.append(buf.getvalue())
-        assert bufs[0] == bufs[1]
+        texts = [sample_experiment1(0.5, 0.5, 50, RngStream(8, 2)).to_csv() for _ in range(2)]
+        assert texts[0] == texts[1]
 
     def test_header_error(self):
         with pytest.raises(InputParseError) as err:
-            PairedSample.from_csv(io.StringIO("a,b,c\n1,2,3\n"))
+            PairedSample.from_csv("a,b,c\n1,2,3\n")
         assert err.value.line == 1
 
     def test_bad_cell_names_line(self):
         text = "eta_1,eta_2,xi\n1.0,2.0,2.0\n1.0,oops,2.0\n"
         with pytest.raises(InputParseError) as err:
-            PairedSample.from_csv(io.StringIO(text))
+            PairedSample.from_csv(text)
         assert err.value.line == 3
 
     def test_column_count_error(self):
         text = "eta_1,eta_2,xi\n1.0,2.0,2.0\n1.0,2.0\n"
         with pytest.raises(InputParseError) as err:
-            PairedSample.from_csv(io.StringIO(text))
+            PairedSample.from_csv(text)
         assert err.value.line == 3
 
     def test_positivity_validated(self):
@@ -376,30 +367,31 @@ class TestPairedSampleCsv:
     @staticmethod
     def _parse_error(text):
         with pytest.raises(InputParseError) as err:
-            PairedSample.from_csv(io.StringIO(text))
+            PairedSample.from_csv(text)
         return err.value
 
     def test_crlf_line_endings(self, tmp_path):
         text = "eta_1,eta_2,xi\r\n1.5,2.0,2.0\r\n3.0,0.25,3.0\r\n"
         path = tmp_path / "crlf.csv"
         path.write_bytes(text.encode())
-        for source in (io.StringIO(text), path):
+        # as given, and as a universal-newline read of the file gives it
+        for source in (text, path.read_text(encoding="utf-8")):
             s = PairedSample.from_csv(source)
             assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
             assert np.array_equal(s.xi, [2.0, 3.0])
 
     def test_spaces_around_cells(self):
-        s = PairedSample.from_csv(io.StringIO("eta_1,eta_2,xi\n 1.5 ,2.0,\t2.0\n3.0 , 0.25,3.0  \n"))
+        s = PairedSample.from_csv("eta_1,eta_2,xi\n 1.5 ,2.0,\t2.0\n3.0 , 0.25,3.0  \n")
         assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
         assert np.array_equal(s.xi, [2.0, 3.0])
 
     def test_no_trailing_newline(self):
-        s = PairedSample.from_csv(io.StringIO("eta_1,eta_2,xi\n1.5,2.0,2.0\n3.0,0.25,3.0"))
+        s = PairedSample.from_csv("eta_1,eta_2,xi\n1.5,2.0,2.0\n3.0,0.25,3.0")
         assert np.array_equal(s.xi, [2.0, 3.0])
 
     def test_blank_lines_are_skipped_and_counted(self):
         text = "eta_1,eta_2,xi\n1.5,2.0,2.0\n\n   \n3.0,0.25,3.0\n\n"
-        s = PairedSample.from_csv(io.StringIO(text))
+        s = PairedSample.from_csv(text)
         assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
         err = self._parse_error("eta_1,eta_2,xi\n1.5,2.0,2.0\n\n   \n1.0,oops,2.0\n")
         assert err.line == 5
@@ -433,9 +425,8 @@ class TestPairedSampleCsv:
 
     def test_round_trip_three_columns(self):
         s = sample_experiment1(0.5, 0.5, 30, RngStream(8, 3), d=3)
-        buf = io.StringIO()
-        s.to_csv(buf)
-        assert buf.getvalue().startswith("eta_1,eta_2,eta_3,xi\n")
-        back = PairedSample.from_csv(io.StringIO(buf.getvalue()))
+        text = s.to_csv()
+        assert text.startswith("eta_1,eta_2,eta_3,xi\n")
+        back = PairedSample.from_csv(text)
         assert np.array_equal(back.eta, s.eta)
         assert np.array_equal(back.xi, s.xi)
