@@ -182,14 +182,6 @@ def cmd_estimate(config, args):
     return EXIT_OK
 
 
-def _implied_branch(size_branch, alpha):
-    if size_branch == "gumbel":
-        return "gumbel"
-    if alpha < 1.0:
-        return "frechet_heavy"
-    return "frechet_unit" if alpha == 1.0 else "frechet_light"
-
-
 def cmd_eval(config, args):
     block = require_block(config, "eval")
     model = _model_from_block(block["model"])
@@ -209,7 +201,7 @@ def cmd_eval(config, args):
         rows.append(("theta_G_alpha", theta_scaled))
         if model.dim == 2:
             rows.append(("lambda_of_G_alpha", lambda_from_theta(theta_scaled)))
-    rows.append((f"theta_Q_{_implied_branch(size_branch, alpha)}", law.theta()))
+    rows.append((f"theta_Q_{law.branch}", law.theta()))
     # the schema admits lambda_mn and tail_z only for alpha in (0, 1)
     for i, lam in enumerate(block.get("lambda_mn", [])):
         try:

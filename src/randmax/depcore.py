@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, RangeLinkError
+from .errors import DomainError, RangeLinkError, as_integer
 
 __all__ = [
+    "check_tail_index",
     "as_simplex_rows",
     "edge_grid",
     "edge_points",
@@ -59,6 +60,14 @@ __all__ = [
 _SIMPLEX_TOL = 1e-12
 #: clamp deviations larger than this are reported; smaller ones are rounding
 CLAMP_TOL = 1e-12
+
+
+def check_tail_index(alpha):
+    """Raise DomainError unless alpha is in (0, 1), the one statement of that
+    rule. alpha is both the tail index of the random number of observations
+    and the index of the positive stable factor of the alpha-scaling transform."""
+    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
+        raise DomainError(f"tail index must be in (0,1), got {alpha!r}")
 
 
 def as_simplex_rows(points):
@@ -86,9 +95,9 @@ def as_simplex_rows(points):
 
 def edge_grid(m):
     """Uniform grid of m curve coordinates on [0, 1] (bivariate case)."""
-    if m < 2:
+    if as_integer("grid size", m) < 2:
         raise DomainError(f"grid size must be >= 2, got {m}")
-    return np.linspace(0.0, 1.0, int(m))
+    return np.linspace(0.0, 1.0, m)
 
 
 def edge_points(w):
@@ -116,6 +125,10 @@ class PickandsModel:
 
     dim = 2
 
+    def __post_init__(self):
+        if as_integer("dim", self.dim) < 2:
+            raise DomainError(f"dimension must be >= 2, got {self.dim!r}")
+
     def values(self, points):
         """Evaluate A at an array of simplex points, shape (k, d) -> (k,)."""
         raise NotImplementedError
@@ -137,8 +150,7 @@ class Logistic(PickandsModel):
     def __post_init__(self):
         if not (np.isfinite(self.psi) and 0.0 < self.psi <= 1.0):
             raise DomainError(f"logistic dependence parameter must be in (0,1], got {self.psi!r}")
-        if self.dim < 2:
-            raise DomainError("dimension must be >= 2")
+        super().__post_init__()
 
     def values(self, points):
         p = np.asarray(points, dtype=float)
@@ -227,8 +239,7 @@ class AlphaScaled(PickandsModel):
     dim: int = field(init=False, default=2)
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise DomainError(f"scaling index must be in (0,1), got {self.alpha!r}")
+        check_tail_index(self.alpha)
         object.__setattr__(self, "dim", self.base.dim)
 
     def values(self, points):
@@ -236,13 +247,19 @@ class AlphaScaled(PickandsModel):
         return total**self.alpha * self.base.values(inner) ** self.alpha
 
 
-def stable_tail(model, z):
-    """Stable-tail dependence function L(z) = (sum z) * A(z / sum z), z >= 0."""
+def _z_vector(model, z):
+    """z as a float vector of the model's dimension with nonnegative finite entries."""
     a = np.asarray(z, dtype=float)
     if a.ndim != 1 or a.size != model.dim:
         raise DomainError(f"z must be a vector of dimension {model.dim}, got {z!r}")
     if not np.all(np.isfinite(a)) or np.any(a < 0.0):
         raise DomainError(f"z must have nonnegative finite entries, got {z!r}")
+    return a
+
+
+def stable_tail(model, z):
+    """Stable-tail dependence function L(z) = (sum z) * A(z / sum z), z >= 0."""
+    a = _z_vector(model, z)
     s = a.sum()
     if s == 0.0:
         raise DomainError("stable_tail is undefined at z = 0")
@@ -270,8 +287,7 @@ def lambda_inverse_link(lambda_mn, alpha):
     Requires 2 - lambda_MN <= 2^alpha; otherwise the recovered coefficient
     would be negative and a RangeLinkError carrying it is raised.
     """
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"tail index must be in (0,1), got {alpha!r}")
+    check_tail_index(alpha)
     if not (np.isfinite(lambda_mn) and 0.0 <= lambda_mn <= 1.0):
         raise DomainError(f"lambda must be in [0,1], got {lambda_mn!r}")
     value = 2.0 - (2.0 - lambda_mn) ** (1.0 / alpha)
@@ -285,15 +301,10 @@ def lambda_inverse_link(lambda_mn, alpha):
 def tail_prob_approx(model, alpha, z, n):
     """Joint upper-tail approximation L(z^(1/alpha) / n)^alpha for maxima over
     a heavy-tailed random number of observations with tail index alpha."""
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"tail index must be in (0,1), got {alpha!r}")
-    if int(n) < 1:
+    check_tail_index(alpha)
+    if as_integer("n", n) < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    a = np.asarray(z, dtype=float)
-    if a.ndim != 1 or a.size != model.dim:
-        raise DomainError(f"z must be a vector of dimension {model.dim}, got {z!r}")
-    if not np.all(np.isfinite(a)) or np.any(a < 0.0):
-        raise DomainError(f"z must have nonnegative finite entries, got {z!r}")
+    a = _z_vector(model, z)
     if np.all(a == 0.0):
         return 0.0
     return stable_tail(model, a ** (1.0 / alpha) / float(n)) ** alpha
@@ -443,25 +454,34 @@ class LimitLawQ:
             return 0.0
         return stable_tail(self.base, z)
 
+    @property
+    def branch(self):
+        """The form of Q: "gumbel", or "frechet_" + heavy/unit/light for alpha <, =, > 1."""
+        if self.size_branch == "gumbel":
+            return "gumbel"
+        if self.alpha < 1.0:
+            return "frechet_heavy"
+        return "frechet_unit" if self.alpha == 1.0 else "frechet_light"
+
     def neg_log_q(self, x, y):
         """-ln Q(x, y)."""
         m = self.neg_log_g(x)
         y = float(y)
-        if self.size_branch == "gumbel":
+        if self.branch == "gumbel":
             if not np.isfinite(y):
                 raise DomainError(f"y must be finite, got {y!r}")
             return m + float(np.exp(-y))
         if not (np.isfinite(y) and y > 0.0):
             raise DomainError(f"y must be > 0 on the heavy-tail branch, got {y!r}")
         a = self.alpha
-        if a > 1.0:
+        if self.branch == "frechet_light":
             return m + y**-a
-        g1 = 1.0 if a == 1.0 else float(np.exp(special.gammaln(1.0 - a)))
+        g1 = 1.0 if self.branch == "frechet_unit" else float(np.exp(special.gammaln(1.0 - a)))
         sigma = m / g1 ** (1.0 / a)
         head = y**-a * float(np.exp(-y * sigma))
         if m == 0.0:
             return head
-        if a == 1.0:
+        if self.branch == "frechet_unit":
             tail = sigma * (1.0 - special.exp1(y * sigma))
         else:
             tail = sigma**a * (g1 * special.gammainc(1.0 - a, y * sigma))
@@ -476,9 +496,9 @@ class LimitLawQ:
         for the light-tailed branch it is theta(G) + 1.
         """
         th = extremal_coefficient(self.base)
-        if self.size_branch == "gumbel" or self.alpha > 1.0:
+        if self.branch in ("gumbel", "frechet_light"):
             return th + 1.0
-        if self.alpha == 1.0:
+        if self.branch == "frechet_unit":
             # li(x) = Ei(ln x)
             e = float(np.exp(-th))
             return e + th * (float(special.expi(np.log(e))) + 1.0)

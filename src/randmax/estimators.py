@@ -130,9 +130,10 @@ def _ranks(eta):
 
 
 def pseudo_uniforms(eta):
-    """Per-column pseudo-uniforms rank/(n+1) (max rank under ties)."""
+    """Per-column pseudo-uniforms rank/(n+1) (max rank under ties) of a
+    sample (n, d) or of each sample of a stack (..., n, d)."""
     eta = np.asarray(eta, dtype=float)
-    return _ranks(eta) / (eta.shape[0] + 1.0)
+    return _ranks(eta) / (eta.shape[-2] + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,7 @@ def gpwm_weights(n, b):
     (substitution v = e^(-s/2); P is the regularized lower incomplete gamma).
     The weights are cached per (n, b) and returned read-only.
     """
-    if n < 1 or b < 0:
+    if as_integer("n", n) < 1 or b < 0:
         raise DomainError("need n >= 1 and b >= 0")
     return _gpwm_weights_cached(int(n), float(b))
 

@@ -24,6 +24,8 @@ array sums. Samples and fits do not depend on the block they fall in, so
 the block size moves no output either.
 Per-replication estimation failures are excluded and counted, never imputed;
 a combination with more than 20% failures is flagged in the run report.
+Parameter domains belong to depcore: ExperimentConfig checks its grids by
+building each combination's truth_model and calling check_tail_index.
 """
 
 import struct
@@ -34,7 +36,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .depcore import ExtremalT, Logistic, edge_grid, edge_points, power_points
+from .depcore import ExtremalT, Logistic, check_tail_index, edge_grid, edge_points, power_points
 from .errors import DomainError, as_integer
 from .estimators import EstimatorPair, FitSettings, fit_pairs
 from .samplers import PairedBlock, RngStream, sample_experiment1_block, sample_experiment2
@@ -61,8 +63,8 @@ class ExperimentConfig:
     """Full description of one sweep; see the module docstring for semantics.
 
     For experiment 1 the dependence grid is `psis`; for experiment 2 it is
-    `rhos` x `upsilons` with `inner_size` blocks per observation. `fit`
-    holds the settings every pair is fitted with.
+    `rhos` x `upsilons` with `inner_size` blocks per observation, and the
+    other pipeline's grids stay empty. `fit` holds the pair settings.
     """
 
     experiment: int
@@ -81,29 +83,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in (1, 2):
             raise DomainError(f"experiment must be 1 or 2, got {self.experiment!r}")
-        if not self.alphas or any(not (0.0 < a < 1.0) for a in self.alphas):
-            raise DomainError("alpha grid must be nonempty with values in (0,1)")
-        if self.experiment == 1:
-            if not self.psis or any(not (0.0 < p <= 1.0) for p in self.psis):
-                raise DomainError("psi grid must be nonempty with values in (0,1]")
-        else:
-            if not self.rhos or any(not (-1.0 < r < 1.0) for r in self.rhos):
-                raise DomainError("rho grid must be nonempty with values in (-1,1)")
-            if not self.upsilons or any(u <= 0.0 for u in self.upsilons):
-                raise DomainError("upsilon set must be nonempty with positive values")
-            if as_integer("inner_size", self.inner_size) < 1:
-                raise DomainError("inner replication count must be >= 1")
-        if not self.sizes or any(
-            as_integer(f"sizes[{i}]", n) < 2 for i, n in enumerate(self.sizes)
-        ):
-            raise DomainError("sample-size list must be nonempty with n >= 2")
+        if self.experiment == 2 and as_integer("inner_size", self.inner_size) < 1:
+            raise DomainError("inner replication count must be >= 1")
+        if any(as_integer(f"sizes[{i}]", n) < 2 for i, n in enumerate(self.sizes)):
+            raise DomainError("sample sizes must be >= 2")
         if as_integer("replications", self.replications) < 2:
             raise DomainError("need at least 2 replications")
-        if not self.pairs:
-            raise DomainError("need at least one estimator pair")
         if as_integer("jobs", self.jobs) < 1:
             raise DomainError("parallelism width must be >= 1")
         as_integer("seed", self.seed)
+        unread = ("rhos", "upsilons") if self.experiment == 1 else ("psis",)
+        for name in ("alphas", "psis", "rhos", "upsilons", "sizes", "pairs"):
+            if not getattr(self, name) and name not in unread:
+                raise DomainError(f"{name} must be nonempty")
+            if getattr(self, name) and name in unread:
+                raise DomainError(f"{name} is not read by experiment {self.experiment}")
+        if len(set(self.pairs)) < len(self.pairs):
+            raise DomainError(f"pairs must not list a pair twice, got {self.pairs!r}")
+        for combo in enumerate_combos(self):
+            truth_model(combo)
+            check_tail_index(combo.alpha)
 
 
 @dataclass(frozen=True)
@@ -116,18 +115,17 @@ class Combo:
 
 
 def enumerate_combos(config):
-    combos = []
-    for alpha in config.alphas:
-        if config.experiment == 1:
-            for psi in config.psis:
-                for n in config.sizes:
-                    combos.append(Combo(1, float(alpha), float(psi), float("nan"), int(n)))
-        else:
-            for ups in config.upsilons:
-                for rho in config.rhos:
-                    for n in config.sizes:
-                        combos.append(Combo(2, float(alpha), float(rho), float(ups), int(n)))
-    return combos
+    """The sweep's combinations in result order: alpha, psi or (upsilon, rho), n."""
+    if config.experiment == 1:
+        dependence = [(psi, float("nan")) for psi in config.psis]
+    else:
+        dependence = [(rho, ups) for ups in config.upsilons for rho in config.rhos]
+    return [
+        Combo(config.experiment, float(alpha), float(dep), float(ups), int(n))
+        for alpha in config.alphas
+        for dep, ups in dependence
+        for n in config.sizes
+    ]
 
 
 # -- stream derivation -------------------------------------------------------

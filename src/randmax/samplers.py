@@ -23,13 +23,17 @@ sample_experiment1 is the block of one stream.
 
 No function here reads or writes a file: PairedSample.to_csv returns its
 text and PairedSample.from_csv parses text, and the CLI does the I/O.
+Parameter domains belong to depcore: a sampler checks psi and d by building
+Logistic(psi, dim=d) and rho and upsilon by building ExtremalT(rho, upsilon),
+the models it samples, and alpha with check_tail_index.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputParseError
+from .depcore import ExtremalT, Logistic, check_tail_index
+from .errors import DomainError, InputParseError, as_integer
 
 __all__ = [
     "RngStream",
@@ -210,18 +214,6 @@ def _first_bad_line(lines, d):
             return InputParseError(str(exc), line=lineno)
 
 
-def _check_stable_index(alpha):
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"stable index must be in (0,1), got {alpha!r}")
-
-
-def _check_logistic(psi, d):
-    if not (np.isfinite(psi) and 0.0 < psi <= 1.0):
-        raise DomainError(f"logistic dependence parameter must be in (0,1], got {psi!r}")
-    if int(d) < 2:
-        raise DomainError(f"dimension must be >= 2, got {d!r}")
-
-
 def _kanter(alpha, v, w):
     """Positive alpha-stable variates from uniforms v on [0, 1) and unit
     exponentials w of one shape (see sample_positive_stable)."""
@@ -244,7 +236,7 @@ def sample_positive_stable(alpha, rng, size=None):
 
         S = (sin((1-alpha) U) / W)^((1-alpha)/alpha) * sin(alpha U) / sin(U)^(1/alpha).
     """
-    _check_stable_index(alpha)
+    check_tail_index(alpha)
     gen = _gen(rng)
     return _kanter(alpha, gen.random(size), gen.standard_exponential(size))
 
@@ -258,9 +250,10 @@ def sample_logistic_maxstable(psi, d, rng, size=None):
     to the power psi restores unit-Frechet margins without touching the
     copula.
     """
-    _check_logistic(psi, d)
+    d = as_integer("d", d)
+    Logistic(psi, dim=d)
     gen = _gen(rng)
-    y = 1.0 / gen.standard_exponential((int(d),) if size is None else (size, int(d)))
+    y = 1.0 / gen.standard_exponential((d,) if size is None else (size, d))
     if psi == 1.0:
         return y
     return _logistic(psi, y, sample_positive_stable(psi, gen, size))
@@ -275,11 +268,11 @@ def sample_experiment1_block(psi, alpha, n, rngs, d=2):
     bit, and a running Generator advances exactly as it would there (see
     "Blocks" in the module docstring).
     """
-    _check_logistic(psi, d)
-    _check_stable_index(alpha)
-    if int(n) < 2:
+    n, d = as_integer("n", n), as_integer("d", d)
+    Logistic(psi, dim=d)
+    check_tail_index(alpha)
+    if n < 2:
         raise DomainError(f"sample size must be >= 2, got {n!r}")
-    n, d = int(n), int(d)
     # the exponentials of Z, then (uniform, exponential) of S_psi and of S_alpha
     e = np.empty((len(rngs), n, d))
     draws = np.empty((4, len(rngs), n))
@@ -320,8 +313,7 @@ def sample_pareto_block_size(alpha, rng, size=None):
     alpha; a scalar draw is an int. Sizes that overflow float64 (possible
     only for alpha below about 0.052) raise DomainError.
     """
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"tail index must be in (0,1), got {alpha!r}")
+    check_tail_index(alpha)
     gen = _gen(rng)
     u = 1.0 - gen.random(size)
     with np.errstate(over="ignore"):
@@ -386,19 +378,15 @@ def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
     of all blocks. Block sizes are not truncated, and sizes, their totals or
     t-row radii that overflow float64 raise DomainError.
     """
-    if not (np.isfinite(rho) and -1.0 < rho < 1.0):
-        raise DomainError(f"correlation must be in (-1,1), got {rho!r}")
-    if not (np.isfinite(nu) and nu > 0.0):
-        raise DomainError(f"degrees of freedom must be > 0, got {nu!r}")
-    if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"tail index must be in (0,1), got {alpha!r}")
-    if int(n) < 2:
+    ExtremalT(rho, nu)
+    check_tail_index(alpha)
+    n, n_prime = as_integer("n", n), as_integer("n_prime", n_prime)
+    if n < 2:
         raise DomainError(f"sample size must be >= 2, got {n!r}")
-    if int(n_prime) < 1:
+    if n_prime < 1:
         raise DomainError(f"inner replication count must be >= 1, got {n_prime!r}")
-    n = int(n)
     gen = _gen(rng)
-    sizes = sample_pareto_block_size(alpha, gen, (n, int(n_prime)))
+    sizes = sample_pareto_block_size(alpha, gen, (n, n_prime))
     with np.errstate(over="ignore"):
         totals = sizes.sum(axis=1)
     if not np.all(np.isfinite(totals)):
@@ -407,7 +395,7 @@ def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
     nonpositive = np.count_nonzero(~np.all(eta > 0.0, axis=1))
     if nonpositive:
         raise DomainError(
-            f"inner_size={int(n_prime)} is too small: {nonpositive} of {n} observations "
+            f"inner_size={n_prime} is too small: {nonpositive} of {n} observations "
             "had a non-positive componentwise maximum, and eta must be strictly positive"
         )
     meta = {
@@ -416,6 +404,6 @@ def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
         "upsilon": nu,
         "alpha": alpha,
         "n": n,
-        "inner_size": int(n_prime),
+        "inner_size": n_prime,
     }
     return PairedSample(eta, sizes.max(axis=1), meta)

@@ -336,6 +336,19 @@ class TestLimitLawQ:
             assert np.all(np.diff(vals_x) <= 1e-12)
             assert np.all(np.diff(vals_y) <= 1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha, size_branch, branch",
+        [
+            (0.5, "frechet", "frechet_heavy"),
+            (1.0, "frechet", "frechet_unit"),
+            (1.5, "frechet", "frechet_light"),
+            (0.5, "gumbel", "gumbel"),
+            (1.5, "gumbel", "gumbel"),
+        ],
+    )
+    def test_branch(self, alpha, size_branch, branch):
+        assert _unit_frechet_law(Logistic(0.5), alpha, size_branch).branch == branch
+
     def test_theta_light_branch_closed_form(self):
         law = _unit_frechet_law(Logistic(0.5), 1.5)
         assert law.theta() == pytest.approx(np.sqrt(2.0) + 1.0, rel=1e-12)

@@ -64,6 +64,14 @@ class TestPseudoUniforms:
         u = pseudo_uniforms(np.array([[1.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         assert np.allclose(u[:, 0], [0.5, 0.5, 0.75])
 
+    def test_stack_matches_each_sample(self):
+        # a (B, n, d) stack divides by n + 1, not by B + 1
+        etas = RngStream(10, 7).generator().random((3, 5, 2))
+        stacked = pseudo_uniforms(etas)
+        assert stacked.max() == 5.0 / 6.0
+        for b in range(3):
+            assert np.array_equal(stacked[b], pseudo_uniforms(etas[b]))
+
     def test_stacked_ranks_match_per_column_oracle(self):
         # integer-valued samples tie often, runs of ties included, and
         # continuous ones never; each sample of the stack is ranked as the

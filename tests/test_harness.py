@@ -65,6 +65,24 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             _small_config(alphas=(1.2,))
 
+    def test_pair_listed_twice_rejected(self):
+        # a repeated pair would give two identical result rows
+        with pytest.raises(DomainError, match="^pairs must not list a pair twice"):
+            _small_config(pairs=(EstimatorPair("P", "ML"), EstimatorPair("P", "ML")))
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(experiment=2, rhos=(0.5,), upsilons=(1.0,)), "psis"),
+            (dict(rhos=(0.5,)), "rhos"),
+            (dict(upsilons=(1.0,)), "upsilons"),
+        ],
+    )
+    def test_grid_the_pipeline_does_not_read_rejected(self, overrides, field):
+        # a grid the pipeline does not read would be silently ignored
+        with pytest.raises(DomainError, match=rf"^{field} is not read by experiment"):
+            _small_config(**overrides)
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -73,7 +91,10 @@ class TestConfigValidation:
             (dict(replications=2.5), "replications"),
             (dict(jobs=1.5), "jobs"),
             (dict(seed=1.5), "seed"),
-            (dict(experiment=2, rhos=(0.5,), upsilons=(1.0,), inner_size=20.0), "inner_size"),
+            (
+                dict(experiment=2, psis=(), rhos=(0.5,), upsilons=(1.0,), inner_size=20.0),
+                "inner_size",
+            ),
         ],
     )
     def test_non_integer_count_rejected(self, overrides, field):
