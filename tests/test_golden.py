@@ -12,7 +12,8 @@ from the k=5 GPWM fit), the same without vertex corrections on a 41-node
 grid, the same at psi 0.1 and 1 with n=51 over 29 replications, which
 run in blocks of 3 with a short last block of 2, and a small figure-3
 config with GPWM and ML pairs. A `sample` at d=3 and n=7 pins the
-trivariate draws. `eval` runs once per theta(Q) branch, with `tail_z`
+trivariate draws, and a pipeline-2 `sample` with 5 blocks per observation
+pins the scans of observations whose row total is below one batch. `eval` runs once per theta(Q) branch, with `tail_z`
 and `lambda_mn` where alpha < 1 admits them, and on trivariate and
 9-variate logistic models.
 Floating-point results may differ between numpy or scipy releases, so the
@@ -75,6 +76,20 @@ BLOCKS_CONFIG = {
 #: a trivariate sample at an odd n
 SAMPLE_D3_CONFIG = {
     "sample": {"experiment": 1, "psi": 0.3, "alpha": 0.6, "n": 7, "d": 3, "seed": 13}
+}
+
+#: a pipeline-2 sample of 40 observations over 5 blocks each, where about
+#: half of the row totals are below the scan's batch of 64 rows
+SAMPLE_P2_SMALL_CONFIG = {
+    "sample": {
+        "experiment": 2,
+        "rho": 0.5,
+        "upsilon": 1.0,
+        "alpha": 0.5,
+        "n": 40,
+        "inner_size": 5,
+        "seed": 7,
+    }
 }
 
 FIG3_CONFIG = {
@@ -168,6 +183,7 @@ def output_digests(workdir):
         )
     ]
     runs.append(("sample", "sample_d3", SAMPLE_D3_CONFIG))
+    runs.append(("sample", "sample_p2_small", SAMPLE_P2_SMALL_CONFIG))
     runs += [("eval", name, {"eval": block}) for name, block in EVAL_CONFIGS.items()]
     for command, name, data in runs:
         _run([command, "--config", config(name, data), "--out", str(workdir / name)])
