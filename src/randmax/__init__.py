@@ -52,6 +52,7 @@ from .samplers import (
     sample_experiment1,
     sample_experiment1_block,
     sample_experiment2,
+    sample_experiment2_block,
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,

@@ -211,6 +211,7 @@ class ExtremalT(PickandsModel):
             raise DomainError(f"correlation must be in (-1,1), got {self.rho!r}")
         if not (np.isfinite(self.upsilon) and self.upsilon > 0.0):
             raise DomainError(f"degrees of freedom must be > 0, got {self.upsilon!r}")
+        super().__post_init__()
         if self.dim != 2:
             raise DomainError("extremal-t dependence is implemented for dimension 2 only")
 

@@ -105,6 +105,20 @@ PICK_ESTIMATORS = ("P", "CFG", "MD")
 ALPHA_ESTIMATORS = ("GPWM", "ML")
 
 
+def _check_picks(*picks):
+    """Reject the first of `picks` that is not a dependence estimator."""
+    for pick in picks:
+        if pick not in PICK_ESTIMATORS:
+            raise DomainError(f"unknown dependence estimator {pick!r}")
+
+
+def _check_tail_methods(*methods):
+    """Reject the first of `methods` that is not a tail estimator."""
+    for method in methods:
+        if method not in ALPHA_ESTIMATORS:
+            raise DomainError(f"unknown tail estimator {method!r}")
+
+
 def _ranks(eta):
     """Ranks 1..n along the sample axis of an (..., n, d) stack, every column
     of every sample at once (max rank under ties).
@@ -258,9 +272,7 @@ def _curves_at(levels, index, points, picks):
     call from the largest piece and reused by every piece. The (B, k) sums
     are turned into curves once, at the end.
     """
-    for pick in picks:
-        if pick not in PICK_ESTIMATORS:
-            raise DomainError(f"unknown dependence estimator {pick!r}")
+    _check_picks(*picks)
     n, d = levels.shape if index is None else index.shape[1:]
     k = points.shape[0]
     # contiguous coordinate rows keep the table arithmetic on fast loops
@@ -333,8 +345,7 @@ def endpoint_correct(values, w, pick):
     already exact at the vertices under the rank/(n+1) convention, so its
     correction is the identity.
     """
-    if pick not in PICK_ESTIMATORS:
-        raise DomainError(f"unknown dependence estimator {pick!r}")
+    _check_picks(pick)
     values = np.asarray(values, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or values.shape[-1:] != w.shape:
@@ -395,9 +406,7 @@ def estimate_alpha(xi, methods, k):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] < 2:
         raise DomainError("xi must be a (B, n) matrix of rows with at least 2 entries")
-    for method in methods:
-        if method not in ALPHA_ESTIMATORS:
-            raise DomainError(f"unknown tail estimator {method!r}")
+    _check_tail_methods(*methods)
     if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
         raise DomainError("xi entries must be finite and positive")
     k = int(k)
@@ -545,10 +554,8 @@ class EstimatorPair:
     alpha_method: str
 
     def __post_init__(self):
-        if self.pick not in PICK_ESTIMATORS:
-            raise DomainError(f"unknown dependence estimator {self.pick!r}")
-        if self.alpha_method not in ALPHA_ESTIMATORS:
-            raise DomainError(f"unknown tail estimator {self.alpha_method!r}")
+        _check_picks(self.pick)
+        _check_tail_methods(self.alpha_method)
 
     @property
     def label(self):

@@ -15,17 +15,20 @@ results) nor on how replications are scheduled, and reductions accumulate in
 replication order, so outputs are byte-identical at any parallelism width.
 Replications run in blocks of consecutive indices (about eight per worker),
 and a block goes through every layer as stacked arrays: it draws one sample
-per replication stream into one PairedBlock, fits every pair on the whole
-block in one estimators.fit_pairs call, which ranks the block in one pass
-and shares the curve kernel's level tables across it, and returns each
-pair's fits as (B, k) and (B,) arrays. The blocks of a combination are
+per replication stream into one PairedBlock with its pipeline's block
+sampler (sample_experiment1_block or sample_experiment2_block, each of
+which gives a stream the bits a one-stream call draws), fits every pair on
+the whole block in one estimators.fit_pairs call, which ranks the block in
+one pass and shares the curve kernel's level tables across it, and returns
+each pair's fits as (B, k) and (B,) arrays. The blocks of a combination are
 concatenated in replication order, and failures and clamps are counted as
 array sums. Samples and fits do not depend on the block they fall in, so
 the block size moves no output either.
 Per-replication estimation failures are excluded and counted, never imputed;
 a combination with more than 20% failures is flagged in the run report.
 Parameter domains belong to depcore: ExperimentConfig checks its grids by
-building each combination's truth_model and calling check_tail_index.
+building each combination's truth_model and calling check_tail_index, and
+its counts with the samplers' check_sample_size and check_inner_size.
 """
 
 import struct
@@ -39,7 +42,13 @@ import numpy as np
 from .depcore import ExtremalT, Logistic, check_tail_index, edge_grid, edge_points, power_points
 from .errors import DomainError, as_integer
 from .estimators import EstimatorPair, FitSettings, fit_pairs
-from .samplers import PairedBlock, RngStream, sample_experiment1_block, sample_experiment2
+from .samplers import (
+    RngStream,
+    check_inner_size,
+    check_sample_size,
+    sample_experiment1_block,
+    sample_experiment2_block,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -83,10 +92,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in (1, 2):
             raise DomainError(f"experiment must be 1 or 2, got {self.experiment!r}")
-        if self.experiment == 2 and as_integer("inner_size", self.inner_size) < 1:
-            raise DomainError("inner replication count must be >= 1")
-        if any(as_integer(f"sizes[{i}]", n) < 2 for i, n in enumerate(self.sizes)):
-            raise DomainError("sample sizes must be >= 2")
+        if self.experiment == 2:
+            check_inner_size("inner_size", self.inner_size)
+        for i, n in enumerate(self.sizes):
+            check_sample_size(f"sizes[{i}]", n)
         if as_integer("replications", self.replications) < 2:
             raise DomainError("need at least 2 replications")
         if as_integer("jobs", self.jobs) < 1:
@@ -184,11 +193,8 @@ def _sample_block(reps, config, combo):
     streams = [replication_stream(config.seed, combo, rep) for rep in reps]
     if combo.experiment == 1:
         return sample_experiment1_block(combo.psi_or_rho, combo.alpha, combo.n, streams)
-    return PairedBlock.stack(
-        sample_experiment2(
-            combo.psi_or_rho, combo.upsilon, combo.alpha, combo.n, rng, n_prime=config.inner_size
-        )
-        for rng in streams
+    return sample_experiment2_block(
+        combo.psi_or_rho, combo.upsilon, combo.alpha, combo.n, streams, n_prime=config.inner_size
     )
 
 

@@ -12,20 +12,38 @@ platform and parallel callers with distinct stream ids are independent.
 Samplers accept either an RngStream (a fresh generator is derived) or an
 already-running numpy Generator (state advances across calls).
 
-Blocks: pipeline 1 is drawn a block of streams at a time, one sample per
-stream, stacked into a PairedBlock of eta (B, n, d) and xi (B, n). Each
-stream makes its draws in the order a one-stream call makes them (the
-exponentials of Z, then the uniforms and exponentials of S_psi when psi < 1,
-then those of S_alpha), and the arithmetic then runs once on the stacked
-draws. Every step of that arithmetic is elementwise, or a max over the d
-coordinates, so a sample has the same bits in any block;
-sample_experiment1 is the block of one stream.
+Blocks: both pipelines are drawn a block of streams at a time, one sample
+per stream, stacked into a PairedBlock of eta (B, n, d) and xi (B, n);
+sample_experiment1 and sample_experiment2 are the blocks of one stream. In
+pipeline 1 each stream makes its draws in the order a one-stream call makes
+them (the exponentials of Z, then the uniforms and exponentials of S_psi
+when psi < 1, then those of S_alpha), and the arithmetic then runs once on
+the stacked draws. Every step of that arithmetic is elementwise, or a max
+over the d coordinates, so a sample has the same bits in any block.
+
+In pipeline 2 a stream draws its (n, n_prime) block sizes, then scans its n
+observations' pooled t-rows top-down, one observation after another: each
+batch of k rows draws random(k) levels, then random(k) angles, and the scan
+of nearly every observation stops after its first batch of _BATCH_ROWS
+rows. For a run of observations that all draw a full first batch and stop
+there, gen.random((m, 2, _BATCH_ROWS)) is those same draws in the same
+order, so the run is scanned in lockstep as (m, _BATCH_ROWS) arrays, with
+elementwise arithmetic and maxima along each row. An observation with fewer
+than _BATCH_ROWS rows, or whose scan does not stop after its first batch
+(or whose radii overflow), breaks that order for the observations after
+it. Such an observation falls back: the generator is set back to its state
+before the batch, the uniforms of the observations before it are drawn
+again, and it is scanned alone, batch after batch, by the same batch scan
+at m = 1; the lockstep then resumes after it. So every sample, and every
+generator's next draw, has the bits of the one-observation-at-a-time scan.
 
 No function here reads or writes a file: PairedSample.to_csv returns its
 text and PairedSample.from_csv parses text, and the CLI does the I/O.
 Parameter domains belong to depcore: a sampler checks psi and d by building
 Logistic(psi, dim=d) and rho and upsilon by building ExtremalT(rho, upsilon),
-the models it samples, and alpha with check_tail_index.
+the models it samples, and alpha with check_tail_index. The count rules
+n >= 2 and n_prime >= 1 are check_sample_size and check_inner_size, which
+harness.ExperimentConfig calls too.
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +63,9 @@ __all__ = [
     "sample_experiment1_block",
     "sample_pareto_block_size",
     "sample_experiment2",
+    "sample_experiment2_block",
+    "check_sample_size",
+    "check_inner_size",
 ]
 
 _U64 = (1 << 64) - 1
@@ -68,6 +89,24 @@ def _gen(rng):
     if isinstance(rng, np.random.Generator):
         return rng
     raise DomainError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
+
+
+def check_sample_size(name, n):
+    """n as an int, for the sample size named `name`: every pipeline draws
+    n >= 2 observations, the fewest a rank or a tail fit can use."""
+    n = as_integer(name, n)
+    if n < 2:
+        raise DomainError(f"sample size must be >= 2, got {n!r}")
+    return n
+
+
+def check_inner_size(name, n_prime):
+    """n_prime as an int, for pipeline 2's count of blocks per observation
+    named `name`, which must be >= 1."""
+    n_prime = as_integer(name, n_prime)
+    if n_prime < 1:
+        raise DomainError(f"inner replication count must be >= 1, got {n_prime!r}")
+    return n_prime
 
 
 @dataclass
@@ -187,17 +226,6 @@ class PairedBlock:
     def __len__(self):
         return self.xi.shape[0]
 
-    @classmethod
-    def stack(cls, samples):
-        """Stack PairedSamples of one shape; the block keeps the first one's meta."""
-        samples = tuple(samples)
-        if not samples:
-            raise DomainError("need at least one sample to stack")
-        if any(sample.eta.shape != samples[0].eta.shape for sample in samples):
-            raise DomainError("samples stacked in a block must share one shape")
-        eta = np.array([sample.eta for sample in samples])
-        return cls(eta, np.array([sample.xi for sample in samples]), dict(samples[0].meta))
-
 
 def _first_bad_line(lines, d):
     """The InputParseError of the first nonblank line (lines[i] is line i + 2)
@@ -268,11 +296,10 @@ def sample_experiment1_block(psi, alpha, n, rngs, d=2):
     bit, and a running Generator advances exactly as it would there (see
     "Blocks" in the module docstring).
     """
-    n, d = as_integer("n", n), as_integer("d", d)
+    d = as_integer("d", d)
     Logistic(psi, dim=d)
     check_tail_index(alpha)
-    if n < 2:
-        raise DomainError(f"sample size must be >= 2, got {n!r}")
+    n = check_sample_size("n", n)
     # the exponentials of Z, then (uniform, exponential) of S_psi and of S_alpha
     e = np.empty((len(rngs), n, d))
     draws = np.empty((4, len(rngs), n))
@@ -323,50 +350,140 @@ def sample_pareto_block_size(alpha, rng, size=None):
     return int(n) if size is None else n
 
 
-#: rows drawn per step of the top-down scan in _pooled_t_maxima
+#: rows drawn per batch of the top-down scan (see _scan_batch)
 _BATCH_ROWS = 64
 
 
-def _pooled_t_maxima(gen, total, rho, nu):
-    """Componentwise maxima of `total` iid bivariate-t rows.
+def _scan_batch(gen, left, level, maxima, rho, nu):
+    """One batch of the top-down scan of m observations' pooled t-rows, as
+    (m, k) arrays: the next k rows of each, with left (m,) the rows each has
+    not scanned yet and k = min(_BATCH_ROWS, min(left)); the callers keep
+    k = min(_BATCH_ROWS, left) for every observation.
 
     Rows are generated in the exact elliptical form x = A (r cos phi, r sin phi)
     with AA' the correlation matrix, the squared radius q having the
     closed-form survival (1 + q/nu)^(-nu/2). The survival levels are drawn as
     uniform order statistics from the smallest up (Devroye 1986, V.3): with
-    m = total, V uniform and L_k = log(1 - U_(k)), L_(k+1) = L_k + log(V)/(m - k),
-    so the radii come largest first, in batches of _BATCH_ROWS rows with one
-    angle draw each. Both rows of A have unit norm, so once a radius falls
-    below the smaller running maximum no later row can move either maximum
-    and the scan stops. The cost therefore does not grow with `total`, which
-    may be a float.
+    N rows, V uniform and L_k = log(1 - U_(k)), L_(k+1) = L_k + log(V)/(N - k),
+    so the radii come largest first. One gen.random((m, 2, k)) call draws
+    each observation's k levels, then its k angles, one observation after
+    another. level (m,) holds L of each observation's last row and maxima
+    (m, 2) its running componentwise maxima; both are updated in place.
+    Returns the radii (m, k), largest first, which overflow to inf for
+    heavy tails at small upsilon.
     """
-    total = float(total)
-    b = np.sqrt(1.0 - rho**2)
-    m1 = m2 = -np.inf
-    level = 0.0
+    k = int(min(_BATCH_ROWS, np.min(left)))
+    u = gen.random((len(left), 2, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.log(1.0 - u[:, 0]) / (left[:, np.newaxis] - np.arange(k))
+        logs = level[:, np.newaxis] + np.cumsum(steps, axis=1)
+        level[:] = logs[:, -1]
+        log_u = np.log(-np.expm1(logs))
+        r = np.sqrt(-nu * np.expm1(2.0 * log_u / nu)) * np.exp(-log_u / nu)
+        phi = (2.0 * np.pi) * u[:, 1]
+        y1 = r * np.cos(phi)
+        y2 = rho * y1 + np.sqrt(1.0 - rho**2) * (r * np.sin(phi))
+        np.maximum(maxima[:, 0], y1.max(axis=1), out=maxima[:, 0])
+        np.maximum(maxima[:, 1], y2.max(axis=1), out=maxima[:, 1])
+    return r
+
+
+def _scan_one(gen, total, rho, nu):
+    """Componentwise maxima (2,) of `total` iid bivariate-t rows, a float:
+    _scan_batch at m = 1, batch after batch. Both rows of A have unit norm,
+    so once a radius falls below the smaller running maximum no later row
+    can move either maximum and the scan stops; its cost therefore does not
+    grow with `total`."""
+    level, maxima = np.zeros(1), np.full((1, 2), -np.inf)
     done = 0
-    with np.errstate(over="ignore"):
-        while done < total:
-            k = int(min(_BATCH_ROWS, total - done))
-            steps = np.log(1.0 - gen.random(k)) / (total - done - np.arange(k))
-            logs = level + np.cumsum(steps)
-            level = logs[-1]
-            log_u = np.log(-np.expm1(logs))
-            r = np.sqrt(-nu * np.expm1(2.0 * log_u / nu)) * np.exp(-log_u / nu)
-            if not np.isfinite(r[0]):
-                raise DomainError(
-                    f"t-row radii overflow float64 for {total:g} rows at upsilon={nu!r}"
-                )
-            phi = (2.0 * np.pi) * gen.random(k)
-            y1 = r * np.cos(phi)
-            y2 = r * np.sin(phi)
-            m1 = max(m1, y1.max())
-            m2 = max(m2, (rho * y1 + b * y2).max())
-            done += k
-            if r[-1] < min(m1, m2):
-                break
-    return m1, m2
+    while done < total:
+        r = _scan_batch(gen, np.array([total - done]), level, maxima, rho, nu)
+        if not np.isfinite(r[0, 0]):
+            raise DomainError(f"t-row radii overflow float64 for {total:g} rows at upsilon={nu!r}")
+        done += r.shape[1]
+        if r[0, -1] < maxima.min():
+            break
+    return maxima[0]
+
+
+def _pooled_t_maxima(gen, totals, rho, nu):
+    """Componentwise maxima (m, 2) of totals[i] iid bivariate-t rows for each
+    of a sample's m observations, with the draws _scan_one makes for them
+    one observation after another (see "Blocks" in the module docstring).
+
+    The observations run in lockstep: one _scan_batch over each run of
+    observations with at least _BATCH_ROWS rows. An observation whose scan
+    does not stop after that batch, or whose radii overflow, is finished
+    alone, after the generator is set back to the state it had before the
+    batch and the kept observations' uniforms are drawn again; so is one
+    with fewer than _BATCH_ROWS rows. The lockstep resumes after it.
+    """
+    m = len(totals)
+    maxima = np.empty((m, 2))
+    i = 0
+    while i < m:
+        # observations i..j-1 each start with a full batch
+        j = i + int(np.argmax(np.append(totals[i:], 0.0) < _BATCH_ROWS))
+        if j > i:
+            state = gen.bit_generator.state
+            left = totals[i:j]
+            block = np.full((j - i, 2), -np.inf)
+            r = _scan_batch(gen, left, np.zeros(j - i), block, rho, nu)
+            stopped = (left <= _BATCH_ROWS) | (r[:, -1] < block.min(axis=1))
+            ok = stopped & np.isfinite(r[:, 0])
+            kept = j - i if ok.all() else int(np.argmin(ok))
+            maxima[i : i + kept] = block[:kept]
+            if kept < j - i:
+                # the next draws are observation i + kept's second batch
+                gen.bit_generator.state = state
+                gen.random((kept, 2, _BATCH_ROWS))
+            i += kept
+        if i < m:
+            maxima[i] = _scan_one(gen, totals[i], rho, nu)
+            i += 1
+    return maxima
+
+
+def sample_experiment2_block(rho, nu, alpha, n, rngs, n_prime=500):
+    """Pipeline 2 for a block of streams: one sample of n draws of (eta, xi)
+    per entry of `rngs` (RngStreams or running Generators), stacked in a
+    PairedBlock in the order of `rngs`.
+
+    Each sample is the one sample_experiment2 draws from that stream, bit for
+    bit, and a running Generator advances exactly as it would there (see
+    "Blocks" in the module docstring). A sample whose draws raise stops the
+    block with that sample's error.
+    """
+    ExtremalT(rho, nu)
+    check_tail_index(alpha)
+    n = check_sample_size("n", n)
+    n_prime = check_inner_size("n_prime", n_prime)
+    eta = np.empty((len(rngs), n, 2))
+    xi = np.empty((len(rngs), n))
+    for b, rng in enumerate(rngs):
+        gen = _gen(rng)
+        sizes = sample_pareto_block_size(alpha, gen, (n, n_prime))
+        with np.errstate(over="ignore"):
+            totals = sizes.sum(axis=1)
+        if not np.all(np.isfinite(totals)):
+            raise DomainError(f"block-size totals overflow float64 at tail index alpha={alpha!r}")
+        eta[b] = _pooled_t_maxima(gen, totals, rho, nu)
+        xi[b] = sizes.max(axis=1)
+        nonpositive = np.count_nonzero(~np.all(eta[b] > 0.0, axis=1))
+        if nonpositive:
+            raise DomainError(
+                f"inner_size={n_prime} is too small: {nonpositive} of {n} observations "
+                "had a non-positive componentwise maximum, and eta must be strictly positive"
+            )
+    meta = {
+        "experiment": 2,
+        "rho": rho,
+        "upsilon": nu,
+        "alpha": alpha,
+        "n": n,
+        "inner_size": n_prime,
+    }
+    return PairedBlock(eta, xi, meta)
 
 
 def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
@@ -377,33 +494,7 @@ def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
     rows; xi = max_k N_k and eta is the componentwise maximum over all rows
     of all blocks. Block sizes are not truncated, and sizes, their totals or
     t-row radii that overflow float64 raise DomainError.
+    This is the block of one stream of sample_experiment2_block.
     """
-    ExtremalT(rho, nu)
-    check_tail_index(alpha)
-    n, n_prime = as_integer("n", n), as_integer("n_prime", n_prime)
-    if n < 2:
-        raise DomainError(f"sample size must be >= 2, got {n!r}")
-    if n_prime < 1:
-        raise DomainError(f"inner replication count must be >= 1, got {n_prime!r}")
-    gen = _gen(rng)
-    sizes = sample_pareto_block_size(alpha, gen, (n, n_prime))
-    with np.errstate(over="ignore"):
-        totals = sizes.sum(axis=1)
-    if not np.all(np.isfinite(totals)):
-        raise DomainError(f"block-size totals overflow float64 at tail index alpha={alpha!r}")
-    eta = np.array([_pooled_t_maxima(gen, total, rho, nu) for total in totals])
-    nonpositive = np.count_nonzero(~np.all(eta > 0.0, axis=1))
-    if nonpositive:
-        raise DomainError(
-            f"inner_size={n_prime} is too small: {nonpositive} of {n} observations "
-            "had a non-positive componentwise maximum, and eta must be strictly positive"
-        )
-    meta = {
-        "experiment": 2,
-        "rho": rho,
-        "upsilon": nu,
-        "alpha": alpha,
-        "n": n,
-        "inner_size": n_prime,
-    }
-    return PairedSample(eta, sizes.max(axis=1), meta)
+    block = sample_experiment2_block(rho, nu, alpha, n, (rng,), n_prime)
+    return PairedSample(block.eta[0], block.xi[0], block.meta)

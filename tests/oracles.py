@@ -7,9 +7,12 @@ of the rank-based curve estimators computed straight from their formulas,
 a Poisson spectral sampler of the alpha-scaled law that is independent of
 the S * Z construction the package samples with, and a row-by-row
 bivariate Student-t sampler, the brute-force reference for the
-pooled maxima of pipeline 2, and one-sample GPWM and ML tail fits written
-with Python scalars, the bit-level reference for the block-wise fits.
-Only fit_row calls the package: its tail fit of one row, as tests use it.
+pooled maxima of pipeline 2, the per-observation pipeline-2 scan, the
+bit-level reference for the lockstep scan, and one-sample GPWM and ML
+tail fits written with Python scalars, the bit-level reference for the
+block-wise fits. Only fit_row and stack_samples call the package: the
+tail fit of one row, and a PairedBlock of one-sample draws, as tests use
+them.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from scipy import special
 
 from randmax.errors import DomainError, EstimationError
 from randmax.estimators import estimate_alpha, gpwm_weights
-from randmax.samplers import RngStream, sample_logistic_maxstable
+from randmax.samplers import PairedBlock, RngStream, sample_logistic_maxstable
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,64 @@ def sample_bivariate_t(rho, nu, rng, size=None):
     g2 = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
     out = np.column_stack([g1, g2]) * np.sqrt(nu / v)[:, np.newaxis]
     return out[0] if size is None else out
+
+
+def oracle_pooled_t_maxima(gen, total, rho, nu, batch_rows=64):
+    """Componentwise maxima of `total` iid bivariate-t rows, scanned top-down
+    in batches of batch_rows rows, one Generator call per batch for the
+    levels and one for the angles: the per-observation scan pipeline 2 ran
+    before its lockstep scan, the bit-level reference for it. Returns (m1,
+    m2, batches), with the number of batches the scan drew."""
+    total = float(total)
+    b = np.sqrt(1.0 - rho**2)
+    m1 = m2 = -np.inf
+    level = 0.0
+    done = batches = 0
+    with np.errstate(over="ignore"):
+        while done < total:
+            k = int(min(batch_rows, total - done))
+            steps = np.log(1.0 - gen.random(k)) / (total - done - np.arange(k))
+            logs = level + np.cumsum(steps)
+            level = logs[-1]
+            log_u = np.log(-np.expm1(logs))
+            r = np.sqrt(-nu * np.expm1(2.0 * log_u / nu)) * np.exp(-log_u / nu)
+            if not np.isfinite(r[0]):
+                raise DomainError(
+                    f"t-row radii overflow float64 for {total:g} rows at upsilon={nu!r}"
+                )
+            phi = (2.0 * np.pi) * gen.random(k)
+            y1 = r * np.cos(phi)
+            y2 = r * np.sin(phi)
+            m1 = max(m1, y1.max())
+            m2 = max(m2, (rho * y1 + b * y2).max())
+            done += k
+            batches += 1
+            if r[-1] < min(m1, m2):
+                break
+    return m1, m2, batches
+
+
+def oracle_sample_experiment2(rho, nu, alpha, n, gen, n_prime, batch_rows=64):
+    """One pipeline-2 sample drawn from the running Generator gen one
+    observation at a time: the (n, n_prime) Pareto block sizes, then each
+    observation's oracle_pooled_t_maxima in turn. Returns eta (n, 2), xi
+    (n,), the row totals (n,) and each observation's batch count (n,)."""
+    u = 1.0 - gen.random((n, n_prime))
+    sizes = np.ceil(np.power(u, -1.0 / alpha))
+    totals = sizes.sum(axis=1)
+    scans = np.array([oracle_pooled_t_maxima(gen, t, rho, nu, batch_rows) for t in totals])
+    return scans[:, :2], sizes.max(axis=1), totals, scans[:, 2].astype(int)
+
+
+def stack_samples(samples):
+    """The PairedBlock of PairedSamples of one shape, with the first one's meta."""
+    samples = tuple(samples)
+    if not samples:
+        raise DomainError("need at least one sample to stack")
+    if any(sample.eta.shape != samples[0].eta.shape for sample in samples):
+        raise DomainError("samples stacked in a block must share one shape")
+    eta = np.array([sample.eta for sample in samples])
+    return PairedBlock(eta, np.array([sample.xi for sample in samples]), dict(samples[0].meta))
 
 
 def fit_row(xi, method, k=5):

@@ -53,14 +53,13 @@ from randmax.harness import (
     truth_model,
 )
 from randmax.samplers import (
-    PairedBlock,
     RngStream,
     sample_experiment1,
     sample_logistic_maxstable,
     sample_positive_stable,
 )
 
-from oracles import fit_row, madogram_nu, pseudo_angles, sample_spectral_scaled
+from oracles import fit_row, madogram_nu, pseudo_angles, sample_spectral_scaled, stack_samples
 
 SCALE_INDICES = (0.5, 0.633, 0.767, 0.9)
 MASTER_SEED = 20260811
@@ -254,7 +253,7 @@ _PAIRS = tuple(EstimatorPair(p, a) for a in ("GPWM", "ML") for p in ("P", "CFG",
 
 def _sup_errors(sample, truth):
     """sup|A* estimate - truth| of every pair, from one fit_pairs call."""
-    fits = fit_pairs(PairedBlock.stack((sample,)), _PAIRS, FitSettings())
+    fits = fit_pairs(stack_samples((sample,)), _PAIRS, FitSettings())
     sups = {}
     for label, block_fit in fits.items():
         fit = block_fit.estimate(0)

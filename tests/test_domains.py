@@ -1,7 +1,9 @@
 """Each parameter domain is stated once: alpha by depcore.check_tail_index,
-psi and the dimension by Logistic, rho and upsilon by ExtremalT. Every entry
-point that takes one of them must reject it with that one message, and every
-count must be an integer."""
+psi and the dimension by Logistic, rho and upsilon by ExtremalT, the sample
+size and pipeline 2's inner count by samplers.check_sample_size and
+check_inner_size, and the estimator names by one check per name set. Every
+entry point that takes one of them must reject it with that one message,
+and every count must be an integer."""
 
 import re
 
@@ -19,25 +21,36 @@ from randmax.depcore import (
     tail_prob_approx,
 )
 from randmax.errors import DomainError
-from randmax.estimators import EstimatorPair, FitSettings, gpwm_weights
+from randmax.estimators import (
+    EstimatorPair,
+    FitSettings,
+    endpoint_correct,
+    estimate_alpha,
+    gpwm_weights,
+    pickands_points,
+)
 from randmax.harness import ExperimentConfig
 from randmax.samplers import (
     RngStream,
+    check_inner_size,
+    check_sample_size,
     sample_experiment1,
     sample_experiment1_block,
     sample_experiment2,
+    sample_experiment2_block,
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,
 )
 
 
-def _config(experiment=1, alpha=0.5, psi=0.5, rho=0.5, upsilon=1.0):
+def _config(experiment=1, alpha=0.5, psi=0.5, rho=0.5, upsilon=1.0, n=50, inner_size=500):
     grids = dict(psis=(psi,)) if experiment == 1 else dict(rhos=(rho,), upsilons=(upsilon,))
     return ExperimentConfig(
         experiment=experiment,
         alphas=(alpha,),
-        sizes=(50,),
+        sizes=(n,),
+        inner_size=inner_size,
         replications=2,
         pairs=(EstimatorPair("P", "GPWM"),),
         fit=FitSettings(grid_size=21),
@@ -57,6 +70,7 @@ ALPHA_ENTRY_POINTS = {
     "sample_pareto_block_size": lambda a: sample_pareto_block_size(a, RngStream(1)),
     "sample_experiment1": lambda a: sample_experiment1(0.5, a, 10, RngStream(1)),
     "sample_experiment2": lambda a: sample_experiment2(0.5, 1.0, a, 10, RngStream(1)),
+    "sample_experiment2_block": lambda a: sample_experiment2_block(0.5, 1.0, a, 10, [RngStream(1)]),
     "AlphaScaled": lambda a: AlphaScaled(Logistic(0.5), a),
     "lambda_inverse_link": lambda a: lambda_inverse_link(0.5, a),
     "tail_prob_approx": lambda a: tail_prob_approx(Logistic(0.5), a, [1.0, 1.0], 10),
@@ -90,6 +104,9 @@ def test_psi_rule_is_the_logistic_one(entry, psi):
 
 EXTREMAL_T_ENTRY_POINTS = {
     "sample_experiment2": lambda r, u: sample_experiment2(r, u, 0.5, 10, RngStream(1)),
+    "sample_experiment2_block": lambda r, u: sample_experiment2_block(
+        r, u, 0.5, 10, [RngStream(1)]
+    ),
     "ExperimentConfig": lambda r, u: _config(experiment=2, rho=r, upsilon=u),
 }
 
@@ -112,6 +129,67 @@ def test_rho_and_upsilon_rules_are_the_extremal_t_ones(entry, rho, upsilon, star
     assert message.startswith(start)
 
 
+SAMPLE_SIZE_ENTRY_POINTS = {
+    "sample_experiment1": lambda n: sample_experiment1(0.5, 0.5, n, RngStream(1)),
+    "sample_experiment1_block": lambda n: sample_experiment1_block(0.5, 0.5, n, [RngStream(1)]),
+    "sample_experiment2": lambda n: sample_experiment2(0.5, 1.0, 0.5, n, RngStream(1)),
+    "sample_experiment2_block": lambda n: sample_experiment2_block(
+        0.5, 1.0, 0.5, n, [RngStream(1)]
+    ),
+    "ExperimentConfig": lambda n: _config(n=n),
+}
+
+INNER_SIZE_ENTRY_POINTS = {
+    "sample_experiment2": lambda m: sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(1), m),
+    "sample_experiment2_block": lambda m: sample_experiment2_block(
+        0.5, 1.0, 0.5, 10, [RngStream(1)], m
+    ),
+    "ExperimentConfig": lambda m: _config(experiment=2, inner_size=m),
+}
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+@pytest.mark.parametrize("entry", sorted(SAMPLE_SIZE_ENTRY_POINTS))
+def test_sample_size_rule_is_stated_once(entry, n):
+    message = _message(lambda: SAMPLE_SIZE_ENTRY_POINTS[entry](n))
+    assert message == _message(lambda: check_sample_size("n", n))
+    assert message == f"sample size must be >= 2, got {n}"
+
+
+@pytest.mark.parametrize("n_prime", [0, -1])
+@pytest.mark.parametrize("entry", sorted(INNER_SIZE_ENTRY_POINTS))
+def test_inner_size_rule_is_stated_once(entry, n_prime):
+    message = _message(lambda: INNER_SIZE_ENTRY_POINTS[entry](n_prime))
+    assert message == _message(lambda: check_inner_size("n_prime", n_prime))
+    assert message == f"inner replication count must be >= 1, got {n_prime}"
+
+
+_U = np.array([[0.2, 0.4], [0.6, 0.8]])
+
+PICK_ENTRY_POINTS = {
+    "EstimatorPair": lambda name: EstimatorPair(name, "GPWM"),
+    "endpoint_correct": lambda name: endpoint_correct(np.ones(3), edge_grid(3), name),
+    "pickands_points": lambda name: pickands_points(_U, np.array([[0.5, 0.5]]), name),
+}
+
+TAIL_METHOD_ENTRY_POINTS = {
+    "EstimatorPair": lambda name: EstimatorPair("P", name),
+    "estimate_alpha": lambda name: estimate_alpha(np.array([[1.0, 2.0, 3.0]]), (name,), 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PICK_ENTRY_POINTS))
+def test_dependence_estimator_names_are_checked_once(entry):
+    message = _message(lambda: PICK_ENTRY_POINTS[entry]("PX"))
+    assert message == "unknown dependence estimator 'PX'"
+
+
+@pytest.mark.parametrize("entry", sorted(TAIL_METHOD_ENTRY_POINTS))
+def test_tail_estimator_names_are_checked_once(entry):
+    message = _message(lambda: TAIL_METHOD_ENTRY_POINTS[entry]("MLE"))
+    assert message == "unknown tail estimator 'MLE'"
+
+
 @pytest.mark.parametrize(
     "make, field",
     [
@@ -125,6 +203,8 @@ def test_rho_and_upsilon_rules_are_the_extremal_t_ones(entry, rho, upsilon, star
         (lambda: edge_grid(5.5), "grid size"),
         (lambda: Logistic(0.5, dim=2.5), "dim"),
         (lambda: Independence(dim=2.5), "dim"),
+        (lambda: ExtremalT(0.5, 1.0, dim=2.0), "dim"),
+        (lambda: sample_experiment2_block(0.5, 1.0, 0.5, 5.0, [RngStream(1)]), "n"),
     ],
 )
 def test_counts_must_be_integers(make, field):

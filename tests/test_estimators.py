@@ -38,6 +38,7 @@ from oracles import (
     oracle_ranks,
     oracle_row_terms,
     pseudo_angles,
+    stack_samples,
 )
 
 
@@ -608,7 +609,7 @@ class TestInvertCurve:
 def _estimates(samples, pairs, settings):
     """fit_pairs on the block of `samples`, as one {pair label:
     CurveEstimate or EstimationError} per sample."""
-    fits = fit_pairs(PairedBlock.stack(samples), pairs, settings)
+    fits = fit_pairs(stack_samples(samples), pairs, settings)
     return [{label: fit.estimate(b) for label, fit in fits.items()} for b in range(len(samples))]
 
 
@@ -811,9 +812,9 @@ def test_fit_pairs_rejects_mixed_shapes():
     a = sample_experiment1(0.5, 0.5, 50, RngStream(19, 10))
     b = sample_experiment1(0.5, 0.5, 60, RngStream(19, 11))
     with pytest.raises(DomainError):
-        fit_pairs(PairedBlock.stack((a, b)), _SHUFFLED_PAIRS, FitSettings())
+        fit_pairs(stack_samples((a, b)), _SHUFFLED_PAIRS, FitSettings())
     with pytest.raises(DomainError):
-        fit_pairs(PairedBlock.stack(()), _SHUFFLED_PAIRS, FitSettings())
+        fit_pairs(stack_samples(()), _SHUFFLED_PAIRS, FitSettings())
 
 
 def test_failing_row_inside_a_block():

@@ -13,9 +13,9 @@ grid, the same at psi 0.1 and 1 with n=51 over 29 replications, which
 run in blocks of 3 with a short last block of 2, and a small figure-3
 config with GPWM and ML pairs. A `sample` at d=3 and n=7 pins the
 trivariate draws, and a pipeline-2 `sample` with 5 blocks per observation
-pins the scans of observations whose row total is below one batch. `eval` runs once per theta(Q) branch, with `tail_z`
-and `lambda_mn` where alpha < 1 admits them, and on trivariate and
-9-variate logistic models.
+pins the scans of observations whose row total is below one batch. `eval`
+runs once per theta(Q) branch, with `tail_z` and `lambda_mn` where
+alpha < 1 admits them, and on trivariate and 9-variate logistic models.
 Floating-point results may differ between numpy or scipy releases, so the
 file records the versions it was made with and a mismatch fails naming
 both. After a deliberate change of output, rewrite the file with

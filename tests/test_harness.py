@@ -22,7 +22,9 @@ from randmax.harness import (
     truth_curve,
     truth_model,
 )
-from randmax.samplers import PairedBlock, sample_experiment1
+from randmax.samplers import sample_experiment1
+
+from oracles import stack_samples
 
 
 def _small_config(**overrides):
@@ -255,7 +257,7 @@ class TestRunExperiment:
                     a_star, ok, node_clamps, alpha_clamps = block[pair.label]
                     curve = a_star[rep] if ok[rep] else None
                     clamps, alpha_clamped = node_clamps[rep], alpha_clamps[rep]
-                    alone = fit_pairs(PairedBlock.stack((sample,)), (pair,), cfg.fit)
+                    alone = fit_pairs(stack_samples((sample,)), (pair,), cfg.fit)
                     est = alone[pair.label].estimate(0)
                     checked += 1
                     if isinstance(est, EstimationError):

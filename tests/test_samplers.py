@@ -14,12 +14,18 @@ from randmax.samplers import (
     sample_experiment1,
     sample_experiment1_block,
     sample_experiment2,
+    sample_experiment2_block,
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,
 )
 
-from oracles import oracle_sample_experiment1, sample_bivariate_t, sample_spectral_scaled
+from oracles import (
+    oracle_sample_experiment1,
+    oracle_sample_experiment2,
+    sample_bivariate_t,
+    sample_spectral_scaled,
+)
 
 
 def _mc_check(values, target, factor=3.0):
@@ -233,6 +239,13 @@ class TestBivariateT:
         assert x.shape == (2,)
 
 
+#: observations per path of the lockstep scan in test_lockstep_scan_matches_oracle
+PATHS_AT_BATCH_ROWS = {
+    2: {"lockstep": 70, "short": 0, "continued": 250},
+    64: {"lockstep": 206, "short": 114, "continued": 0},
+}
+
+
 def _uint64_drawn(gen):
     """Position of a Philox generator in its output stream, in uint64 words."""
     state = gen.bit_generator.state
@@ -256,7 +269,7 @@ class TestExperiment2:
 
     def test_pooled_maxima_match_bruteforce_law(self):
         gen = RngStream(6, 2).generator()
-        fast = np.array([samplers._pooled_t_maxima(gen, 2_000, 0.5, 1.0) for _ in range(2_000)])
+        fast = samplers._pooled_t_maxima(gen, np.full(2_000, 2_000.0), 0.5, 1.0)
         brute = []
         for _ in range(2_000):
             rows = sample_bivariate_t(0.5, 1.0, gen, 2_000)
@@ -270,7 +283,7 @@ class TestExperiment2:
     def test_pooled_maxima_match_exact_law(self, m, rho):
         # each margin of the maximum of m rows is standard t, so its law is F_t(x)^m
         gen = RngStream(6, 7).generator()
-        draws = np.array([samplers._pooled_t_maxima(gen, m, rho, 1.0) for _ in range(10_000)])
+        draws = samplers._pooled_t_maxima(gen, np.full(10_000, float(m)), rho, 1.0)
 
         def cdf(x):
             return np.exp(m * np.log1p(-student_t.sf(x, 1.0)))
@@ -299,15 +312,94 @@ class TestExperiment2:
             for m in (1e3, 1e30):
                 gen = RngStream(6, 5).generator()
                 start = _uint64_drawn(gen)
-                for _ in range(500):
-                    samplers._pooled_t_maxima(gen, m, rho, 1.0)
+                samplers._pooled_t_maxima(gen, np.full(500, m), rho, 1.0)
                 drawn[m] = _uint64_drawn(gen) - start
             assert drawn[1e30] <= drawn[1e3], (rho, drawn)
 
     def test_radius_overflow_raises_naming_upsilon(self):
-        # at upsilon = 0.1 the largest radius grows like total^10
-        with pytest.raises(DomainError, match="upsilon=0.1"):
+        # at upsilon = 0.1 the largest radius grows like total^10; the
+        # lockstep hands that observation to the one-row scan, which names
+        # the total the per-observation scan names
+        message = r"^t-row radii overflow float64 for \S+ rows at upsilon=0\.1$"
+        with pytest.raises(DomainError, match=message) as got:
             sample_experiment2(0.5, 0.1, 0.1, 50, RngStream(6, 8), n_prime=500)
+        with pytest.raises(DomainError) as want:
+            oracle_sample_experiment2(0.5, 0.1, 0.1, 50, RngStream(6, 8).generator(), 500)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("batch_rows", [2, 64])
+    def test_lockstep_scan_matches_oracle(self, monkeypatch, batch_rows):
+        # the maxima, the generator's next draw and the observations finished
+        # alone are those of the per-observation scan; at 2 rows a batch most
+        # scans continue past their first batch, and at 64 many totals of 1
+        # or 5 blocks are below one batch, so both kinds fall back
+        monkeypatch.setattr(samplers, "_BATCH_ROWS", batch_rows)
+        alone = []
+        scan_one = samplers._scan_one
+
+        def spy(gen, total, rho, nu):
+            alone.append(total)
+            return scan_one(gen, total, rho, nu)
+
+        monkeypatch.setattr(samplers, "_scan_one", spy)
+        paths = {"lockstep": 0, "short": 0, "continued": 0}
+        for n_prime in (1, 5, 64, 65):
+            for nu in (1.0, 4.0):
+                for rho in (-0.5, 0.99):
+                    stream = RngStream(43, 100 * n_prime + int(nu))
+                    gen, twin = stream.generator(), stream.generator()
+                    sizes = sample_pareto_block_size(0.5, gen, (20, n_prime))
+                    alone.clear()
+                    eta = samplers._pooled_t_maxima(gen, sizes.sum(axis=1), rho, nu)
+                    want = oracle_sample_experiment2(rho, nu, 0.5, 20, twin, n_prime, batch_rows)
+                    want_eta, want_xi, totals, batches = want
+                    assert eta.tobytes() == want_eta.tobytes()
+                    assert sizes.max(axis=1).tobytes() == want_xi.tobytes()
+                    assert gen.random() == twin.random()
+                    short = totals < batch_rows
+                    continued = ~short & (batches > 1)
+                    assert alone == list(totals[short | continued])
+                    paths["short"] += np.count_nonzero(short)
+                    paths["continued"] += np.count_nonzero(continued)
+                    paths["lockstep"] += np.count_nonzero(~short & ~continued)
+        assert paths == PATHS_AT_BATCH_ROWS[batch_rows]
+
+    @pytest.mark.parametrize("n_prime", [1, 5, 64, 65])
+    def test_block_matches_per_stream_oracle(self, n_prime):
+        # every sample of a block, and a running generator's next draw, has
+        # the bits of the per-observation scan; a sample with a non-positive
+        # maximum raises, counting the oracle's non-positive rows
+        streams = [RngStream(44, 10 * n_prime + i) for i in range(3)]
+        for rho, nu in ((-0.5, 1.0), (0.99, 4.0)):
+            want = [
+                oracle_sample_experiment2(rho, nu, 0.5, 20, stream.generator(), n_prime)
+                for stream in streams
+            ]
+            nonpositive = [np.count_nonzero(~np.all(eta > 0.0, axis=1)) for eta, *_ in want]
+            if any(nonpositive):
+                first = next(count for count in nonpositive if count)
+                with pytest.raises(DomainError, match=rf"={n_prime} is too small: {first} of 20 "):
+                    sample_experiment2_block(rho, nu, 0.5, 20, streams, n_prime)
+                continue
+            block = sample_experiment2_block(rho, nu, 0.5, 20, streams, n_prime)
+            assert block.meta == {
+                "experiment": 2,
+                "rho": rho,
+                "upsilon": nu,
+                "alpha": 0.5,
+                "n": 20,
+                "inner_size": n_prime,
+            }
+            for b, (eta, xi, _, _) in enumerate(want):
+                assert block.eta[b].tobytes() == eta.tobytes()
+                assert block.xi[b].tobytes() == xi.tobytes()
+            gen, twin = streams[0].generator(), streams[0].generator()
+            for _ in range(2):
+                sample = sample_experiment2(rho, nu, 0.5, 20, gen, n_prime)
+                eta, xi, _, _ = oracle_sample_experiment2(rho, nu, 0.5, 20, twin, n_prime)
+                assert sample.eta.tobytes() == eta.tobytes()
+                assert sample.xi.tobytes() == xi.tobytes()
+            assert gen.random() == twin.random()
 
     def test_small_inner_size_raises_naming_it(self):
         # the maximum of a few t-rows is negative with positive probability,
