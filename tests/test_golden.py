@@ -11,7 +11,9 @@ corrections. The `figures` sweeps are a small figure-1 config, the same at GPWM 
 from the k=5 GPWM fit), the same without vertex corrections on a 41-node
 grid, the same at psi 0.1 and 1 with n=51 over 29 replications, which
 run in blocks of 3 with a short last block of 2, and a small figure-3
-config with GPWM and ML pairs. A `sample` at d=3 and n=7 pins the
+config with GPWM and ML pairs, once in process and once at `--jobs 3`,
+where its 16 one-replication blocks run in the process pool; the two
+must give the same CSV bytes. A `sample` at d=3 and n=7 pins the
 trivariate draws, and a pipeline-2 `sample` with 5 blocks per observation
 pins the scans of observations whose row total is below one batch. `eval`
 runs once per theta(Q) branch, with `tail_z` and `lambda_mn` where
@@ -173,7 +175,7 @@ def output_digests(workdir):
             "--input", str(cycle / "sample.csv"),
         ])
     runs = [
-        ("figures", name, data)
+        ("figures", name, data, [])
         for name, data in (
             ("sweep", SWEEP_CONFIG),
             ("k3", K3_CONFIG),
@@ -182,14 +184,15 @@ def output_digests(workdir):
             ("fig3", FIG3_CONFIG),
         )
     ]
-    runs.append(("sample", "sample_d3", SAMPLE_D3_CONFIG))
-    runs.append(("sample", "sample_p2_small", SAMPLE_P2_SMALL_CONFIG))
-    runs += [("eval", name, {"eval": block}) for name, block in EVAL_CONFIGS.items()]
-    for command, name, data in runs:
-        _run([command, "--config", config(name, data), "--out", str(workdir / name)])
+    runs.append(("figures", "fig3_jobs3", FIG3_CONFIG, ["--jobs", "3"]))
+    runs.append(("sample", "sample_d3", SAMPLE_D3_CONFIG, []))
+    runs.append(("sample", "sample_p2_small", SAMPLE_P2_SMALL_CONFIG, []))
+    runs += [("eval", name, {"eval": block}, []) for name, block in EVAL_CONFIGS.items()]
+    for command, name, data, extra in runs:
+        _run([command, "--config", config(name, data), "--out", str(workdir / name), *extra])
     return {
         f"{path.parent.name}/{path.name}": hashlib.sha256(_pinned_bytes(path)).hexdigest()
-        for out in [cycle, settings] + [workdir / name for _, name, _ in runs]
+        for out in [cycle, settings] + [workdir / name for _, name, _, _ in runs]
         for path in sorted(out.glob("*.csv")) + sorted(out.glob("*.csv.meta"))
     }
 
