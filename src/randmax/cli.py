@@ -288,7 +288,13 @@ def build_parser():
         if name in ("sample", "experiment", "figures"):
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name in ("experiment", "figures"):
-            p.add_argument("--jobs", type=int, default=None, help="override parallelism width")
+            p.add_argument(
+                "--jobs",
+                type=int,
+                default=None,
+                help="override the number of processes that run replication blocks, "
+                "this one included",
+            )
         if name == "estimate":
             p.add_argument("--input", required=True, help="sample CSV to estimate from")
     return parser

@@ -13,8 +13,22 @@ keyed by the master seed. Streams therefore do not depend on the position of
 a combination within the sweep (extending a grid never perturbs existing
 results) nor on how replications are scheduled, and reductions accumulate in
 replication order, so outputs are byte-identical at any parallelism width.
-Replications run in blocks of consecutive indices (about eight per worker),
-and a block goes through every layer as stacked arrays: it draws one sample
+
+Scheduling: a sweep is one list of (combination, block) tasks in sweep
+order, where a block is a run of consecutive replication indices (about
+eight blocks per process, see _block_size). At jobs=1 the tasks run lazily
+in this process and each combination is reduced before the next one is
+drawn. At jobs > 1 the whole list goes to one process pool of
+min(jobs, tasks) - 1 workers, which take tasks from the front, while this
+process runs tasks from the back, cancelling each still-pending future
+until it reaches one a worker holds. `jobs` thus counts the processes that
+run blocks, this one included, and no worker is forked without a task for
+it. Results are collected in sweep order, and each combination is reduced
+and released once its blocks are in, so a block's error surfaces in sweep
+order whichever process raised it. ComboResult.wall_ms is the sum of the
+combination's block times, each measured where the block ran.
+
+A block goes through every layer as stacked arrays: it draws one sample
 per replication stream into one PairedBlock with its pipeline's block
 sampler (sample_experiment1_block or sample_experiment2_block, each of
 which gives a stream the bits a one-stream call draws), fits every pair on
@@ -32,7 +46,8 @@ its counts with the samplers' check_sample_size and check_inner_size.
 """
 
 import struct
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
@@ -199,7 +214,7 @@ def _sample_block(reps, config, combo):
 
 
 def _block_size(config):
-    """Replications per block: about eight blocks per worker."""
+    """Replications per block: about eight blocks per process."""
     return max(1, config.replications // (8 * config.jobs))
 
 
@@ -216,6 +231,45 @@ def _replicate_block(reps, config, combo):
         label: (fit.a_star, fit.ok, np.count_nonzero(fit.clamp_mask, axis=1), fit.alpha_clamped)
         for label, fit in fits.items()
     }
+
+
+def _timed_block(task, config):
+    """(_replicate_block of one (combination, replications) task, seconds it took)."""
+    combo, reps = task
+    start = perf_counter()
+    rows = _replicate_block(reps, config, combo)
+    return rows, perf_counter() - start
+
+
+def _block_results(tasks, config, workers):
+    """Yield _timed_block of every task, in task order.
+
+    With no workers the tasks run here, one per item drawn. Otherwise all of
+    them go to one pool of `workers` processes, which take them from the
+    front, while this process runs them from the back for as long as it
+    can cancel their futures. A task's exception is raised when its item is
+    drawn, wherever it ran. Closing the generator shuts the pool down.
+    """
+    run = partial(_timed_block, config=config)
+    if not workers:
+        yield from map(run, tasks)
+        return
+    executor = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = [executor.submit(run, task) for task in tasks]
+        for i in reversed(range(len(tasks))):
+            if not futures[i].cancel():
+                break  # a worker holds this task, and so every earlier one
+            futures[i] = Future()
+            try:
+                futures[i].set_result(run(tasks[i]))
+            except Exception as exc:
+                futures[i].set_exception(exc)
+        futures.reverse()
+        while futures:  # popping releases each block once it is drawn
+            yield futures.pop().result()
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 # -- reduction ---------------------------------------------------------------
@@ -260,30 +314,32 @@ def run_experiment(config):
     """Run the full sweep and reduce each (combination, pair) to a ComboResult.
 
     Every replication is fitted with `config.fit`, and its curves are
-    reduced against the truth on that grid. Replications run in blocks of
-    consecutive indices, about eight blocks per worker (see _block_size);
-    the blocks are distributed over `config.jobs` worker processes, or run
-    in turn when jobs is 1. Each replication still draws from its own
-    stream and results are reduced in replication order, so the output is
-    identical at every parallelism width and block size.
+    reduced against the truth on that grid. The sweep is one list of
+    (combination, block) tasks in sweep order, blocks of consecutive
+    replications sized by _block_size. At jobs=1 they run here in turn;
+    otherwise one pool of min(jobs, tasks) - 1 workers takes them from the
+    front while this process runs them from the back. Each combination is
+    reduced once its blocks are in, in sweep order, so the first failing
+    block in sweep order raises, at every width, and the pool is shut down
+    on every exit. Each replication draws from its own stream and results
+    are reduced in replication order, so the output is identical at every
+    parallelism width and block size. ComboResult.wall_ms sums the
+    combination's block times.
     """
     combos = enumerate_combos(config)
     w = edge_grid(config.fit.grid_size)
+    size = _block_size(config)
+    blocks = [
+        range(lo, min(lo + size, config.replications))
+        for lo in range(0, config.replications, size)
+    ]
+    tasks = [(combo, reps) for combo in combos for reps in blocks]
     results = []
-    executor = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
-    try:
+    workers = min(config.jobs, len(tasks)) - 1
+    with closing(_block_results(tasks, config, workers)) as done:
         for combo in combos:
-            start = perf_counter()
-            size = _block_size(config)
-            blocks = [
-                range(lo, min(lo + size, config.replications))
-                for lo in range(0, config.replications, size)
-            ]
-            task = partial(_replicate_block, config=config, combo=combo)
-            block_rows = list(
-                map(task, blocks) if executor is None else executor.map(task, blocks)
-            )
-            wall_ms = (perf_counter() - start) * 1000.0
+            block_rows, seconds = zip(*(next(done) for _ in blocks))
+            wall_ms = 1000.0 * sum(seconds)
             truth = truth_curve(combo, w)
             for pair in config.pairs:
                 # every replication's row, in replication order
@@ -316,9 +372,6 @@ def run_experiment(config):
                         wall_ms=wall_ms,
                     )
                 )
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return results
 
 

@@ -1,4 +1,6 @@
+import multiprocessing
 import re
+from concurrent.futures import Future
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -25,6 +27,13 @@ from randmax.harness import (
 from randmax.samplers import sample_experiment1
 
 from oracles import stack_samples
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Every worker a test starts has exited when it ends."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def _small_config(**overrides):
@@ -225,9 +234,54 @@ class TestRunExperiment:
         a = results_csv_text(run_experiment(cfg))
         if block is not None:
             monkeypatch.setattr(harness, "_block_size", lambda config: block)
-        b = results_csv_text(run_experiment(replace(cfg, jobs=2)))
-        c = results_csv_text(run_experiment(cfg))
-        assert a == b == c
+        pooled = run_experiment(replace(cfg, jobs=2))
+        # a combination's time sums its blocks' times, wherever they ran,
+        # and results.csv still writes 0 for it
+        assert all(r.wall_ms > 0 for r in pooled)
+        b = results_csv_text(pooled)
+        assert {line.rsplit(",", 1)[1] for line in b.splitlines()[1:]} == {"0"}
+        c = results_csv_text(run_experiment(replace(cfg, jobs=3)))
+        d = results_csv_text(run_experiment(cfg))
+        assert a == b == c == d
+
+    def test_pool_width_is_bounded_by_the_blocks(self, monkeypatch):
+        # 2 combinations x 2 replications in blocks of 1: 4 blocks, so at
+        # jobs=64 three workers join this process, and at jobs=1 none
+        pools = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _fake_pool(pools, held=64))
+        cfg = _small_config(replications=2)
+        serial = results_csv_text(run_experiment(cfg))
+        assert pools == []
+        assert results_csv_text(run_experiment(replace(cfg, jobs=64))) == serial
+        assert [(pool.max_workers, pool.cancelled_on_shutdown) for pool in pools] == [(3, True)]
+
+    def test_parent_runs_the_blocks_no_worker_holds(self, monkeypatch):
+        # the fake pool's workers hold the first two of the 12 blocks, so this
+        # process cancels the other ten and runs them, last block first
+        pools = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _fake_pool(pools, held=2))
+        cfg = _small_config()
+        serial = results_csv_text(run_experiment(cfg))
+        assert results_csv_text(run_experiment(replace(cfg, jobs=2))) == serial
+        (pool,) = pools
+        assert pool.max_workers == 1
+        assert [future.cancelled() for future in pool.futures] == [False] * 2 + [True] * 10
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_first_failing_block_in_sweep_order_raises(self, jobs, monkeypatch):
+        # 12 one-replication blocks; replication 1 of psi=0.5 fails early, and
+        # replication 5 of psi=1, the last block, fails too (it is the first
+        # block this process runs when there are workers)
+        real = harness._sample_block
+
+        def failing(reps, config, combo):
+            if (combo.psi_or_rho, reps[0]) in ((0.5, 1), (1.0, 5)):
+                raise DomainError(f"block psi={combo.psi_or_rho} from replication {reps[0]}")
+            return real(reps, config, combo)
+
+        monkeypatch.setattr(harness, "_sample_block", failing)
+        with pytest.raises(DomainError, match=r"^block psi=0\.5 from replication 1$"):
+            run_experiment(_small_config(jobs=jobs))
 
     def test_monotone_consistency_in_sample_size(self):
         cfg = ExperimentConfig(
@@ -325,6 +379,39 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert res[0].failures == 4
         assert "WARNING" in run_report_text(res)
+
+
+def _fake_pool(pools, held):
+    """A ProcessPoolExecutor stand-in that starts no process. Each pool is
+    appended to `pools`; it runs its first `held` tasks when they are
+    submitted, as workers holding them would, and leaves the rest pending
+    for the caller to cancel. Drawing a pending result fails instead of
+    waiting for a worker that does not exist."""
+
+    class Pending(Future):
+        def result(self, timeout=None):
+            assert self.done(), "drew a block that no process runs"
+            return super().result(timeout)
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.futures = []
+            self.cancelled_on_shutdown = None
+            pools.append(self)
+
+        def submit(self, fn, *args):
+            future = Pending()
+            if len(self.futures) < held:
+                future.set_running_or_notify_cancel()
+                future.set_result(fn(*args))
+            self.futures.append(future)
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            self.cancelled_on_shutdown = cancel_futures
+
+    return FakePool
 
 
 class TestSerialization:
