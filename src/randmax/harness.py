@@ -314,17 +314,15 @@ def run_experiment(config):
     """Run the full sweep and reduce each (combination, pair) to a ComboResult.
 
     Every replication is fitted with `config.fit`, and its curves are
-    reduced against the truth on that grid. The sweep is one list of
-    (combination, block) tasks in sweep order, blocks of consecutive
-    replications sized by _block_size. At jobs=1 they run here in turn;
+    reduced against the truth on that grid. The tasks are the sweep's
+    (combination, block) pairs in sweep order, with blocks sized by
+    _block_size. At jobs=1 they run here, one combination at a time;
     otherwise one pool of min(jobs, tasks) - 1 workers takes them from the
-    front while this process runs them from the back. Each combination is
-    reduced once its blocks are in, in sweep order, so the first failing
+    front while this process runs them from the back. The first failing
     block in sweep order raises, at every width, and the pool is shut down
-    on every exit. Each replication draws from its own stream and results
-    are reduced in replication order, so the output is identical at every
-    parallelism width and block size. ComboResult.wall_ms sums the
-    combination's block times.
+    on every exit. The output is identical at every width and block size
+    (see the module docstring); ComboResult.wall_ms sums the combination's
+    block times.
     """
     combos = enumerate_combos(config)
     w = edge_grid(config.fit.grid_size)
@@ -334,8 +332,8 @@ def run_experiment(config):
         for lo in range(0, config.replications, size)
     ]
     tasks = [(combo, reps) for combo in combos for reps in blocks]
-    results = []
     workers = min(config.jobs, len(tasks)) - 1
+    results = []
     with closing(_block_results(tasks, config, workers)) as done:
         for combo in combos:
             block_rows, seconds = zip(*(next(done) for _ in blocks))
