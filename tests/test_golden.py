@@ -7,7 +7,9 @@ sidecar's `build=` line) is compared with `tests/golden/digests.json`; the
 nodes. The `sample` + `estimate` cycle runs at n=5000, where the curve
 kernel reads the sample in 16 tiles of rows at 201 points, and its sample
 is estimated a second time at k=3 on a 41-node grid without vertex
-corrections. The `figures` sweeps are a small figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
+corrections, and a third time from a copy of its text that the parser
+must read to the same bits (see _unusual_copy), which must give the
+cycle's estimate bytes. The `figures` sweeps are a small figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
 from the k=5 GPWM fit), the same without vertex corrections on a 41-node
 grid, the same at psi 0.1 and 1 with n=51 over 29 replications, which
 run in blocks of 3 with a short last block of 2, and a small figure-3
@@ -29,6 +31,7 @@ which prints each entry that was added, changed or removed before it writes.
 
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -149,6 +152,21 @@ def _versions():
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def _unusual_copy(text):
+    """`text`, a sample CSV, as a copy float() reads to the same bits: CRLF
+    endings and no final newline, a blank and a whitespace-only line, a cell
+    padded with a tab and spaces, and one cell with a `+` sign and one with
+    a `_` digit separator."""
+    header, *rows = text.rstrip("\n").split("\n")
+    cells = [row.split(",") for row in rows[:3]]
+    cells[0][0] = f" \t {cells[0][0]}\t  "
+    cells[1][1] = "+" + cells[1][1]
+    cells[2][2] = re.sub(r"(\d)(\d)", r"\1_\2", cells[2][2], count=1)
+    first = [",".join(row) for row in cells]
+    lines = [header, first[0], "", first[1], " \t ", first[2], *rows[3:]]
+    return "\r\n".join(lines)
+
+
 def _run(argv):
     code = cli.main(argv)
     if code != 0:
@@ -169,11 +187,16 @@ def output_digests(workdir):
     cycle_cfg = config("cycle", CYCLE_CONFIG)
     _run(["sample", "--config", cycle_cfg, "--out", str(cycle)])
     settings = workdir / "cycle_settings"
-    for out, cfg in ((cycle, cycle_cfg), (settings, config("settings", SETTINGS_CONFIG))):
-        _run([
-            "estimate", "--config", cfg, "--out", str(out),
-            "--input", str(cycle / "sample.csv"),
-        ])
+    unusual = workdir / "cycle_unusual"
+    unusual_input = workdir / "unusual_input" / "sample.csv"
+    unusual_input.parent.mkdir()
+    unusual_input.write_bytes(_unusual_copy((cycle / "sample.csv").read_text("utf-8")).encode())
+    for out, cfg, sample in (
+        (cycle, cycle_cfg, cycle / "sample.csv"),
+        (settings, config("settings", SETTINGS_CONFIG), cycle / "sample.csv"),
+        (unusual, cycle_cfg, unusual_input),
+    ):
+        _run(["estimate", "--config", cfg, "--out", str(out), "--input", str(sample)])
     runs = [
         ("figures", name, data, [])
         for name, data in (
@@ -192,7 +215,7 @@ def output_digests(workdir):
         _run([command, "--config", config(name, data), "--out", str(workdir / name), *extra])
     return {
         f"{path.parent.name}/{path.name}": hashlib.sha256(_pinned_bytes(path)).hexdigest()
-        for out in [cycle, settings] + [workdir / name for _, name, _, _ in runs]
+        for out in [cycle, settings, unusual] + [workdir / name for _, name, _, _ in runs]
         for path in sorted(out.glob("*.csv")) + sorted(out.glob("*.csv.meta"))
     }
 
@@ -215,6 +238,20 @@ def test_outputs_match_golden_digests(tmp_path):
     assert sorted(digests) == sorted(golden["files"])
     changed = [name for name in digests if digests[name] != golden["files"][name]]
     assert not changed, f"outputs differ from the golden digests: {changed}"
+    unusual = {name: d for name, d in digests.items() if name.startswith("cycle_unusual/")}
+    assert len(unusual) == 2 * len(PAIRS)
+    for name, digest in unusual.items():
+        assert digest == digests[name.replace("cycle_unusual/", "cycle/")], name
+
+
+def test_unusual_copy_reads_to_the_same_bits():
+    text = "eta_1,eta_2,xi\n1.25,2.5,2.5\n3.0,0.75,3.0\n0.5,0.125,12.5\n4.0,1.0,4.0\n"
+    unusual = _unusual_copy(text)
+    assert unusual == (
+        "eta_1,eta_2,xi\r\n \t 1.25\t  ,2.5,2.5\r\n\r\n3.0,+0.75,3.0\r\n \t \r\n"
+        "0.5,0.125,1_2.5\r\n4.0,1.0,4.0"
+    )
+    assert float("1_2.5") == 12.5
 
 
 def moved_entries(old, new):
