@@ -8,8 +8,9 @@ output CSV gets a key=value metadata sidecar (<name>.meta); no timestamps
 are written, so reruns with the same config and seed are byte-identical.
 
 This is the one module that reads or writes a data file (config.py reads
-the config): the other modules format CSV text and parse it, and every
-output goes through _write_output with its sidecar.
+the config, once per command): the other modules format CSV text and parse
+it, and every output goes through _write_output with its sidecar, whose
+config_sha256 is the digest of the bytes that command parsed.
 
 Exit codes: 0 success, 2 config error, 3 input parse error, 4 estimation
 failure, 5 I/O error.
@@ -17,7 +18,6 @@ failure, 5 I/O error.
 
 import argparse
 import functools
-import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -29,8 +29,8 @@ from .config import (
     experiment_config_from_block,
     fit_settings_from_block,
     lambda_mn_quantity,
-    load_config,
     pairs_from_block,
+    read_config,
     require_block,
 )
 from .depcore import (
@@ -85,16 +85,12 @@ def _build_description():
     return f"randmax-{__version__}"
 
 
-def _write_output(path, text, entries, config_path):
+def _write_output(path, text, entries, config_sha256):
     """Write `text` to `path`, making its directory, and then the sidecar
-    <path>.meta: `entries` plus the build and the config file's digest."""
+    <path>.meta: `entries` plus the build and the config's digest."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-    meta = dict(
-        entries,
-        build=_build_description(),
-        config_sha256=hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
-    )
+    meta = dict(entries, build=_build_description(), config_sha256=config_sha256)
     lines = "".join(f"{k}={meta[k]}\n" for k in sorted(meta))
     Path(f"{path}.meta").write_text(lines, encoding="utf-8")
 
@@ -117,7 +113,7 @@ def _present(block, *keys, **renamed):
     return kwargs
 
 
-def cmd_sample(config, args):
+def cmd_sample(config, args, config_sha256):
     block = require_block(config, "sample")
     seed = args.seed if args.seed is not None else block.get("seed", 0)
     stream = RngStream(seed=seed, stream_id=block.get("stream", 0))
@@ -136,11 +132,11 @@ def cmd_sample(config, args):
         )
     meta = {f"param_{k}": v for k, v in sample.meta.items()}
     meta.update({"seed": seed, "stream": block.get("stream", 0), "command": "sample"})
-    _write_output(Path(args.out) / "sample.csv", sample.to_csv(), meta, args.config)
+    _write_output(Path(args.out) / "sample.csv", sample.to_csv(), meta, config_sha256)
     return EXIT_OK
 
 
-def cmd_estimate(config, args):
+def cmd_estimate(config, args, config_sha256):
     block = require_block(config, "estimate")
     try:
         text = Path(args.input).read_text(encoding="utf-8")
@@ -177,12 +173,12 @@ def cmd_estimate(config, args):
                 "alpha_clamped": int(estimate.alpha_clamped),
                 "clamped_nodes": estimate.n_clamped,
             },
-            args.config,
+            config_sha256,
         )
     return EXIT_OK
 
 
-def cmd_eval(config, args):
+def cmd_eval(config, args, config_sha256):
     block = require_block(config, "eval")
     model = _model_from_block(block["model"])
     alpha = block["alpha"]
@@ -211,7 +207,7 @@ def cmd_eval(config, args):
     outdir = Path(args.out)
     summary = "quantity,value\n" + "".join(f"{k},{repr(float(v))}\n" for k, v in rows)
     meta = {"command": "eval", "alpha": repr(float(alpha)), "size_branch": size_branch}
-    _write_output(outdir / "eval_summary.csv", summary, meta, args.config)
+    _write_output(outdir / "eval_summary.csv", summary, meta, config_sha256)
     # dependence curves along the bivariate edge
     if model.dim == 2:
         w = edge_grid(block.get("grid_size", 201))
@@ -228,18 +224,20 @@ def cmd_eval(config, args):
                 f"{repr(float(w[i]))},{repr(float(base_curve[i]))},"
                 f"{repr(float(a_alpha[i]))},{repr(float(a_star[i]))}"
             )
-        _write_output(outdir / "eval_curves.csv", "\n".join(lines) + "\n", meta, args.config)
+        curves = "\n".join(lines) + "\n"
+        _write_output(outdir / "eval_curves.csv", curves, meta, config_sha256)
     if "tail_z" in block:
         n = block.get("tail_n", 100)
         lines = [",".join(f"z_{j + 1}" for j in range(model.dim)) + ",n,tail_prob"]
         for z in block["tail_z"]:
             p = tail_prob_approx(model, alpha, np.asarray(z, dtype=float), n)
             lines.append(",".join(repr(float(v)) for v in z) + f",{n},{repr(float(p))}")
-        _write_output(outdir / "eval_tailprob.csv", "\n".join(lines) + "\n", meta, args.config)
+        tailprob = "\n".join(lines) + "\n"
+        _write_output(outdir / "eval_tailprob.csv", tailprob, meta, config_sha256)
     return EXIT_OK
 
 
-def _run_sweep(config, args):
+def _run_sweep(config, args, config_sha256):
     block = require_block(config, "experiment")
     cfg = experiment_config_from_block(block, seed=args.seed, jobs=args.jobs)
     results = run_experiment(cfg)
@@ -248,21 +246,21 @@ def _run_sweep(config, args):
         outdir / "results.csv",
         results_csv_text(results),
         {"command": args.subcommand, "seed": cfg.seed, "jobs": cfg.jobs},
-        args.config,
+        config_sha256,
     )
     (outdir / "run_report.txt").write_text(run_report_text(results), encoding="utf-8")
     return results, outdir
 
 
-def cmd_experiment(config, args):
-    _run_sweep(config, args)
+def cmd_experiment(config, args, config_sha256):
+    _run_sweep(config, args, config_sha256)
     return EXIT_OK
 
 
-def cmd_figures(config, args):
-    results, outdir = _run_sweep(config, args)
+def cmd_figures(config, args, config_sha256):
+    results, outdir = _run_sweep(config, args, config_sha256)
     for name, text in figure_tables(results).items():
-        _write_output(outdir / f"{name}.csv", text, {"command": "figures"}, args.config)
+        _write_output(outdir / f"{name}.csv", text, {"command": "figures"}, config_sha256)
     return EXIT_OK
 
 
@@ -303,8 +301,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        return _COMMANDS[args.subcommand](config, args)
+        config, config_sha256 = read_config(args.config)
+        return _COMMANDS[args.subcommand](config, args, config_sha256)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,10 +3,12 @@
 A single JSON file holds one block per subcommand; each subcommand reads only
 its block. `CONFIG_SCHEMA` states every rule once: each domain is one shared
 sub-schema, and a field that the chosen settings never read is an error.
-`load_config` checks the file, and the rules JSON Schema cannot state,
-before any output, and names the JSON path of the offending field. Those
-rules are: each `eval.tail_z` point has the model's dimension, no two
-`eval.lambda_mn` entries give one quantity name, and with a GPWM pair every
+`read_config` reads the file once, for the parsed config and the digest
+of its bytes, and checks it, and the rules JSON Schema cannot state,
+before any output, naming the JSON path of the offending field;
+`load_config` returns the config alone. Those rules are: each
+`eval.tail_z` point has the model's dimension, no two `eval.lambda_mn`
+entries give one quantity name, and with a GPWM pair every
 `experiment.alpha` exceeds 1/k. Every scientific parameter lives in the
 file. Besides `--config` and `--out`, `sample` takes `--seed`, `estimate`
 takes `--input`, and `experiment` and `figures` take `--seed` and `--jobs`,
@@ -14,6 +16,8 @@ which override the block's values; `eval` takes no other flag.
 """
 
 import dataclasses
+import hashlib
+import io
 import json
 
 import jsonschema
@@ -24,6 +28,7 @@ from .harness import ExperimentConfig
 
 __all__ = [
     "load_config",
+    "read_config",
     "experiment_config_from_block",
     "lambda_mn_quantity",
     "CONFIG_SCHEMA",
@@ -217,13 +222,21 @@ _VALIDATOR = jsonschema.validators.extend(
 
 def load_config(path):
     """Read and validate a config file; returns the parsed dict."""
+    return read_config(path)[0]
+
+
+def read_config(path):
+    """Read a config file once and validate it; returns the parsed dict and
+    the SHA-256 hex digest of the bytes it was parsed from."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
+        # the text open(path, encoding="utf-8") reads, newlines translated
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}", path=str(path)) from None
     try:
-        data = json.loads(raw)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", path=str(path)) from None
     validator = _VALIDATOR(CONFIG_SCHEMA)
@@ -263,7 +276,7 @@ def load_config(path):
                     f"GPWM needs alpha > 1/k = {1.0 / k:g} (k = {k}), got {alpha!r}",
                     path=f"$.experiment.alpha[{i}]",
                 )
-    return data
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 def lambda_mn_quantity(lam):

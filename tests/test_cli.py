@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -154,12 +155,11 @@ class TestSampleCommand:
             calls.append(args)
             return subprocess.CompletedProcess(args, 0, stdout="v0-test\n", stderr="")
 
-        cfg = write_config(workspace / "c.json", {"sample": SAMPLE_BLOCK})
         monkeypatch.setattr(subprocess, "run", fake_run)
         cli._build_description.cache_clear()
         try:
-            cli._write_output(workspace / "a.csv", "", {"command": "sample"}, cfg)
-            cli._write_output(workspace / "b.csv", "", {"command": "estimate"}, cfg)
+            cli._write_output(workspace / "a.csv", "", {"command": "sample"}, "0" * 64)
+            cli._write_output(workspace / "b.csv", "", {"command": "estimate"}, "0" * 64)
         finally:
             cli._build_description.cache_clear()
         assert len(calls) == 1
@@ -193,6 +193,32 @@ class TestEstimateCommand:
             lines = out.read_text().strip().split("\n")
             assert len(lines) == 42
             assert lines[0].startswith("t,A_alpha_hat,A_star_hat,A_hat,alpha_hat")
+
+    def test_sidecars_digest_the_config_bytes_that_were_parsed(
+        self, workspace, capsys, monkeypatch
+    ):
+        # the config is read once per command: a config edited after that read
+        # must not give a sidecar the digest of bytes that were never parsed
+        cfg, sample = self._sampled(workspace, capsys)
+        parsed = Path(cfg).read_bytes()
+        fit_pairs = cli.fit_pairs
+
+        def edit_config_then_fit(*args, **kwargs):
+            Path(cfg).write_text(json.dumps(json.loads(parsed)), encoding="utf-8")
+            return fit_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_pairs", edit_config_then_fit)
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
+            "--input", str(sample),
+        )
+        assert code == 0, err
+        assert Path(cfg).read_bytes() != parsed
+        sidecars = sorted((workspace / "e").glob("*.meta"))
+        assert len(sidecars) == 2
+        for meta in sidecars:
+            lines = meta.read_text(encoding="utf-8").splitlines()
+            assert f"config_sha256={hashlib.sha256(parsed).hexdigest()}" in lines, meta.name
 
     def test_ml_sidecar_holds_plain_numbers(self, workspace, capsys):
         # the sidecar must read back as numbers, not as a NumPy repr
