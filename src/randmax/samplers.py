@@ -46,6 +46,7 @@ n >= 2 and n_prime >= 1 are check_sample_size and check_inner_size, which
 harness.ExperimentConfig calls too.
 """
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,12 +142,18 @@ class PairedSample:
 
         Each cell is repr() of the Python float, the shortest text that reads
         back to the same bits; cells are joined by "," and every row, the last
-        too, ends in "\\n". The text is built column by column, from tolist().
+        too, ends in "\\n". The rows are formatted _CSV_CHUNK_ROWS at a time,
+        column by column from tolist() of that chunk, and the chunk strings
+        are joined once at the end, so no more than one chunk's floats and
+        row strings are alive beside the text.
         """
         header = ",".join(f"eta_{j + 1}" for j in range(self.dim)) + ",xi"
-        columns = [map(repr, column) for column in (*self.eta.T.tolist(), self.xi.tolist())]
-        rows = "\n".join(map(",".join, zip(*columns)))
-        return f"{header}\n{rows}\n"
+        parts = [header, "\n"]
+        for start in range(0, self.n, _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            columns = (*self.eta[rows].T.tolist(), self.xi[rows].tolist())
+            parts += ("\n".join(map(",".join, zip(*(map(repr, c) for c in columns)))), "\n")
+        return "".join(parts)
 
     @classmethod
     def from_csv(cls, text):
@@ -159,17 +166,45 @@ class PairedSample:
         a bad header (line 1); then the first line in file order that has
         the wrong number of columns or, failing that, a cell float() cannot
         read; then fewer than 2 rows (line 2); then the first row with a
-        value PairedSample rejects, eta before xi. All cells are converted
-        in one pass, and only a failed pass walks the lines to name one.
+        value PairedSample rejects, eta before xi.
+
+        After the header, numpy's C reader (np.loadtxt) parses the rows in
+        chunks of about _CSV_CHUNK_CHARS characters, each cut after a "\\n",
+        so no Python object is made per cell and no copy of the whole text.
+        It strips whitespace around a cell as float() does, refuses a cell
+        that is then not ASCII, and converts it with PyOS_string_to_double,
+        the routine float() uses on ASCII text, so every value keeps the bits
+        float() gives. Text with the separators \\x1c to \\x1f, whitespace to
+        the reader but not to float(), is not tried. When the reader refuses a
+        chunk, a chunk has no row or other than d + 1 columns, or the values
+        break a PairedSample rule, the whole text goes to the line walk of
+        _parse_lines, which float() reads cell by cell. That walk stays: it
+        reads what float() reads and the C reader does not (whitespace-only
+        lines, `_` digit separators, non-ASCII digits, lone CR), and it names
+        the failing line of every error above.
         """
-        # lines[i] is line i + 2 of the text
-        header, *lines = map(str.strip, text.split("\n"))
+        end = text.find("\n")
+        header = (text if end < 0 else text[:end]).strip()
         cols = header.split(",") if header else []
         if len(cols) < 3 or cols[-1] != "xi" or any(
             c != f"eta_{j + 1}" for j, c in enumerate(cols[:-1])
         ):
             raise InputParseError(f"bad header {header!r}, expected eta_1,...,eta_d,xi", line=1)
         d = len(cols) - 1
+        table = _read_rows(text, end + 1, d) if end >= 0 else None
+        if table is not None:
+            try:
+                return cls(table[:, :-1].copy(), table[:, -1].copy())
+            except DomainError:
+                pass
+        return cls._parse_lines(text, d)
+
+    @classmethod
+    def _parse_lines(cls, text, d):
+        """from_csv's line walk, after the header is checked: one float() per
+        cell, and every error names its line."""
+        # lines[i] is line i + 2 of the text
+        lines = list(map(str.strip, text.split("\n")))[1:]
         rows = [line for line in lines if line]
         values = None
         if all(row.count(",") == d for row in rows):
@@ -192,6 +227,39 @@ class PairedSample:
                 bad = ~(np.isfinite(xi) & (xi > 0.0))
             linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
             raise InputParseError(str(exc), line=linenos[int(np.argmax(bad))]) from None
+
+
+#: rows PairedSample.to_csv formats at a time
+_CSV_CHUNK_ROWS = 2048
+
+#: characters of sample text one np.loadtxt call reads, rounded up to a line end
+_CSV_CHUNK_CHARS = 1 << 15
+
+#: ASCII characters the C reader strips around a cell and float() does not
+_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _read_rows(text, start, d):
+    """The (rows, d + 1) table of text[start:] by numpy's C reader, chunk by
+    chunk, or None where from_csv must walk the lines instead."""
+    if any(c in text for c in _READER_ONLY_SPACE):
+        return None
+    blocks = []
+    while start < len(text):
+        stop = text.find("\n", start + _CSV_CHUNK_CHARS - 1) + 1 or len(text)
+        chunk = text[start:stop]
+        start = stop
+        # a chunk of blank lines has no row, and np.loadtxt would warn on it
+        if chunk.isspace():
+            return None
+        try:
+            block = np.loadtxt(io.StringIO(chunk), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if block.shape[1] != d + 1:
+            return None
+        blocks.append(block)
+    return np.concatenate(blocks) if blocks else None
 
 
 def _check_pairs(eta, xi, ndim):

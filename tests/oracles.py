@@ -10,9 +10,11 @@ bivariate Student-t sampler, the brute-force reference for the
 pooled maxima of pipeline 2, the per-observation pipeline-2 scan, the
 bit-level reference for the lockstep scan, and one-sample GPWM and ML
 tail fits written with Python scalars, the bit-level reference for the
-block-wise fits. Only fit_row and stack_samples call the package: the
-tail fit of one row, and a PairedBlock of one-sample draws, as tests use
-them.
+block-wise fits, and the sample CSV parser that reads every line with
+float(), the reference for PairedSample.from_csv. Only fit_row and
+stack_samples call the package: the tail fit of one row, and a
+PairedBlock of one-sample draws, as tests use them; oracle_from_csv builds
+a PairedSample, whose rules it relies on.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from randmax.errors import DomainError, EstimationError
+from randmax.errors import DomainError, EstimationError, InputParseError
 from randmax.estimators import estimate_alpha, gpwm_weights
-from randmax.samplers import PairedBlock, RngStream, sample_logistic_maxstable
+from randmax.samplers import PairedBlock, PairedSample, RngStream, sample_logistic_maxstable
 
 
 @dataclass(frozen=True)
@@ -371,3 +373,63 @@ def oracle_ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
     if abs(s) > 1e-10:
         raise EstimationError(f"score iteration stalled at |score| = {abs(s)!r}", stage="ML")
     return float(a)
+
+
+def oracle_from_csv(text):
+    """Parse the text PairedSample.to_csv writes, with InputParseError naming the line.
+    The caller reads the file; lines are split on "\\n" only.
+
+    Lines are stripped of surrounding whitespace (so CRLF endings pass)
+    and blank ones are skipped, though still counted in line numbers.
+    Cells may carry spaces; float() reads each one. Errors, in order:
+    a bad header (line 1); then the first line in file order that has
+    the wrong number of columns or, failing that, a cell float() cannot
+    read; then fewer than 2 rows (line 2); then the first row with a
+    value PairedSample rejects, eta before xi. All cells are converted
+    in one pass, and only a failed pass walks the lines to name one.
+    """
+    # lines[i] is line i + 2 of the text
+    header, *lines = map(str.strip, text.split("\n"))
+    cols = header.split(",") if header else []
+    if len(cols) < 3 or cols[-1] != "xi" or any(
+        c != f"eta_{j + 1}" for j, c in enumerate(cols[:-1])
+    ):
+        raise InputParseError(f"bad header {header!r}, expected eta_1,...,eta_d,xi", line=1)
+    d = len(cols) - 1
+    rows = [line for line in lines if line]
+    values = None
+    if all(row.count(",") == d for row in rows):
+        try:
+            values = list(map(float, ",".join(rows).split(","))) if rows else []
+        except ValueError:
+            pass
+    if values is None:
+        raise _oracle_first_bad_line(lines, d)
+    if len(rows) < 2:
+        raise InputParseError("need at least 2 data rows", line=2)
+    table = np.array(values).reshape(len(rows), d + 1)
+    eta, xi = table[:, :-1].copy(), table[:, -1].copy()
+    try:
+        return PairedSample(eta, xi)
+    except DomainError as exc:
+        # name the first row that breaks the rule reported; eta is checked first
+        bad = ~np.all(np.isfinite(eta) & (eta > 0.0), axis=1)
+        if not bad.any():
+            bad = ~(np.isfinite(xi) & (xi > 0.0))
+        linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
+        raise InputParseError(str(exc), line=linenos[int(np.argmax(bad))]) from None
+
+
+def _oracle_first_bad_line(lines, d):
+    """The InputParseError of the first nonblank line (lines[i] is line i + 2)
+    that does not hold d + 1 cells, or holds one float() cannot read."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != d + 1:
+            return InputParseError(f"expected {d + 1} columns, got {len(cells)}", line=lineno)
+        try:
+            list(map(float, cells))
+        except ValueError as exc:
+            return InputParseError(str(exc), line=lineno)

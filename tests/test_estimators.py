@@ -23,6 +23,7 @@ from randmax.estimators import (
 from randmax.harness import Combo, truth_curve
 from randmax.samplers import (
     PairedBlock,
+    PairedSample,
     RngStream,
     sample_experiment1,
     sample_experiment1_block,
@@ -273,6 +274,27 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+    @staticmethod
+    def _traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sample_csv_write_is_formatted_in_row_chunks(self):
+        # the text is 1.12 MB; the row strings of the whole sample at once
+        # took a peak of 4.67 MB
+        sample = sample_experiment1(0.5, 0.5, 20_000, RngStream(18, 8))
+        assert self._traced_peak(sample.to_csv) < 3_000_000
+
+    def test_sample_csv_parse_makes_no_object_per_cell(self):
+        # one float() per cell of the 1.12 MB text took a peak of 8.87 MB
+        text = sample_experiment1(0.5, 0.5, 20_000, RngStream(18, 8)).to_csv()
+        assert len(text) > 1_100_000
+        assert self._traced_peak(lambda: PairedSample.from_csv(text)) < 3_500_000
 
     def test_gathered_scratch_does_not_grow_with_n(self):
         # a gathered block is read in chunks of a few points at all n levels;

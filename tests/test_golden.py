@@ -9,8 +9,9 @@ kernel reads the sample in 16 tiles of rows at 201 points, and its sample
 is estimated a second time at k=3 on a 41-node grid without vertex
 corrections, and a third time from a copy of its text that the parser
 must read to the same bits (see _unusual_copy), which must give the
-cycle's estimate bytes. The `figures` sweeps are a small figure-1 config, the same at GPWM order k=3 (whose ML pairs still start
-from the k=5 GPWM fit), the same without vertex corrections on a 41-node
+cycle's estimate bytes. The `figures` sweeps are a small figure-1
+config, the same at GPWM order k=3 (whose ML pairs still start from the
+k=5 GPWM fit), the same without vertex corrections on a 41-node
 grid, the same at psi 0.1 and 1 with n=51 over 29 replications, which
 run in blocks of 3 with a short last block of 2, and a small figure-3
 config with GPWM and ML pairs, once in process and once at `--jobs 3`,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
@@ -21,6 +23,7 @@ from randmax.samplers import (
 )
 
 from oracles import (
+    oracle_from_csv,
     oracle_sample_experiment1,
     oracle_sample_experiment2,
     sample_bivariate_t,
@@ -424,6 +427,70 @@ class TestSpectralOracle:
         assert ks_2samp(r.max(axis=1), s.xi).pvalue > 0.01
 
 
+#: whitespace float() strips around a cell (space, tab, VT, FF, NBSP, U+2028),
+#: and U+001C, which str.strip() and the C reader strip but float() does not
+_CELL_SPACES = [" ", "\t", "\x0b", "\x0c", "\xa0", "\u2028", "\x1c"]
+
+#: cell values that are odd as text or as numbers
+_ODD_CELLS = [
+    "nan", "inf", "-inf", "Infinity", "1e400", "4.9e-324", "0", "-2.5", "1e", "0x10", "",
+    "1 2", "\x00", "\r",
+]
+
+
+def _mutated_csv(rng, d):
+    """A sample CSV text of 0-8 rows at dimension d with 0-3 mutations: cells
+    padded, signed, given `_` separators, non-ASCII digits, odd values, `#`
+    or quotes, emptied, added or removed; blank, whitespace-only and `#`
+    lines; a bad header; CRLF or lone CR endings; no final newline."""
+    n = int(rng.integers(0, 9))
+    scale = 10.0 ** rng.integers(-4, 5, size=(n, d + 1))
+    rows = [[repr(float(v)) for v in row] for row in rng.exponential(size=(n, d + 1)) * scale]
+    header = [f"eta_{j + 1}" for j in range(d)] + ["xi"]
+    bad_headers = [["eta_1", "xi"], ["eta_2", "eta_1", "xi"], header[:-1] + ["x"], [""]]
+    for _ in range(int(rng.choice(4, p=[0.3, 0.35, 0.2, 0.15]))):
+        kind = int(rng.integers(0, 12))
+        cells = [row for row in rows if row]
+        if kind < 9 and cells:
+            row = cells[int(rng.integers(len(cells)))]
+            j = int(rng.integers(len(row)))
+            if kind == 0:
+                pads = [str(rng.choice(_CELL_SPACES)) * int(rng.integers(0, 3)) for _ in "lr"]
+                row[j] = pads[0] + row[j] + pads[1]
+            elif kind == 1:
+                row[j] = "+" + row[j]
+            elif kind == 2:
+                row[j] = re.sub(r"(\d)(\d)", r"\1_\2", row[j], count=1)
+            elif kind == 3:
+                zero = int(rng.choice([0x0660, 0xFF10, 0x0966]))
+                row[j] = re.sub(r"\d", lambda m: chr(zero + int(m.group())), row[j], count=1)
+            elif kind == 4:
+                row[j] = str(rng.choice(_ODD_CELLS))
+            elif kind == 5:
+                row[j] = "#" + row[j] if rng.random() < 0.5 else f'"{row[j]}"'
+            elif kind == 6:
+                row.append(repr(float(rng.exponential())))
+            elif kind == 7:
+                row.pop(j)
+            else:
+                row.insert(j, "")
+        elif kind == 9:
+            blank = "".join(rng.choice([" ", "\t", "\x0b"], size=int(rng.integers(0, 3))))
+            rows.insert(int(rng.integers(len(rows) + 1)), [blank])
+        elif kind == 10:
+            rows.insert(int(rng.integers(len(rows) + 1)), ["# comment"])
+        elif kind == 11:
+            header = bad_headers[int(rng.integers(len(bad_headers)))]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    ending = str(rng.choice(["\n", "\r\n", "\r"], p=[0.7, 0.2, 0.1]))
+    text = ending.join(lines)
+    if ending == "\n" and len(lines) > 2 and rng.random() < 0.1:
+        # one lone CR among LF endings
+        at = text.index("\n", len(lines[0]) + 1)
+        text = text[:at] + "\r" + text[at + 1 :]
+    return text + ending if rng.random() < 0.8 else text
+
+
 class TestPairedSampleCsv:
     def test_round_trip_exact(self):
         s = sample_experiment1(0.5, 0.5, 50, RngStream(8, 1))
@@ -514,6 +581,48 @@ class TestPairedSampleCsv:
     def test_fewer_than_two_rows(self, text):
         err = self._parse_error(text)
         assert str(err) == "line 2: need at least 2 data rows"
+
+    @pytest.mark.parametrize("chunk_chars", [None, 1], ids=["default-chunks", "one-line-chunks"])
+    def test_parser_matches_line_walk_oracle(self, monkeypatch, chunk_chars):
+        # on each text: the same bits, or the same error class, message and line
+        if chunk_chars is not None:
+            monkeypatch.setattr(samplers, "_CSV_CHUNK_CHARS", chunk_chars)
+        read_rows = samplers._read_rows
+        reader_tables = []
+
+        def counted(*args):
+            table = read_rows(*args)
+            reader_tables.append(table is not None)
+            return table
+
+        monkeypatch.setattr(samplers, "_read_rows", counted)
+        rng = np.random.default_rng(2025)
+        for i in range(2_400):
+            text = _mutated_csv(rng, 2 + i % 2)
+            try:
+                want = oracle_from_csv(text)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as err:
+                    PairedSample.from_csv(text)
+                assert str(err.value) == str(exc), text
+                assert err.value.line == exc.line, text
+                continue
+            got = PairedSample.from_csv(text)
+            assert got.eta.shape == want.eta.shape and got.xi.shape == want.xi.shape, text
+            assert got.eta.tobytes() == want.eta.tobytes(), text
+            assert got.xi.tobytes() == want.xi.tobytes(), text
+        # the C reader gave its table for a good share of the corpus
+        assert sum(reader_tables) > 300
+
+    @pytest.mark.parametrize("chunk_chars", [5, 1], ids=["few-bytes", "one-row"])
+    def test_chunk_boundaries(self, monkeypatch, chunk_chars):
+        monkeypatch.setattr(samplers, "_CSV_CHUNK_CHARS", chunk_chars)
+        s = sample_experiment1(0.5, 0.5, 500, RngStream(8, 4))
+        back = PairedSample.from_csv(s.to_csv())
+        assert back.eta.tobytes() == s.eta.tobytes()
+        assert back.xi.tobytes() == s.xi.tobytes()
+        self.test_bad_cell_names_line()
+        self.test_column_count_error()
 
     def test_round_trip_three_columns(self):
         s = sample_experiment1(0.5, 0.5, 30, RngStream(8, 3), d=3)
