@@ -151,8 +151,9 @@ class PairedSample:
         parts = [header, "\n"]
         for start in range(0, self.n, _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            columns = (*self.eta[rows].T.tolist(), self.xi[rows].tolist())
-            parts += ("\n".join(map(",".join, zip(*(map(repr, c) for c in columns)))), "\n")
+            eta, xi = self.eta[rows].T.tolist(), self.xi[rows].tolist()
+            columns = [map(repr, column) for column in (*eta, xi)]
+            parts += ("\n".join(map(",".join, zip(*columns))), "\n")
         return "".join(parts)
 
     @classmethod
@@ -204,7 +205,7 @@ class PairedSample:
         """from_csv's line walk, after the header is checked: one float() per
         cell, and every error names its line."""
         # lines[i] is line i + 2 of the text
-        lines = list(map(str.strip, text.split("\n")))[1:]
+        _, *lines = map(str.strip, text.split("\n"))
         rows = [line for line in lines if line]
         values = None
         if all(row.count(",") == d for row in rows):
