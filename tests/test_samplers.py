@@ -614,11 +614,17 @@ class TestPairedSampleCsv:
         # the C reader gave its table for a good share of the corpus
         assert sum(reader_tables) > 300
 
-    @pytest.mark.parametrize("chunk_chars", [5, 1], ids=["few-bytes", "one-row"])
+    @pytest.mark.parametrize(
+        "chunk_chars", [5, 1, 100], ids=["few-bytes", "one-row", "rows-cut-mid-line"]
+    )
     def test_chunk_boundaries(self, monkeypatch, chunk_chars):
         monkeypatch.setattr(samplers, "_CSV_CHUNK_CHARS", chunk_chars)
         s = sample_experiment1(0.5, 0.5, 500, RngStream(8, 4))
-        back = PairedSample.from_csv(s.to_csv())
+        text = s.to_csv()
+        # the C reader reads every chunk, and the line walk is not needed
+        table = samplers._read_rows(text, text.index("\n") + 1, 2)
+        assert table.tobytes() == np.column_stack([s.eta, s.xi]).tobytes()
+        back = PairedSample.from_csv(text)
         assert back.eta.tobytes() == s.eta.tobytes()
         assert back.xi.tobytes() == s.xi.tobytes()
         self.test_bad_cell_names_line()
