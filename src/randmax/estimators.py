@@ -41,24 +41,40 @@ CurveEstimate.to_csv returns its text, and the CLI writes it.
 
 Tiles: the kernel is one loop over pieces, each a (row slice, point slice)
 pair of about _GRID_CHUNK_CELLS cells, and every table and term matrix of
-a call lives in one scratch array sized from the largest piece. A gathered
-block is cut into chunks of points at all n levels, as its B samples all
-read the same tables. One sample is cut into tiles of rows at all k points
-(318 rows at k = 201, so 16 tiles at n = 5000): at n = 10^4 a chunk of
-points would be only 6 points wide, and a six-pair fit of one such sample
-took a median of 82 ms in those chunks against 43 ms in tiles of rows
-(15 calls on a 2-core Xeon, numpy 2.4). A tile's terms are reduced into
-running column sums, carried from tile to tile in row order: the sums so
-far are added into the tile's first row, and the tile is then reduced over
-axis 0. An axis-0 reduction of a C-contiguous matrix with at least two
-columns adds row by row, so the carried sum is the very sum one reduction
-over all n rows gives, and the mean is that sum divided by n; no bit of
-any estimate moves. A one-column reduction adds pairwise instead, so a
-one-point call is never split into tiles, and no chunk of points has one
-point (see _point_chunks). The scratch is d + 1 matrices for one sample
-(1.5 MB for d = 2) and d + 3 for a gathered block, whatever n is:
-tracemalloc puts one pickands_points call at 201 points and n = 20,000 at
-a 1.7 MB peak, and a gathered call on two such samples at 2.9 MB.
+a lane (see "Lanes") lives in one scratch array sized from its largest
+piece. A gathered block is cut into chunks of points at all n levels, as
+its B samples all read the same tables. One sample is cut into tiles of
+rows at all points of a lane (318 rows at 201 points, so 16 tiles at n =
+5000 in one lane): at n = 10^4 a chunk of points would be only 6 points
+wide, and a six-pair fit of one such sample took a median of 82 ms in
+those chunks against 43 ms in tiles of rows (15 calls on a 2-core Xeon,
+numpy 2.4). A tile's terms are reduced into running column sums, carried
+from tile to tile in row order: the sums so far are added into the tile's
+first row, and the tile is then reduced over axis 0. An axis-0 reduction
+of a C-contiguous matrix with at least two columns adds row by row, so the
+carried sum is the very sum one reduction over all n rows gives, and the
+mean is that sum divided by n; no bit of any estimate moves. A one-column
+reduction adds pairwise instead, so a one-point call is never split into
+tiles, and no chunk of points has one point (see _point_chunks).
+
+Lanes: one sample's k points are cut into contiguous lanes, each tiled at
+its own width and run in its own thread, so the kernel uses every CPU the
+process may run on. There are max(1, min(CPUs, k // 2, n k //
+_GRID_CHUNK_CELLS)) lanes: each is at least two points wide, for the
+reason above, and has at least one piece of cells, so a call of one piece
+stays in one thread. Lane 0 runs in the calling thread and the others in
+a thread pool made and shut down inside the call, so no thread outlives
+it and a process pool never forks with a live lane; numpy drops the GIL
+in the loops over each piece's cells. Since a column's sum is the same
+whatever columns share its matrix, a lane's points get the bits they get
+in one lane of all k. At n = 10^4 on 2 cores, the kernel for P, CFG and
+MD took a median of 32 ms in one lane and 20 ms in two. A gathered block
+keeps one lane: its per-sample gathers hold the GIL, and a split of its
+points was slower (8.9 against 7.6 ms at n = 200, B = 25). The scratch
+is d + 1 matrices per lane for one sample (1.5 MB for d = 2, so 3 MB at
+two lanes) and d + 3 for a gathered block, whatever n is: tracemalloc
+puts one pickands_points call at 201 points and n = 20,000 at a 1.7 MB
+peak in one lane, and a gathered call on two such samples at 2.9 MB.
 
 Tail fits: estimate_alpha fits the xi rows of a whole block of samples in
 one vectorised pass per method, and one sample is a block of one row. GPWM
@@ -76,8 +92,10 @@ numpy's power, so the ML derivative squares each row's shape as a Python
 float.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import special
@@ -155,10 +173,10 @@ def pseudo_uniforms(eta):
 # ---------------------------------------------------------------------------
 
 #: (row, point) cells per piece of the curve kernel (about 0.5 MB a matrix,
-#: whatever n is): one sample is read in tiles of rows at all k points, a
-#: gathered block in chunks of points at all n levels; see "Tiles" in the
-#: module docstring. Any size keeps every bit, as no tile splits a one-point
-#: call and no chunk has one point.
+#: whatever n is): one sample is read in tiles of rows at all points of a
+#: lane, a gathered block in chunks of points at all n levels; see "Tiles"
+#: and "Lanes" in the module docstring. Any size keeps every bit, as no
+#: tile splits a one-point call and no chunk or lane has one point.
 _GRID_CHUNK_CELLS = 64_000
 
 
@@ -250,43 +268,29 @@ def _row_tiles(n, k):
     return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
 
 
-def _curves_at(levels, index, points, picks):
-    """Raw estimates of several rank-based estimators at k simplex points,
-    for B samples of one shape.
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    levels is an (n, d) matrix of the values the pseudo-uniforms take, per
-    coordinate, and index (B, n, d) gives the level row of each entry of
-    each sample. With index None, levels is the one sample's (n, d) matrix
-    of pseudo-uniforms itself, so nothing needs gathering. Returns
-    {pick: (values, flags)} of shape (B, k) for the picks given; flags marks
-    points whose madogram denominator was not positive.
 
-    The call runs over pieces, each a (row slice, point slice) pair: one
-    sample's tiles of rows at all k points (see _row_tiles), or a gathered
-    block's chunks of points at all n levels (see _point_chunks). In each
-    piece the angle tables, then the power tables, are built once, and
-    every sample reduces its terms into its running column sums of those
-    points; a piece that does not start at row 0 first adds the sums so far
-    into its first term row (see "Tiles" in the module docstring). Every
-    table and term matrix lives in one scratch array, allocated once per
-    call from the largest piece and reused by every piece. The (B, k) sums
-    are turned into curves once, at the end.
-    """
-    _check_picks(*picks)
-    n, d = levels.shape if index is None else index.shape[1:]
-    k = points.shape[0]
-    # contiguous coordinate rows keep the table arithmetic on fast loops
-    coords = np.ascontiguousarray(points.T)
-    if index is None:
-        samples, spare = [None], 1  # one work matrix: the MD row sums and the CFG logs
-        pieces = [(rows, slice(0, k)) for rows in _row_tiles(n, k)]
-    else:
-        samples, spare = index, 3  # two more take the gathered terms
-        pieces = [(slice(0, n), cols) for cols in _point_chunks(n, k)]
-    sums = {pick: np.empty((len(samples), k)) for pick in picks}
-    # the logs of CFG come first: the P carry then changes the first row of angles
-    groups = [("P", [pick for pick in ("CFG", "P") if pick in picks])]
-    groups.append(("MD", ["MD"] if "MD" in picks else []))
+def _lanes(n, k):
+    """Contiguous slices of the k points of one sample, one per lane of the
+    kernel: as many lanes as the CPUs this process may use, no lane narrower
+    than two points (see _point_chunks) and none with fewer than about
+    _GRID_CHUNK_CELLS cells, so a call of one piece stays in one thread."""
+    lanes = max(1, min(_cpu_count(), k // 2, n * k // _GRID_CHUNK_CELLS))
+    bounds = [k * i // lanes for i in range(lanes + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _sum_pieces(levels, samples, coords, groups, spare, sums, pieces):
+    """Reduce the terms of `pieces`, (row slice, point slice) pairs, into the
+    running column sums of each pick and sample, in a scratch array of this
+    call sized from its largest piece."""
+    d = len(coords)
     size = max((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in pieces)
     scratch = np.empty((d + spare, size))
     for rows, cols in pieces:
@@ -304,6 +308,60 @@ def _curves_at(levels, index, points, picks):
                     if rows.start:
                         np.add(sums[pick][b, cols], summands[0], out=summands[0])
                     sums[pick][b, cols] = np.add.reduce(summands, axis=0)
+
+
+def _curves_at(levels, index, points, picks):
+    """Raw estimates of several rank-based estimators at k simplex points,
+    for B samples of one shape.
+
+    levels is an (n, d) matrix of the values the pseudo-uniforms take, per
+    coordinate, and index (B, n, d) gives the level row of each entry of
+    each sample. With index None, levels is the one sample's (n, d) matrix
+    of pseudo-uniforms itself, so nothing needs gathering. Returns
+    {pick: (values, flags)} of shape (B, k) for the picks given; flags marks
+    points whose madogram denominator was not positive.
+
+    The call runs over pieces, each a (row slice, point slice) pair: a
+    gathered block's chunks of points at all n levels (see _point_chunks),
+    or one sample's tiles of rows (see _row_tiles), each lane of its points
+    (see _lanes) tiled on its own. In each piece the angle tables, then the
+    power tables, are built once, and every sample reduces its terms into
+    its running column sums of those points; a piece that does not start at
+    row 0 first adds the sums so far into its first term row (see "Tiles"
+    in the module docstring). Each lane has one scratch array for its
+    tables and term matrices, allocated from its largest piece and reused
+    by every piece. Lane 0 runs in this thread and the others in a thread
+    pool that lives only as long as the call; their columns are disjoint,
+    and an error in any lane is raised here once every lane has stopped.
+    The (B, k) sums are turned into curves once, at the end.
+    """
+    _check_picks(*picks)
+    n, d = levels.shape if index is None else index.shape[1:]
+    k = points.shape[0]
+    # contiguous coordinate rows keep the table arithmetic on fast loops
+    coords = np.ascontiguousarray(points.T)
+    if index is None:
+        samples, spare = [None], 1  # one work matrix: the MD row sums and the CFG logs
+        lanes = [
+            [(rows, cols) for rows in _row_tiles(n, cols.stop - cols.start)] for cols in _lanes(n, k)
+        ]
+    else:
+        samples, spare = index, 3  # two more take the gathered terms
+        lanes = [[(slice(0, n), cols) for cols in _point_chunks(n, k)]]
+    sums = {pick: np.empty((len(samples), k)) for pick in picks}
+    # the logs of CFG come first: the P carry then changes the first row of angles
+    groups = [("P", [pick for pick in ("CFG", "P") if pick in picks])]
+    groups.append(("MD", ["MD"] if "MD" in picks else []))
+    run = partial(_sum_pieces, levels, samples, coords, groups, spare, sums)
+    if len(lanes) == 1:
+        run(lanes[0])
+    else:
+        # numpy drops the GIL in the loops over a piece's cells
+        with ThreadPoolExecutor(len(lanes) - 1) as pool:
+            others = [pool.submit(run, lane) for lane in lanes[1:]]
+            run(lanes[0])
+            for future in others:
+                future.result()
     out = {}
     for pick in picks:
         if pick == "MD":
@@ -680,10 +738,12 @@ def fit_pairs(block, pairs, settings):
     picks and samples come from one _curves_at call, which builds its level
     tables once for all samples and reads them in chunks of points; a block
     of one sample tabulates its own pseudo-uniforms instead, which needs no
-    gather, and reads them in tiles of rows. The xi rows
-    are fitted in one estimate_alpha call, one vectorised pass per tail
-    method, and one inverse scaling transform per method inverts the stacked
-    curves of its pairs and samples, each at its own clamped tail estimate.
+    gather, and reads them in tiles of rows, its points split into lanes
+    that run in threads on every CPU (see "Lanes" in the module docstring).
+    The xi rows are fitted in one estimate_alpha call, one vectorised pass
+    per tail method, and one inverse scaling transform per method inverts
+    the stacked curves of its pairs and samples, each at its own clamped
+    tail estimate.
 
     Returns {pair label: BlockFit}, with labels in the order of `pairs`. A
     row whose tail fit failed carries that fit's EstimationError, which

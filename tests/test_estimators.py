@@ -1,4 +1,8 @@
+import multiprocessing
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from randmax.estimators import (
     pickands_points,
     pseudo_uniforms,
 )
-from randmax.harness import Combo, truth_curve
+from randmax.harness import Combo, ExperimentConfig, results_csv_text, run_experiment, truth_curve
 from randmax.samplers import (
     PairedBlock,
     PairedSample,
@@ -237,6 +241,7 @@ class TestKernel:
         # must give the untiled means bit for bit
         etas, points = _kernel_case(d, n, 201, False)
         u = pseudo_uniforms(etas[0])
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 1)  # one lane of all 201 points
         monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", tile_rows * 201)
         tiles = estimators._row_tiles(n, 201)
         assert [tile.stop - tile.start for tile in tiles[:-1]] == [tile_rows] * (len(tiles) - 1)
@@ -262,9 +267,153 @@ class TestKernel:
         assert _at_point(u, t, "CFG") == np.exp(-np.log(angles).mean() - EULER_MASCHERONI)
         assert _at_point(u, t, "MD") == (nu + c) / (1.0 - nu - c)
 
-    def test_one_sample_scratch_does_not_grow_with_n(self):
-        # the tiles bound the scratch of a call whatever n is; one array
-        # of 20,000 rows at 201 points alone would take 32 MB
+    @pytest.mark.parametrize(
+        "k, chunk_cells, widths",
+        [
+            # lane widths at 2 and 3 CPUs; 5 points make at most 2 lanes,
+            # and 25,000 cells need smaller pieces to make more than one
+            (201, None, ([100, 101], [67, 67, 67])),
+            (41, None, ([20, 21], [13, 14, 14])),
+            (5, 5000, ([2, 3], [2, 3])),
+        ],
+    )
+    def test_lanes_keep_every_bit(self, k, chunk_cells, widths, monkeypatch):
+        # one sample's points split into lanes, each tiled at its own width
+        # and run in its own thread, give the bytes of one lane
+        n = 5000
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, RngStream(18, 9)).eta)
+        points = edge_points(edge_grid(k))
+        if chunk_cells is not None:
+            monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
+        sum_pieces = estimators._sum_pieces
+        ran = []
+
+        def recording(*args):
+            pieces = args[-1]
+            ran.append((threading.get_ident(), pieces[0][1]))
+            assert all(cols == pieces[0][1] for _, cols in pieces)
+            return sum_pieces(*args)
+
+        monkeypatch.setattr(estimators, "_sum_pieces", recording)
+        out = {}
+        for cpus, want in zip((1, 2, 3), ([k], *widths)):
+            monkeypatch.setattr(estimators, "_cpu_count", lambda: cpus)
+            assert [lane.stop - lane.start for lane in estimators._lanes(n, k)] == want
+            ran.clear()
+            before = threading.active_count()
+            curves = estimators._curves_at(u, None, points, estimators.PICK_ESTIMATORS)
+            assert threading.active_count() == before
+            assert sorted((cols.start, cols.stop) for _, cols in ran) == [
+                (lane.start, lane.stop) for lane in estimators._lanes(n, k)
+            ]
+            assert len({ident for ident, _ in ran}) == len(want)
+            out[cpus] = {pick: (v.tobytes(), f.tobytes()) for pick, (v, f) in curves.items()}
+        assert out[1] == out[2] == out[3]
+
+    def test_more_lanes_than_cores_keep_every_bit(self, monkeypatch):
+        # 8 lanes, switching threads every microsecond: the lanes share the
+        # sums arrays, so a write that strayed past a lane's own columns, or
+        # a lane left unread, would move bits
+        n, k = 5000, 201
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, RngStream(18, 13)).eta)
+        points = edge_points(edge_grid(k))
+
+        def kernel_bytes(cpus):
+            monkeypatch.setattr(estimators, "_cpu_count", lambda: cpus)
+            curves = estimators._curves_at(u, None, points, estimators.PICK_ESTIMATORS)
+            return {pick: (v.tobytes(), f.tobytes()) for pick, (v, f) in curves.items()}
+
+        want = kernel_bytes(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert kernel_bytes(8) == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(estimators._lanes(n, k)) == 8
+
+    @pytest.mark.parametrize(
+        "n, k, chunk_cells",
+        # one piece of 60,300 cells; and 3 points, which make one lane of
+        # at least 2 points however many pieces the call has
+        [(300, 201, None), (5000, 3, 100)],
+    )
+    def test_narrow_or_small_calls_start_no_thread(self, n, k, chunk_cells, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", NoPool)
+        if chunk_cells is not None:
+            monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
+        assert estimators._lanes(n, k) == [slice(0, k)]
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, RngStream(18, 10)).eta)
+        points = edge_points(edge_grid(k))
+        before = threading.active_count()
+        curves = estimators._curves_at(u, None, points, estimators.PICK_ESTIMATORS)
+        assert threading.active_count() == before
+        for pick, (values, flags) in curves.items():
+            want_values, want_flags = _oracle_points(u, points, pick)
+            assert np.array_equal(values[0], want_values)
+            assert np.array_equal(flags[0], want_flags)
+
+    @pytest.mark.parametrize("failing", (0, 1))
+    def test_lane_error_reaches_the_caller(self, failing, monkeypatch):
+        # lane 0 runs in the calling thread and lane 1 in the pool; either's
+        # error is raised here, after every lane's thread has ended
+        class LaneError(Exception):
+            pass
+
+        caller = threading.current_thread()
+        level_tables = estimators._level_tables
+
+        def failing_tables(*args):
+            if (threading.current_thread() is caller) == (failing == 0):
+                raise LaneError(f"lane {failing}")
+            return level_tables(*args)
+
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(estimators, "_level_tables", failing_tables)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 5000, RngStream(18, 11)).eta)
+        points = edge_points(edge_grid(201))
+        assert len(estimators._lanes(5000, 201)) == 2
+        before = threading.active_count()
+        with pytest.raises(LaneError, match=f"^lane {failing}$"):
+            estimators._curves_at(u, None, points, estimators.PICK_ESTIMATORS)
+        assert threading.active_count() == before
+
+    def test_pool_sweep_runs_after_lane_split_fits(self, monkeypatch):
+        # a lane-split fit leaves no thread behind, so a sweep at jobs=2 in
+        # the same process still forks its worker and finishes; its blocks
+        # of one sample keep the bytes of the sweep at jobs=1
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
+        sample = sample_experiment1(0.5, 0.5, 5000, RngStream(18, 12))
+        one = PairedBlock(sample.eta[np.newaxis], sample.xi[np.newaxis])
+        assert len(estimators._lanes(5000, 201)) == 2
+        before = threading.active_count()
+        fit_pairs(one, _SHUFFLED_PAIRS, FitSettings())
+        assert threading.active_count() == before
+        config = ExperimentConfig(
+            experiment=1,
+            alphas=(0.5,),
+            psis=(0.5,),
+            sizes=(5000,),
+            replications=2,
+            pairs=(EstimatorPair("CFG", "GPWM"), EstimatorPair("MD", "ML")),
+            seed=78,
+            jobs=2,
+        )
+        pooled = results_csv_text(run_experiment(config))
+        assert multiprocessing.active_children() == []
+        assert pooled == results_csv_text(run_experiment(replace(config, jobs=1)))
+
+    def test_one_sample_scratch_does_not_grow_with_n(self, monkeypatch):
+        # the tiles bound the scratch of a call whatever n is, at d + 1
+        # matrices per lane; one array of 20,000 rows at 201 points alone
+        # would take 32 MB
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
         u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 20_000, RngStream(18, 8)).eta)
         points = edge_points(edge_grid(201))
         tracemalloc.start()
