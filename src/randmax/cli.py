@@ -136,14 +136,20 @@ def cmd_sample(config, args, config_sha256):
     return EXIT_OK
 
 
-def cmd_estimate(config, args, config_sha256):
-    block = require_block(config, "estimate")
+def _read_sample(path):
+    """The PairedSample in the CSV file at `path`; its text is freed on
+    return, before any fit runs."""
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise InputParseError(f"not UTF-8 text: {exc}", line=line) from None
-    sample = PairedSample.from_csv(text)
+    return PairedSample.from_csv(text)
+
+
+def cmd_estimate(config, args, config_sha256):
+    block = require_block(config, "estimate")
+    sample = _read_sample(args.input)
     if sample.dim != 2:
         raise InputParseError(f"composite estimation needs 2 eta columns, got {sample.dim}", line=1)
     outdir = Path(args.out)
@@ -273,7 +279,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="randmax",
         description="Extremal dependence of maxima over a random number of observations",

@@ -288,6 +288,38 @@ class TestEstimateCommand:
         assert code == 5
         assert "absent.csv" in err
 
+    def test_sample_text_is_freed_before_the_fit(self, workspace, capsys, monkeypatch):
+        # no frame between main and the fit still holds the file's text
+        cfg = write_config(
+            workspace / "c.json", {"estimate": {"pairs": [{"pick": "CFG", "alpha": "GPWM"}]}}
+        )
+        sample = workspace / "sample.csv"
+        write_sample(sample, sample_experiment1(0.5, 0.5, 2000, RngStream(42)))
+        size = len(sample.read_text(encoding="utf-8"))
+        fit_pairs = cli.fit_pairs
+        callers, held = [], []
+
+        def fit_and_look(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] == cli.__name__:
+                callers.append(frame.f_code.co_name)
+                held.extend(
+                    (frame.f_code.co_name, name)
+                    for name, value in frame.f_locals.items()
+                    if isinstance(value, str) and len(value) >= size
+                )
+                frame = frame.f_back
+            return fit_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_pairs", fit_and_look)
+        code, err = run_in_process(
+            capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
+            "--input", str(sample),
+        )
+        assert code == 0, err
+        assert callers == ["cmd_estimate", "main"]
+        assert held == []
+
     def test_non_utf8_input_names_the_line(self, workspace, capsys):
         cfg, _ = self._sampled(workspace, capsys)
         bad = workspace / "latin1.csv"
@@ -712,3 +744,18 @@ class TestConfigIntegers:
         assert code == 2
         assert f"{field}: " in err and "is not of type 'integer'" in err
         assert not (workspace / "o").exists()
+
+
+def test_parser_is_built_once_and_parses_as_a_fresh_one():
+    # main reuses one parser per process; each command line in turn must
+    # give the Namespace a parser built for it alone gives
+    assert cli.build_parser() is cli.build_parser()
+    lines = [
+        ["sample", "--config", "c.json", "--out", "o", "--seed", "3"],
+        ["estimate", "--config", "c.json", "--out", "o", "--input", "s.csv"],
+        ["figures", "--config", "c.json", "--out", "o", "--jobs", "2"],
+        ["sample", "--config", "c.json", "--out", "o"],
+    ]
+    for argv in lines:
+        fresh = cli.build_parser.__wrapped__().parse_args(argv)
+        assert cli.build_parser().parse_args(argv) == fresh
