@@ -32,7 +32,6 @@ from .errors import (
     RangeLinkError,
 )
 from .estimators import (
-    BlockFit,
     CurveEstimate,
     EstimatorPair,
     FitSettings,

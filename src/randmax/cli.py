@@ -10,7 +10,9 @@ are written, so reruns with the same config and seed are byte-identical.
 This is the one module that reads or writes a data file (config.py reads
 the config, once per command): the other modules format CSV text and parse
 it, and every output goes through _write_output with its sidecar, whose
-config_sha256 is the digest of the bytes that command parsed.
+config_sha256 is the digest of the bytes that command parsed. The one
+exception is the sweeps' run_report.txt, which _run_sweep writes directly
+and without a sidecar: it carries wall times, so it is not deterministic.
 
 Exit codes: 0 success, 2 config error, 3 input parse error, 4 estimation
 failure, 5 I/O error.
@@ -157,16 +159,16 @@ def cmd_estimate(config, args, config_sha256):
     settings = fit_settings_from_block(block)
     # a block of the one sample, as views of its arrays
     one = PairedBlock(sample.eta[np.newaxis], sample.xi[np.newaxis], sample.meta)
-    fits = {label: fit.estimate(0) for label, fit in fit_pairs(one, pairs, settings).items()}
+    fits = fit_pairs(one, pairs, settings)
     # a failed pair leaves no file behind, not even the pairs before it
-    for estimate in fits.values():
-        if isinstance(estimate, EstimationError):
-            raise estimate
+    for fit in fits.values():
+        if fit.errors[0] is not None:
+            raise fit.errors[0]
     for pair in pairs:
-        estimate = fits[pair.label]
+        fit = fits[pair.label]
         _write_output(
             outdir / f"estimate_{pair.label}.csv",
-            estimate.to_csv(),
+            fit.to_csv(0),
             {
                 "command": "estimate",
                 "input": Path(args.input).name,
@@ -174,10 +176,10 @@ def cmd_estimate(config, args, config_sha256):
                 "k": settings.k,
                 "grid_size": settings.grid_size,
                 "corrected": int(settings.corrected),
-                "alpha_hat": repr(estimate.alpha_hat),
-                "alpha_raw": repr(estimate.alpha_raw),
-                "alpha_clamped": int(estimate.alpha_clamped),
-                "clamped_nodes": estimate.n_clamped,
+                "alpha_hat": repr(fit.alpha_hat[0].item()),
+                "alpha_raw": repr(fit.alpha_raw[0].item()),
+                "alpha_clamped": int(fit.alpha_clamped[0]),
+                "clamped_nodes": int(fit.n_clamped[0]),
             },
             config_sha256,
         )

@@ -34,10 +34,11 @@ per sample, and the (B, k) column sums become curves in one step. A block
 of one sample skips the gather: its own pseudo-uniforms are the levels, so
 its terms are the table rows themselves. Either way the terms are reduced
 exactly as the direct formulas would be, so the tables change no bit of
-any estimate. The fits come back per pair as BlockFit arrays over the
-block's rows; BlockFit.estimate(b) gives row b as a CurveEstimate, which
-is how the CLI reads its one sample. No function here touches a file:
-CurveEstimate.to_csv returns its text, and the CLI writes it.
+any estimate. The fits come back per pair as one CurveEstimate of arrays
+over the block's rows, and a caller reads row b in place: the CLI reads
+row 0 of its block of one sample, and the harness all rows at once. No
+function here touches a file: CurveEstimate.to_csv(b) returns row b's
+text, and the CLI writes it.
 
 Tiles: the kernel is one loop over pieces, each a (row slice, point slice)
 pair of about _GRID_CHUNK_CELLS cells, and every table and term matrix of
@@ -113,7 +114,6 @@ __all__ = [
     "EstimatorPair",
     "FitSettings",
     "CurveEstimate",
-    "BlockFit",
     "fit_pairs",
 ]
 
@@ -642,57 +642,13 @@ class FitSettings:
 
 @dataclass
 class CurveEstimate:
-    """One composite fit: the estimated dependence curve of the scaled data
-    (a_alpha), its inverse transform (a_star), the recovered base curve
-    (a_base), and the tail estimate that tied them together."""
-
-    w: np.ndarray
-    a_alpha: np.ndarray
-    a_star: np.ndarray
-    alpha_hat: float
-    alpha_raw: float
-    pick: str
-    alpha_method: str
-    corrected: bool
-    alpha_clamped: bool
-    clamp_mask: np.ndarray
-
-    @property
-    def label(self):
-        return f"{self.pick}-{self.alpha_method}"
-
-    @property
-    def a_base(self):
-        """The base curve, read off a_star at the reparametrized coordinates."""
-        inner, _ = power_points(edge_points(self.w), self.alpha_hat)
-        return np.interp(inner[:, 1], self.w, self.a_star)
-
-    @property
-    def n_clamped(self):
-        return int(np.count_nonzero(self.clamp_mask))
-
-    def to_csv(self):
-        """The CSV text, for the caller to write: one row per grid node, the
-        curves as repr() of each Python float, then the columns that are the
-        same on every row, then the node's clamp flag as 0 or 1; every row
-        ends in "\\n"."""
-        header = "t,A_alpha_hat,A_star_hat,A_hat,alpha_hat,estimator_pair,corrected,clamped"
-        curves = (self.w, self.a_alpha, self.a_star, self.a_base)
-        columns = [map(repr, curve.tolist()) for curve in curves]
-        fixed = f"{float(self.alpha_hat)!r},{self.label},{int(self.corrected)}"
-        flags = ["1" if clamped else "0" for clamped in self.clamp_mask.tolist()]
-        rows = "\n".join(map(",".join, zip(*columns, [fixed] * len(flags), flags)))
-        return f"{header}\n{rows}\n"
-
-
-@dataclass
-class BlockFit:
     """One pair's composite fits of a block of B samples, as arrays whose row
-    b belongs to sample b: the curves a_alpha and a_star (B, k), the tail
-    estimates alpha_hat and alpha_raw (B,), the alpha_clamped flags (B,), the
-    node clamp masks (B, k), and per row None or the EstimationError of its
-    failed tail fit. A failed row has nan tail estimates, a nan a_star and
-    no node flag."""
+    b belongs to sample b: the estimated dependence curves of the scaled
+    data a_alpha and their inverse transforms a_star (B, k), the tail
+    estimates alpha_hat and alpha_raw (B,) that tied them together, the
+    alpha_clamped flags (B,), the node clamp masks (B, k), and per row None
+    or the EstimationError of its failed tail fit. A failed row has nan tail
+    estimates, a nan a_star and no node flag."""
 
     w: np.ndarray
     pick: str
@@ -707,26 +663,37 @@ class BlockFit:
     errors: tuple
 
     @property
+    def label(self):
+        return f"{self.pick}-{self.alpha_method}"
+
+    @property
     def ok(self):
         """The mask (B,) of the rows whose fit succeeded."""
         return np.array([error is None for error in self.errors], dtype=bool)
 
-    def estimate(self, b):
-        """Row b as a CurveEstimate, or the EstimationError of its failed fit."""
-        if self.errors[b] is not None:
-            return self.errors[b]
-        return CurveEstimate(
-            w=self.w,
-            a_alpha=self.a_alpha[b],
-            a_star=self.a_star[b],
-            alpha_hat=self.alpha_hat[b].item(),
-            alpha_raw=self.alpha_raw[b].item(),
-            pick=self.pick,
-            alpha_method=self.alpha_method,
-            corrected=self.corrected,
-            alpha_clamped=bool(self.alpha_clamped[b]),
-            clamp_mask=self.clamp_mask[b],
-        )
+    @property
+    def n_clamped(self):
+        """The number of clamped nodes of each row, (B,)."""
+        return np.count_nonzero(self.clamp_mask, axis=1)
+
+    def a_base(self, b):
+        """Row b's base curve, read off its a_star at the reparametrized
+        coordinates."""
+        inner, _ = power_points(edge_points(self.w), self.alpha_hat[b])
+        return np.interp(inner[:, 1], self.w, self.a_star[b])
+
+    def to_csv(self, b):
+        """Row b's CSV text, for the caller to write: one row per grid node,
+        the curves as repr() of each Python float, then the columns that are
+        the same on every row, then the node's clamp flag as 0 or 1; every
+        row ends in "\\n"."""
+        header = "t,A_alpha_hat,A_star_hat,A_hat,alpha_hat,estimator_pair,corrected,clamped"
+        curves = (self.w, self.a_alpha[b], self.a_star[b], self.a_base(b))
+        columns = [map(repr, curve.tolist()) for curve in curves]
+        fixed = f"{self.alpha_hat[b].item()!r},{self.label},{int(self.corrected)}"
+        flags = ["1" if clamped else "0" for clamped in self.clamp_mask[b].tolist()]
+        rows = "\n".join(map(",".join, zip(*columns, [fixed] * len(flags), flags)))
+        return f"{header}\n{rows}\n"
 
 
 def fit_pairs(block, pairs, settings):
@@ -745,9 +712,10 @@ def fit_pairs(block, pairs, settings):
     the stacked curves of its pairs and samples, each at its own clamped
     tail estimate.
 
-    Returns {pair label: BlockFit}, with labels in the order of `pairs`. A
-    row whose tail fit failed carries that fit's EstimationError, which
-    names the failing stage.
+    Returns {pair label: CurveEstimate}, with labels in the order of
+    `pairs` and one row per sample of the block. A row whose tail fit
+    failed carries that fit's EstimationError in `errors`, which names the
+    failing stage.
     """
     n, d = block.eta.shape[1:]
     if d != 2:
@@ -783,7 +751,7 @@ def fit_pairs(block, pairs, settings):
         kept = ~np.isnan(alpha_raw)[:, np.newaxis]
         for i, pick in enumerate(picks):
             values, md_flags = curves[pick]
-            fits[pick, method] = BlockFit(
+            fits[pick, method] = CurveEstimate(
                 w=w,
                 pick=pick,
                 alpha_method=method,

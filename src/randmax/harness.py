@@ -228,8 +228,7 @@ def _replicate_block(reps, config, combo):
     """
     fits = fit_pairs(_sample_block(reps, config, combo), config.pairs, config.fit)
     return {
-        label: (fit.a_star, fit.ok, np.count_nonzero(fit.clamp_mask, axis=1), fit.alpha_clamped)
-        for label, fit in fits.items()
+        label: (fit.a_star, fit.ok, fit.n_clamped, fit.alpha_clamped) for label, fit in fits.items()
     }
 
 

@@ -255,11 +255,10 @@ def _sup_errors(sample, truth):
     """sup|A* estimate - truth| of every pair, from one fit_pairs call."""
     fits = fit_pairs(stack_samples((sample,)), _PAIRS, FitSettings())
     sups = {}
-    for label, block_fit in fits.items():
-        fit = block_fit.estimate(0)
-        if isinstance(fit, EstimationError):
-            raise fit
-        sups[label] = float(np.max(np.abs(fit.a_star - truth)))
+    for label, fit in fits.items():
+        if isinstance(fit.errors[0], EstimationError):
+            raise fit.errors[0]
+        sups[label] = float(np.max(np.abs(fit.a_star[0] - truth)))
     return sups
 
 

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import sys
 import threading
@@ -11,10 +12,9 @@ from scipy.integrate import quad
 
 from randmax.depcore import AlphaScaled, Logistic, astar_points, edge_grid, edge_points
 from randmax.errors import DomainError, EstimationError
-from randmax import estimators
+from randmax import cli, estimators
 from randmax.estimators import (
     EULER_MASCHERONI,
-    CurveEstimate,
     EstimatorPair,
     FitSettings,
     endpoint_correct,
@@ -287,11 +287,16 @@ class TestKernel:
             monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
         sum_pieces = estimators._sum_pieces
         ran = []
+        barrier = None
 
         def recording(*args):
             pieces = args[-1]
             ran.append((threading.get_ident(), pieces[0][1]))
             assert all(cols == pieces[0][1] for _, cols in pieces)
+            # every lane waits here for all the others, so each runs at once
+            # on its own thread; a pool thread reused by a second lane breaks
+            # the barrier at its timeout instead of hanging the test
+            barrier.wait()
             return sum_pieces(*args)
 
         monkeypatch.setattr(estimators, "_sum_pieces", recording)
@@ -300,6 +305,7 @@ class TestKernel:
             monkeypatch.setattr(estimators, "_cpu_count", lambda: cpus)
             assert [lane.stop - lane.start for lane in estimators._lanes(n, k)] == want
             ran.clear()
+            barrier = threading.Barrier(len(want), timeout=10)
             before = threading.active_count()
             curves = estimators._curves_at(u, None, points, estimators.PICK_ESTIMATORS)
             assert threading.active_count() == before
@@ -777,24 +783,18 @@ class TestInvertCurve:
         assert mask[1] and mask[2] and mask[3]
 
 
-def _estimates(samples, pairs, settings):
-    """fit_pairs on the block of `samples`, as one {pair label:
-    CurveEstimate or EstimationError} per sample."""
-    fits = fit_pairs(stack_samples(samples), pairs, settings)
-    return [{label: fit.estimate(b) for label, fit in fits.items()} for b in range(len(samples))]
-
-
 def _fit_one(sample, pick, alpha_method, **settings):
-    """One pair's composite fit of one sample (see fit_pairs)."""
+    """One pair's composite fit of one sample, a CurveEstimate of one row
+    (see fit_pairs)."""
     pair = EstimatorPair(pick, alpha_method)
-    return _estimates((sample,), (pair,), FitSettings(**settings))[0][pair.label]
+    return fit_pairs(stack_samples((sample,)), (pair,), FitSettings(**settings))[pair.label]
 
 
 class TestComposite:
     def test_failure_carries_stage(self):
         s = sample_experiment1(0.5, 0.5, 50, RngStream(16, 1))
         s.xi[:] = 1.0
-        err = _fit_one(s, "CFG", "GPWM")
+        (err,) = _fit_one(s, "CFG", "GPWM").errors
         assert isinstance(err, EstimationError)
         assert err.stage == "GPWM"
 
@@ -804,10 +804,10 @@ class TestComposite:
         light = FrechetLaw(3.0).quantile((np.arange(500) + 0.5) / 500)
         s.xi[:] = light
         est = _fit_one(s, "CFG", "ML")
-        assert est.alpha_clamped
-        assert est.alpha_raw > 1.0
-        assert est.alpha_hat == pytest.approx(1.0 - 1e-6)
-        assert np.all(np.isfinite(est.a_star))
+        assert est.alpha_clamped[0]
+        assert est.alpha_raw[0] > 1.0
+        assert est.alpha_hat[0] == pytest.approx(1.0 - 1e-6)
+        assert np.all(np.isfinite(est.a_star[0]))
 
     def test_consistency_fixed_seed(self):
         combo = Combo(1, 0.5, 0.5, float("nan"), 4_000)
@@ -815,19 +815,19 @@ class TestComposite:
         s = sample_experiment1(0.5, 0.5, 4_000, RngStream(16, 3))
         for pick in ("P", "CFG", "MD"):
             est = _fit_one(s, pick, "GPWM")
-            assert np.max(np.abs(est.a_star - truth)) < 0.05
+            assert np.max(np.abs(est.a_star[0] - truth)) < 0.05
 
     def test_base_curve_recovery(self):
         s = sample_experiment1(0.5, 0.5, 4_000, RngStream(16, 4))
         est = _fit_one(s, "CFG", "GPWM")
         base = Logistic(0.5).curve(est.w)
-        assert np.max(np.abs(est.a_base - base)) < 0.05
-        assert est.a_base[0] == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(est.a_base(0) - base)) < 0.05
+        assert est.a_base(0)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_csv_round_trip_schema(self):
         s = sample_experiment1(0.5, 0.5, 100, RngStream(16, 5))
         est = _fit_one(s, "MD", "GPWM", grid_size=5)
-        lines = est.to_csv().strip().split("\n")
+        lines = est.to_csv(0).strip().split("\n")
         assert lines[0] == "t,A_alpha_hat,A_star_hat,A_hat,alpha_hat,estimator_pair,corrected,clamped"
         assert len(lines) == 6
         cells = lines[1].split(",")
@@ -913,20 +913,22 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
         with monkeypatch.context() as patch:
             if chunk_cells is not None:
                 patch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
-            (fits,) = _estimates((sample,), _SHUFFLED_PAIRS, config)
+            fits = fit_pairs(stack_samples((sample,)), _SHUFFLED_PAIRS, config)
         assert list(fits) == [pair.label for pair in _SHUFFLED_PAIRS]
         for pair, want in zip(_SHUFFLED_PAIRS, expected):
             got = fits[pair.label]
             if isinstance(want, EstimationError):
-                assert isinstance(got, EstimationError)
-                assert (got.stage, str(got)) == (want.stage, str(want))
+                (error,) = got.errors
+                assert isinstance(error, EstimationError)
+                assert (error.stage, str(error)) == (want.stage, str(want))
                 continue
             a_alpha, a_star, clamp_mask, alpha_hat, alpha_raw, alpha_clamped = want
-            assert np.array_equal(got.a_alpha, a_alpha)
-            assert np.array_equal(got.a_star, a_star)
-            assert np.array_equal(got.clamp_mask, clamp_mask)
-            assert got.alpha_hat == alpha_hat and got.alpha_raw == alpha_raw
-            assert got.alpha_clamped == alpha_clamped
+            assert got.errors == (None,)
+            assert np.array_equal(got.a_alpha[0], a_alpha)
+            assert np.array_equal(got.a_star[0], a_star)
+            assert np.array_equal(got.clamp_mask[0], clamp_mask)
+            assert got.alpha_hat[0] == alpha_hat and got.alpha_raw[0] == alpha_raw
+            assert got.alpha_clamped[0] == alpha_clamped
             assert (got.pick, got.alpha_method, got.corrected) == (
                 pair.pick,
                 pair.alpha_method,
@@ -956,26 +958,30 @@ def test_batched_fit_pairs_matches_one_sample_calls(
     ]
     samples[1].xi[:] = FrechetLaw(3.0).quantile((np.arange(50) + 0.5) / 50)
     samples[3].xi[:] = 1.0
-    batched = _estimates(samples, _SHUFFLED_PAIRS, config)
-    assert len(batched) == len(samples)
+    batched = fit_pairs(stack_samples(samples), _SHUFFLED_PAIRS, config)
+    assert all(len(got.errors) == len(samples) for got in batched.values())
     outcomes = set()
-    for sample, fits in zip(samples, batched):
-        (alone,) = _estimates((sample,), _SHUFFLED_PAIRS, config)
-        assert list(fits) == list(alone)
-        for label, got in fits.items():
+    for b, sample in enumerate(samples):
+        alone = fit_pairs(stack_samples((sample,)), _SHUFFLED_PAIRS, config)
+        assert list(batched) == list(alone)
+        for label, got in batched.items():
             want = alone[label]
-            if isinstance(want, EstimationError):
-                assert isinstance(got, EstimationError)
-                assert (got.stage, str(got)) == (want.stage, str(want))
+            if want.errors[0] is not None:
+                error, want_error = got.errors[b], want.errors[0]
+                assert isinstance(error, EstimationError)
+                assert (error.stage, str(error)) == (want_error.stage, str(want_error))
                 outcomes.add("failed")
                 continue
-            for name in ("w", "a_alpha", "a_star", "clamp_mask"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            for name in ("alpha_hat", "alpha_raw", "alpha_clamped", "pick", "alpha_method"):
-                assert getattr(got, name) == getattr(want, name)
+            assert got.errors[b] is None
+            assert np.array_equal(got.w, want.w)
+            for name in ("a_alpha", "a_star", "clamp_mask"):
+                assert np.array_equal(getattr(got, name)[b], getattr(want, name)[0])
+            for name in ("alpha_hat", "alpha_raw", "alpha_clamped"):
+                assert getattr(got, name)[b] == getattr(want, name)[0]
+            assert (got.pick, got.alpha_method) == (want.pick, want.alpha_method)
             assert got.corrected == corrected
-            assert type(got.alpha_hat) is type(want.alpha_hat)
-            outcomes.add("clamped" if got.alpha_clamped else "fitted")
+            assert got.alpha_hat.dtype == want.alpha_hat.dtype
+            outcomes.add("clamped" if got.alpha_clamped[b] else "fitted")
     assert outcomes == {"failed", "clamped", "fitted"}
 
 
@@ -999,7 +1005,7 @@ def test_failing_row_inside_a_block():
     for pair in _SHUFFLED_PAIRS:
         fit = fits[pair.label]
         assert fit.ok.tolist() == [True, True, False, True, True]
-        error = fit.estimate(2)
+        error = fit.errors[2]
         assert isinstance(error, EstimationError) and error.stage == pair.alpha_method
     for b in (0, 1, 3, 4):
         one = PairedBlock(block.eta[b : b + 1], block.xi[b : b + 1])
@@ -1009,3 +1015,44 @@ def test_failing_row_inside_a_block():
             for name in ("a_alpha", "a_star", "clamp_mask", "alpha_hat", "alpha_raw"):
                 assert getattr(fit, name)[b].tobytes() == getattr(want, name)[0].tobytes()
             assert fit.alpha_clamped[b] == want.alpha_clamped[0]
+
+
+def test_row_reads_match_the_cli_fit_of_each_sample(tmp_path, monkeypatch):
+    # the row reads of a block fit with a failing row in the middle: every
+    # other row b gives the CSV bytes, base curve and clamp count that
+    # `randmax estimate` gives its sample, which it fits as a block of one
+    streams = [RngStream(20, i) for i in range(5)]
+    block = sample_experiment1_block(0.5, 0.5, 50, streams)
+    block.xi[2] = 1.0
+    fits = fit_pairs(block, _SHUFFLED_PAIRS, FitSettings())
+    assert all(isinstance(fit.errors[2], EstimationError) for fit in fits.values())
+    pairs = [{"pick": pair.pick, "alpha": pair.alpha_method} for pair in _SHUFFLED_PAIRS]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"estimate": {"pairs": pairs}}), encoding="utf-8")
+    seen = []
+
+    def recording(*args):
+        seen.append(fit_pairs(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "fit_pairs", recording)
+    for b in range(len(block)):
+        sample = tmp_path / f"sample_{b}.csv"
+        sample.write_text(PairedSample(block.eta[b], block.xi[b]).to_csv(), encoding="utf-8")
+        out = tmp_path / f"out_{b}"
+        args = ["estimate", "--config", str(config), "--input", str(sample), "--out", str(out)]
+        code = cli.main(args)
+        if b == 2:
+            assert code == cli.EXIT_ESTIMATION and not out.exists()
+            continue
+        assert code == cli.EXIT_OK
+        alone = seen[-1]
+        for label, fit in fits.items():
+            assert len(alone[label].errors) == 1
+            written = (out / f"estimate_{label}.csv").read_bytes()
+            assert fit.to_csv(b).encode("utf-8") == written
+            assert fit.a_base(b).tobytes() == alone[label].a_base(0).tobytes()
+            assert fit.n_clamped[b] == alone[label].n_clamped[0]
+            meta = (out / f"estimate_{label}.csv.meta").read_text(encoding="utf-8")
+            assert f"clamped_nodes={fit.n_clamped[b]}\n" in meta
+            assert f"alpha_hat={fit.alpha_hat[b].item()!r}\n" in meta

@@ -207,7 +207,7 @@ class TestRunExperiment:
             truth = SimpleNamespace(
                 ok=np.ones(rows, dtype=bool),
                 a_star=np.tile(truth_curve(combo, w), (rows, 1)),
-                clamp_mask=np.zeros((rows, w.size), dtype=bool),
+                n_clamped=np.zeros(rows, dtype=int),
                 alpha_clamped=np.zeros(rows, dtype=bool),
             )
             return {pair.label: truth for pair in pairs}
@@ -312,16 +312,16 @@ class TestRunExperiment:
                     curve = a_star[rep] if ok[rep] else None
                     clamps, alpha_clamped = node_clamps[rep], alpha_clamps[rep]
                     alone = fit_pairs(stack_samples((sample,)), (pair,), cfg.fit)
-                    est = alone[pair.label].estimate(0)
+                    est = alone[pair.label]
                     checked += 1
-                    if isinstance(est, EstimationError):
+                    if isinstance(est.errors[0], EstimationError):
                         mismatches += curve is not None
                         continue
                     same = (
                         curve is not None
-                        and np.array_equal(curve, est.a_star)
-                        and clamps == est.n_clamped
-                        and alpha_clamped == est.alpha_clamped
+                        and np.array_equal(curve, est.a_star[0])
+                        and clamps == est.n_clamped[0]
+                        and alpha_clamped == est.alpha_clamped[0]
                     )
                     mismatches += not same
         assert checked == 360
