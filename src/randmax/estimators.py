@@ -78,19 +78,22 @@ puts one pickands_points call at 201 points and n = 20,000 at a 1.7 MB
 peak in one lane, and a gathered call on two such samples at 2.9 MB.
 
 Tail fits: estimate_alpha fits the xi rows of a whole block of samples in
-one vectorised pass per method, and one sample is a block of one row. GPWM
-sorts the (B, n) matrix along its rows and takes both moments as row dot
-products. ML runs its safeguarded Newton iteration on the vector of rows
-still iterating, each row taking exactly the steps it would take alone. The
-GPWM fit at k=5 starts every row's ML iteration, whatever k the GPWM pairs
-use, so a block computes it once for both. A row's fit has the same bits in
-any block because each row goes through the same floating-point operations
-in the same order: np.vecdot (or a stacked matmul) of a row equals the 1-D
-dot, and a row-wise sum or mean equals the 1-D one, while a matrix-vector
-product (gemv) or einsum sums in another order and moves bits. Python's
-float a ** 2 calls C pow(), which rounds differently from a * a and from
-numpy's power, so the ML derivative squares each row's shape as a Python
-float.
+one vectorised pass per method, and one sample is a block of one row. Each
+method's fit is the pair (alpha, errors) a CurveEstimate stores as
+alpha_raw and errors: a (B,) array, nan on a failed row, and per row None
+or the EstimationError of its failure. GPWM sorts the (B, n) matrix along
+its rows and takes both moments as row dot products. ML runs its
+safeguarded Newton iteration on the vector of rows still iterating, each
+row taking exactly the steps it would take alone. The GPWM fit at k=5
+starts every row's ML iteration, whatever k the GPWM pairs use, so a block
+computes it once for both. A row's fit has the same bits in any block
+because each row goes through the same floating-point operations in the
+same order: np.vecdot (or a stacked matmul) of a row equals the 1-D dot,
+and a row-wise sum, mean or variance equals the 1-D one, while a
+matrix-vector product (gemv) or einsum sums in another order and moves
+bits. Python's float a ** 2 calls C pow(), which rounds differently from
+a * a and from numpy's power, so the ML derivative squares each row's
+shape as a Python float.
 """
 
 import os
@@ -456,10 +459,12 @@ def estimate_alpha(xi, methods, k):
     """Tail-index fits of every row of the (B, n) matrix xi by each of the
     named methods, GPWM at moment order k >= 2 (FitSettings holds that rule).
 
-    Returns {method: one float or EstimationError per row}. The GPWM fit at
-    k=5 is computed once and serves both as the GPWM estimate when k is 5
-    and as the start of every row's ML iteration, whatever k is. Each row's
-    result is the same whatever block it is fitted in.
+    Returns {method: (alpha, errors)}: alpha is the (B,) float64 array of
+    the estimates, nan on a failed row, and errors the tuple of None or,
+    on a failed row, its EstimationError. The GPWM fit at k=5 is computed
+    once and serves both as the GPWM estimate when k is 5 and as the start
+    of every row's ML iteration, whatever k is. Each row's result is the
+    same whatever block it is fitted in.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] < 2:
@@ -470,12 +475,12 @@ def estimate_alpha(xi, methods, k):
     k = int(k)
     x = np.sort(xi, axis=1)
     gpwm = {order: _gpwm_rows(x, order) for order in {5 if m == "ML" else k for m in methods}}
-    return {m: gpwm[k] if m == "GPWM" else _ml_rows(xi, gpwm[5]) for m in methods}
+    return {m: gpwm[k] if m == "GPWM" else _ml_rows(xi, gpwm[5][0]) for m in methods}
 
 
 def _gpwm_rows(x, k):
-    """GPWM estimates of the Frechet shape, one float or EstimationError per
-    row of the row-sorted (B, n) matrix x:
+    """GPWM estimates of the Frechet shape, (alpha, errors) over the rows of
+    the row-sorted (B, n) matrix x (see estimate_alpha):
 
         alpha_hat = (k - 2 mu_{1,k} / mu_{1,k-1})^(-1),
 
@@ -489,14 +494,15 @@ def _gpwm_rows(x, k):
     n = x.shape[1]
     mu_hi = np.vecdot(x, gpwm_weights(n, k))
     mu_lo = np.vecdot(x, gpwm_weights(n, k - 1))
+    denom = k - 2.0 * mu_hi / mu_lo
     # the denominator is 1/alpha; at or below rounding level the data carry
     # no tail information (a constant sample lands exactly at zero)
-    return [
-        EstimationError(f"moment ratio gave vanishing shape denominator {denom!r}", stage="GPWM")
-        if denom <= 1e-9
-        else 1.0 / denom
-        for denom in (k - 2.0 * mu_hi / mu_lo).tolist()
-    ]
+    failed = denom <= 1e-9
+    errors = [None] * len(denom)
+    for b in np.flatnonzero(failed).tolist():
+        message = f"moment ratio gave vanishing shape denominator {denom[b].item()!r}"
+        errors[b] = EstimationError(message, stage="GPWM")
+    return np.divide(1.0, denom, out=np.full(denom.shape, np.nan), where=~failed), tuple(errors)
 
 
 def _ml_profile_score(alpha, d, mean_d, with_deriv=False):
@@ -535,68 +541,64 @@ _ML_MAX_STEPS = 200
 
 
 def _ml_rows(xi, start):
-    """Maximum-likelihood Frechet shapes with the scale profiled out, one
-    float or EstimationError per row of the (B, n) matrix xi: the roots of
-    the profile score (see _ml_profile_score), so the estimate is invariant
-    under rescaling xi. Newton iteration safeguarded with bisection on the
-    bracket [1e-3, 50] starts from the GPWM results `start` of the same rows
-    (or, where GPWM failed, from the moment match pi / sqrt(6 var(ln xi)))
-    and stops at |mean score| <= 1e-12 or after 200 steps; the returned root
-    satisfies |mean score| <= 1e-10. Newton steps run on the rows still
-    iterating, each row taking exactly the steps it would take alone.
+    """Maximum-likelihood Frechet shapes with the scale profiled out,
+    (alpha, errors) over the rows of the (B, n) matrix xi (see
+    estimate_alpha): the roots of the profile score (see _ml_profile_score),
+    so the estimate is invariant under rescaling xi. Newton iteration
+    safeguarded with bisection on the bracket [1e-3, 50] starts from the
+    GPWM estimates `start` (B,) of the same rows (or, where start is nan,
+    from the moment match pi / sqrt(6 var(ln xi))) and stops at |mean score|
+    <= 1e-12 or after 200 steps; the returned root satisfies |mean score|
+    <= 1e-10. Newton steps run on the rows still iterating, each row taking
+    exactly the steps it would take alone.
     """
-    out = [None] * xi.shape[0]
+    alpha = np.full(xi.shape[0], np.nan)
+    errors = [None] * xi.shape[0]
     lx = np.log(xi)
     d = lx - lx.min(axis=1, keepdims=True)
     mean_d = d.mean(axis=1)
     lo, hi = _ML_BRACKET
-    s_lo = _ml_profile_score(np.full(len(out), lo), d, mean_d)
-    s_hi = _ml_profile_score(np.full(len(out), hi), d, mean_d)
+    s_lo = _ml_profile_score(np.full(len(alpha), lo), d, mean_d)
+    s_hi = _ml_profile_score(np.full(len(alpha), hi), d, mean_d)
     equal = np.all(xi == xi[:, :1], axis=1)
     bracketed = (s_lo > 0.0) & (s_hi < 0.0)
     for b in np.flatnonzero(equal | ~bracketed).tolist():
-        out[b] = EstimationError(
+        errors[b] = EstimationError(
             "all xi values are equal; shape is unidentified"
             if equal[b]
             else f"score has no sign change on [{lo}, {hi}] "
-            f"(score({lo}) = {s_lo[b]!r}, score({hi}) = {s_hi[b]!r})",
+            f"(score({lo}) = {float(s_lo[b])!r}, score({hi}) = {float(s_hi[b])!r})",
             stage="ML",
         )
     rows = np.flatnonzero(bracketed & ~equal)
-    # ln x is Gumbel with scale 1/a: where GPWM failed, moment match its spread
-    init = [
-        np.pi / np.sqrt(6.0 * float(d[b].var()))
-        if isinstance(start[b], EstimationError)
-        else start[b]
-        for b in rows.tolist()
-    ]
-    a = np.clip(np.array(init, dtype=float), lo, hi)
-    lo, hi = np.full(rows.size, lo), np.full(rows.size, hi)
     d, mean_d = d[rows], mean_d[rows]
+    a = start[rows]
+    # ln x is Gumbel with scale 1/a: where GPWM failed, moment match its spread
+    guess = np.isnan(a)
+    a[guess] = np.pi / np.sqrt(6.0 * d[guess].var(axis=1))
+    a = np.clip(a, lo, hi)
+    lo, hi = np.full(rows.size, lo), np.full(rows.size, hi)
     s, ds = _ml_profile_score(a, d, mean_d, with_deriv=True)
     for _ in range(_ML_MAX_STEPS):
-        going = ~(np.abs(s) <= _ML_TOL)
-        if not going.all():
-            for b, alpha in zip(rows[~going].tolist(), a[~going].tolist()):
-                out[b] = alpha
+        done = np.abs(s) <= _ML_TOL
+        if done.any():
+            alpha[rows[done]] = a[done]
             rows, a, lo, hi, s, ds, d, mean_d = (
-                v[going] for v in (rows, a, lo, hi, s, ds, d, mean_d)
+                v[~done] for v in (rows, a, lo, hi, s, ds, d, mean_d)
             )
-            if not rows.size:
-                break
+        if not rows.size:
+            break
         up = s > 0.0
         lo = np.where(up, a, lo)
         hi = np.where(up, hi, a)
         candidate = a - s / ds
         a = np.where((lo < candidate) & (candidate < hi), candidate, 0.5 * (lo + hi))
         s, ds = _ml_profile_score(a, d, mean_d, with_deriv=True)
-    for b, alpha, score in zip(rows.tolist(), a.tolist(), np.abs(s)):
-        out[b] = (
-            EstimationError(f"score iteration stalled at |score| = {score!r}", stage="ML")
-            if score > 1e-10
-            else alpha
-        )
-    return out
+    stalled = np.abs(s) > 1e-10
+    alpha[rows[~stalled]] = a[~stalled]
+    for b, score in zip(rows[stalled].tolist(), np.abs(s[stalled]).tolist()):
+        errors[b] = EstimationError(f"score iteration stalled at |score| = {score!r}", stage="ML")
+    return alpha, tuple(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +644,16 @@ class FitSettings:
 
 @dataclass
 class CurveEstimate:
-    """One pair's composite fits of a block of B samples, as arrays whose row
-    b belongs to sample b: the estimated dependence curves of the scaled
-    data a_alpha and their inverse transforms a_star (B, k), the tail
-    estimates alpha_hat and alpha_raw (B,) that tied them together, the
-    alpha_clamped flags (B,), the node clamp masks (B, k), and per row None
-    or the EstimationError of its failed tail fit. A failed row has nan tail
-    estimates, a nan a_star and no node flag."""
+    """The composite fits of one EstimatorPair, `pair`, to a block of B
+    samples, as arrays whose row b belongs to sample b: the estimated
+    dependence curves of the scaled data a_alpha and their inverse transforms
+    a_star (B, k), the tail estimates alpha_hat and alpha_raw (B,) that tied
+    them together, the alpha_clamped flags (B,), the node clamp masks (B, k),
+    and per row None or the EstimationError of its failed tail fit. A failed
+    row has nan tail estimates, a nan a_star and no node flag."""
 
     w: np.ndarray
-    pick: str
-    alpha_method: str
+    pair: EstimatorPair
     corrected: bool
     a_alpha: np.ndarray
     a_star: np.ndarray
@@ -661,10 +662,6 @@ class CurveEstimate:
     alpha_clamped: np.ndarray
     clamp_mask: np.ndarray
     errors: tuple
-
-    @property
-    def label(self):
-        return f"{self.pick}-{self.alpha_method}"
 
     @property
     def ok(self):
@@ -690,7 +687,7 @@ class CurveEstimate:
         header = "t,A_alpha_hat,A_star_hat,A_hat,alpha_hat,estimator_pair,corrected,clamped"
         curves = (self.w, self.a_alpha[b], self.a_star[b], self.a_base(b))
         columns = [map(repr, curve.tolist()) for curve in curves]
-        fixed = f"{self.alpha_hat[b].item()!r},{self.label},{int(self.corrected)}"
+        fixed = f"{self.alpha_hat[b].item()!r},{self.pair.label},{int(self.corrected)}"
         flags = ["1" if clamped else "0" for clamped in self.clamp_mask[b].tolist()]
         rows = "\n".join(map(",".join, zip(*columns, [fixed] * len(flags), flags)))
         return f"{header}\n{rows}\n"
@@ -708,9 +705,10 @@ def fit_pairs(block, pairs, settings):
     gather, and reads them in tiles of rows, its points split into lanes
     that run in threads on every CPU (see "Lanes" in the module docstring).
     The xi rows are fitted in one estimate_alpha call, one vectorised pass
-    per tail method, and one inverse scaling transform per method inverts
-    the stacked curves of its pairs and samples, each at its own clamped
-    tail estimate.
+    per tail method whose (alpha, errors) pair becomes the alpha_raw and
+    errors of every CurveEstimate of that method, and one inverse scaling
+    transform per method inverts the stacked curves of its pairs and
+    samples, each at its own clamped tail estimate.
 
     Returns {pair label: CurveEstimate}, with labels in the order of
     `pairs` and one row per sample of the block. A row whose tail fit
@@ -739,22 +737,20 @@ def fit_pairs(block, pairs, settings):
     methods = tuple(dict.fromkeys(pair.alpha_method for pair in pairs))
     tails = estimate_alpha(block.xi, methods, settings.k)
     for method in methods:
-        picks = tuple(dict.fromkeys(pair.pick for pair in pairs if pair.alpha_method == method))
-        errors = tuple(a if isinstance(a, EstimationError) else None for a in tails[method])
-        alpha_raw = np.array([np.nan if error else a for a, error in zip(tails[method], errors)])
+        own = [pair for pair in dict.fromkeys(pairs) if pair.alpha_method == method]
+        alpha_raw, errors = tails[method]
         # the inverse transform needs alpha < 1; the flag keeps the clamp visible
         alpha_clamped = alpha_raw >= 1.0
         alpha_hat = np.where(alpha_clamped, 1.0 - 1e-6, alpha_raw)
-        stacked = np.stack([curves[pick][0] for pick in picks])
+        stacked = np.stack([curves[pair.pick][0] for pair in own])
         # a failed row's nan alpha gives a nan a_star, and the row carries no flag
         a_star, clamp_mask = astar_points(stacked, points, alpha_hat)
         kept = ~np.isnan(alpha_raw)[:, np.newaxis]
-        for i, pick in enumerate(picks):
-            values, md_flags = curves[pick]
-            fits[pick, method] = CurveEstimate(
+        for i, pair in enumerate(own):
+            values, md_flags = curves[pair.pick]
+            fits[pair] = CurveEstimate(
                 w=w,
-                pick=pick,
-                alpha_method=method,
+                pair=pair,
                 corrected=settings.corrected,
                 a_alpha=values,
                 a_star=a_star[i],
@@ -764,4 +760,4 @@ def fit_pairs(block, pairs, settings):
                 clamp_mask=(clamp_mask[i] | md_flags) & kept,
                 errors=errors,
             )
-    return {pair.label: fits[pair.pick, pair.alpha_method] for pair in pairs}
+    return {pair.label: fits[pair] for pair in pairs}

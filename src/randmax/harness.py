@@ -448,16 +448,12 @@ def figure_tables(results):
         lines = [
             "experiment,alpha,psi_or_rho,upsilon,n,pick,ratio_MISE,ratio_ISB,ratio_IV"
         ]
-        seen = []
-        for r in results:
-            key = (r.combo, r.pair.pick)
-            if key in seen or (key + ("GPWM",)) not in by_key or (key + ("ML",)) not in by_key:
+        for combo, pick in dict.fromkeys((r.combo, r.pair.pick) for r in results):
+            g, m = (by_key.get((combo, pick, method)) for method in ("GPWM", "ML"))
+            if g is None or m is None:
                 continue
-            seen.append(key)
-            g = by_key[key + ("GPWM",)]
-            m = by_key[key + ("ML",)]
             ratios = [_ratio(g.mise, m.mise), _ratio(g.isb, m.isb), _ratio(g.iv, m.iv)]
-            lines.append(",".join(_combo_cells(r.combo) + [r.pair.pick] + [_fmt(x) for x in ratios]))
+            lines.append(",".join(_combo_cells(combo) + [pick] + [_fmt(x) for x in ratios]))
         tables["figure_ratio_gpwm_ml"] = "\n".join(lines) + "\n"
     return tables
 

@@ -165,9 +165,9 @@ class PairedSample:
         and blank ones are skipped, though still counted in line numbers.
         Cells may carry spaces; float() reads each one. Errors, in order:
         a bad header (line 1); then the first line in file order that has
-        the wrong number of columns or, failing that, a cell float() cannot
-        read; then fewer than 2 rows (line 2); then the first row with a
-        value PairedSample rejects, eta before xi.
+        the wrong number of columns or a cell float() cannot read; then fewer
+        than 2 rows (line 2); then the first row with a value PairedSample
+        rejects, eta before xi.
 
         After the header, numpy's C reader (np.loadtxt) parses the rows in
         chunks of about _CSV_CHUNK_CHARS characters, each cut after a "\\n",
@@ -179,10 +179,11 @@ class PairedSample:
         the reader but not to float(), is not tried. When the reader refuses a
         chunk, a chunk has no row or other than d + 1 columns, or the values
         break a PairedSample rule, the whole text goes to the line walk of
-        _parse_lines, which float() reads cell by cell. That walk stays: it
-        reads what float() reads and the C reader does not (whitespace-only
-        lines, `_` digit separators, non-ASCII digits, lone CR), and it names
-        the failing line of every error above.
+        _parse_lines, one pass that reads the cells of each nonblank line by
+        float() into one flat list and stops at the first bad line. That walk
+        stays: it reads what float() reads and the C reader does not
+        (whitespace-only lines, `_` digit separators, non-ASCII digits, lone
+        CR), and it names the failing line of every error above.
         """
         end = text.find("\n")
         header = (text if end < 0 else text[:end]).strip()
@@ -202,22 +203,25 @@ class PairedSample:
 
     @classmethod
     def _parse_lines(cls, text, d):
-        """from_csv's line walk, after the header is checked: one float() per
-        cell, and every error names its line."""
-        # lines[i] is line i + 2 of the text
-        _, *lines = map(str.strip, text.split("\n"))
-        rows = [line for line in lines if line]
-        values = None
-        if all(row.count(",") == d for row in rows):
+        """from_csv's line walk, after the header is checked: one pass over
+        the nonblank lines, one float() per cell, and every error names its
+        line."""
+        values, linenos = [], []
+        for lineno, line in enumerate(text.split("\n")[1:], start=2):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != d + 1:
+                raise InputParseError(f"expected {d + 1} columns, got {len(cells)}", line=lineno)
             try:
-                values = list(map(float, ",".join(rows).split(","))) if rows else []
-            except ValueError:
-                pass
-        if values is None:
-            raise _first_bad_line(lines, d)
-        if len(rows) < 2:
+                values.extend(map(float, cells))
+            except ValueError as exc:
+                raise InputParseError(str(exc), line=lineno) from None
+            linenos.append(lineno)
+        if len(linenos) < 2:
             raise InputParseError("need at least 2 data rows", line=2)
-        table = np.array(values).reshape(len(rows), d + 1)
+        table = np.array(values).reshape(len(linenos), d + 1)
         eta, xi = table[:, :-1].copy(), table[:, -1].copy()
         try:
             return cls(eta, xi)
@@ -226,7 +230,6 @@ class PairedSample:
             bad = ~np.all(np.isfinite(eta) & (eta > 0.0), axis=1)
             if not bad.any():
                 bad = ~(np.isfinite(xi) & (xi > 0.0))
-            linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
             raise InputParseError(str(exc), line=linenos[int(np.argmax(bad))]) from None
 
 
@@ -294,21 +297,6 @@ class PairedBlock:
 
     def __len__(self):
         return self.xi.shape[0]
-
-
-def _first_bad_line(lines, d):
-    """The InputParseError of the first nonblank line (lines[i] is line i + 2)
-    that does not hold d + 1 cells, or holds one float() cannot read."""
-    for lineno, line in enumerate(lines, start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != d + 1:
-            return InputParseError(f"expected {d + 1} columns, got {len(cells)}", line=lineno)
-        try:
-            list(map(float, cells))
-        except ValueError as exc:
-            return InputParseError(str(exc), line=lineno)
 
 
 def _kanter(alpha, v, w):

@@ -246,11 +246,12 @@ def stack_samples(samples):
 
 def fit_row(xi, method, k=5):
     """The package's tail fit of the one row xi: estimate_alpha on a block of
-    one row, returning its float or raising its EstimationError."""
-    (alpha,) = estimate_alpha(np.asarray(xi, dtype=float)[np.newaxis], (method,), k)[method]
-    if isinstance(alpha, EstimationError):
-        raise alpha
-    return alpha
+    one row, returning its estimate as a float or raising its EstimationError."""
+    xi = np.asarray(xi, dtype=float)[np.newaxis]
+    (alpha,), (error,) = estimate_alpha(xi, (method,), k)[method]
+    if error is not None:
+        raise error
+    return float(alpha)
 
 
 def oracle_gpwm_alpha(xi, k=5):
@@ -347,7 +348,7 @@ def oracle_ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
     if not (s_lo > 0.0 > s_hi):
         raise EstimationError(
             f"score has no sign change on [{lo}, {hi}] "
-            f"(score({lo}) = {s_lo!r}, score({hi}) = {s_hi!r})",
+            f"(score({lo}) = {float(s_lo)!r}, score({hi}) = {float(s_hi)!r})",
             stage="ML",
         )
     if init is None:
@@ -371,7 +372,7 @@ def oracle_ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
         a = candidate
         s, ds = _oracle_ml_profile_score(a, d, mean_d, with_deriv=True)
     if abs(s) > 1e-10:
-        raise EstimationError(f"score iteration stalled at |score| = {abs(s)!r}", stage="ML")
+        raise EstimationError(f"score iteration stalled at |score| = {float(abs(s))!r}", stage="ML")
     return float(a)
 
 

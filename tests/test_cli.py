@@ -31,12 +31,15 @@ def run_cli(*args):
 
 
 def run_in_process(capsys, *args):
-    """Run the CLI in this process; returns (exit code, stderr)."""
+    """Run the CLI in this process; returns (exit code, stderr). No message
+    may print a numpy scalar's repr in place of its number."""
     try:
         code = cli.main(list(args))
     except SystemExit as exc:  # argparse rejected the command line
         code = exc.code
-    return code, capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "np.float64(" not in err and "np.int64(" not in err, err
+    return code, err
 
 
 def write_config(path, payload):

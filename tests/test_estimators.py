@@ -719,8 +719,13 @@ def test_block_tail_fits_match_scalar_oracles(k):
         got = estimate_alpha(xi[index], methods, k)
         assert list(got) == list(methods)
         for method in methods:
-            assert len(got[method]) == index.size
-            for b, fit in zip(index, got[method]):
+            alpha, errors = got[method]
+            assert alpha.dtype == np.float64 and alpha.shape == (index.size,)
+            assert len(errors) == index.size
+            # nan marks exactly the rows whose fit failed
+            assert np.isnan(alpha).tolist() == [error is not None for error in errors]
+            for b, a, error in zip(index, alpha.tolist(), errors):
+                fit = a if error is None else error
                 assert _same_outcome(fit, want[method][b]), (list(rows)[b], method, fit)
     for b, row in enumerate(xi):
         assert _same_outcome(_tail_outcome(fit_row, row, "GPWM", k), want["GPWM"][b])
@@ -929,11 +934,7 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
             assert np.array_equal(got.clamp_mask[0], clamp_mask)
             assert got.alpha_hat[0] == alpha_hat and got.alpha_raw[0] == alpha_raw
             assert got.alpha_clamped[0] == alpha_clamped
-            assert (got.pick, got.alpha_method, got.corrected) == (
-                pair.pick,
-                pair.alpha_method,
-                corrected,
-            )
+            assert (got.pair, got.corrected) == (pair, corrected)
 
 
 @pytest.mark.parametrize(
@@ -978,7 +979,7 @@ def test_batched_fit_pairs_matches_one_sample_calls(
                 assert np.array_equal(getattr(got, name)[b], getattr(want, name)[0])
             for name in ("alpha_hat", "alpha_raw", "alpha_clamped"):
                 assert getattr(got, name)[b] == getattr(want, name)[0]
-            assert (got.pick, got.alpha_method) == (want.pick, want.alpha_method)
+            assert got.pair == want.pair
             assert got.corrected == corrected
             assert got.alpha_hat.dtype == want.alpha_hat.dtype
             outcomes.add("clamped" if got.alpha_clamped[b] else "fitted")

@@ -334,11 +334,13 @@ class TestRunExperiment:
 
         def flaky(xi, methods, k=5):
             fits = real(xi, methods, k)
-            for method, rows in fits.items():
-                for b in range(len(rows)):
+            for method, (alpha, errors) in fits.items():
+                alpha, errors = alpha.copy(), list(errors)
+                for b in range(len(errors)):
                     calls["n"] += 1
                     if calls["n"] % 3 == 0:
-                        rows[b] = EstimationError("forced", stage=method)
+                        alpha[b], errors[b] = np.nan, EstimationError("forced", stage=method)
+                fits[method] = alpha, tuple(errors)
             return fits
 
         monkeypatch.setattr(estimators, "estimate_alpha", flaky)
@@ -348,9 +350,11 @@ class TestRunExperiment:
         assert res[0].ise.size == 4
         assert res[0].flagged  # 2/6 > 20%
 
-    def test_failing_row_inside_a_block_is_counted(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_row_inside_a_block_is_counted(self, jobs, monkeypatch):
         # blocks of 4 over 6 replications; replication 5, the second row of
-        # the short last block, gets a constant xi, so every pair fails there
+        # the short last block, gets a constant xi, so every pair fails there;
+        # at jobs=2 a worker and this process share the two blocks
         real = harness.sample_experiment1_block
 
         def constant_row(psi, alpha, n, rngs, d=2):
@@ -359,7 +363,7 @@ class TestRunExperiment:
                 block.xi[1] = 1.0
             return block
 
-        cfg = _small_config(psis=(0.5,))
+        cfg = _small_config(psis=(0.5,), jobs=jobs)
         monkeypatch.setattr(harness, "_block_size", lambda config: 4)
         monkeypatch.setattr(harness, "sample_experiment1_block", constant_row)
         res = run_experiment(cfg)
@@ -372,7 +376,8 @@ class TestRunExperiment:
             estimators,
             "estimate_alpha",
             lambda xi, methods, k=5: {
-                method: [EstimationError("x", stage=method)] * len(xi) for method in methods
+                method: (np.full(len(xi), np.nan), (EstimationError("x", stage=method),) * len(xi))
+                for method in methods
             },
         )
         cfg = _small_config(psis=(0.5,), replications=4, pairs=(EstimatorPair("CFG", "GPWM"),))
