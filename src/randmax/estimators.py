@@ -60,10 +60,11 @@ tiles, and no chunk of points has one point (see _point_chunks).
 
 Lanes: one sample's k points are cut into contiguous lanes, each tiled at
 its own width and run in its own thread, so the kernel uses every CPU the
-process may run on. There are max(1, min(CPUs, k // 2, n k //
-_GRID_CHUNK_CELLS)) lanes: each is at least two points wide, for the
-reason above, and has at least one piece of cells, so a call of one piece
-stays in one thread. Lane 0 runs in the calling thread and the others in
+process may run on, or the share of them fit_pairs is given (a pooled
+sweep gives each of its processes CPUs // processes). There are max(1,
+min(CPUs, k // 2, n k // _GRID_CHUNK_CELLS)) lanes: each is at least two
+points wide, for the reason above, and has at least one piece of cells,
+so a call of one piece stays in one thread. Lane 0 runs in the calling thread and the others in
 a thread pool made and shut down inside the call, so no thread outlives
 it and a process pool never forks with a live lane; numpy drops the GIL
 in the loops over each piece's cells. Since a column's sum is the same
@@ -279,12 +280,14 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _lanes(n, k):
+def _lanes(n, k, cpus=None):
     """Contiguous slices of the k points of one sample, one per lane of the
-    kernel: as many lanes as the CPUs this process may use, no lane narrower
-    than two points (see _point_chunks) and none with fewer than about
-    _GRID_CHUNK_CELLS cells, so a call of one piece stays in one thread."""
-    lanes = max(1, min(_cpu_count(), k // 2, n * k // _GRID_CHUNK_CELLS))
+    kernel: as many lanes as `cpus` (by default the CPUs this process may
+    use), no lane narrower than two points (see _point_chunks) and none
+    with fewer than about _GRID_CHUNK_CELLS cells, so a call of one piece
+    stays in one thread."""
+    cpus = _cpu_count() if cpus is None else cpus
+    lanes = max(1, min(cpus, k // 2, n * k // _GRID_CHUNK_CELLS))
     bounds = [k * i // lanes for i in range(lanes + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -313,7 +316,7 @@ def _sum_pieces(levels, samples, coords, groups, spare, sums, pieces):
                     sums[pick][b, cols] = np.add.reduce(summands, axis=0)
 
 
-def _curves_at(levels, index, points, picks):
+def _curves_at(levels, index, points, picks, cpus=None):
     """Raw estimates of several rank-based estimators at k simplex points,
     for B samples of one shape.
 
@@ -327,11 +330,11 @@ def _curves_at(levels, index, points, picks):
     The call runs over pieces, each a (row slice, point slice) pair: a
     gathered block's chunks of points at all n levels (see _point_chunks),
     or one sample's tiles of rows (see _row_tiles), each lane of its points
-    (see _lanes) tiled on its own. In each piece the angle tables, then the
-    power tables, are built once, and every sample reduces its terms into
-    its running column sums of those points; a piece that does not start at
-    row 0 first adds the sums so far into its first term row (see "Tiles"
-    in the module docstring). Each lane has one scratch array for its
+    (see _lanes, which is given `cpus`) tiled on its own. In each piece the
+    angle tables, then the power tables, are built once, and every sample
+    reduces its terms into its running column sums of those points; a
+    piece that does not start at row 0 first adds the sums so far into its
+    first term row (see "Tiles" in the module docstring). Each lane has one scratch array for its
     tables and term matrices, allocated from its largest piece and reused
     by every piece. Lane 0 runs in this thread and the others in a thread
     pool that lives only as long as the call; their columns are disjoint,
@@ -346,7 +349,8 @@ def _curves_at(levels, index, points, picks):
     if index is None:
         samples, spare = [None], 1  # one work matrix: the MD row sums and the CFG logs
         lanes = [
-            [(rows, cols) for rows in _row_tiles(n, cols.stop - cols.start)] for cols in _lanes(n, k)
+            [(rows, cols) for rows in _row_tiles(n, cols.stop - cols.start)]
+            for cols in _lanes(n, k, cpus)
         ]
     else:
         samples, spare = index, 3  # two more take the gathered terms
@@ -693,7 +697,7 @@ class CurveEstimate:
         return f"{header}\n{rows}\n"
 
 
-def fit_pairs(block, pairs, settings):
+def fit_pairs(block, pairs, settings, cpus=None):
     """Fit several composite estimators to every sample of a PairedBlock.
 
     `block` stacks B samples of one shape (n, 2), `pairs` names the
@@ -703,7 +707,8 @@ def fit_pairs(block, pairs, settings):
     tables once for all samples and reads them in chunks of points; a block
     of one sample tabulates its own pseudo-uniforms instead, which needs no
     gather, and reads them in tiles of rows, its points split into lanes
-    that run in threads on every CPU (see "Lanes" in the module docstring).
+    that run in threads on `cpus` CPUs, by default every CPU this process
+    may use (see "Lanes" in the module docstring).
     The xi rows are fitted in one estimate_alpha call, one vectorised pass
     per tail method whose (alpha, errors) pair becomes the alpha_raw and
     errors of every CurveEstimate of that method, and one inverse scaling
@@ -727,7 +732,8 @@ def fit_pairs(block, pairs, settings):
         # ranks 1..n index the n levels r/(n+1), shared by every coordinate
         levels = np.broadcast_to((np.arange(1, n + 1) / (n + 1.0))[:, np.newaxis], (n, d))
         index = _ranks(block.eta) - 1
-    curves = _curves_at(levels, index, points, tuple(dict.fromkeys(pair.pick for pair in pairs)))
+    picks = tuple(dict.fromkeys(pair.pick for pair in pairs))
+    curves = _curves_at(levels, index, points, picks, cpus)
     if settings.corrected:
         curves = {
             pick: (endpoint_correct(values, w, pick), md_flags)

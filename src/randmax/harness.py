@@ -18,15 +18,23 @@ Scheduling: a sweep is one list of (combination, block) tasks in sweep
 order, where a block is a run of consecutive replication indices (about
 eight blocks per process, see _block_size). At jobs=1 the tasks run lazily
 in this process and each combination is reduced before the next one is
-drawn. At jobs > 1 the whole list goes to one process pool of
-min(jobs, tasks) - 1 workers, which take tasks from the front, while this
-process runs tasks from the back, cancelling each still-pending future
-until it reaches one a worker holds. `jobs` thus counts the processes that
-run blocks, this one included, and no worker is forked without a task for
-it. Results are collected in sweep order, and each combination is reduced
-and released once its blocks are in, so a block's error surfaces in sweep
-order whichever process raised it. ComboResult.wall_ms is the sum of the
-combination's block times, each measured where the block ran.
+drawn. At jobs > 1 the sweep starts min(jobs, tasks) - 1 worker processes
+with the platform's default start method (under fork they inherit the
+task list), and every process claims tasks from one shared (front, back)
+pair of indices under one lock: the workers from the front, this process
+from the back, until the two meet. `jobs` thus counts the processes that
+run blocks, this one included, and no worker is started without a task
+for it. A worker sends each block's result or exception down its own pipe
+from a sender thread, so a full pipe never holds up its next block; this
+process reads the pipes between its own blocks and yields the results in
+sweep order, so the first failing block in sweep order raises, whichever
+process ran it, and a worker that dies fails the blocks it claimed and did
+not return. Each combination is reduced and released once its blocks are
+in. Every worker is stopped if need be and joined before the sweep
+returns, on every exit, so none outlives it. Each process gives the curve
+kernel's lanes max(1, CPUs // processes) CPUs, so the lanes of a pooled
+sweep do not oversubscribe the cores. ComboResult.wall_ms is the sum of
+the combination's block times, each measured where the block ran.
 
 A block goes through every layer as stacked arrays: it draws one sample
 per replication stream into one PairedBlock with its pipeline's block
@@ -45,18 +53,23 @@ building each combination's truth_model and calling check_tail_index, and
 its counts with the samplers' check_sample_size and check_inner_size.
 """
 
+import multiprocessing
+import pickle
+import queue
 import struct
-from concurrent.futures import Future, ProcessPoolExecutor
+import sys
+import threading
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
+from multiprocessing.connection import wait
 from time import perf_counter
 
 import numpy as np
 
 from .depcore import ExtremalT, Logistic, check_tail_index, edge_grid, edge_points, power_points
 from .errors import DomainError, as_integer
-from .estimators import EstimatorPair, FitSettings, fit_pairs
+from .estimators import EstimatorPair, FitSettings, _cpu_count, fit_pairs
 from .samplers import (
     RngStream,
     check_inner_size,
@@ -168,19 +181,31 @@ def _float_bits(x):
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
-def replication_stream(seed, combo, rep):
-    """Philox stream for one replication, keyed by the combination's values
-    (not its sweep position) and the replication index."""
+def _combo_key(combo):
+    """The splitmix state after hashing a combination's values: every
+    round of a replication's stream id but the last, which takes the
+    replication index."""
     h = _splitmix64(0xA076_1D64_78BD_642F ^ combo.experiment)
     for bits in (
         _float_bits(combo.alpha),
         _float_bits(combo.psi_or_rho),
         _float_bits(combo.upsilon),
         combo.n & _U64,
-        rep & _U64,
     ):
         h = _splitmix64(h ^ bits)
-    return RngStream(seed=seed, stream_id=h)
+    return h
+
+
+def _keyed_stream(seed, key, rep):
+    """Philox stream for replication `rep` of the combination whose
+    _combo_key is `key`."""
+    return RngStream(seed=seed, stream_id=_splitmix64(key ^ (rep & _U64)))
+
+
+def replication_stream(seed, combo, rep):
+    """Philox stream for one replication, keyed by the combination's values
+    (not its sweep position) and the replication index."""
+    return _keyed_stream(seed, _combo_key(combo), rep)
 
 
 # -- truth -------------------------------------------------------------------
@@ -204,8 +229,9 @@ def truth_curve(combo, w):
 
 def _sample_block(reps, config, combo):
     """The PairedBlock of one sample per replication in `reps`, each drawn
-    from that replication's own stream."""
-    streams = [replication_stream(config.seed, combo, rep) for rep in reps]
+    from that replication's own stream; the combination is hashed once."""
+    key = _combo_key(combo)
+    streams = [_keyed_stream(config.seed, key, rep) for rep in reps]
     if combo.experiment == 1:
         return sample_experiment1_block(combo.psi_or_rho, combo.alpha, combo.n, streams)
     return sample_experiment2_block(
@@ -218,57 +244,177 @@ def _block_size(config):
     return max(1, config.replications // (8 * config.jobs))
 
 
-def _replicate_block(reps, config, combo):
+def _replicate_block(reps, config, combo, cpus=None):
     """Run a block of replications: draw the block's samples, then fit every
-    pair on all of them in one fit_pairs call with the sweep's fit settings.
+    pair on all of them in one fit_pairs call with the sweep's fit settings,
+    its kernel on `cpus` CPUs (see fit_pairs).
 
     Returns {pair label: (a_star (B, k), ok (B,), node clamps (B,), alpha
     clamped (B,))}, with rows in the order of `reps`; ok marks the rows
     whose fit succeeded, and a failed row has no clamp of either kind.
     """
-    fits = fit_pairs(_sample_block(reps, config, combo), config.pairs, config.fit)
+    fits = fit_pairs(_sample_block(reps, config, combo), config.pairs, config.fit, cpus=cpus)
     return {
         label: (fit.a_star, fit.ok, fit.n_clamped, fit.alpha_clamped) for label, fit in fits.items()
     }
 
 
-def _timed_block(task, config):
+def _timed_block(task, config, cpus):
     """(_replicate_block of one (combination, replications) task, seconds it took)."""
     combo, reps = task
     start = perf_counter()
-    rows = _replicate_block(reps, config, combo)
+    rows = _replicate_block(reps, config, combo, cpus)
     return rows, perf_counter() - start
+
+
+def _attempt(run, task):
+    """(True, run(task)), or (False, the exception it raised)."""
+    try:
+        return True, run(task)
+    except Exception as exc:
+        return False, exc
+
+
+class _Claims:
+    """The (front, back) pair of task indices that the processes of a sweep
+    claim from under one lock, and the worker that claimed each task (0 for
+    none: unclaimed, or claimed by the sweep's own process)."""
+
+    def __init__(self, context, size):
+        self._lock = context.Lock()
+        self._bounds = context.RawArray("q", [0, size])
+        self.owners = context.RawArray("i", size)
+
+    def front(self, worker):
+        """The first unclaimed index, now claimed by `worker`, or None."""
+        with self._lock:
+            i, back = self._bounds
+            if i >= back:
+                return None
+            self.owners[i] = worker
+            self._bounds[0] = i + 1
+            return i
+
+    def back(self):
+        """The last unclaimed index, now claimed, or None."""
+        with self._lock:
+            front, i = self._bounds
+            if front >= i:
+                return None
+            self._bounds[1] = i - 1
+            return i - 1
+
+
+def _send_all(outbox, writer):
+    """Send each payload put in `outbox` down `writer`, until a None."""
+    for payload in iter(outbox.get, None):
+        writer.send_bytes(payload)
+
+
+def _work(run, tasks, claims, worker, writer):
+    """A worker process: claim tasks from the front and send each one's
+    pickled (index, ok, value) down `writer`. A thread sends them, so the
+    next block starts while the parent has yet to read the last."""
+    # the sender needs the GIL to pass each result on: this interval bounds
+    # its wait behind a computing block to 0.1 ms, where the default is 5 ms
+    sys.setswitchinterval(1e-4)
+    outbox = queue.SimpleQueue()
+    sender = threading.Thread(target=_send_all, args=(outbox, writer))
+    sender.start()
+    try:
+        while (i := claims.front(worker)) is not None:
+            outbox.put(pickle.dumps((i, *_attempt(run, tasks[i])), pickle.HIGHEST_PROTOCOL))
+    finally:
+        outbox.put(None)
+        sender.join()
+        writer.close()
+
+
+def _collect(links, claims, tasks, done, first, timeout):
+    """Move the results that have arrived from the workers in `links`, a
+    {worker: (process, reader)} dict, into `done`, {index: (ok, value)},
+    waiting up to `timeout` seconds for one (None: no limit). A worker
+    whose pipe is at its end, or whose process has exited, is joined and
+    dropped from `links`; each block from `first` on that it claimed and
+    did not return fails with a RuntimeError that names it."""
+    handles = {}
+    for worker, (process, reader) in links.items():
+        handles[reader] = handles[process.sentinel] = worker
+    for worker in {handles[ready] for ready in wait(list(handles), timeout)}:
+        process, reader = links[worker]
+        ended = not process.is_alive()
+        while reader.poll():
+            try:
+                i, ok, value = pickle.loads(reader.recv_bytes())
+            except (EOFError, OSError):  # the writer is closed, maybe in mid-message
+                ended = True
+                break
+            done[i] = ok, value
+        if ended:
+            process.join()
+            reader.close()
+            del links[worker]
+            for i in range(first, len(tasks)):
+                if claims.owners[i] == worker and i not in done:
+                    message = (
+                        f"a worker process exited with code {process.exitcode} "
+                        f"before returning block {i} of the sweep, {tasks[i]!r}"
+                    )
+                    done[i] = False, RuntimeError(message)
 
 
 def _block_results(tasks, config, workers):
     """Yield _timed_block of every task, in task order.
 
-    With no workers the tasks run here, one per item drawn. Otherwise all of
-    them go to one pool of `workers` processes, which take them from the
-    front, while this process runs them from the back for as long as it
-    can cancel their futures. A task's exception is raised when its item is
-    drawn, wherever it ran. Closing the generator shuts the pool down.
+    With no workers the tasks run here, one per item drawn. Otherwise
+    `workers` processes are started, which claim tasks from the front of
+    one shared counter pair while this process claims them from the back,
+    until the two meet. Between its own blocks this process reads the
+    results the workers have sent; when the next task in order is held by
+    a worker, it waits for a result or for a worker to exit. A task's
+    exception is raised when its item is drawn, wherever it ran, and a
+    worker that exits fails each task it claimed and did not return. Each
+    process gives the kernel max(1, CPUs // processes) CPUs. On every exit
+    the workers are joined, after being terminated unless every item was
+    drawn, so none outlives the generator.
     """
-    run = partial(_timed_block, config=config)
+    run = partial(_timed_block, config=config, cpus=max(1, _cpu_count() // (workers + 1)))
     if not workers:
         yield from map(run, tasks)
         return
-    executor = ProcessPoolExecutor(max_workers=workers)
+    context = multiprocessing.get_context()
+    claims = _Claims(context, len(tasks))
+    links, processes, done, drawn = {}, [], {}, 0
     try:
-        futures = [executor.submit(run, task) for task in tasks]
-        for i in reversed(range(len(tasks))):
-            if not futures[i].cancel():
-                break  # a worker holds this task, and so every earlier one
-            futures[i] = Future()
-            try:
-                futures[i].set_result(run(tasks[i]))
-            except Exception as exc:
-                futures[i].set_exception(exc)
-        futures.reverse()
-        while futures:  # popping releases each block once it is drawn
-            yield futures.pop().result()
+        for worker in range(1, workers + 1):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_work, args=(run, tasks, claims, worker, writer), daemon=True
+            )
+            process.start()
+            writer.close()  # its end of the pipe is the worker's alone
+            processes.append(process)
+            links[worker] = process, reader
+        for i in range(len(tasks)):
+            _collect(links, claims, tasks, done, i, 0)
+            while i not in done:
+                j = claims.back()
+                if j is not None:
+                    done[j] = _attempt(run, tasks[j])
+                # with nothing left to claim, wait for the workers
+                _collect(links, claims, tasks, done, i, 0 if j is not None else None)
+            ok, value = done.pop(i)
+            if not ok:
+                raise value
+            drawn += 1
+            yield value
     finally:
-        executor.shutdown(cancel_futures=True)
+        for process in processes:
+            if drawn < len(tasks) and process.is_alive():
+                process.terminate()
+            process.join()
+        for _, reader in links.values():
+            reader.close()
 
 
 # -- reduction ---------------------------------------------------------------
@@ -316,12 +462,14 @@ def run_experiment(config):
     reduced against the truth on that grid. The tasks are the sweep's
     (combination, block) pairs in sweep order, with blocks sized by
     _block_size. At jobs=1 they run here, one combination at a time;
-    otherwise one pool of min(jobs, tasks) - 1 workers takes them from the
-    front while this process runs them from the back. The first failing
-    block in sweep order raises, at every width, and the pool is shut down
-    on every exit. The output is identical at every width and block size
-    (see the module docstring); ComboResult.wall_ms sums the combination's
-    block times.
+    otherwise min(jobs, tasks) - 1 worker processes claim them from the
+    front of a shared counter pair while this process claims them from the
+    back, until the two meet. The first failing block in sweep order
+    raises, at every width, and a worker that dies fails each block it
+    claimed and did not return. Every worker is joined before this
+    returns, on every exit. The output is identical at every width and
+    block size (see the module docstring); ComboResult.wall_ms sums the
+    combination's block times.
     """
     combos = enumerate_combos(config)
     w = edge_grid(config.fit.grid_size)

@@ -365,6 +365,25 @@ class TestKernel:
             assert np.array_equal(values[0], want_values)
             assert np.array_equal(flags[0], want_flags)
 
+    def test_given_cpus_bound_the_lanes(self, monkeypatch):
+        # a fit given one CPU runs one lane in this thread, whatever CPUs
+        # the process may use, with the bytes of two lanes
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
+        sample = sample_experiment1(0.5, 0.5, 5000, RngStream(18, 12))
+        one = PairedBlock(sample.eta[np.newaxis], sample.xi[np.newaxis])
+        assert len(estimators._lanes(5000, 201)) == 2
+        assert estimators._lanes(5000, 201, 1) == [slice(0, 201)]
+        two = fit_pairs(one, _SHUFFLED_PAIRS, FitSettings())
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", NoPool)
+        alone = fit_pairs(one, _SHUFFLED_PAIRS, FitSettings(), cpus=1)
+        for label, fit in two.items():
+            assert alone[label].a_star.tobytes() == fit.a_star.tobytes()
+            assert alone[label].clamp_mask.tobytes() == fit.clamp_mask.tobytes()
+
     @pytest.mark.parametrize("failing", (0, 1))
     def test_lane_error_reaches_the_caller(self, failing, monkeypatch):
         # lane 0 runs in the calling thread and lane 1 in the pool; either's

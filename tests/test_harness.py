@@ -1,6 +1,9 @@
 import multiprocessing
+import os
 import re
-from concurrent.futures import Future
+import struct
+import threading
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -31,9 +34,18 @@ from oracles import stack_samples
 
 @pytest.fixture(autouse=True)
 def no_process_left():
-    """Every worker a test starts has exited when it ends."""
+    """Every worker a test starts has exited when it ends, and every thread
+    it started in this process has ended."""
+    threads = threading.active_count()
     yield
     assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def _record(path, *fields):
+    """Append one line of fields to `path`, from whichever process runs it."""
+    with open(path, "a", encoding="utf-8") as log:
+        log.write(" ".join(map(str, fields)) + "\n")
 
 
 def _small_config(**overrides):
@@ -132,6 +144,59 @@ class TestStreams:
         other = Combo(1, 0.5, 0.7001, float("nan"), 50)
         assert replication_stream(9, other, 0) != replication_stream(9, combo, 0)
 
+    def test_block_streams_equal_the_six_round_hash(self, monkeypatch):
+        # a block hashes its combination once; its streams and
+        # replication_stream's must still carry the ids the six rounds give
+        captured = []
+        monkeypatch.setattr(
+            harness,
+            "sample_experiment1_block",
+            lambda psi, alpha, n, streams: captured.append(streams),
+        )
+        monkeypatch.setattr(
+            harness,
+            "sample_experiment2_block",
+            lambda rho, ups, alpha, n, streams, n_prime: captured.append(streams),
+        )
+        combos = [
+            Combo(1, alpha, psi, float("nan"), n)
+            for alpha in (0.2, 0.5, 0.9)
+            for psi in (0.1, 1.0)
+            for n in (2, 50, 10**6)
+        ]
+        combos += [Combo(2, 0.5, rho, ups, 50) for rho in (-0.5, 0.99) for ups in (1.0, 3.5)]
+        assert len(combos) == 22
+        reps = [0, 1, 7, 199, 2**40 + 3]
+        config = SimpleNamespace(seed=9, inner_size=500)
+        for combo in combos:
+            want = [_six_round_stream_id(combo, rep) for rep in reps]
+            assert [replication_stream(9, combo, rep).stream_id for rep in reps] == want
+            harness._sample_block(reps, config, combo)
+            streams = captured.pop()
+            assert [stream.stream_id for stream in streams] == want
+            assert {stream.seed for stream in streams} == {9}
+        assert len(set(_six_round_stream_id(c, r) for c in combos for r in reps)) == 110
+
+
+def _six_round_stream_id(combo, rep):
+    """One replication's stream id with every splitmix round done per call:
+    the experiment, then alpha, psi or rho, upsilon, n and the replication."""
+    mask = (1 << 64) - 1
+
+    def mix(x):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    def bits(x):
+        return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
+
+    h = mix(0xA076_1D64_78BD_642F ^ combo.experiment)
+    for value in (bits(combo.alpha), bits(combo.psi_or_rho), bits(combo.upsilon), combo.n, rep):
+        h = mix(h ^ (value & mask))
+    return h
+
 
 class TestTruth:
     def test_independence_truth_is_one(self):
@@ -200,7 +265,7 @@ class TestRunExperiment:
     def test_truth_injection_gives_zero_mise(self, monkeypatch):
         # a fit that returns the analytic truth of the parameters each sample
         # was drawn with must reduce to zero error against each combo's truth
-        def truth_fits(block, pairs, settings):
+        def truth_fits(block, pairs, settings, cpus=None):
             w = edge_grid(settings.grid_size)
             meta, rows = block.meta, len(block)
             combo = Combo(1, meta["alpha"], meta["psi"], float("nan"), meta["n"])
@@ -244,28 +309,155 @@ class TestRunExperiment:
         d = results_csv_text(run_experiment(cfg))
         assert a == b == c == d
 
-    def test_pool_width_is_bounded_by_the_blocks(self, monkeypatch):
+    def test_pool_width_is_bounded_by_the_blocks(self, tmp_path, monkeypatch):
         # 2 combinations x 2 replications in blocks of 1: 4 blocks, so at
         # jobs=64 three workers join this process, and at jobs=1 none
-        pools = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _fake_pool(pools, held=64))
+        log = tmp_path / "workers.log"
+        work = harness._work
+
+        def recorded(*args):
+            _record(log, os.getpid())
+            return work(*args)
+
+        monkeypatch.setattr(harness, "_work", recorded)
         cfg = _small_config(replications=2)
         serial = results_csv_text(run_experiment(cfg))
-        assert pools == []
+        assert not log.exists()
         assert results_csv_text(run_experiment(replace(cfg, jobs=64))) == serial
-        assert [(pool.max_workers, pool.cancelled_on_shutdown) for pool in pools] == [(3, True)]
+        assert len(set(log.read_text().split())) == 3
 
-    def test_parent_runs_the_blocks_no_worker_holds(self, monkeypatch):
-        # the fake pool's workers hold the first two of the 12 blocks, so this
-        # process cancels the other ten and runs them, last block first
-        pools = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _fake_pool(pools, held=2))
+    def test_parent_runs_the_blocks_no_worker_holds(self, tmp_path, monkeypatch):
+        # 12 one-replication blocks at jobs=2: the worker claims them from
+        # the front and this process from the back, last block first, until
+        # the two meet; this process's first block waits until the worker
+        # has run one, so both run some
+        parent, log = os.getpid(), tmp_path / "blocks.log"
+        worker_ran = multiprocessing.Event()
+        timed = harness._timed_block
+
+        def recorded(task, config, cpus=None):
+            combo, reps = task
+            index = config.psis.index(combo.psi_or_rho) * config.replications + reps.start
+            if os.getpid() == parent and index == 11:
+                assert worker_ran.wait(30)
+            out = timed(task, config, cpus)
+            _record(log, os.getpid(), index)
+            if os.getpid() != parent:
+                worker_ran.set()
+            return out
+
         cfg = _small_config()
         serial = results_csv_text(run_experiment(cfg))
+        monkeypatch.setattr(harness, "_timed_block", recorded)
         assert results_csv_text(run_experiment(replace(cfg, jobs=2))) == serial
-        (pool,) = pools
-        assert pool.max_workers == 1
-        assert [future.cancelled() for future in pool.futures] == [False] * 2 + [True] * 10
+        rows = [line.split() for line in log.read_text().splitlines()]
+        mine = [int(index) for pid, index in rows if int(pid) == parent]
+        theirs = [int(index) for pid, index in rows if int(pid) != parent]
+        assert mine and theirs and len(mine) + len(theirs) == 12
+        assert mine == list(range(11, 11 - len(mine), -1))
+        assert theirs == list(range(len(theirs)))
+
+    def test_worker_that_dies_fails_its_block(self, monkeypatch):
+        # the worker exits in block 0, the first it claims, while this
+        # process's first block (the last block) waits for it to start
+        parent = os.getpid()
+        started = multiprocessing.Event()
+        sample = harness._sample_block
+
+        def dying(reps, config, combo):
+            if os.getpid() == parent:
+                if (combo.psi_or_rho, reps[0]) == (1.0, 5):
+                    assert started.wait(30)
+            elif (combo.psi_or_rho, reps[0]) == (0.5, 0):
+                started.set()
+                os._exit(1)
+            return sample(reps, config, combo)
+
+        monkeypatch.setattr(harness, "_sample_block", dying)
+        start = time.perf_counter()
+        with pytest.raises(
+            RuntimeError, match=r"^a worker process exited with code 1 before returning block 0 "
+        ):
+            run_experiment(_small_config(jobs=2))
+        assert time.perf_counter() - start < 10
+        assert multiprocessing.active_children() == []
+
+    def test_failure_in_sweep_order_stops_a_worker_holding_a_slow_block(self, monkeypatch):
+        # block 0 fails in the worker, which then claims block 1 and sleeps
+        # in it; this process's first block waits until it does, then
+        # draws block 0's failure and does not wait for block 1
+        parent = os.getpid()
+        holding = multiprocessing.Event()
+        sample = harness._sample_block
+
+        def slow(reps, config, combo):
+            where = combo.psi_or_rho, reps[0]
+            if os.getpid() == parent:
+                if where == (1.0, 5):
+                    assert holding.wait(30)
+            elif where == (0.5, 0):
+                raise DomainError("block 0 fails")
+            elif where == (0.5, 1):
+                holding.set()
+                time.sleep(60)
+            return sample(reps, config, combo)
+
+        monkeypatch.setattr(harness, "_sample_block", slow)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"^block 0 fails$"):
+            run_experiment(_small_config(jobs=2))
+        assert time.perf_counter() - start < 10
+        assert holding.is_set()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exit", ["close", "interrupt"])
+    def test_every_exit_stops_a_worker_holding_a_slow_block(self, exit, monkeypatch):
+        # the worker sleeps in block 1; the results are closed after the
+        # first is drawn, or this process's second block is interrupted
+        parent = os.getpid()
+        holding = multiprocessing.Event()
+        sample = harness._sample_block
+
+        def slow(reps, config, combo):
+            where = combo.psi_or_rho, reps[0]
+            if os.getpid() != parent and where == (0.5, 1):
+                holding.set()
+                time.sleep(60)
+            if exit == "interrupt" and os.getpid() == parent and where == (1.0, 4):
+                assert holding.wait(30)
+                raise KeyboardInterrupt
+            return sample(reps, config, combo)
+
+        monkeypatch.setattr(harness, "_sample_block", slow)
+        cfg = _small_config(jobs=2)
+        tasks = [(combo, range(r, r + 1)) for combo in enumerate_combos(cfg) for r in range(6)]
+        results = harness._block_results(tasks, cfg, 1)
+        start = time.perf_counter()
+        if exit == "close":
+            next(results)
+            assert holding.wait(30)
+            results.close()
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                list(results)
+        assert time.perf_counter() - start < 10
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs, cpus", [(1, 4), (2, 2), (3, 1)])
+    def test_processes_share_the_cpus(self, jobs, cpus, tmp_path, monkeypatch):
+        # 4 blocks on 4 CPUs: each process's kernel is given CPUs // processes,
+        # so the lanes of a pooled sweep do not oversubscribe the cores
+        log = tmp_path / "cpus.log"
+        fit = harness.fit_pairs
+
+        def recorded(block, pairs, settings, cpus=None):
+            _record(log, cpus)
+            return fit(block, pairs, settings, cpus=cpus)
+
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(harness, "fit_pairs", recorded)
+        run_experiment(_small_config(replications=2, jobs=jobs))
+        assert log.read_text().split() == [str(cpus)] * 4
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_first_failing_block_in_sweep_order_raises(self, jobs, monkeypatch):
@@ -384,39 +576,6 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert res[0].failures == 4
         assert "WARNING" in run_report_text(res)
-
-
-def _fake_pool(pools, held):
-    """A ProcessPoolExecutor stand-in that starts no process. Each pool is
-    appended to `pools`; it runs its first `held` tasks when they are
-    submitted, as workers holding them would, and leaves the rest pending
-    for the caller to cancel. Drawing a pending result fails instead of
-    waiting for a worker that does not exist."""
-
-    class Pending(Future):
-        def result(self, timeout=None):
-            assert self.done(), "drew a block that no process runs"
-            return super().result(timeout)
-
-    class FakePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.futures = []
-            self.cancelled_on_shutdown = None
-            pools.append(self)
-
-        def submit(self, fn, *args):
-            future = Pending()
-            if len(self.futures) < held:
-                future.set_running_or_notify_cancel()
-                future.set_result(fn(*args))
-            self.futures.append(future)
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            self.cancelled_on_shutdown = cancel_futures
-
-    return FakePool
 
 
 class TestSerialization:
