@@ -45,13 +45,10 @@ from .harness import (
     truth_curve,
 )
 from .samplers import (
-    PairedBlock,
     PairedSample,
     RngStream,
     sample_experiment1,
-    sample_experiment1_block,
     sample_experiment2,
-    sample_experiment2_block,
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,

@@ -59,7 +59,7 @@ from .errors import (
 )
 from .estimators import fit_pairs
 from .harness import figure_tables, results_csv_text, run_experiment, run_report_text
-from .samplers import PairedBlock, PairedSample, RngStream, sample_experiment1, sample_experiment2
+from .samplers import PairedSample, RngStream, sample_experiment1, sample_experiment2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,7 +121,7 @@ def cmd_sample(config, args, config_sha256):
     stream = RngStream(seed=seed, stream_id=block.get("stream", 0))
     if block["experiment"] == 1:
         sample = sample_experiment1(
-            block["psi"], block["alpha"], block["n"], stream, **_present(block, "d")
+            block["psi"], block["alpha"], block["n"], (stream,), **_present(block, "d")
         )
     else:
         sample = sample_experiment2(
@@ -129,18 +129,18 @@ def cmd_sample(config, args, config_sha256):
             block["upsilon"],
             block["alpha"],
             block["n"],
-            stream,
+            (stream,),
             **_present(block, n_prime="inner_size"),
         )
     meta = {f"param_{k}": v for k, v in sample.meta.items()}
     meta.update({"seed": seed, "stream": block.get("stream", 0), "command": "sample"})
-    _write_output(Path(args.out) / "sample.csv", sample.to_csv(), meta, config_sha256)
+    _write_output(Path(args.out) / "sample.csv", sample.to_csv(0), meta, config_sha256)
     return EXIT_OK
 
 
 def _read_sample(path):
-    """The PairedSample in the CSV file at `path`; its text is freed on
-    return, before any fit runs."""
+    """The one-row PairedSample of the CSV file at `path`; its text is freed
+    on return, before any fit runs."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -152,14 +152,13 @@ def _read_sample(path):
 def cmd_estimate(config, args, config_sha256):
     block = require_block(config, "estimate")
     sample = _read_sample(args.input)
-    if sample.dim != 2:
-        raise InputParseError(f"composite estimation needs 2 eta columns, got {sample.dim}", line=1)
+    d = sample.eta.shape[2]
+    if d != 2:
+        raise InputParseError(f"composite estimation needs 2 eta columns, got {d}", line=1)
     outdir = Path(args.out)
     pairs = pairs_from_block(block)
     settings = fit_settings_from_block(block)
-    # a block of the one sample, as views of its arrays
-    one = PairedBlock(sample.eta[np.newaxis], sample.xi[np.newaxis], sample.meta)
-    fits = fit_pairs(one, pairs, settings)
+    fits = fit_pairs(sample, pairs, settings)
     # a failed pair leaves no file behind, not even the pairs before it
     for fit in fits.values():
         if fit.errors[0] is not None:

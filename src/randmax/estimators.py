@@ -24,19 +24,19 @@ exactly 1 at the vertices, matching the endpoint-corrected family.
 
 Rank-level tables: since a pseudo-uniform takes only the n levels r/(n+1),
 every logarithm, division and power in P, CFG and MD depends only on a
-(level, simplex point) pair. fit_pairs fits a PairedBlock, a (B, n, d)
+(level, simplex point) pair. fit_pairs fits a PairedSample, a (B, n, d)
 stack of same-shape samples, in one call: _ranks ranks the whole stack
 along its sample axis in one pass, the one curve kernel _curves_at
 tabulates the levels per coordinate once for all B samples, and each
 sample gathers the rows of its ranks and reduces its terms to column sums.
 The transcendental functions are thus paid once per block rather than once
-per sample, and the (B, k) column sums become curves in one step. A block
-of one sample skips the gather: its own pseudo-uniforms are the levels, so
-its terms are the table rows themselves. Either way the terms are reduced
-exactly as the direct formulas would be, so the tables change no bit of
-any estimate. The fits come back per pair as one CurveEstimate of arrays
-over the block's rows, and a caller reads row b in place: the CLI reads
-row 0 of its block of one sample, and the harness all rows at once. No
+per sample, and the (B, k) column sums become curves in one step. A
+one-row sample skips the gather: its own pseudo-uniforms are the levels,
+so its terms are the table rows themselves. Either way the terms are
+reduced exactly as the direct formulas would be, so the tables change no
+bit of any estimate. The fits come back per pair as one CurveEstimate of
+arrays over the sample's rows, and a caller reads row b in place: the CLI
+reads row 0 of the one-row sample it parsed, and the harness all rows. No
 function here touches a file: CurveEstimate.to_csv(b) returns row b's
 text, and the CLI writes it.
 
@@ -697,15 +697,15 @@ class CurveEstimate:
         return f"{header}\n{rows}\n"
 
 
-def fit_pairs(block, pairs, settings, cpus=None):
-    """Fit several composite estimators to every sample of a PairedBlock.
+def fit_pairs(sample, pairs, settings, cpus=None):
+    """Fit several composite estimators to every row of a PairedSample.
 
-    `block` stacks B samples of one shape (n, 2), `pairs` names the
+    `sample` stacks B samples of one shape (n, 2), `pairs` names the
     EstimatorPairs to fit and `settings` the FitSettings they share. The
-    block is ranked in one pass, and the curves of the scaled data of all
-    picks and samples come from one _curves_at call, which builds its level
-    tables once for all samples and reads them in chunks of points; a block
-    of one sample tabulates its own pseudo-uniforms instead, which needs no
+    rows are ranked in one pass, and the curves of the scaled data of all
+    picks and rows come from one _curves_at call, which builds its level
+    tables once for all rows and reads them in chunks of points; a one-row
+    sample tabulates its own pseudo-uniforms instead, which needs no
     gather, and reads them in tiles of rows, its points split into lanes
     that run in threads on `cpus` CPUs, by default every CPU this process
     may use (see "Lanes" in the module docstring).
@@ -713,25 +713,25 @@ def fit_pairs(block, pairs, settings, cpus=None):
     per tail method whose (alpha, errors) pair becomes the alpha_raw and
     errors of every CurveEstimate of that method, and one inverse scaling
     transform per method inverts the stacked curves of its pairs and
-    samples, each at its own clamped tail estimate.
+    rows, each at its own clamped tail estimate.
 
     Returns {pair label: CurveEstimate}, with labels in the order of
-    `pairs` and one row per sample of the block. A row whose tail fit
+    `pairs` and one row per row of `sample`. A row whose tail fit
     failed carries that fit's EstimationError in `errors`, which names the
     failing stage.
     """
-    n, d = block.eta.shape[1:]
+    n, d = sample.eta.shape[1:]
     if d != 2:
         raise DomainError("composite estimation is implemented for dimension 2 only")
     w = edge_grid(settings.grid_size)
     points = edge_points(w)
-    if len(block) == 1:
-        # the sample's own pseudo-uniforms serve as the tables' levels
-        levels, index = pseudo_uniforms(block.eta[0]), None
+    if len(sample) == 1:
+        # the row's own pseudo-uniforms serve as the tables' levels
+        levels, index = pseudo_uniforms(sample.eta[0]), None
     else:
         # ranks 1..n index the n levels r/(n+1), shared by every coordinate
         levels = np.broadcast_to((np.arange(1, n + 1) / (n + 1.0))[:, np.newaxis], (n, d))
-        index = _ranks(block.eta) - 1
+        index = _ranks(sample.eta) - 1
     picks = tuple(dict.fromkeys(pair.pick for pair in pairs))
     curves = _curves_at(levels, index, points, picks, cpus)
     if settings.corrected:
@@ -741,7 +741,7 @@ def fit_pairs(block, pairs, settings, cpus=None):
         }
     fits = {}
     methods = tuple(dict.fromkeys(pair.alpha_method for pair in pairs))
-    tails = estimate_alpha(block.xi, methods, settings.k)
+    tails = estimate_alpha(sample.xi, methods, settings.k)
     for method in methods:
         own = [pair for pair in dict.fromkeys(pairs) if pair.alpha_method == method]
         alpha_raw, errors = tails[method]

@@ -36,16 +36,15 @@ kernel's lanes max(1, CPUs // processes) CPUs, so the lanes of a pooled
 sweep do not oversubscribe the cores. ComboResult.wall_ms is the sum of
 the combination's block times, each measured where the block ran.
 
-A block goes through every layer as stacked arrays: it draws one sample
-per replication stream into one PairedBlock with its pipeline's block
-sampler (sample_experiment1_block or sample_experiment2_block, each of
-which gives a stream the bits a one-stream call draws), fits every pair on
-the whole block in one estimators.fit_pairs call, which ranks the block in
-one pass and shares the curve kernel's level tables across it, and returns
-each pair's fits as (B, k) and (B,) arrays. The blocks of a combination are
-concatenated in replication order, and failures and clamps are counted as
-array sums. Samples and fits do not depend on the block they fall in, so
-the block size moves no output either.
+A block goes through every layer as stacked arrays: its pipeline's sampler
+(sample_experiment1 or sample_experiment2) draws one sample per
+replication stream into one PairedSample of B rows, each row with the bits
+its stream gives alone; one estimators.fit_pairs call fits every pair to
+all B rows, ranks them in one pass, shares the curve kernel's level tables
+across them, and returns each pair's fits as (B, k) and (B,) arrays. The
+blocks of a combination are concatenated in replication order, and
+failures and clamps are counted as array sums. Samples and fits do not
+depend on the block they fall in, so the block size moves no output either.
 Per-replication estimation failures are excluded and counted, never imputed;
 a combination with more than 20% failures is flagged in the run report.
 Parameter domains belong to depcore: ExperimentConfig checks its grids by
@@ -74,8 +73,8 @@ from .samplers import (
     RngStream,
     check_inner_size,
     check_sample_size,
-    sample_experiment1_block,
-    sample_experiment2_block,
+    sample_experiment1,
+    sample_experiment2,
 )
 
 __all__ = [
@@ -228,13 +227,13 @@ def truth_curve(combo, w):
 
 
 def _sample_block(reps, config, combo):
-    """The PairedBlock of one sample per replication in `reps`, each drawn
+    """The PairedSample with one row per replication in `reps`, each drawn
     from that replication's own stream; the combination is hashed once."""
     key = _combo_key(combo)
     streams = [_keyed_stream(config.seed, key, rep) for rep in reps]
     if combo.experiment == 1:
-        return sample_experiment1_block(combo.psi_or_rho, combo.alpha, combo.n, streams)
-    return sample_experiment2_block(
+        return sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, streams)
+    return sample_experiment2(
         combo.psi_or_rho, combo.upsilon, combo.alpha, combo.n, streams, n_prime=config.inner_size
     )
 

@@ -12,14 +12,15 @@ platform and parallel callers with distinct stream ids are independent.
 Samplers accept either an RngStream (a fresh generator is derived) or an
 already-running numpy Generator (state advances across calls).
 
-Blocks: both pipelines are drawn a block of streams at a time, one sample
-per stream, stacked into a PairedBlock of eta (B, n, d) and xi (B, n);
-sample_experiment1 and sample_experiment2 are the blocks of one stream. In
-pipeline 1 each stream makes its draws in the order a one-stream call makes
-them (the exponentials of Z, then the uniforms and exponentials of S_psi
-when psi < 1, then those of S_alpha), and the arithmetic then runs once on
-the stacked draws. Every step of that arithmetic is elementwise, or a max
-over the d coordinates, so a sample has the same bits in any block.
+Samples: both pipelines take a sequence of such streams and draw one
+sample per stream, stacked into a PairedSample of eta (B, n, d) and xi
+(B, n); one stream gives a one-row sample, and a lone stream or an empty
+sequence is refused. In pipeline 1 each stream makes its draws in turn
+(the exponentials of Z, then the uniforms and exponentials of S_psi when
+psi < 1, then those of S_alpha), and the arithmetic then runs once on the
+stacked draws. Every step of that arithmetic is elementwise, or a max over
+the d coordinates, so a stream's sample has the same bits whichever
+streams it is drawn beside.
 
 In pipeline 2 a stream draws its (n, n_prime) block sizes, then scans its n
 observations' pooled t-rows top-down, one observation after another: each
@@ -37,8 +38,9 @@ again, and it is scanned alone, batch after batch, by the same batch scan
 at m = 1; the lockstep then resumes after it. So every sample, and every
 generator's next draw, has the bits of the one-observation-at-a-time scan.
 
-No function here reads or writes a file: PairedSample.to_csv returns its
-text and PairedSample.from_csv parses text, and the CLI does the I/O.
+No function here reads or writes a file: PairedSample.to_csv(b) returns
+the text of row b and PairedSample.from_csv parses text into a one-row
+sample, and the CLI does the I/O.
 Parameter domains belong to depcore: a sampler checks psi and d by building
 Logistic(psi, dim=d) and rho and upsilon by building ExtremalT(rho, upsilon),
 the models it samples, and alpha with check_tail_index. The count rules
@@ -57,14 +59,11 @@ from .errors import DomainError, InputParseError, as_integer
 __all__ = [
     "RngStream",
     "PairedSample",
-    "PairedBlock",
     "sample_positive_stable",
     "sample_logistic_maxstable",
     "sample_experiment1",
-    "sample_experiment1_block",
     "sample_pareto_block_size",
     "sample_experiment2",
-    "sample_experiment2_block",
     "check_sample_size",
     "check_inner_size",
 ]
@@ -92,6 +91,16 @@ def _gen(rng):
     raise DomainError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _check_rngs(rngs):
+    """Refuse a lone stream, or none, where a sampler takes a sequence of
+    RngStreams or running Generators, one per sample."""
+    if isinstance(rngs, (RngStream, np.random.Generator)):
+        name = type(rngs).__name__
+        raise DomainError(f"rngs must be a sequence of streams, one per sample, got one {name}")
+    if len(rngs) == 0:
+        raise DomainError("rngs must hold at least one stream")
+
+
 def check_sample_size(name, n):
     """n as an int, for the sample size named `name`: every pipeline draws
     n >= 2 observations, the fewest a rank or a tail fit can use."""
@@ -112,11 +121,13 @@ def check_inner_size(name, n_prime):
 
 @dataclass
 class PairedSample:
-    """n paired observations: eta (n, d) with positive entries and xi (n,).
+    """B paired samples of one shape, stacked: eta (B, n, d) with positive
+    entries and xi (B, n), with B >= 1, n >= 2 and d >= 2.
 
-    eta holds the componentwise-maxima vectors, xi the scalar derived from
-    the block sizes (pipeline 2) or the row maximum (pipeline 1). meta keeps
-    the generating parameters.
+    Row b is one sample of n observations: eta[b] holds the
+    componentwise-maxima vectors, xi[b] the scalar derived from the block
+    sizes (pipeline 2) or the row maximum (pipeline 1). meta keeps the
+    generating parameters the samples share.
     """
 
     eta: np.ndarray
@@ -126,19 +137,15 @@ class PairedSample:
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
-        _check_pairs(self.eta, self.xi, 2)
+        _check_pairs(self.eta, self.xi)
 
-    @property
-    def n(self):
-        return self.eta.shape[0]
+    def __len__(self):
+        return self.xi.shape[0]
 
-    @property
-    def dim(self):
-        return self.eta.shape[1]
-
-    def to_csv(self):
-        """The CSV text: the header `eta_1,...,eta_d,xi`, then one row per
-        observation. The caller writes it; this module touches no file.
+    def to_csv(self, b):
+        """The CSV text of row b: the header `eta_1,...,eta_d,xi`, then one
+        row per observation. The caller writes it; this module touches no
+        file.
 
         Each cell is repr() of the Python float, the shortest text that reads
         back to the same bits; cells are joined by "," and every row, the last
@@ -147,19 +154,21 @@ class PairedSample:
         are joined once at the end, so no more than one chunk's floats and
         row strings are alive beside the text.
         """
-        header = ",".join(f"eta_{j + 1}" for j in range(self.dim)) + ",xi"
+        n, d = self.eta.shape[1:]
+        header = ",".join(f"eta_{j + 1}" for j in range(d)) + ",xi"
         parts = [header, "\n"]
-        for start in range(0, self.n, _CSV_CHUNK_ROWS):
+        for start in range(0, n, _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            eta, xi = self.eta[rows].T.tolist(), self.xi[rows].tolist()
+            eta, xi = self.eta[b, rows].T.tolist(), self.xi[b, rows].tolist()
             columns = [map(repr, column) for column in (*eta, xi)]
             parts += ("\n".join(map(",".join, zip(*columns))), "\n")
         return "".join(parts)
 
     @classmethod
     def from_csv(cls, text):
-        """Parse the text to_csv writes, with InputParseError naming the line.
-        The caller reads the file; lines are split on "\\n" only.
+        """The one-row sample of the text to_csv writes, with InputParseError
+        naming the line. The caller reads the file; lines are split on "\\n"
+        only.
 
         Lines are stripped of surrounding whitespace (so CRLF endings pass)
         and blank ones are skipped, though still counted in line numbers.
@@ -196,7 +205,7 @@ class PairedSample:
         table = _read_rows(text, end + 1, d) if end >= 0 else None
         if table is not None:
             try:
-                return cls(table[:, :-1].copy(), table[:, -1].copy())
+                return cls(table[np.newaxis, :, :-1].copy(), table[np.newaxis, :, -1].copy())
             except DomainError:
                 pass
         return cls._parse_lines(text, d)
@@ -224,7 +233,7 @@ class PairedSample:
         table = np.array(values).reshape(len(linenos), d + 1)
         eta, xi = table[:, :-1].copy(), table[:, -1].copy()
         try:
-            return cls(eta, xi)
+            return cls(eta[np.newaxis], xi[np.newaxis])
         except DomainError as exc:
             # name the first row that breaks the rule reported; eta is checked first
             bad = ~np.all(np.isfinite(eta) & (eta > 0.0), axis=1)
@@ -266,37 +275,16 @@ def _read_rows(text, start, d):
     return np.concatenate(blocks) if blocks else None
 
 
-def _check_pairs(eta, xi, ndim):
-    """The rules of a paired sample on eta (n, d) and xi (n,) at ndim 2, or
-    on stacks (B, n, d) and (B, n) of them at ndim 3."""
-    form = "an (n, d) matrix" if ndim == 2 else "a (B, n, d) stack of B >= 1 samples"
-    if eta.ndim != ndim or eta.size == 0 or eta.shape[-2] < 2 or eta.shape[-1] < 2:
-        raise DomainError(f"eta must be {form} with n >= 2, d >= 2")
+def _check_pairs(eta, xi):
+    """The rules of a paired sample on eta (B, n, d) and xi (B, n)."""
+    if eta.ndim != 3 or eta.size == 0 or eta.shape[1] < 2 or eta.shape[2] < 2:
+        raise DomainError("eta must be a (B, n, d) stack of B >= 1 samples with n >= 2, d >= 2")
     if xi.shape != eta.shape[:-1]:
         raise DomainError("xi must have one entry per eta row")
     if not (np.all(np.isfinite(eta)) and np.all(eta > 0.0)):
         raise DomainError("eta entries must be finite and strictly positive")
     if not (np.all(np.isfinite(xi)) and np.all(xi > 0.0)):
         raise DomainError("xi entries must be finite and strictly positive")
-
-
-@dataclass
-class PairedBlock:
-    """B paired samples of one shape, stacked: eta (B, n, d) and xi (B, n),
-    each row under the rules of PairedSample. meta keeps the generating
-    parameters the samples share."""
-
-    eta: np.ndarray
-    xi: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.eta = np.asarray(self.eta, dtype=float)
-        self.xi = np.asarray(self.xi, dtype=float)
-        _check_pairs(self.eta, self.xi, 3)
-
-    def __len__(self):
-        return self.xi.shape[0]
 
 
 def _kanter(alpha, v, w):
@@ -344,19 +332,23 @@ def sample_logistic_maxstable(psi, d, rng, size=None):
     return _logistic(psi, y, sample_positive_stable(psi, gen, size))
 
 
-def sample_experiment1_block(psi, alpha, n, rngs, d=2):
-    """Pipeline 1 for a block of streams: one sample of n draws of (eta, xi)
-    per entry of `rngs` (RngStreams or running Generators), stacked in a
-    PairedBlock in the order of `rngs`.
+def sample_experiment1(psi, alpha, n, rngs, d=2):
+    """Pipeline 1: one sample of n draws of (eta, xi) from the scaled
+    logistic construction per entry of `rngs` (RngStreams or running
+    Generators), stacked in a PairedSample in the order of `rngs`.
 
-    Each sample is the one sample_experiment1 draws from that stream, bit for
-    bit, and a running Generator advances exactly as it would there (see
-    "Blocks" in the module docstring).
+    Z is logistic(psi) max-stable with unit-Frechet margins, S is positive
+    alpha-stable independent of Z, eta = S * Z (componentwise) and
+    xi = max_j eta_j. eta then has alpha-Frechet margins and the
+    alpha-scaled logistic dependence; xi is alpha-Frechet up to scale.
+    A stream's sample does not depend on the streams beside it (see
+    "Samples" in the module docstring).
     """
     d = as_integer("d", d)
     Logistic(psi, dim=d)
     check_tail_index(alpha)
     n = check_sample_size("n", n)
+    _check_rngs(rngs)
     # the exponentials of Z, then (uniform, exponential) of S_psi and of S_alpha
     e = np.empty((len(rngs), n, d))
     draws = np.empty((4, len(rngs), n))
@@ -373,20 +365,7 @@ def sample_experiment1_block(psi, alpha, n, rngs, d=2):
         z = _logistic(psi, z, _kanter(psi, draws[0], draws[1]))
     eta = _kanter(alpha, draws[2], draws[3])[..., np.newaxis] * z
     meta = {"experiment": 1, "psi": psi, "alpha": alpha, "n": n, "d": d}
-    return PairedBlock(eta, eta.max(axis=-1), meta)
-
-
-def sample_experiment1(psi, alpha, n, rng, d=2):
-    """Pipeline 1: n draws of (eta, xi) from the scaled logistic construction.
-
-    Z is logistic(psi) max-stable with unit-Frechet margins, S is positive
-    alpha-stable independent of Z, eta = S * Z (componentwise) and
-    xi = max_j eta_j. eta then has alpha-Frechet margins and the
-    alpha-scaled logistic dependence; xi is alpha-Frechet up to scale.
-    This is the block of one stream of sample_experiment1_block.
-    """
-    block = sample_experiment1_block(psi, alpha, n, (rng,), d)
-    return PairedSample(block.eta[0], block.xi[0], block.meta)
+    return PairedSample(eta, eta.max(axis=-1), meta)
 
 
 def sample_pareto_block_size(alpha, rng, size=None):
@@ -466,7 +445,7 @@ def _scan_one(gen, total, rho, nu):
 def _pooled_t_maxima(gen, totals, rho, nu):
     """Componentwise maxima (m, 2) of totals[i] iid bivariate-t rows for each
     of a sample's m observations, with the draws _scan_one makes for them
-    one observation after another (see "Blocks" in the module docstring).
+    one observation after another (see "Samples" in the module docstring).
 
     The observations run in lockstep: one _scan_batch over each run of
     observations with at least _BATCH_ROWS rows. An observation whose scan
@@ -501,20 +480,24 @@ def _pooled_t_maxima(gen, totals, rho, nu):
     return maxima
 
 
-def sample_experiment2_block(rho, nu, alpha, n, rngs, n_prime=500):
-    """Pipeline 2 for a block of streams: one sample of n draws of (eta, xi)
-    per entry of `rngs` (RngStreams or running Generators), stacked in a
-    PairedBlock in the order of `rngs`.
+def sample_experiment2(rho, nu, alpha, n, rngs, n_prime=500):
+    """Pipeline 2: one sample of n draws of (eta, xi) from the
+    domain-of-attraction scheme per entry of `rngs` (RngStreams or running
+    Generators), stacked in a PairedSample in the order of `rngs`.
 
-    Each sample is the one sample_experiment2 draws from that stream, bit for
-    bit, and a running Generator advances exactly as it would there (see
-    "Blocks" in the module docstring). A sample whose draws raise stops the
-    block with that sample's error.
+    Per observation, n_prime independent blocks are formed: block k has a
+    heavy-tailed Pareto(alpha) size N_k and holds N_k bivariate Student-t
+    rows; xi = max_k N_k and eta is the componentwise maximum over all rows
+    of all blocks. Block sizes are not truncated, and sizes, their totals or
+    t-row radii that overflow float64 raise DomainError. Each stream draws
+    its sample in turn, and a sample whose draws raise stops the call with
+    that sample's error.
     """
     ExtremalT(rho, nu)
     check_tail_index(alpha)
     n = check_sample_size("n", n)
     n_prime = check_inner_size("n_prime", n_prime)
+    _check_rngs(rngs)
     eta = np.empty((len(rngs), n, 2))
     xi = np.empty((len(rngs), n))
     for b, rng in enumerate(rngs):
@@ -540,18 +523,4 @@ def sample_experiment2_block(rho, nu, alpha, n, rngs, n_prime=500):
         "n": n,
         "inner_size": n_prime,
     }
-    return PairedBlock(eta, xi, meta)
-
-
-def sample_experiment2(rho, nu, alpha, n, rng, n_prime=500):
-    """Pipeline 2: n draws of (eta, xi) from the domain-of-attraction scheme.
-
-    Per observation, n_prime independent blocks are formed: block k has a
-    heavy-tailed Pareto(alpha) size N_k and holds N_k bivariate Student-t
-    rows; xi = max_k N_k and eta is the componentwise maximum over all rows
-    of all blocks. Block sizes are not truncated, and sizes, their totals or
-    t-row radii that overflow float64 raise DomainError.
-    This is the block of one stream of sample_experiment2_block.
-    """
-    block = sample_experiment2_block(rho, nu, alpha, n, (rng,), n_prime)
-    return PairedSample(block.eta[0], block.xi[0], block.meta)
+    return PairedSample(eta, xi, meta)

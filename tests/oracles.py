@@ -2,7 +2,7 @@
 
 None of this is part of randmax: a Frechet law for quantile grids, the
 per-stream pipeline-1 sampler and the column-by-column ranks, the bit-level
-references for the block sampler and the stacked ranks, the per-row terms
+references for the many-stream sampler and the stacked ranks, the per-row terms
 of the rank-based curve estimators computed straight from their formulas,
 a Poisson spectral sampler of the alpha-scaled law that is independent of
 the S * Z construction the package samples with, and a row-by-row
@@ -12,9 +12,9 @@ bit-level reference for the lockstep scan, and one-sample GPWM and ML
 tail fits written with Python scalars, the bit-level reference for the
 block-wise fits, and the sample CSV parser that reads every line with
 float(), the reference for PairedSample.from_csv. Only fit_row and
-stack_samples call the package: the tail fit of one row, and a
-PairedBlock of one-sample draws, as tests use them; oracle_from_csv builds
-a PairedSample, whose rules it relies on.
+stack_samples call the package: the tail fit of one row, and the
+PairedSample of the rows of several draws, as tests use them;
+oracle_from_csv builds a one-row PairedSample, whose rules it relies on.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from scipy import special
 
 from randmax.errors import DomainError, EstimationError, InputParseError
 from randmax.estimators import estimate_alpha, gpwm_weights
-from randmax.samplers import PairedBlock, PairedSample, RngStream, sample_logistic_maxstable
+from randmax.samplers import PairedSample, RngStream, sample_logistic_maxstable
 
 
 @dataclass(frozen=True)
@@ -234,14 +234,16 @@ def oracle_sample_experiment2(rho, nu, alpha, n, gen, n_prime, batch_rows=64):
 
 
 def stack_samples(samples):
-    """The PairedBlock of PairedSamples of one shape, with the first one's meta."""
+    """The PairedSample of the rows of PairedSamples whose rows share one
+    shape, in order, with the first one's meta."""
     samples = tuple(samples)
     if not samples:
         raise DomainError("need at least one sample to stack")
-    if any(sample.eta.shape != samples[0].eta.shape for sample in samples):
+    if any(sample.eta.shape[1:] != samples[0].eta.shape[1:] for sample in samples):
         raise DomainError("samples stacked in a block must share one shape")
-    eta = np.array([sample.eta for sample in samples])
-    return PairedBlock(eta, np.array([sample.xi for sample in samples]), dict(samples[0].meta))
+    eta = np.concatenate([sample.eta for sample in samples])
+    xi = np.concatenate([sample.xi for sample in samples])
+    return PairedSample(eta, xi, dict(samples[0].meta))
 
 
 def fit_row(xi, method, k=5):
@@ -377,7 +379,8 @@ def oracle_ml_alpha(xi, init=None, tol=1e-12, max_iter=200):
 
 
 def oracle_from_csv(text):
-    """Parse the text PairedSample.to_csv writes, with InputParseError naming the line.
+    """The one-row PairedSample of the text PairedSample.to_csv writes, with
+    InputParseError naming the line.
     The caller reads the file; lines are split on "\\n" only.
 
     Lines are stripped of surrounding whitespace (so CRLF endings pass)
@@ -411,7 +414,7 @@ def oracle_from_csv(text):
     table = np.array(values).reshape(len(rows), d + 1)
     eta, xi = table[:, :-1].copy(), table[:, -1].copy()
     try:
-        return PairedSample(eta, xi)
+        return PairedSample(eta[np.newaxis], xi[np.newaxis])
     except DomainError as exc:
         # name the first row that breaks the rule reported; eta is checked first
         bad = ~np.all(np.isfinite(eta) & (eta > 0.0), axis=1)

@@ -59,7 +59,7 @@ from randmax.samplers import (
     sample_positive_stable,
 )
 
-from oracles import fit_row, madogram_nu, pseudo_angles, sample_spectral_scaled, stack_samples
+from oracles import fit_row, madogram_nu, pseudo_angles, sample_spectral_scaled
 
 SCALE_INDICES = (0.5, 0.633, 0.767, 0.9)
 MASTER_SEED = 20260811
@@ -203,8 +203,8 @@ def test_criterion_04_sampler_calibration():
         worst_theta = max(worst_theta, abs(theta - 2.0**psi))
     details.append(f"logistic theta worst {worst_theta:.4f}")
     spectral = sample_spectral_scaled(0.5, RngStream(MASTER_SEED, 60), 10_000, base_psi=1.0)
-    direct = sample_experiment1(1.0, 0.5, 10_000, RngStream(MASTER_SEED, 61))
-    pvalue = ks_2samp(spectral.max(axis=1), direct.xi).pvalue
+    direct = sample_experiment1(1.0, 0.5, 10_000, [RngStream(MASTER_SEED, 61)])
+    pvalue = ks_2samp(spectral.max(axis=1), direct.xi[0]).pvalue
     details.append(f"KS p = {pvalue:.3f}")
     elapsed = time.perf_counter() - start
     details.append(f"{elapsed:.1f}s")
@@ -253,7 +253,7 @@ _PAIRS = tuple(EstimatorPair(p, a) for a in ("GPWM", "ML") for p in ("P", "CFG",
 
 def _sup_errors(sample, truth):
     """sup|A* estimate - truth| of every pair, from one fit_pairs call."""
-    fits = fit_pairs(stack_samples((sample,)), _PAIRS, FitSettings())
+    fits = fit_pairs(sample, _PAIRS, FitSettings())
     sups = {}
     for label, fit in fits.items():
         if isinstance(fit.errors[0], EstimationError):
@@ -266,7 +266,7 @@ def test_criterion_06_consistency_bound():
     """Every composite pair: sup|estimate - truth| < 0.05 at n = 10^4."""
     combo = Combo(1, 0.5, 0.5, float("nan"), 10_000)
     truth = truth_curve(combo, edge_grid(201))
-    sample = sample_experiment1(0.5, 0.5, 10_000, RngStream(MASTER_SEED, 0))
+    sample = sample_experiment1(0.5, 0.5, 10_000, [RngStream(MASTER_SEED, 0)])
     sups = _sup_errors(sample, truth)
     ok = all(v < 0.05 for v in sups.values())
     _report(6, ok, "sup errors " + ", ".join(f"{k}={v:.4f}" for k, v in sups.items()))
@@ -280,8 +280,8 @@ def consistency_wins():
     truth = truth_curve(combo, edge_grid(201))
     wins = {pair.label: 0 for pair in _PAIRS}
     for trial in range(100):
-        small = sample_experiment1(0.5, 0.5, 1_000, RngStream(500 + trial, 1))
-        large = sample_experiment1(0.5, 0.5, 10_000, RngStream(500 + trial, 2))
+        small = sample_experiment1(0.5, 0.5, 1_000, [RngStream(500 + trial, 1)])
+        large = sample_experiment1(0.5, 0.5, 10_000, [RngStream(500 + trial, 2)])
         sups_small = _sup_errors(small, truth)
         sups_large = _sup_errors(large, truth)
         for label in wins:
@@ -313,8 +313,8 @@ def test_criterion_06_size_comparison_ml(consistency_wins):
 
 def test_criterion_07_population_oracles():
     """Exponential-angle and madogram population identities, 3 MC se at 1e5."""
-    sample = sample_experiment1(0.5, 0.5, 100_000, RngStream(MASTER_SEED, 70))
-    uniforms = np.exp(-sample.eta**-0.5)  # exact scaled-law margins
+    sample = sample_experiment1(0.5, 0.5, 100_000, [RngStream(MASTER_SEED, 70)])
+    uniforms = np.exp(-sample.eta[0] ** -0.5)  # exact scaled-law margins
     scaled = AlphaScaled(Logistic(0.5), 0.5)
     worst = 0.0
     for t in (np.array([0.5, 0.5]), np.array([0.3, 0.7])):
@@ -404,11 +404,11 @@ def figure1_variants():
         psi = combo.psi_or_rho
         for rep in range(config.replications):
             sample = sample_experiment1(
-                psi, combo.alpha, combo.n, replication_stream(config.seed, combo, rep)
+                psi, combo.alpha, combo.n, [replication_stream(config.seed, combo, rep)]
             )
-            u = pseudo_uniforms(sample.eta)
+            u = pseudo_uniforms(sample.eta[0])
             try:
-                alpha_raw = fit_row(sample.xi, "GPWM", config.fit.k)
+                alpha_raw = fit_row(sample.xi[0], "GPWM", config.fit.k)
                 # clamped into (0, 1) as the harness fits are
                 alpha_hat = 1.0 - 1e-6 if alpha_raw >= 1.0 else alpha_raw
             except EstimationError:

@@ -48,7 +48,7 @@ def write_config(path, payload):
 
 
 def write_sample(path, sample):
-    path.write_text(sample.to_csv(), encoding="utf-8")
+    path.write_text(sample.to_csv(0), encoding="utf-8")
     return str(path)
 
 
@@ -229,7 +229,7 @@ class TestEstimateCommand:
             workspace / "c.json", {"estimate": {"pairs": [{"pick": "CFG", "alpha": "ML"}]}}
         )
         sample = workspace / "sample.csv"
-        write_sample(sample, sample_experiment1(0.5, 0.5, 400, RngStream(42)))
+        write_sample(sample, sample_experiment1(0.5, 0.5, 400, [RngStream(42)]))
         code, err = run_in_process(
             capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
             "--input", str(sample),
@@ -255,7 +255,7 @@ class TestEstimateCommand:
         block = dict(settings, pairs=[{"pick": "CFG", "alpha": "GPWM"}])
         cfg = write_config(workspace / "c.json", {"estimate": block})
         sample = workspace / "sample.csv"
-        write_sample(sample, sample_experiment1(0.5, 0.5, 400, RngStream(42)))
+        write_sample(sample, sample_experiment1(0.5, 0.5, 400, [RngStream(42)]))
         code, err = run_in_process(
             capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
             "--input", str(sample),
@@ -297,7 +297,7 @@ class TestEstimateCommand:
             workspace / "c.json", {"estimate": {"pairs": [{"pick": "CFG", "alpha": "GPWM"}]}}
         )
         sample = workspace / "sample.csv"
-        write_sample(sample, sample_experiment1(0.5, 0.5, 2000, RngStream(42)))
+        write_sample(sample, sample_experiment1(0.5, 0.5, 2000, [RngStream(42)]))
         size = len(sample.read_text(encoding="utf-8"))
         fit_pairs = cli.fit_pairs
         callers, held = [], []
@@ -375,7 +375,7 @@ class TestEstimateCommand:
     def test_sample_that_is_not_bivariate_is_input_error(self, workspace, capsys):
         cfg, _ = self._sampled(workspace, capsys)
         trivariate = workspace / "d3.csv"
-        write_sample(trivariate, sample_experiment1(0.5, 0.5, 50, RngStream(42), d=3))
+        write_sample(trivariate, sample_experiment1(0.5, 0.5, 50, [RngStream(42)], d=3))
         code, err = run_in_process(
             capsys, "estimate", "--config", cfg, "--out", str(workspace / "e"),
             "--input", str(trivariate),
@@ -578,7 +578,8 @@ class TestExperimentCommands:
     )
     def test_unwritable_output_is_io_error(self, workspace, capsys, subcommand, block):
         cfg = write_config(workspace / "c.json", block)
-        sample = write_sample(workspace / "s.csv", sample_experiment1(0.5, 0.5, 100, RngStream(4)))
+        drawn = sample_experiment1(0.5, 0.5, 100, [RngStream(4)])
+        sample = write_sample(workspace / "s.csv", drawn)
         extra = ["--input", sample] if subcommand == "estimate" else []
         blocker = workspace / "blocker"
         blocker.write_text("not a directory")

@@ -1,9 +1,10 @@
 """Each parameter domain is stated once: alpha by depcore.check_tail_index,
 psi and the dimension by Logistic, rho and upsilon by ExtremalT, the sample
 size and pipeline 2's inner count by samplers.check_sample_size and
-check_inner_size, and the estimator names by one check per name set. Every
-entry point that takes one of them must reject it with that one message,
-and every count must be an integer."""
+check_inner_size, a sampler's streams by one samplers check, and the
+estimator names by one check per name set. Every entry point that takes
+one of them must reject it with that one message, and every count must be
+an integer."""
 
 import re
 
@@ -35,9 +36,7 @@ from randmax.samplers import (
     check_inner_size,
     check_sample_size,
     sample_experiment1,
-    sample_experiment1_block,
     sample_experiment2,
-    sample_experiment2_block,
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,
@@ -65,12 +64,15 @@ def _message(make):
     return str(exc.value)
 
 
+#: a sampler checks its parameters before it draws, however many streams it draws
+_TWO = (RngStream(1, 0), RngStream(1, 1))
+
 ALPHA_ENTRY_POINTS = {
     "sample_positive_stable": lambda a: sample_positive_stable(a, RngStream(1)),
     "sample_pareto_block_size": lambda a: sample_pareto_block_size(a, RngStream(1)),
-    "sample_experiment1": lambda a: sample_experiment1(0.5, a, 10, RngStream(1)),
-    "sample_experiment2": lambda a: sample_experiment2(0.5, 1.0, a, 10, RngStream(1)),
-    "sample_experiment2_block": lambda a: sample_experiment2_block(0.5, 1.0, a, 10, [RngStream(1)]),
+    "sample_experiment1": lambda a: sample_experiment1(0.5, a, 10, [RngStream(1)]),
+    "sample_experiment2": lambda a: sample_experiment2(0.5, 1.0, a, 10, [RngStream(1)]),
+    "sample_experiment2_two_streams": lambda a: sample_experiment2(0.5, 1.0, a, 10, _TWO),
     "AlphaScaled": lambda a: AlphaScaled(Logistic(0.5), a),
     "lambda_inverse_link": lambda a: lambda_inverse_link(0.5, a),
     "tail_prob_approx": lambda a: tail_prob_approx(Logistic(0.5), a, [1.0, 1.0], 10),
@@ -88,8 +90,8 @@ def test_tail_index_rule_is_stated_once(entry, alpha):
 
 PSI_ENTRY_POINTS = {
     "sample_logistic_maxstable": lambda p: sample_logistic_maxstable(p, 2, RngStream(1)),
-    "sample_experiment1": lambda p: sample_experiment1(p, 0.5, 10, RngStream(1)),
-    "sample_experiment1_block": lambda p: sample_experiment1_block(p, 0.5, 10, [RngStream(1)]),
+    "sample_experiment1": lambda p: sample_experiment1(p, 0.5, 10, [RngStream(1)]),
+    "sample_experiment1_two_streams": lambda p: sample_experiment1(p, 0.5, 10, _TWO),
     "ExperimentConfig": lambda p: _config(psi=p),
 }
 
@@ -103,10 +105,8 @@ def test_psi_rule_is_the_logistic_one(entry, psi):
 
 
 EXTREMAL_T_ENTRY_POINTS = {
-    "sample_experiment2": lambda r, u: sample_experiment2(r, u, 0.5, 10, RngStream(1)),
-    "sample_experiment2_block": lambda r, u: sample_experiment2_block(
-        r, u, 0.5, 10, [RngStream(1)]
-    ),
+    "sample_experiment2": lambda r, u: sample_experiment2(r, u, 0.5, 10, [RngStream(1)]),
+    "sample_experiment2_two_streams": lambda r, u: sample_experiment2(r, u, 0.5, 10, _TWO),
     "ExperimentConfig": lambda r, u: _config(experiment=2, rho=r, upsilon=u),
 }
 
@@ -130,20 +130,16 @@ def test_rho_and_upsilon_rules_are_the_extremal_t_ones(entry, rho, upsilon, star
 
 
 SAMPLE_SIZE_ENTRY_POINTS = {
-    "sample_experiment1": lambda n: sample_experiment1(0.5, 0.5, n, RngStream(1)),
-    "sample_experiment1_block": lambda n: sample_experiment1_block(0.5, 0.5, n, [RngStream(1)]),
-    "sample_experiment2": lambda n: sample_experiment2(0.5, 1.0, 0.5, n, RngStream(1)),
-    "sample_experiment2_block": lambda n: sample_experiment2_block(
-        0.5, 1.0, 0.5, n, [RngStream(1)]
-    ),
+    "sample_experiment1": lambda n: sample_experiment1(0.5, 0.5, n, [RngStream(1)]),
+    "sample_experiment1_two_streams": lambda n: sample_experiment1(0.5, 0.5, n, _TWO),
+    "sample_experiment2": lambda n: sample_experiment2(0.5, 1.0, 0.5, n, [RngStream(1)]),
+    "sample_experiment2_two_streams": lambda n: sample_experiment2(0.5, 1.0, 0.5, n, _TWO),
     "ExperimentConfig": lambda n: _config(n=n),
 }
 
 INNER_SIZE_ENTRY_POINTS = {
-    "sample_experiment2": lambda m: sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(1), m),
-    "sample_experiment2_block": lambda m: sample_experiment2_block(
-        0.5, 1.0, 0.5, 10, [RngStream(1)], m
-    ),
+    "sample_experiment2": lambda m: sample_experiment2(0.5, 1.0, 0.5, 10, [RngStream(1)], m),
+    "sample_experiment2_two_streams": lambda m: sample_experiment2(0.5, 1.0, 0.5, 10, _TWO, m),
     "ExperimentConfig": lambda m: _config(experiment=2, inner_size=m),
 }
 
@@ -162,6 +158,31 @@ def test_inner_size_rule_is_stated_once(entry, n_prime):
     message = _message(lambda: INNER_SIZE_ENTRY_POINTS[entry](n_prime))
     assert message == _message(lambda: check_inner_size("n_prime", n_prime))
     assert message == f"inner replication count must be >= 1, got {n_prime}"
+
+
+RNGS_ENTRY_POINTS = {
+    "sample_experiment1": lambda r: sample_experiment1(0.5, 0.5, 10, r),
+    "sample_experiment2": lambda r: sample_experiment2(0.5, 1.0, 0.5, 10, r),
+}
+
+
+@pytest.mark.parametrize(
+    "rngs, message",
+    [
+        (RngStream(1), "rngs must be a sequence of streams, one per sample, got one RngStream"),
+        (
+            RngStream(1).generator(),
+            "rngs must be a sequence of streams, one per sample, got one Generator",
+        ),
+        ((), "rngs must hold at least one stream"),
+        ([], "rngs must hold at least one stream"),
+    ],
+    ids=["stream", "generator", "empty-tuple", "empty-list"],
+)
+@pytest.mark.parametrize("entry", sorted(RNGS_ENTRY_POINTS))
+def test_rngs_rule_is_stated_once(entry, rngs, message):
+    # a sampler draws one sample per stream, so a bare stream or none is refused
+    assert _message(lambda: RNGS_ENTRY_POINTS[entry](rngs)) == message
 
 
 _U = np.array([[0.2, 0.4], [0.6, 0.8]])
@@ -193,18 +214,18 @@ def test_tail_estimator_names_are_checked_once(entry):
 @pytest.mark.parametrize(
     "make, field",
     [
-        (lambda: sample_experiment1(0.5, 0.5, 50.7, RngStream(1)), "n"),
-        (lambda: sample_experiment1(0.5, 0.5, 50, RngStream(1), d=2.9), "d"),
+        (lambda: sample_experiment1(0.5, 0.5, 50.7, [RngStream(1)]), "n"),
+        (lambda: sample_experiment1(0.5, 0.5, 50, [RngStream(1)], d=2.9), "d"),
         (lambda: sample_logistic_maxstable(0.5, 2.0, RngStream(1)), "d"),
-        (lambda: sample_experiment2(0.5, 1.0, 0.5, 5.9, RngStream(1)), "n"),
-        (lambda: sample_experiment2(0.5, 1.0, 0.5, 5, RngStream(1), n_prime=20.5), "n_prime"),
+        (lambda: sample_experiment2(0.5, 1.0, 0.5, 5.9, [RngStream(1)]), "n"),
+        (lambda: sample_experiment2(0.5, 1.0, 0.5, 5, [RngStream(1)], n_prime=20.5), "n_prime"),
         (lambda: tail_prob_approx(Logistic(0.5), 0.5, [1.0, 1.0], 2.5), "n"),
         (lambda: gpwm_weights(5.5, 2), "n"),
         (lambda: edge_grid(5.5), "grid size"),
         (lambda: Logistic(0.5, dim=2.5), "dim"),
         (lambda: Independence(dim=2.5), "dim"),
         (lambda: ExtremalT(0.5, 1.0, dim=2.0), "dim"),
-        (lambda: sample_experiment2_block(0.5, 1.0, 0.5, 5.0, [RngStream(1)]), "n"),
+        (lambda: sample_experiment2(0.5, 1.0, 0.5, 5.0, (RngStream(1),)), "n"),
     ],
 )
 def test_counts_must_be_integers(make, field):
@@ -225,8 +246,8 @@ def test_dimension_rule_is_shared(make):
 
 
 def test_numpy_integer_counts_pass():
-    sample = sample_experiment2(0.5, 1.0, 0.5, np.int64(5), RngStream(1), n_prime=np.int32(20))
-    assert (sample.n, sample.meta["n"], sample.meta["inner_size"]) == (5, 5, 20)
+    sample = sample_experiment2(0.5, 1.0, 0.5, np.int64(5), [RngStream(1)], n_prime=np.int32(20))
+    assert (sample.xi.shape[1], sample.meta["n"], sample.meta["inner_size"]) == (5, 5, 20)
     assert type(sample.meta["inner_size"]) is int
     # L((1, 1) / 2)^(1/2) with L(z) = |z|_2 for the logistic model at psi = 1/2
     p = tail_prob_approx(Logistic(0.5), 0.5, [1.0, 1.0], np.int64(2))

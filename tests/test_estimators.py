@@ -26,11 +26,9 @@ from randmax.estimators import (
 )
 from randmax.harness import Combo, ExperimentConfig, results_csv_text, run_experiment, truth_curve
 from randmax.samplers import (
-    PairedBlock,
     PairedSample,
     RngStream,
     sample_experiment1,
-    sample_experiment1_block,
     sample_experiment2,
 )
 
@@ -94,15 +92,15 @@ class TestPseudoUniforms:
 
 class TestAngles:
     def test_vertex_single_term(self):
-        s = sample_experiment1(0.5, 0.5, 100, RngStream(10, 2))
-        u = pseudo_uniforms(s.eta)
+        s = sample_experiment1(0.5, 0.5, 100, [RngStream(10, 2)])
+        u = pseudo_uniforms(s.eta[0])
         th = pseudo_angles(u, np.array([1.0, 0.0]))
         assert np.allclose(th, -np.log(u[:, 0]))
 
     def test_exponential_angle_identities(self):
         # exact uniform margins: theta(t) is exponential with rate A_alpha(t)
-        s = sample_experiment1(0.5, 0.5, 100_000, RngStream(10, 3))
-        u = np.exp(-s.eta ** -0.5)
+        s = sample_experiment1(0.5, 0.5, 100_000, [RngStream(10, 3)])
+        u = np.exp(-s.eta[0] ** -0.5)
         scaled = AlphaScaled(Logistic(0.5), 0.5)
         for t in (np.array([0.5, 0.5]), np.array([0.3, 0.7])):
             a = scaled.values(t[np.newaxis])[0]
@@ -173,7 +171,7 @@ def _kernel_case(d, n, k, ties):
     """eta of two logistic samples and k simplex points: the grid for d = 2;
     for d = 3 a vertex, an edge midpoint, the barycentre and interior points."""
     gen = RngStream(18, 1000 * d + n).generator()
-    etas = [sample_experiment1(0.5, 0.5, n, gen, d=d).eta for _ in range(2)]
+    etas = [sample_experiment1(0.5, 0.5, n, [gen], d=d).eta[0] for _ in range(2)]
     if ties:
         etas = [np.round(np.log(eta)) for eta in etas]  # a few dozen values per column
     if d == 2:
@@ -256,7 +254,7 @@ class TestKernel:
         # a one-column sum adds pairwise, so a one-point call is never split,
         # however many rows a tile of a wider call would hold
         n = 5000
-        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, RngStream(18, 7)).eta)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, [RngStream(18, 7)]).eta[0])
         t = np.array([0.3, 0.7])
         monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", 100)
         assert estimators._row_tiles(n, 1) == [slice(0, n)]
@@ -281,7 +279,7 @@ class TestKernel:
         # one sample's points split into lanes, each tiled at its own width
         # and run in its own thread, give the bytes of one lane
         n = 5000
-        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, RngStream(18, 9)).eta)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, [RngStream(18, 9)]).eta[0])
         points = edge_points(edge_grid(k))
         if chunk_cells is not None:
             monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
@@ -321,7 +319,7 @@ class TestKernel:
         # sums arrays, so a write that strayed past a lane's own columns, or
         # a lane left unread, would move bits
         n, k = 5000, 201
-        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, RngStream(18, 13)).eta)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, [RngStream(18, 13)]).eta[0])
         points = edge_points(edge_grid(k))
 
         def kernel_bytes(cpus):
@@ -355,7 +353,7 @@ class TestKernel:
         if chunk_cells is not None:
             monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
         assert estimators._lanes(n, k) == [slice(0, k)]
-        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, RngStream(18, 10)).eta)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, n, [RngStream(18, 10)]).eta[0])
         points = edge_points(edge_grid(k))
         before = threading.active_count()
         curves = estimators._curves_at(u, None, points, estimators.PICK_ESTIMATORS)
@@ -373,8 +371,7 @@ class TestKernel:
                 raise AssertionError("a thread pool was made")
 
         monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
-        sample = sample_experiment1(0.5, 0.5, 5000, RngStream(18, 12))
-        one = PairedBlock(sample.eta[np.newaxis], sample.xi[np.newaxis])
+        one = sample_experiment1(0.5, 0.5, 5000, [RngStream(18, 12)])
         assert len(estimators._lanes(5000, 201)) == 2
         assert estimators._lanes(5000, 201, 1) == [slice(0, 201)]
         two = fit_pairs(one, _SHUFFLED_PAIRS, FitSettings())
@@ -401,7 +398,7 @@ class TestKernel:
 
         monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
         monkeypatch.setattr(estimators, "_level_tables", failing_tables)
-        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 5000, RngStream(18, 11)).eta)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 5000, [RngStream(18, 11)]).eta[0])
         points = edge_points(edge_grid(201))
         assert len(estimators._lanes(5000, 201)) == 2
         before = threading.active_count()
@@ -414,8 +411,7 @@ class TestKernel:
         # the same process still forks its worker and finishes; its blocks
         # of one sample keep the bytes of the sweep at jobs=1
         monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
-        sample = sample_experiment1(0.5, 0.5, 5000, RngStream(18, 12))
-        one = PairedBlock(sample.eta[np.newaxis], sample.xi[np.newaxis])
+        one = sample_experiment1(0.5, 0.5, 5000, [RngStream(18, 12)])
         assert len(estimators._lanes(5000, 201)) == 2
         before = threading.active_count()
         fit_pairs(one, _SHUFFLED_PAIRS, FitSettings())
@@ -439,7 +435,7 @@ class TestKernel:
         # matrices per lane; one array of 20,000 rows at 201 points alone
         # would take 32 MB
         monkeypatch.setattr(estimators, "_cpu_count", lambda: 2)
-        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 20_000, RngStream(18, 8)).eta)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 20_000, [RngStream(18, 8)]).eta[0])
         points = edge_points(edge_grid(201))
         tracemalloc.start()
         try:
@@ -461,12 +457,12 @@ class TestKernel:
     def test_sample_csv_write_is_formatted_in_row_chunks(self):
         # the text is 1.12 MB; the row strings of the whole sample at once
         # took a peak of 4.67 MB
-        sample = sample_experiment1(0.5, 0.5, 20_000, RngStream(18, 8))
-        assert self._traced_peak(sample.to_csv) < 3_000_000
+        sample = sample_experiment1(0.5, 0.5, 20_000, [RngStream(18, 8)])
+        assert self._traced_peak(lambda: sample.to_csv(0)) < 3_000_000
 
     def test_sample_csv_parse_makes_no_object_per_cell(self):
         # one float() per cell of the 1.12 MB text took a peak of 8.87 MB
-        text = sample_experiment1(0.5, 0.5, 20_000, RngStream(18, 8)).to_csv()
+        text = sample_experiment1(0.5, 0.5, 20_000, [RngStream(18, 8)]).to_csv(0)
         assert len(text) > 1_100_000
         assert self._traced_peak(lambda: PairedSample.from_csv(text)) < 3_500_000
 
@@ -496,7 +492,7 @@ class TestKernel:
         ids=["negative", "nan", "infinite", "sum"],
     )
     def test_points_off_the_simplex_are_rejected(self, row, message):
-        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 50, RngStream(18, 9)).eta)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 50, [RngStream(18, 9)]).eta[0])
         points = edge_points(edge_grid(5))
         points[1] = points[3] = row
         for pick in estimators.PICK_ESTIMATORS:
@@ -518,7 +514,7 @@ class TestKernel:
                 pickands_points(u, points, pick)
 
     def test_empty_points_or_data_are_rejected(self):
-        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 50, RngStream(18, 9)).eta)
+        u = pseudo_uniforms(sample_experiment1(0.5, 0.5, 50, [RngStream(18, 9)]).eta[0])
         points = edge_points(edge_grid(5))
         for pick in estimators.PICK_ESTIMATORS:
             with pytest.raises(DomainError, match="k >= 1"):
@@ -543,9 +539,9 @@ class TestKernel:
 
 class TestRankInvariance:
     def test_strictly_increasing_margins_leave_curves_unchanged(self):
-        s = sample_experiment1(0.5, 0.5, 400, RngStream(12, 1))
-        u1 = pseudo_uniforms(s.eta)
-        transformed = np.column_stack([np.arctan(s.eta[:, 0]), np.log(s.eta[:, 1]) * 3.0 + 5.0])
+        eta = sample_experiment1(0.5, 0.5, 400, [RngStream(12, 1)]).eta[0]
+        u1 = pseudo_uniforms(eta)
+        transformed = np.column_stack([np.arctan(eta[:, 0]), np.log(eta[:, 1]) * 3.0 + 5.0])
         u2 = pseudo_uniforms(transformed)
         points = edge_points(edge_grid(41))
         for pick in ("P", "CFG", "MD"):
@@ -580,18 +576,18 @@ class TestGpwm:
         assert fit_row(xi, "GPWM", 5) == pytest.approx(0.5, abs=0.002)
 
     def test_scale_invariance(self):
-        xi = sample_experiment1(0.5, 0.7, 2_000, RngStream(13, 1)).xi
+        xi = sample_experiment1(0.5, 0.7, 2_000, [RngStream(13, 1)]).xi[0]
         assert fit_row(3.7 * xi, "GPWM", 5) == pytest.approx(fit_row(xi, "GPWM", 5), abs=1e-12)
 
     def test_permutation_invariance(self):
-        xi = sample_experiment1(0.5, 0.7, 500, RngStream(13, 2)).xi
+        xi = sample_experiment1(0.5, 0.7, 500, [RngStream(13, 2)]).xi[0]
         gen = RngStream(13, 3).generator()
         assert fit_row(gen.permutation(xi), "GPWM", 5) == fit_row(xi, "GPWM", 5)
 
     def test_calibration_monte_carlo(self):
         hits = 0
         for trial in range(40):
-            xi = sample_experiment1(1.0, 0.7, 10_000, RngStream(13, 100 + trial)).xi
+            xi = sample_experiment1(1.0, 0.7, 10_000, [RngStream(13, 100 + trial)]).xi[0]
             hits += abs(fit_row(xi, "GPWM", 5) - 0.7) < 0.05
         assert hits >= 38
 
@@ -630,7 +626,7 @@ class TestMl:
         assert fit_row(xi, "ML") == pytest.approx(0.5, abs=0.01)
 
     def test_score_identity_at_root(self):
-        xi = sample_experiment1(0.5, 0.5, 2_000, RngStream(14, 1)).xi
+        xi = sample_experiment1(0.5, 0.5, 2_000, [RngStream(14, 1)]).xi[0]
         a = fit_row(xi, "ML")
         # mean profile score 1/a - mean(ln x) + sum(x^-a ln x) / sum(x^-a)
         lx = np.log(xi)
@@ -656,7 +652,7 @@ class TestMl:
             assert fit_row(c * xi, "ML") == pytest.approx(fit_row(xi, "ML"), abs=1e-10)
 
     def test_permutation_invariance(self):
-        xi = sample_experiment1(0.5, 0.7, 500, RngStream(14, 2)).xi
+        xi = sample_experiment1(0.5, 0.7, 500, [RngStream(14, 2)]).xi[0]
         gen = RngStream(14, 3).generator()
         assert fit_row(gen.permutation(xi), "ML") == pytest.approx(fit_row(xi, "ML"), abs=1e-12)
 
@@ -674,14 +670,14 @@ def _tail_rows():
     """xi rows of one length for the block tail fits, one per kind of outcome."""
     n = 200
     rows = {
-        f"pipeline1-{alpha}": sample_experiment1(0.5, alpha, n, RngStream(23, i)).xi
+        f"pipeline1-{alpha}": sample_experiment1(0.5, alpha, n, [RngStream(23, i)]).xi[0]
         for i, alpha in enumerate((0.3, 0.5, 0.9))
     }
     # of order n'^(1/alpha), n' = 200 blocks
     for i, alpha in enumerate((0.3, 0.7)):
         rows[f"pipeline2-{alpha}"] = sample_experiment2(
-            0.5, 1.0, alpha, n, RngStream(29, i), n_prime=200
-        ).xi
+            0.5, 1.0, alpha, n, [RngStream(29, i)], n_prime=200
+        ).xi[0]
     rows["constant"] = np.full(n, 3.0)
     # one outlier: the GPWM weights of the top order statistic are about
     # n^-(k+1), so at k=5 the moment ratio sees a constant sample, while ML
@@ -772,8 +768,8 @@ class TestEndpointCorrection:
         assert np.array_equal(endpoint_correct(vals, w, "MD"), vals)
 
     def test_md_vertices_exact_by_construction(self):
-        s = sample_experiment1(0.5, 0.5, 200, RngStream(15, 1))
-        u = pseudo_uniforms(s.eta)
+        s = sample_experiment1(0.5, 0.5, 200, [RngStream(15, 1)])
+        u = pseudo_uniforms(s.eta[0])
         vals, flags = pickands_points(u, edge_points(edge_grid(21)), "MD")
         assert vals[0] == pytest.approx(1.0, rel=1e-12)
         assert vals[-1] == pytest.approx(1.0, rel=1e-12)
@@ -808,15 +804,15 @@ class TestInvertCurve:
 
 
 def _fit_one(sample, pick, alpha_method, **settings):
-    """One pair's composite fit of one sample, a CurveEstimate of one row
-    (see fit_pairs)."""
+    """One pair's composite fit of a one-row sample, a CurveEstimate of one
+    row (see fit_pairs)."""
     pair = EstimatorPair(pick, alpha_method)
-    return fit_pairs(stack_samples((sample,)), (pair,), FitSettings(**settings))[pair.label]
+    return fit_pairs(sample, (pair,), FitSettings(**settings))[pair.label]
 
 
 class TestComposite:
     def test_failure_carries_stage(self):
-        s = sample_experiment1(0.5, 0.5, 50, RngStream(16, 1))
+        s = sample_experiment1(0.5, 0.5, 50, [RngStream(16, 1)])
         s.xi[:] = 1.0
         (err,) = _fit_one(s, "CFG", "GPWM").errors
         assert isinstance(err, EstimationError)
@@ -824,7 +820,7 @@ class TestComposite:
 
     def test_alpha_clamp_path(self):
         # light-tailed xi sends the tail estimate past 1; composite must still run
-        s = sample_experiment1(0.5, 0.5, 500, RngStream(16, 2))
+        s = sample_experiment1(0.5, 0.5, 500, [RngStream(16, 2)])
         light = FrechetLaw(3.0).quantile((np.arange(500) + 0.5) / 500)
         s.xi[:] = light
         est = _fit_one(s, "CFG", "ML")
@@ -836,20 +832,20 @@ class TestComposite:
     def test_consistency_fixed_seed(self):
         combo = Combo(1, 0.5, 0.5, float("nan"), 4_000)
         truth = truth_curve(combo, edge_grid(201))
-        s = sample_experiment1(0.5, 0.5, 4_000, RngStream(16, 3))
+        s = sample_experiment1(0.5, 0.5, 4_000, [RngStream(16, 3)])
         for pick in ("P", "CFG", "MD"):
             est = _fit_one(s, pick, "GPWM")
             assert np.max(np.abs(est.a_star[0] - truth)) < 0.05
 
     def test_base_curve_recovery(self):
-        s = sample_experiment1(0.5, 0.5, 4_000, RngStream(16, 4))
+        s = sample_experiment1(0.5, 0.5, 4_000, [RngStream(16, 4)])
         est = _fit_one(s, "CFG", "GPWM")
         base = Logistic(0.5).curve(est.w)
         assert np.max(np.abs(est.a_base(0) - base)) < 0.05
         assert est.a_base(0)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_csv_round_trip_schema(self):
-        s = sample_experiment1(0.5, 0.5, 100, RngStream(16, 5))
+        s = sample_experiment1(0.5, 0.5, 100, [RngStream(16, 5)])
         est = _fit_one(s, "MD", "GPWM", grid_size=5)
         lines = est.to_csv(0).strip().split("\n")
         assert lines[0] == "t,A_alpha_hat,A_star_hat,A_hat,alpha_hat,estimator_pair,corrected,clamped"
@@ -903,11 +899,11 @@ def _public_route(sample, pair, config):
     """One composite fit through the public per-pick functions."""
     w = edge_grid(config.grid_size)
     points = edge_points(w)
-    values, md_flags = pickands_points(pseudo_uniforms(sample.eta), points, pair.pick)
+    values, md_flags = pickands_points(pseudo_uniforms(sample.eta[0]), points, pair.pick)
     if config.corrected:
         values = endpoint_correct(values, w, pair.pick)
     try:
-        alpha_raw = fit_row(sample.xi, pair.alpha_method, config.k)
+        alpha_raw = fit_row(sample.xi[0], pair.alpha_method, config.k)
     except EstimationError as exc:
         return exc
     # an estimate >= 1 is clamped to 1 - 1e-6 and flagged
@@ -929,7 +925,7 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
     # The xi column is also replaced by a light-tailed one (alpha clamped)
     # and a constant one (both tail fits fail).
     config = FitSettings(grid_size=grid_size, corrected=corrected)
-    sample = sample_experiment1(0.5, 0.5, n, RngStream(17, n))
+    sample = sample_experiment1(0.5, 0.5, n, [RngStream(17, n)])
     light = FrechetLaw(3.0).quantile((np.arange(n) + 0.5) / n)
     for xi in (sample.xi.copy(), light, np.ones(n)):
         sample.xi[:] = xi
@@ -937,7 +933,7 @@ def test_fit_pairs_matches_public_route(n, grid_size, corrected, chunk_cells, mo
         with monkeypatch.context() as patch:
             if chunk_cells is not None:
                 patch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
-            fits = fit_pairs(stack_samples((sample,)), _SHUFFLED_PAIRS, config)
+            fits = fit_pairs(sample, _SHUFFLED_PAIRS, config)
         assert list(fits) == [pair.label for pair in _SHUFFLED_PAIRS]
         for pair, want in zip(_SHUFFLED_PAIRS, expected):
             got = fits[pair.label]
@@ -973,7 +969,7 @@ def test_batched_fit_pairs_matches_one_sample_calls(
         monkeypatch.setattr(estimators, "_GRID_CHUNK_CELLS", chunk_cells)
     config = FitSettings(grid_size=grid_size, corrected=corrected)
     samples = [
-        sample_experiment1(psi, 0.5, 50, RngStream(19, i))
+        sample_experiment1(psi, 0.5, 50, [RngStream(19, i)])
         for i, psi in enumerate((0.2, 0.5, 0.9, 0.5, 1.0))
     ]
     samples[1].xi[:] = FrechetLaw(3.0).quantile((np.arange(50) + 0.5) / 50)
@@ -982,7 +978,7 @@ def test_batched_fit_pairs_matches_one_sample_calls(
     assert all(len(got.errors) == len(samples) for got in batched.values())
     outcomes = set()
     for b, sample in enumerate(samples):
-        alone = fit_pairs(stack_samples((sample,)), _SHUFFLED_PAIRS, config)
+        alone = fit_pairs(sample, _SHUFFLED_PAIRS, config)
         assert list(batched) == list(alone)
         for label, got in batched.items():
             want = alone[label]
@@ -1006,8 +1002,8 @@ def test_batched_fit_pairs_matches_one_sample_calls(
 
 
 def test_fit_pairs_rejects_mixed_shapes():
-    a = sample_experiment1(0.5, 0.5, 50, RngStream(19, 10))
-    b = sample_experiment1(0.5, 0.5, 60, RngStream(19, 11))
+    a = sample_experiment1(0.5, 0.5, 50, [RngStream(19, 10)])
+    b = sample_experiment1(0.5, 0.5, 60, [RngStream(19, 11)])
     with pytest.raises(DomainError):
         fit_pairs(stack_samples((a, b)), _SHUFFLED_PAIRS, FitSettings())
     with pytest.raises(DomainError):
@@ -1019,7 +1015,7 @@ def test_failing_row_inside_a_block():
     # fail, naming their stage, and every other row keeps the bits of its
     # own one-sample fit, tail estimates, curves and masks alike
     streams = [RngStream(20, i) for i in range(5)]
-    block = sample_experiment1_block(0.5, 0.5, 50, streams)
+    block = sample_experiment1(0.5, 0.5, 50, streams)
     block.xi[2] = 1.0
     fits = fit_pairs(block, _SHUFFLED_PAIRS, FitSettings())
     for pair in _SHUFFLED_PAIRS:
@@ -1028,7 +1024,7 @@ def test_failing_row_inside_a_block():
         error = fit.errors[2]
         assert isinstance(error, EstimationError) and error.stage == pair.alpha_method
     for b in (0, 1, 3, 4):
-        one = PairedBlock(block.eta[b : b + 1], block.xi[b : b + 1])
+        one = PairedSample(block.eta[b : b + 1], block.xi[b : b + 1])
         alone = fit_pairs(one, _SHUFFLED_PAIRS, FitSettings())
         for label, fit in fits.items():
             want = alone[label]
@@ -1040,9 +1036,9 @@ def test_failing_row_inside_a_block():
 def test_row_reads_match_the_cli_fit_of_each_sample(tmp_path, monkeypatch):
     # the row reads of a block fit with a failing row in the middle: every
     # other row b gives the CSV bytes, base curve and clamp count that
-    # `randmax estimate` gives its sample, which it fits as a block of one
+    # `randmax estimate` gives its sample, which it fits as a one-row sample
     streams = [RngStream(20, i) for i in range(5)]
-    block = sample_experiment1_block(0.5, 0.5, 50, streams)
+    block = sample_experiment1(0.5, 0.5, 50, streams)
     block.xi[2] = 1.0
     fits = fit_pairs(block, _SHUFFLED_PAIRS, FitSettings())
     assert all(isinstance(fit.errors[2], EstimationError) for fit in fits.values())
@@ -1058,7 +1054,7 @@ def test_row_reads_match_the_cli_fit_of_each_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "fit_pairs", recording)
     for b in range(len(block)):
         sample = tmp_path / f"sample_{b}.csv"
-        sample.write_text(PairedSample(block.eta[b], block.xi[b]).to_csv(), encoding="utf-8")
+        sample.write_text(block.to_csv(b), encoding="utf-8")
         out = tmp_path / f"out_{b}"
         args = ["estimate", "--config", str(config), "--input", str(sample), "--out", str(out)]
         code = cli.main(args)

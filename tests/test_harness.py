@@ -29,8 +29,6 @@ from randmax.harness import (
 )
 from randmax.samplers import sample_experiment1
 
-from oracles import stack_samples
-
 
 @pytest.fixture(autouse=True)
 def no_process_left():
@@ -150,12 +148,12 @@ class TestStreams:
         captured = []
         monkeypatch.setattr(
             harness,
-            "sample_experiment1_block",
+            "sample_experiment1",
             lambda psi, alpha, n, streams: captured.append(streams),
         )
         monkeypatch.setattr(
             harness,
-            "sample_experiment2_block",
+            "sample_experiment2",
             lambda rho, ups, alpha, n, streams, n_prime: captured.append(streams),
         )
         combos = [
@@ -498,12 +496,12 @@ class TestRunExperiment:
             block = harness._replicate_block(range(cfg.replications), cfg, combo)
             for rep in range(cfg.replications):
                 stream = replication_stream(cfg.seed, combo, rep)
-                sample = sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, stream)
+                sample = sample_experiment1(combo.psi_or_rho, combo.alpha, combo.n, [stream])
                 for pair in pairs:
                     a_star, ok, node_clamps, alpha_clamps = block[pair.label]
                     curve = a_star[rep] if ok[rep] else None
                     clamps, alpha_clamped = node_clamps[rep], alpha_clamps[rep]
-                    alone = fit_pairs(stack_samples((sample,)), (pair,), cfg.fit)
+                    alone = fit_pairs(sample, (pair,), cfg.fit)
                     est = alone[pair.label]
                     checked += 1
                     if isinstance(est.errors[0], EstimationError):
@@ -547,7 +545,7 @@ class TestRunExperiment:
         # blocks of 4 over 6 replications; replication 5, the second row of
         # the short last block, gets a constant xi, so every pair fails there;
         # at jobs=2 a worker and this process share the two blocks
-        real = harness.sample_experiment1_block
+        real = harness.sample_experiment1
 
         def constant_row(psi, alpha, n, rngs, d=2):
             block = real(psi, alpha, n, rngs, d)
@@ -557,7 +555,7 @@ class TestRunExperiment:
 
         cfg = _small_config(psis=(0.5,), jobs=jobs)
         monkeypatch.setattr(harness, "_block_size", lambda config: 4)
-        monkeypatch.setattr(harness, "sample_experiment1_block", constant_row)
+        monkeypatch.setattr(harness, "sample_experiment1", constant_row)
         res = run_experiment(cfg)
         assert [r.failures for r in res] == [1, 1]
         assert [r.ise.size for r in res] == [5, 5]

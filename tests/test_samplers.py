@@ -10,13 +10,10 @@ from randmax.depcore import student_t_cdf
 from randmax.errors import DomainError, InputParseError
 from randmax.estimators import pickands_points, pseudo_uniforms
 from randmax.samplers import (
-    PairedBlock,
     PairedSample,
     RngStream,
     sample_experiment1,
-    sample_experiment1_block,
     sample_experiment2,
-    sample_experiment2_block,
     sample_logistic_maxstable,
     sample_pareto_block_size,
     sample_positive_stable,
@@ -117,41 +114,41 @@ class TestLogisticSampler:
 
 class TestExperiment1:
     def test_xi_is_row_maximum(self):
-        s = sample_experiment1(0.5, 0.5, 5_000, RngStream(3, 1))
-        assert np.array_equal(s.xi, s.eta.max(axis=1))
+        s = sample_experiment1(0.5, 0.5, 5_000, [RngStream(3, 1)])
+        assert np.array_equal(s.xi, s.eta.max(axis=2))
 
     def test_alpha_frechet_margins(self):
-        s = sample_experiment1(0.5, 0.5, 100_000, RngStream(3, 2))
+        s = sample_experiment1(0.5, 0.5, 100_000, [RngStream(3, 2)])
         for j in range(2):
-            _mc_check((s.eta[:, j] <= 1.0).astype(float), np.exp(-1.0))
+            _mc_check((s.eta[0, :, j] <= 1.0).astype(float), np.exp(-1.0))
 
     def test_scaled_extremal_coefficient(self):
-        s = sample_experiment1(0.5, 0.5, 100_000, RngStream(3, 3))
-        u = np.exp(-s.eta ** -0.5)  # exact margins of the scaled law
+        s = sample_experiment1(0.5, 0.5, 100_000, [RngStream(3, 3)])
+        u = np.exp(-s.eta[0] ** -0.5)  # exact margins of the scaled law
         nu = np.abs(u[:, 0] - u[:, 1]).mean() / 2.0
         theta = (1.0 + 2.0 * nu) / (1.0 - 2.0 * nu)
         assert abs(theta - 2.0**0.25) < 0.02
 
     def test_general_dimension(self):
-        s = sample_experiment1(0.7, 0.6, 100, RngStream(3, 4), d=3)
-        assert s.eta.shape == (100, 3)
-        assert np.array_equal(s.xi, s.eta.max(axis=1))
+        s = sample_experiment1(0.7, 0.6, 100, [RngStream(3, 4)], d=3)
+        assert s.eta.shape == (1, 100, 3)
+        assert np.array_equal(s.xi, s.eta.max(axis=2))
 
     def test_determinism(self):
-        a = sample_experiment1(0.5, 0.5, 500, RngStream(3, 5))
-        b = sample_experiment1(0.5, 0.5, 500, RngStream(3, 5))
+        a = sample_experiment1(0.5, 0.5, 500, [RngStream(3, 5)])
+        b = sample_experiment1(0.5, 0.5, 500, [RngStream(3, 5)])
         assert np.array_equal(a.eta, b.eta) and np.array_equal(a.xi, b.xi)
 
     @pytest.mark.parametrize("psi", [0.1, 0.3, 0.55, 0.9, 1.0])
     def test_block_matches_per_stream_oracle(self, psi):
-        # every sample of a block has the bits the per-stream sampler draws
-        # from its stream; psi = 1 skips the draws of S_psi
+        # every row of a many-stream sample has the bits the per-stream
+        # oracle draws from its stream; psi = 1 skips the draws of S_psi
         checked = 0
         for alpha in (0.15, 0.5, 0.77):
             for n in (2, 7, 50):
                 for d in (2, 3, 5):
                     streams = [RngStream(30, 1000 * n + 10 * d + i) for i in range(3)]
-                    block = sample_experiment1_block(psi, alpha, n, streams, d)
+                    block = sample_experiment1(psi, alpha, n, streams, d)
                     assert block.eta.shape == (3, n, d) and block.xi.shape == (3, n)
                     for b, stream in enumerate(streams):
                         eta, xi = oracle_sample_experiment1(psi, alpha, n, stream.generator(), d)
@@ -166,27 +163,27 @@ class TestExperiment1:
         # is left in the state the oracle leaves its twin in
         gen, twin = RngStream(31, 1).generator(), RngStream(31, 1).generator()
         for n in (2, 9, 2):
-            s = sample_experiment1(psi, 0.6, n, gen, d=3)
+            s = sample_experiment1(psi, 0.6, n, [gen], d=3)
             eta, xi = oracle_sample_experiment1(psi, 0.6, n, twin, 3)
-            assert s.eta.tobytes() == eta.tobytes() and s.xi.tobytes() == xi.tobytes()
-        block = sample_experiment1_block(psi, 0.6, 5, (gen, gen))
+            assert s.eta[0].tobytes() == eta.tobytes() and s.xi[0].tobytes() == xi.tobytes()
+        block = sample_experiment1(psi, 0.6, 5, (gen, gen))
         for b in range(2):
             eta, xi = oracle_sample_experiment1(psi, 0.6, 5, twin)
             assert block.eta[b].tobytes() == eta.tobytes()
         assert gen.random() == twin.random()
 
     def test_block_is_validated_like_a_sample(self):
-        block = sample_experiment1_block(0.5, 0.5, 10, [RngStream(32, i) for i in range(2)])
+        block = sample_experiment1(0.5, 0.5, 10, [RngStream(32, i) for i in range(2)])
         assert len(block) == 2
         assert block.meta == {"experiment": 1, "psi": 0.5, "alpha": 0.5, "n": 10, "d": 2}
         bad = block.eta.copy()
         bad[1, 3, 0] = -1.0
         with pytest.raises(DomainError):
-            PairedBlock(bad, block.xi)
+            PairedSample(bad, block.xi)
         with pytest.raises(DomainError):
-            PairedBlock(block.eta[0], block.xi[0])  # one sample, not a stack
+            PairedSample(block.eta[0], block.xi[0])  # one sample, not a stack
         with pytest.raises(DomainError):
-            sample_experiment1_block(0.5, 1.0, 10, [RngStream(32, 0)])
+            sample_experiment1(0.5, 1.0, 10, [RngStream(32, 0)])
 
 
 class TestParetoBlockSize:
@@ -219,7 +216,7 @@ class TestParetoBlockSize:
         with pytest.raises(DomainError, match="alpha=0.01"):
             sample_pareto_block_size(0.01, RngStream(4, 5), 100_000)
         with pytest.raises(DomainError, match="alpha=0.01"):
-            sample_experiment2(0.5, 1.0, 0.01, 50, RngStream(4, 6), n_prime=500)
+            sample_experiment2(0.5, 1.0, 0.01, 50, [RngStream(4, 6)], n_prime=500)
 
 
 class TestBivariateT:
@@ -263,12 +260,12 @@ class TestExperiment2:
         monkeypatch.setattr(
             samplers, "sample_pareto_block_size", lambda alpha, rng, size=None: np.ones(size)
         )
-        s = sample_experiment2(0.3, 2.0, 0.5, 20_000, RngStream(6, 1), n_prime=70)
+        s = sample_experiment2(0.3, 2.0, 0.5, 20_000, [RngStream(6, 1)], n_prime=70)
         assert np.all(s.xi == 1.0)
         for x in (10.0, 100.0):
             target = student_t_cdf(x, 2.0) ** 70
             for j in range(2):
-                _mc_check((s.eta[:, j] <= x).astype(float), target)
+                _mc_check((s.eta[0, :, j] <= x).astype(float), target)
 
     def test_pooled_maxima_match_bruteforce_law(self):
         gen = RngStream(6, 2).generator()
@@ -295,17 +292,17 @@ class TestExperiment2:
             assert kstest(draws[:, j], cdf).pvalue > 0.01
 
     def test_near_complete_dependence(self):
-        s = sample_experiment2(0.99, 1.0, 0.5, 400, RngStream(6, 3), n_prime=50)
-        md, _ = pickands_points(pseudo_uniforms(s.eta), np.array([[0.5, 0.5]]), "MD")
+        s = sample_experiment2(0.99, 1.0, 0.5, 400, [RngStream(6, 3)], n_prime=50)
+        md, _ = pickands_points(pseudo_uniforms(s.eta[0]), np.array([[0.5, 0.5]]), "MD")
         theta_hat = 2.0 * md[0]
         assert theta_hat < 1.1
 
     def test_xi_tail_regime(self):
         # P(xi > y) = 1 - (1 - y^-alpha)^n' ~ n' y^-alpha for a heavy-tail block maximum
         n_prime, y = 20, 10_000.0
-        s = sample_experiment2(0.3, 1.0, 0.5, 2_000, RngStream(6, 4), n_prime=n_prime)
+        s = sample_experiment2(0.3, 1.0, 0.5, 2_000, [RngStream(6, 4)], n_prime=n_prime)
         target = 1.0 - (1.0 - y**-0.5) ** n_prime
-        _mc_check((s.xi > y).astype(float), target, factor=3.5)
+        _mc_check((s.xi[0] > y).astype(float), target, factor=3.5)
 
     def test_cost_does_not_grow_with_row_count(self):
         # the top-down scan stops on the leading radii, so 10^30 rows draw no
@@ -325,7 +322,7 @@ class TestExperiment2:
         # the total the per-observation scan names
         message = r"^t-row radii overflow float64 for \S+ rows at upsilon=0\.1$"
         with pytest.raises(DomainError, match=message) as got:
-            sample_experiment2(0.5, 0.1, 0.1, 50, RngStream(6, 8), n_prime=500)
+            sample_experiment2(0.5, 0.1, 0.1, 50, [RngStream(6, 8)], n_prime=500)
         with pytest.raises(DomainError) as want:
             oracle_sample_experiment2(0.5, 0.1, 0.1, 50, RngStream(6, 8).generator(), 500)
         assert str(got.value) == str(want.value)
@@ -369,9 +366,9 @@ class TestExperiment2:
 
     @pytest.mark.parametrize("n_prime", [1, 5, 64, 65])
     def test_block_matches_per_stream_oracle(self, n_prime):
-        # every sample of a block, and a running generator's next draw, has
-        # the bits of the per-observation scan; a sample with a non-positive
-        # maximum raises, counting the oracle's non-positive rows
+        # every row of a many-stream sample, and a running generator's next
+        # draw, has the bits of the per-observation scan; a sample with a
+        # non-positive maximum raises, counting the oracle's non-positive rows
         streams = [RngStream(44, 10 * n_prime + i) for i in range(3)]
         for rho, nu in ((-0.5, 1.0), (0.99, 4.0)):
             want = [
@@ -382,9 +379,9 @@ class TestExperiment2:
             if any(nonpositive):
                 first = next(count for count in nonpositive if count)
                 with pytest.raises(DomainError, match=rf"={n_prime} is too small: {first} of 20 "):
-                    sample_experiment2_block(rho, nu, 0.5, 20, streams, n_prime)
+                    sample_experiment2(rho, nu, 0.5, 20, streams, n_prime)
                 continue
-            block = sample_experiment2_block(rho, nu, 0.5, 20, streams, n_prime)
+            block = sample_experiment2(rho, nu, 0.5, 20, streams, n_prime)
             assert block.meta == {
                 "experiment": 2,
                 "rho": rho,
@@ -398,21 +395,21 @@ class TestExperiment2:
                 assert block.xi[b].tobytes() == xi.tobytes()
             gen, twin = streams[0].generator(), streams[0].generator()
             for _ in range(2):
-                sample = sample_experiment2(rho, nu, 0.5, 20, gen, n_prime)
+                sample = sample_experiment2(rho, nu, 0.5, 20, [gen], n_prime)
                 eta, xi, _, _ = oracle_sample_experiment2(rho, nu, 0.5, 20, twin, n_prime)
-                assert sample.eta.tobytes() == eta.tobytes()
-                assert sample.xi.tobytes() == xi.tobytes()
+                assert sample.eta[0].tobytes() == eta.tobytes()
+                assert sample.xi[0].tobytes() == xi.tobytes()
             assert gen.random() == twin.random()
 
     def test_small_inner_size_raises_naming_it(self):
         # the maximum of a few t-rows is negative with positive probability,
         # and eta must be strictly positive
         with pytest.raises(DomainError, match=r"inner_size=1 .* of 50 observations"):
-            sample_experiment2(-0.5, 1.0, 0.5, 50, RngStream(6, 9), n_prime=1)
+            sample_experiment2(-0.5, 1.0, 0.5, 50, [RngStream(6, 9)], n_prime=1)
 
     def test_determinism(self):
-        a = sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(6, 6), n_prime=30)
-        b = sample_experiment2(0.5, 1.0, 0.5, 10, RngStream(6, 6), n_prime=30)
+        a = sample_experiment2(0.5, 1.0, 0.5, 10, [RngStream(6, 6)], n_prime=30)
+        b = sample_experiment2(0.5, 1.0, 0.5, 10, [RngStream(6, 6)], n_prime=30)
         assert np.array_equal(a.eta, b.eta) and np.array_equal(a.xi, b.xi)
 
 
@@ -423,8 +420,8 @@ class TestSpectralOracle:
 
     def test_matches_direct_construction(self):
         r = sample_spectral_scaled(0.5, RngStream(7, 2), 5_000, base_psi=0.6)
-        s = sample_experiment1(0.6, 0.5, 5_000, RngStream(7, 3))
-        assert ks_2samp(r.max(axis=1), s.xi).pvalue > 0.01
+        s = sample_experiment1(0.6, 0.5, 5_000, [RngStream(7, 3)])
+        assert ks_2samp(r.max(axis=1), s.xi[0]).pvalue > 0.01
 
 
 #: whitespace float() strips around a cell (space, tab, VT, FF, NBSP, U+2028),
@@ -493,13 +490,24 @@ def _mutated_csv(rng, d):
 
 class TestPairedSampleCsv:
     def test_round_trip_exact(self):
-        s = sample_experiment1(0.5, 0.5, 50, RngStream(8, 1))
-        back = PairedSample.from_csv(s.to_csv())
+        s = sample_experiment1(0.5, 0.5, 50, [RngStream(8, 1)])
+        back = PairedSample.from_csv(s.to_csv(0))
         assert np.array_equal(back.eta, s.eta)
         assert np.array_equal(back.xi, s.xi)
+        # row b of a two-stream draw writes the text of stream b drawn alone,
+        # and reads back as that row, bit for bit, in a one-row sample
+        streams = [RngStream(8, 5), RngStream(8, 6)]
+        two = sample_experiment1(0.5, 0.5, 50, streams)
+        for b, stream in enumerate(streams):
+            text = two.to_csv(b)
+            assert text == sample_experiment1(0.5, 0.5, 50, [stream]).to_csv(0)
+            back = PairedSample.from_csv(text)
+            assert back.eta.shape == (1, 50, 2) and back.xi.shape == (1, 50)
+            assert back.eta.tobytes() == two.eta[b].tobytes()
+            assert back.xi.tobytes() == two.xi[b].tobytes()
 
     def test_byte_identical_reruns(self):
-        texts = [sample_experiment1(0.5, 0.5, 50, RngStream(8, 2)).to_csv() for _ in range(2)]
+        texts = [sample_experiment1(0.5, 0.5, 50, [RngStream(8, 2)]).to_csv(0) for _ in range(2)]
         assert texts[0] == texts[1]
 
     def test_header_error(self):
@@ -521,7 +529,7 @@ class TestPairedSampleCsv:
 
     def test_positivity_validated(self):
         with pytest.raises(DomainError):
-            PairedSample(np.array([[1.0, -1.0], [1.0, 2.0]]), np.array([1.0, 2.0]))
+            PairedSample(np.array([[[1.0, -1.0], [1.0, 2.0]]]), np.array([[1.0, 2.0]]))
 
     @staticmethod
     def _parse_error(text):
@@ -536,22 +544,22 @@ class TestPairedSampleCsv:
         # as given, and as a universal-newline read of the file gives it
         for source in (text, path.read_text(encoding="utf-8")):
             s = PairedSample.from_csv(source)
-            assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
-            assert np.array_equal(s.xi, [2.0, 3.0])
+            assert np.array_equal(s.eta, [[[1.5, 2.0], [3.0, 0.25]]])
+            assert np.array_equal(s.xi, [[2.0, 3.0]])
 
     def test_spaces_around_cells(self):
         s = PairedSample.from_csv("eta_1,eta_2,xi\n 1.5 ,2.0,\t2.0\n3.0 , 0.25,3.0  \n")
-        assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
-        assert np.array_equal(s.xi, [2.0, 3.0])
+        assert np.array_equal(s.eta, [[[1.5, 2.0], [3.0, 0.25]]])
+        assert np.array_equal(s.xi, [[2.0, 3.0]])
 
     def test_no_trailing_newline(self):
         s = PairedSample.from_csv("eta_1,eta_2,xi\n1.5,2.0,2.0\n3.0,0.25,3.0")
-        assert np.array_equal(s.xi, [2.0, 3.0])
+        assert np.array_equal(s.xi, [[2.0, 3.0]])
 
     def test_blank_lines_are_skipped_and_counted(self):
         text = "eta_1,eta_2,xi\n1.5,2.0,2.0\n\n   \n3.0,0.25,3.0\n\n"
         s = PairedSample.from_csv(text)
-        assert np.array_equal(s.eta, [[1.5, 2.0], [3.0, 0.25]])
+        assert np.array_equal(s.eta, [[[1.5, 2.0], [3.0, 0.25]]])
         err = self._parse_error("eta_1,eta_2,xi\n1.5,2.0,2.0\n\n   \n1.0,oops,2.0\n")
         assert err.line == 5
         assert str(err) == "line 5: could not convert string to float: 'oops'"
@@ -619,11 +627,11 @@ class TestPairedSampleCsv:
     )
     def test_chunk_boundaries(self, monkeypatch, chunk_chars):
         monkeypatch.setattr(samplers, "_CSV_CHUNK_CHARS", chunk_chars)
-        s = sample_experiment1(0.5, 0.5, 500, RngStream(8, 4))
-        text = s.to_csv()
+        s = sample_experiment1(0.5, 0.5, 500, [RngStream(8, 4)])
+        text = s.to_csv(0)
         # the C reader reads every chunk, and the line walk is not needed
         table = samplers._read_rows(text, text.index("\n") + 1, 2)
-        assert table.tobytes() == np.column_stack([s.eta, s.xi]).tobytes()
+        assert table.tobytes() == np.column_stack([s.eta[0], s.xi[0]]).tobytes()
         back = PairedSample.from_csv(text)
         assert back.eta.tobytes() == s.eta.tobytes()
         assert back.xi.tobytes() == s.xi.tobytes()
@@ -631,8 +639,8 @@ class TestPairedSampleCsv:
         self.test_column_count_error()
 
     def test_round_trip_three_columns(self):
-        s = sample_experiment1(0.5, 0.5, 30, RngStream(8, 3), d=3)
-        text = s.to_csv()
+        s = sample_experiment1(0.5, 0.5, 30, [RngStream(8, 3)], d=3)
+        text = s.to_csv(0)
         assert text.startswith("eta_1,eta_2,eta_3,xi\n")
         back = PairedSample.from_csv(text)
         assert np.array_equal(back.eta, s.eta)
