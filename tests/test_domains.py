@@ -64,7 +64,8 @@ def _message(make):
     return str(exc.value)
 
 
-#: a sampler checks its parameters before it draws, however many streams it draws
+#: a sampler checks its parameters before it draws, however many streams it draws;
+#: the ``*_block`` entries run it on a block of two streams
 _TWO = (RngStream(1, 0), RngStream(1, 1))
 
 ALPHA_ENTRY_POINTS = {
@@ -72,7 +73,7 @@ ALPHA_ENTRY_POINTS = {
     "sample_pareto_block_size": lambda a: sample_pareto_block_size(a, RngStream(1)),
     "sample_experiment1": lambda a: sample_experiment1(0.5, a, 10, [RngStream(1)]),
     "sample_experiment2": lambda a: sample_experiment2(0.5, 1.0, a, 10, [RngStream(1)]),
-    "sample_experiment2_two_streams": lambda a: sample_experiment2(0.5, 1.0, a, 10, _TWO),
+    "sample_experiment2_block": lambda a: sample_experiment2(0.5, 1.0, a, 10, _TWO),
     "AlphaScaled": lambda a: AlphaScaled(Logistic(0.5), a),
     "lambda_inverse_link": lambda a: lambda_inverse_link(0.5, a),
     "tail_prob_approx": lambda a: tail_prob_approx(Logistic(0.5), a, [1.0, 1.0], 10),
@@ -91,7 +92,7 @@ def test_tail_index_rule_is_stated_once(entry, alpha):
 PSI_ENTRY_POINTS = {
     "sample_logistic_maxstable": lambda p: sample_logistic_maxstable(p, 2, RngStream(1)),
     "sample_experiment1": lambda p: sample_experiment1(p, 0.5, 10, [RngStream(1)]),
-    "sample_experiment1_two_streams": lambda p: sample_experiment1(p, 0.5, 10, _TWO),
+    "sample_experiment1_block": lambda p: sample_experiment1(p, 0.5, 10, _TWO),
     "ExperimentConfig": lambda p: _config(psi=p),
 }
 
@@ -106,7 +107,7 @@ def test_psi_rule_is_the_logistic_one(entry, psi):
 
 EXTREMAL_T_ENTRY_POINTS = {
     "sample_experiment2": lambda r, u: sample_experiment2(r, u, 0.5, 10, [RngStream(1)]),
-    "sample_experiment2_two_streams": lambda r, u: sample_experiment2(r, u, 0.5, 10, _TWO),
+    "sample_experiment2_block": lambda r, u: sample_experiment2(r, u, 0.5, 10, _TWO),
     "ExperimentConfig": lambda r, u: _config(experiment=2, rho=r, upsilon=u),
 }
 
@@ -131,15 +132,15 @@ def test_rho_and_upsilon_rules_are_the_extremal_t_ones(entry, rho, upsilon, star
 
 SAMPLE_SIZE_ENTRY_POINTS = {
     "sample_experiment1": lambda n: sample_experiment1(0.5, 0.5, n, [RngStream(1)]),
-    "sample_experiment1_two_streams": lambda n: sample_experiment1(0.5, 0.5, n, _TWO),
+    "sample_experiment1_block": lambda n: sample_experiment1(0.5, 0.5, n, _TWO),
     "sample_experiment2": lambda n: sample_experiment2(0.5, 1.0, 0.5, n, [RngStream(1)]),
-    "sample_experiment2_two_streams": lambda n: sample_experiment2(0.5, 1.0, 0.5, n, _TWO),
+    "sample_experiment2_block": lambda n: sample_experiment2(0.5, 1.0, 0.5, n, _TWO),
     "ExperimentConfig": lambda n: _config(n=n),
 }
 
 INNER_SIZE_ENTRY_POINTS = {
     "sample_experiment2": lambda m: sample_experiment2(0.5, 1.0, 0.5, 10, [RngStream(1)], m),
-    "sample_experiment2_two_streams": lambda m: sample_experiment2(0.5, 1.0, 0.5, 10, _TWO, m),
+    "sample_experiment2_block": lambda m: sample_experiment2(0.5, 1.0, 0.5, 10, _TWO, m),
     "ExperimentConfig": lambda m: _config(experiment=2, inner_size=m),
 }
 
